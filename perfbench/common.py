@@ -14,6 +14,7 @@ import platform
 import resource
 import subprocess
 import sys
+import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -101,14 +102,20 @@ def fresh_process_s(statement: str, reps: int) -> float:
     times = []
     for _ in range(reps):
         begin = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-c", code],
-            env=bench_env(),
-            stdout=subprocess.DEVNULL,
-            check=True,
-            timeout=170,
+        child = subprocess.Popen(
+            [sys.executable, "-c", code], env=bench_env(), stdout=subprocess.DEVNULL
         )
+        # A plain wait returns the moment the child exits; a wait with a
+        # timeout polls every 50 ms and would round each set-up up to that.
+        watchdog = threading.Timer(170, child.kill)
+        watchdog.start()
+        try:
+            status = child.wait()
+        finally:
+            watchdog.cancel()
         times.append(time.perf_counter() - begin)
+        if status != 0:
+            raise subprocess.CalledProcessError(status, child.args)
     return median(times)
 
 

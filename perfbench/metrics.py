@@ -4,15 +4,17 @@ End-to-end metrics are reported by every workload, each measuring the
 workload's own unit of work (see ``run.py``).  Per-layer metrics come
 from a traced run; a layer the workload never enters reports 0.  Layer
 times are self times (span time minus child-span time) per unit of work:
-per session, per figure, or per 1000 service queries.
+per session, per figure, or per 1000 service queries.  Only spans inside
+a unit count: those under an :data:`ENCLOSING` call.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from common import median, percentile
-from spans import LayerSummary, Span, Tracer
+from common import mean, median, percentile
+from spans import LayerSummary, Span, Tracer, within
 
 END_TO_END: Dict[str, str] = {
     "setup_s": "s",
@@ -63,6 +65,11 @@ PER_LAYER: Dict[str, str] = {
     "trace.attributed_frac": "fraction",
 }
 
+#: The calls that enclose one unit of work: an HATP session, a figure
+#: panel, a batch the service executes.  Their self time is whatever no
+#: named layer below them claims.
+ENCLOSING = ("core.decision", "runner", "service.state")
+
 
 class DecisionTally:
     """Observer of ``core.decision`` spans: what the policies decided.
@@ -94,6 +101,7 @@ def layer_metrics(
     setup_spans: Iterable[Span] = (),
 ) -> Dict[str, float]:
     """Per-layer metrics of the spans of ``units`` units of work."""
+    spans = within(spans, ENCLOSING)
     s = LayerSummary(spans)
     per = 1.0 / units if units else 0.0
     metrics = {
@@ -118,6 +126,7 @@ def layer_metrics(
         "diffusion.mc_s": s.self_s["diffusion.mc"] * per,
         "diffusion.realizations_s": s.self_s["diffusion.realizations"] * per,
         "runner.self_s": s.self_s["runner"] * per,
+        "trace.attributed_frac": attributed_frac(spans),
     }
     if tally is not None and tally.examined:
         metrics["core.rr_sets_per_decision"] = tally.rr_sets / tally.examined
@@ -125,6 +134,20 @@ def layer_metrics(
     setup = LayerSummary(list(setup_spans))
     metrics["graphs.load_s"] = setup.total_s["graphs"]
     return metrics
+
+
+def attributed_frac(spans: List[Span]) -> float:
+    """Share of the units' time that the named layers below the enclosing
+    calls account for: 1 - (enclosing self time) / (enclosing calls' time).
+
+    ``spans`` are those of the units (see :func:`spans.within`).  A layer
+    left unwrapped shows up as enclosing self time and lowers the share.
+    """
+    total = sum(span.duration for span in spans if span.parent is None)
+    if not total:
+        return 0.0
+    own = LayerSummary(spans).self_s
+    return 1.0 - sum(own[layer] for layer in ENCLOSING) / total
 
 
 def latency_summary(values_ms: List[float]) -> Dict[str, float]:
@@ -138,13 +161,15 @@ def latency_summary(values_ms: List[float]) -> Dict[str, float]:
 def unit_latency_summary(units_ms: List[List[float]]) -> Dict[str, float]:
     """Latency of a few large units whose answers line up across units.
 
-    Answer ``i`` of every unit is the same request (the same target node
-    of a session, the same dataset panel of a figure), so each answer's
-    typical latency is its median over the run's units; the metrics are
-    the 50th and 99th percentiles of those typical latencies.  A single
-    slow unit then moves neither figure.
+    Answer ``i`` of every unit is the same request: the same dataset panel
+    of a figure, or the same target node of a session in the same world
+    (a run draws one realization for all its sessions, which differ only
+    in HATP's random stream).  Each answer's typical latency is its mean
+    over the run's units, which averages the host's speed over the whole
+    run; the metrics are the 50th and 99th percentiles of those typical
+    latencies.
     """
-    typical = [median(column) for column in zip(*units_ms)]
+    typical = [mean(column) for column in zip(*units_ms)]
     return {
         "latency_p50_ms": median(typical),
         "latency_p99_ms": percentile(typical, 99.0),
@@ -153,17 +178,20 @@ def unit_latency_summary(units_ms: List[List[float]]) -> Dict[str, float]:
 
 def measure_units(
     outcome,
-    count: int,
+    seconds: float,
     unit: Callable[[int], Tuple[float, List[float]]],
     setup: Callable[[], object],
     trace: bool,
 ) -> Tuple[List[float], List[List[float]]]:
-    """Run ``unit(index)`` for ``count`` indices; returns walls and latencies.
+    """Run ``unit(0)``, ``unit(1)``, ... for ``seconds``; returns walls and latencies.
 
-    With ``trace`` every index runs twice, untraced and traced, alternating
-    which goes first, after one traced ``setup()``; the per-layer metrics,
-    the tracing overhead and the spans land in ``outcome``.  Walls and
-    latencies always come from the untraced runs.
+    The next unit starts only when the pace so far says it ends within
+    ``seconds``, so a run measures whole units (at least one) and a slow
+    host measures fewer of them.  With ``trace`` every index runs twice,
+    untraced and traced, alternating which goes first, after one traced
+    ``setup()``.  The per-layer metrics (per traced unit), the tracing
+    overhead and the spans land in ``outcome``.  Walls and latencies always
+    come from untraced runs.
     """
     tracer = Tracer() if trace else None
     if tracer is not None:
@@ -176,7 +204,11 @@ def measure_units(
     walls: List[float] = []
     latencies: List[List[float]] = []
     traced_walls: List[float] = []
-    for index in range(count):
+    begin = time.perf_counter()
+    count = 0
+    while not count or (time.perf_counter() - begin) * (count + 1) / count <= seconds:
+        index = count
+        count += 1
         order = (False,) if tracer is None else ((False, True), (True, False))[index % 2]
         for traced in order:
             if traced:
@@ -192,12 +224,9 @@ def measure_units(
                 walls.append(wall)
                 latencies.append(answers)
     if tracer is not None:
-        # Root spans cover what the layers' self times add up to.
-        roots = sum(span.duration for span in tracer.spans if span.parent is None)
         outcome.metrics.update(layer_metrics(tracer.spans, count, tally, setup_spans))
         outcome.metrics["trace.overhead_frac"] = (
             median([t / u for t, u in zip(traced_walls, walls)]) - 1.0
         )
-        outcome.metrics["trace.attributed_frac"] = roots / sum(traced_walls)
         outcome.spans = tracer.dump()
     return walls, latencies

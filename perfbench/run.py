@@ -2,9 +2,9 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload session-faithful --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload fig2-smoke --seed 1 --seconds 20 --trace 1
-    python3 perfbench/run.py --workload service-mixed --seed 1 --seconds 20 --trace 0 \
+    python3 perfbench/run.py --workload session-faithful --seed 1 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload fig2-smoke --seed 1 --seconds 36 --trace 1
+    python3 perfbench/run.py --workload service-mixed --seed 1 --seconds 36 --trace 0 \
         --out results.jsonl
     python3 perfbench/run.py --compare parent.jsonl change.jsonl
 
@@ -26,7 +26,7 @@ End-to-end metrics (``--trace 0``), each over the workload's own unit:
 ``setup_s``         median of several set-ups in the run (graphs, instance
                     and kernel warm-up; for the service, boot until healthy
                     plus the first warm collection)
-``work_s``          median wall time of one unit of work: an HATP session,
+``work_s``          mean wall time of one unit of work: an HATP session,
                     a four-panel figure, or 1000 closed-loop service queries
 ``latency_p50_ms``  latency of the workload's answers.  Service: p50 and p99
 ``latency_p99_ms``  of the open-loop queries, each timed from its due send
@@ -34,7 +34,7 @@ End-to-end metrics (``--trace 0``), each over the workload's own unit:
                     Session and figure, whose units repeat the same
                     answers (one decision per target node, one panel per
                     dataset): p50 and p99 over answers of each answer's
-                    median latency across the run's units
+                    mean latency across the run's units
 ``peak_rss_mib``    peak RSS of the process doing the work (the server for
                     the service)
 
@@ -71,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--out", default=None, help="append the full record (with fingerprint) to this JSONL file"

@@ -264,6 +264,27 @@ def spans_from_dump(rows: List[Dict[str, Any]]) -> List[Span]:
     return [Span(**row) for row in rows]
 
 
+def within(spans: List[Span], layers: Tuple[str, ...]) -> List[Span]:
+    """The spans whose outermost ancestor belongs to one of ``layers``.
+
+    These are the spans inside the timed unit of work: calls the benchmark
+    makes around it (drawing a realization, checking an answer) open root
+    spans of their own and are left out.
+    """
+    by_id = {span.ident: span for span in spans}
+    roots: Dict[int, Span] = {}
+
+    def root(span: Span) -> Span:
+        found = roots.get(span.ident)
+        if found is None:
+            parent = by_id.get(span.parent) if span.parent is not None else None
+            found = span if parent is None else root(parent)
+            roots[span.ident] = found
+        return found
+
+    return [span for span in spans if root(span).layer in layers]
+
+
 def self_times(spans: List[Span]) -> Dict[int, float]:
     """Self time of every span: its duration minus its children's."""
     child_time: Dict[int, float] = defaultdict(float)

@@ -13,7 +13,8 @@ import wl_fig2
 import wl_service
 import wl_session
 from common import Outcome
-from metrics import PER_LAYER
+from metrics import PER_LAYER, layer_metrics
+from spans import Span
 
 TINY_SESSION = {"nodes": 120, "k": 8, "setup_reps": 1}
 
@@ -22,7 +23,7 @@ TINY_SESSION = {"nodes": 120, "k": 8, "setup_reps": 1}
 def session_inputs():
     wl_session.build_native()
     inputs = wl_session.Inputs(TINY_SESSION["nodes"], TINY_SESSION["k"])
-    return inputs, inputs.realization(3, 0)
+    return inputs, inputs.realization()
 
 
 def test_session_workload_passes_its_checks():
@@ -39,7 +40,30 @@ def test_traced_session_reports_every_layer_metric():
     assert local <= set(outcome.metrics)
     assert outcome.metrics["core.cap_forced_frac"] == 0.0
     assert outcome.metrics["kernels.rr_sets"] > 0
-    assert outcome.metrics["trace.attributed_frac"] >= 0.9
+    assert 0.0 < outcome.metrics["trace.attributed_frac"] < 1.0
+
+
+def _unit_spans(with_query_layer: bool):
+    """One HATP session whose kernels and collection queries take 6 and 2 of
+    its 10 s, then an answer check outside the session."""
+    spans = [
+        Span(1, None, "core.decision", 0.0, 10.0),
+        Span(2, 1, "kernels.generate", 1.0, 7.0),
+        Span(4, None, "diffusion.realizations", 10.0, 30.0),
+    ]
+    if with_query_layer:
+        spans.append(Span(3, 1, "collection.query", 7.0, 9.0))
+    return spans
+
+
+def test_attribution_counts_named_layers_inside_the_unit_only():
+    metrics = layer_metrics(_unit_spans(True), 1)
+    assert metrics["trace.attributed_frac"] == pytest.approx(0.8)
+    assert metrics["core.decision_s"] == pytest.approx(2.0)
+    assert metrics["diffusion.realizations_s"] == 0.0
+    # A layer left unwrapped becomes the session's own time.
+    metrics = layer_metrics(_unit_spans(False), 1)
+    assert metrics["trace.attributed_frac"] == pytest.approx(0.6)
 
 
 def test_session_check_catches_a_cap_decision(session_inputs):
@@ -117,7 +141,7 @@ def test_fig2_check_catches_a_wrong_figure(figure_panel, edit):
     assert outcome.failed >= 1
 
 
-TINY_SERVICE = {"nodes": 400, "rate": 200.0, "open_queries": 80, "closed_s": 0.5, "setup_reps": 1}
+TINY_SERVICE = {"nodes": 400, "rate": 200.0, "open_queries": 80, "closed_queries": 80, "setup_reps": 1}
 
 
 def test_service_workload_passes_its_checks():

@@ -18,13 +18,11 @@ import math
 import time
 from typing import Dict, Optional
 
-from common import Outcome, fresh_process_s, median, peak_rss_mib
+from common import Outcome, fresh_process_s, mean, peak_rss_mib
 from metrics import measure_units, unit_latency_summary
 
 DATASETS = ("nethept", "epinions", "dblp", "livejournal")
 
-#: Nominal seconds per figure; fixes how many figures a run measures.
-NOMINAL_UNIT_S = 5.0
 SETUP_REPS = 5
 
 
@@ -103,20 +101,19 @@ def run(seed: int, seconds: float, trace: bool, sizes: Optional[Dict] = None) ->
     )
     setup(seed, sizes, datasets)
 
-    count = max(1, round(seconds / NOMINAL_UNIT_S))
 
     def unit(index: int):
         return run_figure(outcome, scale, seed, index, datasets)
 
     walls, latencies = measure_units(
-        outcome, count, unit, lambda: setup(seed, sizes, datasets), trace
+        outcome, seconds, unit, lambda: setup(seed, sizes, datasets), trace
     )
-    outcome.metrics["work_s"] = median(walls)
+    outcome.metrics["work_s"] = mean(walls)
     outcome.metrics.update(unit_latency_summary(latencies))
     outcome.metrics["peak_rss_mib"] = peak_rss_mib()
     outcome.extra.update(
-        figure_s=median(walls),
-        figures=count,
+        figure_s=outcome.metrics["work_s"],
+        figures=len(walls),
         panels=sum(map(len, latencies)),
         backend="vectorized",
         mc_backend="python",

@@ -6,7 +6,12 @@ the 5000-node Epinions proxy with the service defaults and the
 keep-alive connections: first an open loop at a fixed rate (independent
 users; each query is timed from its due send time, so a stall also
 delays the queries behind it), then a closed loop of ``nproc`` clients
-(callers that wait for each reply).
+(callers that wait for each reply).  The open loop takes ``OPEN_SHARE``
+of ``--seconds`` and the closed loop a fixed number of queries that
+lasts about the rest at ``NOMINAL_CLOSED_QPS``: at 36 s, 1260 queries at
+50 q/s, then 1728 queries.  On a 2-CPU host the closed loop measured
+140-210 q/s, so the open rate stays below a third of capacity even when
+the host is slow; at 75 q/s slow runs queued and p99 tripled.
 
 The queries are the ``build_query_stream`` mix (40% hot repeats for the
 answer cache).  About 30% of the cold RIS queries (``spread``,
@@ -47,8 +52,10 @@ from spans import LayerSummary, spans_from_dump
 DATASET = "epinions"
 NODES = 5000
 BACKEND = "native"
-RATE_QPS = 40.0
+RATE_QPS = 50.0
 OPEN_SHARE = 0.7
+#: Closed-loop queries per second of ``--seconds`` left after the open loop.
+NOMINAL_CLOSED_QPS = 160.0
 MIN_OPEN_QUERIES = 1000
 RESIDUAL_STATES = 32
 REMOVED_PER_STATE = 25
@@ -238,20 +245,17 @@ async def open_loop(port: int, queries, rate: float, connections: int):
     return records, lags
 
 
-async def closed_loop(port: int, queries, seconds: float, clients: int):
-    """``clients`` callers, one outstanding query each, for ``seconds``."""
+async def closed_loop(port: int, queries, clients: int):
+    """``clients`` callers, one outstanding query each, until ``queries`` run out."""
     from repro.service.loadgen import ServiceClient
 
     records: List[Record] = []
     cursor = iter(queries)
-    stop_at = time.perf_counter() + seconds
 
     async def caller() -> None:
         client = ServiceClient("127.0.0.1", port)
         try:
             for query in cursor:
-                if time.perf_counter() >= stop_at:
-                    return
                 sent = time.perf_counter()
                 status, payload = await _send(client, query)
                 records.append(Record(query, sent, sent, time.perf_counter(), status, payload))
@@ -338,20 +342,31 @@ def _server_layers(dump: Dict[str, Any], queries: int) -> Dict[str, float]:
     return metrics
 
 
+def _generations(scraped: Dict[str, Any]) -> int:
+    """RR-collection generations the server has run so far."""
+    graphs = scraped.get("state", {}).get("graphs", {})
+    return sum(g["generations"] for g in graphs.values())
+
+
 def _hit_rate(stats: Dict[str, Any]) -> float:
     hits, misses = stats.get("hits", 0), stats.get("misses", 0)
     return hits / (hits + misses) if hits + misses else 0.0
 
 
-async def _drive(server: ServerProcess, queries, open_count, rate, closed_s, outcome):
+async def _drive(server: ServerProcess, queries, open_count, rate, outcome):
     port = server.port
     connections = os.cpu_count() or 1
+    _, before = await _request(port, "GET", "/metrics")
     opened, lags = await open_loop(port, queries[:open_count], rate, connections)
-    closed, closed_wall = await closed_loop(port, queries[open_count:], closed_s, connections)
+    _, after_open = await _request(port, "GET", "/metrics")
+    closed, closed_wall = await closed_loop(port, queries[open_count:], connections)
     _, scraped = await _request(port, "GET", "/metrics")
     health_status, _ = await _request(port, "GET", "/healthz")
     outcome.check(health_status == 200, f"/healthz answered {health_status} after the run")
     rss = process_peak_rss_mib(server.proc.pid)
+    outcome.extra["open_regenerations_per_1000"] = (
+        (_generations(after_open) - _generations(before)) / len(opened) * 1000.0
+    )
     return opened, lags, closed, closed_wall, scraped, rss
 
 
@@ -364,8 +379,13 @@ def run(seed: int, seconds: float, trace: bool, sizes: Optional[Dict] = None) ->
     open_count = sizes.get("open_queries") or max(
         MIN_OPEN_QUERIES, int(rate * seconds * OPEN_SHARE)
     )
-    closed_s = sizes.get("closed_s") or seconds * (1.0 - OPEN_SHARE)
-    queries = build_stream(seed, open_count + int(closed_s * 2000) + 1000, nodes)
+    closed_count = sizes.get("closed_queries") or int(
+        seconds * (1.0 - OPEN_SHARE) * NOMINAL_CLOSED_QPS
+    )
+    if trace:
+        # Two drives of half the load each: untraced, then traced.
+        open_count, closed_count = max(1, open_count // 2), max(1, closed_count // 2)
+    queries = build_stream(seed, open_count + closed_count, nodes)
     first_query = {"op": "spread", "seeds": [0]}
 
     setups = []
@@ -377,7 +397,7 @@ def run(seed: int, seconds: float, trace: bool, sizes: Optional[Dict] = None) ->
     def drive(trace_out: Optional[str]):
         with ServerProcess(nodes, trace_out) as server:
             asyncio.run(_boot(server, first_query))
-            phases = asyncio.run(_drive(server, queries, open_count, rate, closed_s, outcome))
+            phases = asyncio.run(_drive(server, queries, open_count, rate, outcome))
             server.stop()
         return phases
 
@@ -401,13 +421,12 @@ def run(seed: int, seconds: float, trace: bool, sizes: Optional[Dict] = None) ->
     outcome.metrics["peak_rss_mib"] = rss
     state = scraped.get("state", {})
     outcome.extra.update(
-        latency_p50_ms=outcome.metrics["latency_p50_ms"],
-        latency_p99_ms=outcome.metrics["latency_p99_ms"],
         open_queries=len(opened),
         rate_qps=rate,
         closed_qps=ok_closed / closed_wall if closed_wall else 0.0,
         closed_queries=len(closed),
-        regenerations=sum(g["generations"] for g in state.get("graphs", {}).values()),
+        rate_share_of_closed_qps=rate * closed_wall / ok_closed if ok_closed else 0.0,
+        regenerations=_generations(scraped),
         gen_lag_ms_p99=percentile(lags, 99.0),
         backend=BACKEND,
         mc_backend=BACKEND,

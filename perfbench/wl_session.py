@@ -2,17 +2,17 @@
 
 HATP runs with ``max_rounds=30`` and ``max_samples_per_round=10**7`` on
 the regenerate path with the ``native`` kernels, on the 600-node NetHEPT
-proxy with k=50 and degree-proportional costs, each session against one
+proxy with k=50 and degree-proportional costs, every session against one
 fixed realization.  With these caps the stopping conditions C'1/C'2
 decide every node (``budget_hits == 0`` is checked), and the kernel
 batches are large.
 
-The graph and the instance are fixed, like a benchmark dataset; the
-workload seed draws each session's realization and HATP random stream,
-so a run averages over several worlds.  A session's *decisions* are the
-node iterations of Algorithm 4: the benchmark's session object stamps
-the start of each one, which is when the policy asks the market whether
-the node is already active.
+The graph, the instance and the realization are fixed, like a benchmark
+dataset; the workload seed draws each session's HATP random stream.  So
+decision ``i`` is the same request in every session of every run.  A
+session's *decisions* are the node iterations of Algorithm 4: the
+benchmark's session object stamps the start of each one, which is when
+the policy asks the market whether the node is already active.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from common import Outcome, build_native, fresh_process_s, median, peak_rss_mib
+from common import Outcome, build_native, fresh_process_s, mean, median, peak_rss_mib
 from metrics import measure_units, unit_latency_summary
 
 DATASET = "nethept"
@@ -33,10 +33,8 @@ MAX_ROUNDS = 30
 MAX_SAMPLES_PER_ROUND = 10**7
 BACKEND = "native"
 
-#: Nominal seconds per session; fixes how many sessions a run measures.
-NOMINAL_UNIT_S = 7.0
 SETUP_REPS = 5
-#: Seed of the fixed graph and instance.
+#: Seed of the fixed graph, instance and realization.
 DATASET_SEED = 2020
 
 
@@ -60,11 +58,11 @@ class Inputs:
             random_state=_stream(DATASET_SEED, 2),
         )
 
-    def realization(self, seed: int, index: int):
-        """The hidden world session ``index`` of a run faces."""
+    def realization(self):
+        """The hidden world every session faces."""
         from repro.diffusion.realization import Realization
 
-        return Realization.sample(self.graph, _stream(seed, 3, index))
+        return Realization.sample(self.graph, _stream(DATASET_SEED, 3))
 
 
 def _session_class():
@@ -131,7 +129,7 @@ def setup(seed: int, nodes: int = NODES, k: int = K) -> Inputs:
 
     kernels.warm_up(BACKEND)
     inputs = Inputs(nodes, k)
-    inputs.realization(seed, 0)
+    inputs.realization()
     return inputs
 
 
@@ -146,26 +144,24 @@ def run(seed: int, seconds: float, trace: bool, sizes: Optional[Dict] = None) ->
     )
     inputs = setup(seed, nodes, k)
 
-    count = max(1, round(seconds / NOMINAL_UNIT_S))
-    max_samples = sizes.get("max_samples", MAX_SAMPLES_PER_ROUND)
+    world = inputs.realization()
     rr_sets = []
 
     def unit(index: int):
-        world = inputs.realization(seed, index)
-        result, wall, latencies = run_session(inputs, world, seed, index, max_samples)
+        result, wall, latencies = run_session(inputs, world, seed, index)
         check_session(outcome, inputs, world, result)
         rr_sets.append(result.rr_sets_generated)
         return wall, latencies
 
     walls, latencies = measure_units(
-        outcome, count, unit, lambda: setup(seed, nodes, k), trace
+        outcome, seconds, unit, lambda: setup(seed, nodes, k), trace
     )
-    outcome.metrics["work_s"] = median(walls)
+    outcome.metrics["work_s"] = mean(walls)
     outcome.metrics.update(unit_latency_summary(latencies))
     outcome.metrics["peak_rss_mib"] = peak_rss_mib()
     outcome.extra.update(
-        session_s=median(walls),
-        sessions=count,
+        session_s=outcome.metrics["work_s"],
+        sessions=len(walls),
         decisions=sum(map(len, latencies)),
         rr_sets_per_session=median(rr_sets),
         backend=BACKEND,
