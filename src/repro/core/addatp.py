@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.errors import AdditiveErrorSchedule, DynamicThresholdState
 from repro.core.estimation import FrontRearEstimator
-from repro.core.results import IterationRecord, SeedingResult
+from repro.core.results import CAP_REASONS, IterationRecord, SeedingResult, stop_reason
 from repro.core.session import AdaptiveSession
 from repro.parallel.pool import SamplingPool, resolve_jobs
 from repro.utils.exceptions import SamplingBudgetExceeded
@@ -76,11 +76,12 @@ class ADDATP:
         ``REPRO_JOBS`` environment variable and otherwise keeps the
         historical in-process path; ``-1`` uses all cores).
     sample_reuse:
-        Carry RR collections across refinement rounds, extending them by
-        only the newly required sets instead of regenerating (the residual
-        graph is frozen within a node-iteration, so all rounds sample the
-        same distribution).  ``False`` (default) keeps the exact historical
-        regenerate-per-round RNG stream.
+        Carry the front/rear coverage counts across refinement rounds,
+        drawing only the newly required sets and adding their counts
+        instead of regenerating (the residual graph is frozen within a
+        node-iteration, so all rounds sample the same distribution).
+        ``False`` (default) keeps the exact historical regenerate-per-round
+        RNG stream.
     """
 
     name = "ADDATP"
@@ -181,7 +182,6 @@ class ADDATP:
             front_estimate = rear_estimate = 0.0
             rounds = 0
             rr_this_iteration = 0
-            stopped_by_c2 = False
             estimator = FrontRearEstimator(
                 residual,
                 node,
@@ -212,17 +212,17 @@ class ADDATP:
                 condition_two = scaled_error <= threshold
                 round_budget_hit = rounds >= self._max_rounds
 
-                if condition_one or condition_two or sample_budget_hit or round_budget_hit:
-                    if (sample_budget_hit or round_budget_hit) and not (
-                        condition_one or condition_two
-                    ):
+                reason = stop_reason(
+                    condition_one, condition_two, sample_budget_hit, round_budget_hit
+                )
+                if reason is not None:
+                    if reason in CAP_REASONS:
                         budget_hits += 1
                         if self._on_budget == "raise":
                             raise SamplingBudgetExceeded(
                                 f"ADDATP hit its sampling budget on node {node} "
                                 f"(requested {requested} RR sets per collection)"
                             )
-                    stopped_by_c2 = condition_two and not condition_one
                     break
                 state = schedule.refine(state)
 
@@ -246,12 +246,13 @@ class ADDATP:
                     rounds=rounds,
                     rr_sets_generated=rr_this_iteration,
                     newly_activated=newly,
+                    stop_reason=reason,
                 )
             )
             if self._dynamic_threshold:
                 dynamic_state = dynamic_state.after_iteration(
                     profit_gained=session.realized_profit - profit_before,
-                    stopped_by_c2=stopped_by_c2,
+                    stopped_by_c2=reason == "C2",
                     threshold_used=threshold,
                 )
 

@@ -23,14 +23,15 @@ Between rounds the schedule tightens whichever error component is binding
 (see :class:`repro.core.errors.HybridErrorSchedule`), which is what makes
 HATP roughly ``O(ε n)`` cheaper than ADDATP (Theorem 5 vs Theorem 3).
 
-With ``sample_reuse=True`` the two collections of a node-iteration are kept
-alive across refinement rounds and only the ``θ_i − θ_{i−1}`` *new* RR sets
-are generated per round (IMM-style sample carrying — the residual graph is
-frozen within a node-iteration, so all rounds sample the same
-distribution); marginal estimates then come from incremental
-:class:`~repro.sampling.coverage.CoverageCounter` state instead of
-re-scanning the whole collection.  The default ``False`` path regenerates
-from scratch each round and consumes the exact historical RNG stream.
+A round keeps no collection: :class:`~repro.core.estimation.FrontRearEstimator`
+counts ``Cov_{R1}`` and ``Cov_{R2}`` straight from each freshly drawn RR
+batch and drops it.  With ``sample_reuse=True`` the two counts and ``θ``
+are kept across a node-iteration's refinement rounds, and each round draws
+only the ``θ_i − θ_{i−1}`` *new* RR sets per side and adds their counts
+(IMM-style sample carrying — the residual graph is frozen within a
+node-iteration, so all rounds sample the same distribution).  The default
+``False`` path redraws both batches from scratch each round on the exact
+historical RNG stream.
 
 The decision rule ``f_est + r_est ≥ 2 c(u_i)`` is algebraically the same
 test as ADG's ``ρ_f ≥ ρ_r`` written in terms of the raw spread estimates.
@@ -42,7 +43,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.errors import HybridErrorSchedule
 from repro.core.estimation import FrontRearEstimator
-from repro.core.results import IterationRecord, SeedingResult
+from repro.core.results import CAP_REASONS, IterationRecord, SeedingResult, stop_reason
 from repro.core.session import AdaptiveSession
 from repro.parallel.pool import SamplingPool, resolve_jobs
 from repro.utils.exceptions import SamplingBudgetExceeded
@@ -79,10 +80,11 @@ class HATP:
         for the whole run and the sampled batches are bit-for-bit
         independent of the worker count.
     sample_reuse:
-        Carry RR collections across refinement rounds, extending them by
-        only the newly required sets (roughly halves the RR sets generated
-        per iteration at a geometric schedule).  ``False`` (default)
-        regenerates per round on the exact historical RNG stream.
+        Carry the front/rear coverage counts across refinement rounds,
+        drawing only the newly required sets and adding their counts
+        (roughly halves the RR sets generated per iteration at a
+        geometric schedule).  ``False`` (default) regenerates per round on
+        the exact historical RNG stream.
     backend:
         Kernel backend for RR generation, resolved through the registry
         (``None`` honours ``REPRO_BACKEND``; all backends are
@@ -246,10 +248,11 @@ class HATP:
                 condition_two = schedule.is_exhausted(state, num_active)
                 round_budget_hit = rounds >= self._max_rounds
 
-                if condition_one or condition_two or sample_budget_hit or round_budget_hit:
-                    if (sample_budget_hit or round_budget_hit) and not (
-                        condition_one or condition_two
-                    ):
+                reason = stop_reason(
+                    condition_one, condition_two, sample_budget_hit, round_budget_hit
+                )
+                if reason is not None:
+                    if reason in CAP_REASONS:
                         budget_hits += 1
                         if self._on_budget == "raise":
                             raise SamplingBudgetExceeded(
@@ -278,6 +281,7 @@ class HATP:
                     rounds=rounds,
                     rr_sets_generated=rr_this_iteration,
                     newly_activated=newly,
+                    stop_reason=reason,
                 )
             )
 

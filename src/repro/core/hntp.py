@@ -19,7 +19,12 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.core.errors import HybridErrorSchedule
 from repro.core.estimation import FrontRearEstimator
 from repro.core.hatp import HATP
-from repro.core.results import IterationRecord, NonadaptiveSelection
+from repro.core.results import (
+    CAP_REASONS,
+    IterationRecord,
+    NonadaptiveSelection,
+    stop_reason,
+)
 from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import as_residual
 from repro.parallel.pool import SamplingPool, resolve_jobs
@@ -154,10 +159,11 @@ class HNTP:
                 condition_two = schedule.is_exhausted(state, n)
                 round_budget_hit = rounds >= self._max_rounds
 
-                if condition_one or condition_two or sample_budget_hit or round_budget_hit:
-                    if (sample_budget_hit or round_budget_hit) and not (
-                        condition_one or condition_two
-                    ):
+                reason = stop_reason(
+                    condition_one, condition_two, sample_budget_hit, round_budget_hit
+                )
+                if reason is not None:
+                    if reason in CAP_REASONS:
                         budget_hits += 1
                         if self._on_budget == "raise":
                             raise SamplingBudgetExceeded(
@@ -181,6 +187,7 @@ class HNTP:
                     rear_estimate=cost_u - rear_spread,
                     rounds=rounds,
                     rr_sets_generated=rr_this_iteration,
+                    stop_reason=reason,
                 )
             )
 

@@ -5,10 +5,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+#: Why a node's refinement rounds stopped, in priority order: the paper's
+#: stopping conditions (C1/C'1, C2/C'2), then the engine caps
+#: (``max_samples_per_round``, ``max_rounds``).
+STOP_REASONS = ("C1", "C2", "sample_cap", "round_cap")
+
+#: The stop reasons that are engine caps, not the paper's conditions.
+CAP_REASONS = ("sample_cap", "round_cap")
+
+
+def stop_reason(
+    condition_one: bool, condition_two: bool, sample_cap: bool, round_cap: bool
+) -> Optional[str]:
+    """The first of :data:`STOP_REASONS` that holds, or ``None`` to go on."""
+    held = (condition_one, condition_two, sample_cap, round_cap)
+    return next((reason for reason, hit in zip(STOP_REASONS, held) if hit), None)
+
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """What happened when one target candidate was examined."""
+    """What happened when one target candidate was examined.
+
+    ``stop_reason`` is the :data:`STOP_REASONS` entry that ended the
+    node's refinement rounds (``None`` for skipped nodes and for
+    algorithms without rounds).
+    """
 
     node: int
     action: str  # "selected", "rejected", or "skipped-activated"
@@ -17,6 +38,7 @@ class IterationRecord:
     rounds: int = 0
     rr_sets_generated: int = 0
     newly_activated: int = 0
+    stop_reason: Optional[str] = None
 
 
 @dataclass

@@ -18,8 +18,8 @@ One pool serves one base graph:
   bit-for-bit the output of any other worker count, which is the
   subsystem's determinism contract.
 
-Extensions (``FlatRRCollection.extend_generate`` with ``pool=``, used by
-the ``sample_reuse`` paths of HATP/HNTP/ADDATP) go through the same
+Extensions (``FlatRRCollection.extend_generate`` with ``pool=``, and the
+``sample_reuse`` rounds of HATP/HNTP/ADDATP) go through the same
 :meth:`SamplingPool.generate` entry point: an extension of ``m`` RR sets
 is sharded exactly like a stand-alone batch of ``m`` sets, so its
 determinism key is ``(random_state, m)`` — independent of how many sets

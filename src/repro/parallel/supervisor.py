@@ -182,14 +182,30 @@ def supervised_collect(
     results: List[Any] = [None] * len(tasks)
     done = [False] * len(tasks)
     attempts = [1] * len(tasks)
-    futures: List[Optional[Future]] = []
+    futures: List[Optional[Future]] = [None] * len(tasks)
     rebuilds_left = 1
 
+    def submit(positions: Sequence[int]) -> bool:
+        """Submit each task in turn; ``False`` once the executor breaks.
+
+        The single guarded submission step: the first fan-out, a retry and
+        the post-rebuild replay all go through it, so a pool that dies
+        while accepting work takes the same rebuild → degrade ladder as a
+        pool that dies while running it.
+        """
+        for position in positions:
+            try:
+                futures[position] = tasks[position].submit()
+            except BrokenExecutor:
+                return False
+        return True
+
     try:
-        futures = [task.submit() for task in tasks]
+        executor_broken = not submit(range(len(tasks)))
         while not all(done):
-            executor_broken = False
             for position, task in enumerate(tasks):
+                if executor_broken:
+                    break
                 if done[position]:
                     continue
                 future = futures[position]
@@ -208,7 +224,6 @@ def supervised_collect(
                     done[position] = True
                 except BrokenExecutor:
                     executor_broken = True
-                    break
                 except Exception as exc:
                     if attempts[position] <= max_retries:
                         attempts[position] += 1
@@ -222,11 +237,7 @@ def supervised_collect(
                             attempts[position] - 1,
                             max_retries,
                         )
-                        try:
-                            futures[position] = task.submit()
-                        except BrokenExecutor:
-                            executor_broken = True
-                            break
+                        executor_broken = not submit([position])
                     else:
                         results[position] = _degrade(
                             task,
@@ -259,8 +270,9 @@ def supervised_collect(
                         len(incomplete),
                     )
                     rebuild()
-                    for position in incomplete:
-                        futures[position] = tasks[position].submit()
+                    # A break during the replay leaves the flag set, so the
+                    # next pass goes straight to the degrade rung.
+                    executor_broken = not submit(incomplete)
                 else:
                     logger.warning(
                         "%s tier: worker pool broke again — degrading %d "

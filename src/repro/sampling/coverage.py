@@ -5,18 +5,15 @@ questions of a batch of RR sets: ``CovR(S)`` and the marginal
 ``CovR(u | S)``.  :class:`~repro.sampling.flat_collection.FlatRRCollection`
 answers them *statelessly* — each ``marginal_coverage`` call rebuilds the
 covered mask of the whole conditioning set from scratch.  That is fine for
-one-shot queries but wasteful for the two access patterns that dominate the
-hot loops:
+one-shot queries but wasteful for **greedy selection** (IMM / NSG / NDG /
+the oracle's target builder / the service's ``topk``): the conditioning
+set grows by one node per pick, yet every pick used to rescan every
+candidate's ``sets_containing`` list against the mask.  (The refinement
+rounds of HATP / HNTP / ADDATP need one ``Cov(u | C)`` per batch and count
+it without any collection or index, see :mod:`repro.core.estimation`.)
 
-* **greedy selection** (IMM / NSG / NDG / the oracle's target builder):
-  the conditioning set grows by one node per pick, yet every pick used to
-  rescan every candidate's ``sets_containing`` list against the mask;
-* **refinement rounds with sample reuse** (HATP / HNTP / ADDATP with
-  ``sample_reuse=True``): the conditioning set is fixed while the
-  collection grows by ``θ_i − θ_{i−1}`` sets per round, yet each round
-  used to re-scan all ``θ_i`` sets.
-
-:class:`CoverageCounter` maintains both directions incrementally:
+:class:`CoverageCounter` maintains the counts incrementally, both when
+the conditioning set changes and when the collection grows:
 
 * ``cover_counts[j] = |RR_j ∩ S|`` per RR set (a multiset count, so nodes
   can also be *removed* from ``S`` — NDG's shrinking rear set);
@@ -125,8 +122,7 @@ class CoverageCounter:
         """Fold any RR sets appended to the collection into the counters.
 
         Called automatically by every query/update, so callers that extend
-        the underlying collection (sample reuse across refinement rounds)
-        never need to rebuild anything.  Returns the number of sets
+        the underlying collection never need to rebuild anything.  Returns the number of sets
         absorbed.  Cost is linear in the *appended* portion only.
         """
         offsets, nodes = self._collection.flat()

@@ -22,12 +22,12 @@ the batch as flat int64 arrays:
 the flat storage lazily on the next query.  The inverted index is
 *extend-aware*: once built, appending ``m`` sets costs one ``argsort`` of
 the appended portion plus a linear append-merge into the existing CSR —
-the index over the original sets is never recomputed.  That is what makes
-sample reuse across refinement rounds (see
-:class:`repro.sampling.coverage.CoverageCounter` and the ``sample_reuse``
-knob of HATP/HNTP/ADDATP) cheap: ``extend_generate`` grows a live
-collection by exactly the ``θ_i − θ_{i−1}`` new sets of a round, through
-the parallel pool when one is supplied.
+the index over the original sets is never recomputed, so a live
+collection (tracked by :class:`repro.sampling.coverage.CoverageCounter`)
+grows cheaply: ``extend_generate`` appends ``m`` new sets through the
+parallel pool when one is supplied.  The refinement rounds of
+HATP/HNTP/ADDATP need a single count per batch and skip the collection
+altogether (:mod:`repro.core.estimation`).
 
 **Out-of-core storage.**  With ``storage="disk"`` (or
 ``REPRO_RR_STORAGE=disk``) the flat arrays and the inverted index live in
@@ -143,7 +143,7 @@ class FlatRRCollection:
         node_dtype = _node_storage_dtype(self._n)
         if self._storage == "disk":
             # Deferred: importing repro.parallel at module scope would be
-            # circular (same pattern as _dispatch_generate).
+            # circular (same pattern as dispatch_generate).
             from repro.parallel import janitor
 
             spill_dir = janitor.tagged_spill_dir()
@@ -197,7 +197,7 @@ class FlatRRCollection:
         """
         view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
         return cls(
-            _dispatch_generate(view, count, random_state, backend, n_jobs, pool),
+            dispatch_generate(view, count, random_state, backend, n_jobs, pool),
             storage=storage,
             chunk_bytes=chunk_bytes,
         )
@@ -254,7 +254,7 @@ class FlatRRCollection:
         if count == 0:
             return
         view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
-        batch = _dispatch_generate(view, count, random_state, backend, n_jobs, pool)
+        batch = dispatch_generate(view, count, random_state, backend, n_jobs, pool)
         if batch.num_active_nodes != self._num_active_nodes:
             raise ValidationError(
                 "cannot extend a collection with sets sampled on a different "
@@ -707,7 +707,7 @@ def _as_node_array(nodes: Iterable[int]) -> np.ndarray:
     return np.asarray(list(nodes), dtype=np.int64)
 
 
-def _dispatch_generate(
+def dispatch_generate(
     view: ResidualGraph,
     count: int,
     random_state: RandomState,
@@ -715,7 +715,12 @@ def _dispatch_generate(
     n_jobs: Optional[int],
     pool: Optional["SamplingPool"],
 ) -> RRBatch:
-    """Route one batch generation through the pool / sharded / plain engine."""
+    """Route one batch generation through the pool / sharded / plain engine.
+
+    The one routing rule behind :meth:`FlatRRCollection.generate` and
+    ``extend_generate``; :class:`repro.core.estimation.FrontRearEstimator`
+    calls it directly, counting each batch without building a collection.
+    """
     from repro.parallel.pool import parallel_generate_rr_batch, resolve_jobs
 
     if pool is not None:
