@@ -1,9 +1,8 @@
-"""Microbenchmarks of the compiled kernel backends vs. ``"vectorized"``.
+"""Microbenchmarks of the compiled kernel backend vs. ``"vectorized"``.
 
-For every *compiled* backend the registry reports available on this
-machine (``native`` wherever a C compiler exists, ``numba`` under the
-``repro[fast]`` extra), two series at ``REPRO_BENCH_SCALE``-controlled
-sizes:
+For the ``native`` backend, when the registry reports it available on
+this machine (cffi plus a C compiler), two series at
+``REPRO_BENCH_SCALE``-controlled sizes:
 
 * **generate** — one RR batch of ``theta`` sets through
   :func:`repro.sampling.engine.generate_rr_batch`;
@@ -43,12 +42,8 @@ from repro.graphs import generators
 from repro.graphs.weighting import weighted_cascade
 from repro.sampling.engine import generate_rr_batch
 
-#: The backends this module benchmarks: every available compiled one.
-COMPILED_BACKENDS = tuple(
-    name
-    for name in kernels.available_backends()
-    if kernels.backend_capabilities(name).compiled
-)
+#: The backends this module benchmarks: native, when it is available.
+COMPILED_BACKENDS = ("native",) if "native" in kernels.available_backends() else ()
 
 #: Acceptance bar: compiled generate/simulate vs the vectorized reference
 #: (asserted only with ``REPRO_BENCH_REQUIRE_SPEEDUP=1``).

@@ -62,10 +62,6 @@ from repro.sampling.engine import flat_slice_indices
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import RandomState, ensure_rng
 
-#: The historical reference backend names (the full set of recognised
-#: values — including compiled backends — lives in the kernel registry).
-BACKENDS = ("vectorized", "python")
-
 #: Environment variable consulted when a caller leaves ``backend`` unset.
 MC_BACKEND_ENV_VAR = "REPRO_MC_BACKEND"
 
@@ -320,10 +316,7 @@ def _frontier_sweep(
     n = view.n
     # prepare_csr centralizes the uint32 -> int64 handling of mmap'd
     # ``.rgx`` node arrays: gathered slices upcast through ``csr.gather``.
-    csr = kernels.prepare_csr(
-        *view.base.out_csr(),
-        capabilities=kernels.backend_capabilities("vectorized"),
-    )
+    csr = kernels.prepare_csr(*view.base.out_csr())
     out_offsets = csr.offsets
 
     # Every simulation starts from the same (active, deduplicated) seeds.

@@ -27,8 +27,8 @@ The Monte-Carlo estimators accept ``backend=``, resolved through
 
 * ``"python"`` (default) — the historical per-cascade loop; defaults keep
   the exact historical RNG streams bit-for-bit.
-* any other registered kernel backend (``"vectorized"``, ``"numba"``,
-  ``"native"``, or ``"auto"`` for the fastest available) — the batched
+* any other registered kernel backend (``"vectorized"``, ``"native"``,
+  or ``"auto"`` for ``"native"`` when it can build) — the batched
   engine of :mod:`repro.diffusion.mc_engine`: all cascades of a query
   advance frontier-at-a-time with that kernel, optionally sharded across
   a :class:`~repro.parallel.pool.SamplingPool` (``n_jobs`` / ``pool``)

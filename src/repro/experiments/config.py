@@ -64,13 +64,13 @@ class EngineParameters:
     against evaluation realizations (``None`` honours the
     ``REPRO_MC_BACKEND`` environment variable and defaults to the
     historical per-cascade ``"python"`` loop; any other registered kernel
-    backend — ``"vectorized"``, ``"numba"``, ``"native"``, or ``"auto"``
-    — batch-replays all realizations at once with identical outcomes)."""
+    backend — ``"vectorized"``, ``"native"``, or ``"auto"`` — batch-replays
+    all realizations at once with identical outcomes)."""
     backend: Optional[str] = None
     """RR-sampling kernel backend threaded into every algorithm the suite
     builds (``None`` honours the ``REPRO_BACKEND`` environment variable
-    and defaults to ``"vectorized"``; ``"auto"`` picks the fastest
-    available registered backend; every backend samples bit-for-bit
+    and defaults to ``"vectorized"``; ``"auto"`` picks ``"native"`` when
+    it can build, else ``"vectorized"``; every backend samples bit-for-bit
     identical RR sets, so this knob only changes speed)."""
 
     def nsg_ndg_samples(self) -> int:

@@ -3,44 +3,37 @@
 The library's hot loops — batched reverse-BFS RR sampling
 (:mod:`repro.sampling.engine`), forward IC simulation and deterministic
 live-edge replay (:mod:`repro.diffusion.mc_engine`) — are dispatched
-through a registry of named backends, each registering a
-``(generate_batch, simulate_batch, replay_batch)`` triple:
+through a fixed table of three backends, each a ``(generate_batch,
+simulate_batch, replay_batch)`` triple:
 
 ``"vectorized"``
     The NumPy frontier-at-a-time engine (the default and the bit-for-bit
-    reference all other backends are differential-tested against).
+    reference the other backends are differential-tested against).
 ``"python"``
     The naive loop-based executable specification of the RNG contract.
-``"numba"``
-    ``@njit``-compiled kernels (requires the ``repro-tpm[fast]`` extra).
 ``"native"``
     cffi/C kernels compiled once per machine with the system C compiler.
 
-``resolve_backend("auto")`` picks the fastest available backend; because
-every backend consumes the identical pre-drawn RNG coin stream, the
-choice never changes results.  ``backend=None`` (the default everywhere)
-resolves through ``REPRO_BACKEND`` and falls back to ``"vectorized"``,
-so defaults preserve the historical streams bit-for-bit.
+``resolve_backend("auto")`` picks ``"native"`` when it can build and
+``"vectorized"`` otherwise; because every backend consumes the identical
+RNG coin stream, the choice never changes results.  ``backend=None``
+(the default everywhere) resolves through ``REPRO_BACKEND`` and falls
+back to ``"vectorized"``, so defaults preserve the historical streams
+bit-for-bit.
 
 See ``docs/performance.md`` ("Kernel registry & compiled backends").
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.kernels.registry import (
     AUTO,
     BACKEND_ENV_VAR,
     KernelBackend,
-    KernelCapabilities,
     PreparedCSR,
     available_backends,
-    backend_capabilities,
-    backend_priority,
     get_backend,
     prepare_csr,
-    register_backend,
     registered_backends,
     resolve_backend,
     warm_up,
@@ -50,85 +43,11 @@ __all__ = [
     "AUTO",
     "BACKEND_ENV_VAR",
     "KernelBackend",
-    "KernelCapabilities",
     "PreparedCSR",
     "available_backends",
-    "backend_capabilities",
-    "backend_priority",
     "get_backend",
     "prepare_csr",
-    "register_backend",
     "registered_backends",
     "resolve_backend",
     "warm_up",
 ]
-
-
-def _load_vectorized() -> KernelBackend:
-    from repro.kernels import reference
-
-    return reference.load_vectorized()
-
-
-def _load_python() -> KernelBackend:
-    from repro.kernels import reference
-
-    return reference.load_python()
-
-
-def _load_numba() -> KernelBackend:
-    from repro.kernels import numba_backend
-
-    return numba_backend.load()
-
-
-def _probe_numba() -> Optional[str]:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return (
-            "numba is not installed; install the compiled extras with "
-            "`pip install repro-tpm[fast]`"
-        )
-    return None
-
-
-def _load_native() -> KernelBackend:
-    from repro.kernels import native_backend
-
-    return native_backend.load()
-
-
-def _probe_native() -> Optional[str]:
-    from repro.kernels import native_backend
-
-    return native_backend.probe()
-
-
-# Priorities order "auto" resolution: numba > native > vectorized > python.
-register_backend(
-    "vectorized",
-    _load_vectorized,
-    KernelCapabilities(uint32_csr=True, residual_masks=True, compiled=False),
-    priority=10,
-)
-register_backend(
-    "python",
-    _load_python,
-    KernelCapabilities(uint32_csr=True, residual_masks=True, compiled=False),
-    priority=0,
-)
-register_backend(
-    "numba",
-    _load_numba,
-    KernelCapabilities(uint32_csr=True, residual_masks=True, compiled=True),
-    priority=30,
-    probe=_probe_numba,
-)
-register_backend(
-    "native",
-    _load_native,
-    KernelCapabilities(uint32_csr=True, residual_masks=True, compiled=True),
-    priority=20,
-    probe=_probe_native,
-)

@@ -1,96 +1,40 @@
-"""Shared per-layer orchestration for compiled kernel backends.
+"""The per-layer driver of the ``"native"`` backend.
 
-The compiled backends (numba, native/cffi) replace the *per-layer array
-work* of the NumPy engines — CSR gather, residual filter, coin-flip
-application, hash-set dedup, frontier construction — with machine code,
-while the bulk RNG draws stay in NumPy.  The drivers here run that
-ping-pong so the stream contract is structurally identical to the
-``"vectorized"`` reference:
+The native kernels (:mod:`repro.kernels.native_backend`) replace the
+*per-layer array work* of the NumPy engines — CSR gather, residual
+filter, coin flips, hash-set dedup, frontier construction — with one
+compiled sweep per layer.  The driver here runs the layer loop so that
+the stream contract is structurally the ``"vectorized"`` reference's:
 
-1. a compiled ``count_live`` walks the frontier's CSR slices in frontier
-   order and counts the edges whose endpoint is active (the residual
-   filter *before* any coin is flipped);
-2. Python draws the layer's coins with exactly one ``rng.random(L)``
-   call over the ``L`` surviving edges — the same call, on the same
-   generator, with the same ``L`` as the reference, so generator
-   end-state continuity holds for callers that share one generator
-   across successive batches;
-3. a compiled ``sweep`` re-walks the same slices in the same order,
-   applies the strict ``flip < prob`` test to each live edge (the coin
-   cursor advances only on live edges, so the flip/edge pairing equals
-   the reference's gather-then-flip) and an insert-if-absent hash-set
-   walk in edge order, which reproduces the reference's two-stage dedup
-   (drop pairs seen in earlier layers, then keep first occurrences
-   within the layer) pair for pair.
+1. each layer's buffers are sized by the frontier's degree sum (an
+   offsets-only read, an upper bound on the layer's survivors);
+2. a compiled sweep walks the frontier's CSR slices in frontier order,
+   skips edges whose endpoint is inactive (the residual filter *before*
+   any coin is flipped), and draws one coin per live edge straight from
+   the generator's C ``next_double`` entry point — the function the
+   reference's per-layer ``rng.random`` call loops over — so the consumed
+   stream, and the generator's end state for callers that share one
+   generator across successive batches, equal the reference's;
+3. the sweep applies the strict ``flip < prob`` test and inserts each
+   survivor into an open-addressing hash set if absent, in edge order,
+   which reproduces the reference's two-stage dedup (drop pairs seen in
+   earlier layers, then keep first occurrences within the layer) pair
+   for pair.
 
-Batches are assembled by a compiled stable counting sort
-(``group_pairs``) whose output equals the reference's stable
-``argsort`` + ``bincount`` grouping element for element.
-
-A backend plugs in by providing a *kernel set* — an object with the
-compiled primitives (see :class:`KernelSetProtocol` below for the
-informal contract) — and reusing :func:`generate_layered`,
-:func:`simulate_layered` and :func:`replay_layered` as its registry
-entry points.
+Live-edge replay runs the same loop with a deterministic sweep (live-mask
+lookups instead of coins).  Batches are assembled by a compiled stable
+counting sort (``group_pairs``) whose output equals the reference's
+stable ``argsort`` + ``bincount`` grouping element for element.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from repro.graphs.residual import ResidualGraph
-from repro.kernels.registry import KernelCapabilities, PreparedCSR, prepare_csr
-
-#: Informal contract of a compiled kernel set (duck-typed, not enforced):
-#:
-#: ``degree_sum(frontier_nodes, offsets) -> total``
-#:     Sum of CSR out-degrees over the frontier (sizes the replay round).
-#: ``count_live(frontier_nodes, offsets, nodes, active) -> L``
-#:     Number of live (active-endpoint) edges out of the frontier —
-#:     sizes the layer's single bulk coin draw without materialising
-#:     the edge list.
-#: ``sweep(frontier_ids, frontier_nodes, offsets, nodes, probs, active,
-#:         flips, n, table, next_ids, next_src) -> K``
-#:     Fused gather+advance: walk the frontier's CSR slices in order,
-#:     apply ``flips[c] < prob`` to live edges (the coin cursor ``c``
-#:     advances only on live edges, matching the reference's
-#:     gather-then-flip pairing), insert ``id*n + src`` into the
-#:     open-addressing ``table`` if absent, append survivors.
-#: ``sweep_full(frontier_ids, frontier_nodes, offsets, nodes, probs,
-#:              flips, n, table, next_ids, next_src) -> K``
-#:     ``sweep`` specialised for fully-active views: every edge is live,
-#:     so the mask is never read and the coin cursor tracks the edge
-#:     cursor.
-#: ``insert_keys(keys, table)``
-#:     Seed the table with (distinct) keys.
-#: ``rehash(old_table, new_table)``
-#:     Re-insert every member key of ``old_table`` into ``new_table``.
-#: ``replay_advance(frontier_ids, frontier_nodes, offsets, targets,
-#:                  active, live, m, n, table, next_ids, next_nodes) -> K``
-#:     Fused gather+advance for deterministic live-edge replay.
-#: ``group_pairs(ids, nodes, count) -> (offsets, grouped_nodes)``
-#:     Stable counting sort of ``(id, node)`` pairs by id.
-#:
-#: A kernel set may additionally provide ``bind(csr, active, rng)``
-#: returning a sweep-scoped kernel set with the same contract; the
-#: drivers call it once per sweep so FFI-style backends can
-#: pre-translate the pointers of the arrays that never change between
-#: layers.  A bound set that reports ``supports_inline_rng`` must offer
-#: ``sweep_rng(frontier_ids, frontier_nodes, n, table, next_ids,
-#: next_src)`` and ``sweep_rng_full(...)``: sweeps that draw each coin
-#: directly from the generator's C ``next_double`` entry point (the
-#: function NumPy's bulk ``Generator.random`` loops over), once per
-#: live edge in frontier-then-edge order — the identical stream, with
-#: no count pass and no coin array.
-KernelSetProtocol = object
-
-
-def _bound(kernels, csr: PreparedCSR, active: np.ndarray, rng=None):
-    """The sweep-scoped kernel set (``bind`` hook, identity otherwise)."""
-    bind = getattr(kernels, "bind", None)
-    return kernels if bind is None else bind(csr, active, rng)
+from repro.kernels.registry import prepare_csr
 
 
 def _as_uint8_mask(mask: np.ndarray) -> np.ndarray:
@@ -107,8 +51,7 @@ class _HashSet:
     The table is a power-of-two int64 array with ``-1`` as the empty
     slot (valid keys ``id*n + node`` are always >= 0); occupancy is
     tracked here and the load factor is kept strictly below one half by
-    :meth:`reserve` (growth rehashes through the backend's compiled
-    ``rehash``).
+    :meth:`reserve` (growth rehashes through the compiled ``rehash``).
     """
 
     __slots__ = ("kernels", "table", "size")
@@ -138,48 +81,25 @@ def _capacity_for(entries: int) -> int:
     return capacity
 
 
-def _finalize(
+def _frontier_sweep(
     kernels,
-    layer_ids: List[np.ndarray],
-    layer_nodes: List[np.ndarray],
-    count: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Group discovered pairs into flat ``(offsets, nodes)`` form.
-
-    A stable counting sort by id — identical output to the reference's
-    stable ``argsort`` + ``bincount`` assembly.
-    """
-    all_ids = np.concatenate(layer_ids)
-    all_nodes = np.concatenate(layer_nodes)
-    return kernels.group_pairs(all_ids, all_nodes, count)
-
-
-def _coin_sweep(
-    kernels,
-    csr: PreparedCSR,
-    active: np.ndarray,
+    bound,
+    advance: Callable,
     frontier_ids: np.ndarray,
     frontier_nodes: np.ndarray,
     n: int,
     count: int,
-    rng: np.random.Generator,
-    fully_active: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The shared coin-flip frontier loop of generate and simulate.
+    """The layer loop shared by generate, simulate and replay.
 
-    Reverse BFS (RR generation) and forward IC simulation differ only in
-    which CSR they walk and how the initial frontier is built; the layer
-    loop — and therefore the RNG contract — is one piece of code.
-
-    ``fully_active`` declares that every node passes the residual mask,
-    in which case the live-edge count equals the frontier's degree sum —
-    an offsets-only read that skips one full CSR walk per layer.
+    ``advance(ids, nodes, table, next_ids, next_nodes)`` is the layer's
+    compiled sweep: it adds each surviving ``(id, node)`` pair not yet in
+    ``table`` to the table and the two buffers, and returns how many.
+    Reverse BFS (RR generation), forward IC simulation and live-edge
+    replay differ only in the CSR they walk, the initial frontier and
+    that sweep; the loop — and therefore the RNG contract — is one piece
+    of code.
     """
-    kernels = _bound(kernels, csr, active, rng)
-    # FFI-style kernel sets can draw coins straight from the generator's
-    # C next_double entry point — the count pass and the flips array
-    # disappear while the consumed stream stays the reference's.
-    inline_rng = getattr(kernels, "supports_inline_rng", False)
     layer_ids = [frontier_ids]
     layer_nodes = [frontier_nodes]
     table = _HashSet(kernels, frontier_ids.shape[0])
@@ -187,188 +107,114 @@ def _coin_sweep(
         table.insert_distinct(frontier_ids * n + frontier_nodes)
 
     while frontier_nodes.size:
-        if inline_rng:
-            # Buffers are sized by the degree sum (an offsets-only read,
-            # >= the live-edge count); the sweep itself draws one coin
-            # per live edge in frontier-then-edge order — exactly the
-            # positions the bulk-draw path would read.
-            capacity = int(kernels.degree_sum(frontier_nodes, csr.offsets))
-            if capacity == 0:
-                break
-            table.reserve(capacity)
-            next_ids = np.empty(capacity, dtype=np.int64)
-            next_src = np.empty(capacity, dtype=np.int64)
-            if fully_active:
-                survivors = int(
-                    kernels.sweep_rng_full(
-                        frontier_ids, frontier_nodes, n, table.table, next_ids, next_src
-                    )
-                )
-            else:
-                survivors = int(
-                    kernels.sweep_rng(
-                        frontier_ids, frontier_nodes, n, table.table, next_ids, next_src
-                    )
-                )
-            table.size += survivors
-            if survivors == 0:
-                break
-            frontier_ids = next_ids[:survivors]
-            frontier_nodes = next_src[:survivors]
-            layer_ids.append(frontier_ids)
-            layer_nodes.append(frontier_nodes)
-            continue
-        if fully_active:
-            live_edges = int(kernels.degree_sum(frontier_nodes, csr.offsets))
-        else:
-            live_edges = int(
-                kernels.count_live(frontier_nodes, csr.offsets, csr.nodes, active)
-            )
-        if live_edges == 0:
+        capacity = int(bound.degree_sum(frontier_nodes))
+        if capacity == 0:
             break
-        # The layer's single bulk draw — same call, same L, same stream
-        # as the vectorized reference.
-        flips = rng.random(live_edges)
-        table.reserve(live_edges)
-        next_ids = np.empty(live_edges, dtype=np.int64)
-        next_src = np.empty(live_edges, dtype=np.int64)
-        if fully_active:
-            survivors = int(
-                kernels.sweep_full(
-                    frontier_ids,
-                    frontier_nodes,
-                    csr.offsets,
-                    csr.nodes,
-                    csr.probs,
-                    flips,
-                    n,
-                    table.table,
-                    next_ids,
-                    next_src,
-                )
-            )
-        else:
-            survivors = int(
-                kernels.sweep(
-                    frontier_ids,
-                    frontier_nodes,
-                    csr.offsets,
-                    csr.nodes,
-                    csr.probs,
-                    active,
-                    flips,
-                    n,
-                    table.table,
-                    next_ids,
-                    next_src,
-                )
-            )
+        table.reserve(capacity)
+        next_ids = np.empty(capacity, dtype=np.int64)
+        next_nodes = np.empty(capacity, dtype=np.int64)
+        survivors = int(
+            advance(frontier_ids, frontier_nodes, table.table, next_ids, next_nodes)
+        )
         table.size += survivors
         if survivors == 0:
             break
         # Slice views, not copies: the buffers are layer-fresh, so the
         # next round never overwrites them.
         frontier_ids = next_ids[:survivors]
-        frontier_nodes = next_src[:survivors]
+        frontier_nodes = next_nodes[:survivors]
         layer_ids.append(frontier_ids)
         layer_nodes.append(frontier_nodes)
 
-    return _finalize(kernels, layer_ids, layer_nodes, count)
+    # A stable counting sort by id — identical output to the reference's
+    # stable argsort + bincount assembly.
+    return kernels.group_pairs(
+        np.concatenate(layer_ids), np.concatenate(layer_nodes), count
+    )
+
+
+def _coin_sweep(
+    kernels,
+    view: ResidualGraph,
+    csr_triple,
+    frontier_ids: np.ndarray,
+    frontier_nodes: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run the coin-flip layer loop over ``csr_triple`` (generate, simulate).
+
+    Fully-active views take the sweep that never reads the residual mask.
+    """
+    n = view.base.n
+    bound = kernels.bind(prepare_csr(*csr_triple), _as_uint8_mask(view.active_mask), rng)
+    sweep = bound.sweep_rng_full if view.num_active == n else bound.sweep_rng
+    return _frontier_sweep(
+        kernels,
+        bound,
+        lambda ids, nodes, table, next_ids, next_nodes: sweep(
+            ids, nodes, n, table, next_ids, next_nodes
+        ),
+        frontier_ids,
+        frontier_nodes,
+        n,
+        count,
+    )
 
 
 def generate_layered(view: ResidualGraph, roots: np.ndarray, rng, kernels):
-    """Compiled-backend RR-batch generation (reverse BFS over in-CSR)."""
+    """Native RR-batch generation (reverse BFS over in-CSR)."""
     from repro.sampling.engine import RRBatch
 
-    base = view.base
-    n = base.n
-    csr = prepare_csr(*base.in_csr(), capabilities=kernels.capabilities)
-    active = _as_uint8_mask(view.active_mask)
     count = roots.shape[0]
-
     live = view.active_mask[roots]
     frontier_ids = np.arange(count, dtype=np.int64)[live]
     frontier_nodes = roots[live].astype(np.int64, copy=False)
     offsets, nodes = _coin_sweep(
-        kernels, csr, active, frontier_ids, frontier_nodes, n, count, rng,
-        fully_active=view.num_active == n,
+        kernels, view, view.base.in_csr(), frontier_ids, frontier_nodes, count, rng
     )
     return RRBatch(
         offsets=offsets,
         nodes=nodes,
         num_active_nodes=view.num_active,
-        n=n,
+        n=view.base.n,
     )
 
 
 def simulate_layered(view: ResidualGraph, seeds: np.ndarray, count: int, rng, kernels):
-    """Compiled-backend forward IC simulation (out-CSR, shared seeds)."""
+    """Native forward IC simulation (out-CSR, shared seeds)."""
     from repro.diffusion.mc_engine import MCBatch
-
-    base = view.base
-    n = base.n
-    csr = prepare_csr(*base.out_csr(), capabilities=kernels.capabilities)
-    active = _as_uint8_mask(view.active_mask)
 
     frontier_ids = np.repeat(np.arange(count, dtype=np.int64), seeds.size)
     frontier_nodes = np.tile(seeds, count)
     offsets, nodes = _coin_sweep(
-        kernels, csr, active, frontier_ids, frontier_nodes, n, count, rng,
-        fully_active=view.num_active == n,
+        kernels, view, view.base.out_csr(), frontier_ids, frontier_nodes, count, rng
     )
-    return MCBatch(offsets=offsets, nodes=nodes, n=n)
+    return MCBatch(offsets=offsets, nodes=nodes, n=view.base.n)
 
 
 def replay_layered(view: ResidualGraph, seeds: np.ndarray, live: np.ndarray, kernels):
-    """Compiled-backend deterministic live-edge replay (no randomness)."""
+    """Native deterministic live-edge replay (no randomness)."""
     from repro.diffusion.mc_engine import MCBatch
 
     base = view.base
     n = base.n
     m = base.m
     count = int(live.shape[0])
-    csr = prepare_csr(*base.out_csr(), capabilities=kernels.capabilities)
-    active = _as_uint8_mask(view.active_mask)
+    bound = kernels.bind(prepare_csr(*base.out_csr()), _as_uint8_mask(view.active_mask))
     live_u8 = _as_uint8_mask(live)
 
     frontier_ids = np.repeat(np.arange(count, dtype=np.int64), seeds.size)
     frontier_nodes = np.tile(seeds, count)
-    kernels = _bound(kernels, csr, active)
-    layer_ids = [frontier_ids]
-    layer_nodes = [frontier_nodes]
-    table = _HashSet(kernels, frontier_ids.shape[0])
-    if frontier_ids.size:
-        table.insert_distinct(frontier_ids * n + frontier_nodes)
-
-    while frontier_nodes.size:
-        total = int(kernels.degree_sum(frontier_nodes, csr.offsets))
-        if total == 0:
-            break
-        table.reserve(total)
-        next_ids = np.empty(total, dtype=np.int64)
-        next_nodes = np.empty(total, dtype=np.int64)
-        survivors = int(
-            kernels.replay_advance(
-                frontier_ids,
-                frontier_nodes,
-                csr.offsets,
-                csr.nodes,
-                active,
-                live_u8,
-                m,
-                n,
-                table.table,
-                next_ids,
-                next_nodes,
-            )
-        )
-        table.size += survivors
-        if survivors == 0:
-            break
-        frontier_ids = next_ids[:survivors]
-        frontier_nodes = next_nodes[:survivors]
-        layer_ids.append(frontier_ids)
-        layer_nodes.append(frontier_nodes)
-
-    offsets, nodes = _finalize(kernels, layer_ids, layer_nodes, count)
+    offsets, nodes = _frontier_sweep(
+        kernels,
+        bound,
+        lambda ids, nodes, table, next_ids, next_nodes: bound.replay_advance(
+            ids, nodes, live_u8, m, n, table, next_ids, next_nodes
+        ),
+        frontier_ids,
+        frontier_nodes,
+        n,
+        count,
+    )
     return MCBatch(offsets=offsets, nodes=nodes, n=n)

@@ -1,19 +1,21 @@
 """The ``"native"`` backend: C kernels compiled on first use via cffi.
 
 A single small C translation unit implements the per-layer primitives of
-:mod:`repro.kernels.layered` — the residual-filtered live-edge count,
-the fused coin-flip sweep with open-addressing dedup, fused live-edge
-replay, and the stable counting sort that assembles flat batches.  It is
-compiled once per machine with the system C compiler (``cc``/``gcc``,
-override with ``CC``) into a content-addressed shared object under a
-per-user cache directory, then ``dlopen``'d by every process that needs
-it — pool workers pay one ``dlopen``, never a recompile.
+:mod:`repro.kernels.layered` — the fused coin-flip sweep with
+open-addressing dedup, fused live-edge replay, and the stable counting
+sort that assembles flat batches.  It is compiled once per machine with
+the system C compiler (``cc``/``gcc``, override with ``CC``) into a
+content-addressed shared object under a per-user cache directory, then
+``dlopen``'d by every process that needs it — pool workers pay one
+``dlopen``, never a recompile.
 
-The backend consumes the identical pre-drawn RNG coin stream as
-``"vectorized"`` (the bulk draws stay in NumPy; see the layered driver)
-and is therefore bit-for-bit identical to it.  Node arrays are read in
-their storage dtype: dedicated ``uint32`` entry points consume mmap'd
-``.rgx`` CSR arrays in place.
+The sweeps draw each coin straight from the generator's C
+``next_double`` entry point — the function NumPy's bulk
+``Generator.random`` loops over — once per live edge in
+frontier-then-edge order, so they consume exactly the ``"vectorized"``
+reference's stream and are bit-for-bit identical to it.  Node arrays are
+read in their storage dtype: dedicated ``uint32`` entry points consume
+mmap'd ``.rgx`` CSR arrays in place.
 
 Availability is probed, never assumed: without cffi or a C compiler the
 registry reports the backend unavailable and ``"auto"`` falls back to
@@ -33,35 +35,14 @@ from typing import Optional
 import numpy as np
 
 from repro.kernels import layered
-from repro.kernels.registry import KernelBackend, KernelCapabilities
+from repro.kernels.registry import KernelBackend
 from repro.utils.exceptions import ValidationError
 
 #: Override the cache directory for the compiled shared object.
 CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE_DIR"
 
-CAPABILITIES = KernelCapabilities(uint32_csr=True, residual_masks=True, compiled=True)
-
 _SOURCE = r"""
 #include <stdint.h>
-
-/* Count the frontier's live (active-endpoint) edges — sizes the layer's
- * single bulk coin draw without materialising the edge list. */
-#define COUNT_LIVE(NAME, NODE_T)                                               \
-int64_t NAME(int64_t F, const int64_t *fnodes, const int64_t *offsets,         \
-             const NODE_T *nodes, const uint8_t *active)                       \
-{                                                                              \
-    int64_t L = 0;                                                             \
-    for (int64_t f = 0; f < F; ++f) {                                          \
-        int64_t node = fnodes[f];                                              \
-        int64_t end = offsets[node + 1];                                       \
-        for (int64_t e = offsets[node]; e < end; ++e)                          \
-            L += active[(int64_t)nodes[e]];                                    \
-    }                                                                          \
-    return L;                                                                  \
-}
-
-COUNT_LIVE(repro_count_live_i64, int64_t)
-COUNT_LIVE(repro_count_live_u32, uint32_t)
 
 int64_t repro_degree_sum(int64_t F, const int64_t *fnodes,
                          const int64_t *offsets)
@@ -96,84 +77,12 @@ static inline int repro_insert(int64_t *table, uint64_t mask, int64_t key)
     }
 }
 
-/* Fused gather+advance: one CSR walk in frontier order applying the
- * pre-drawn coins to live edges (strict flip < prob) with
- * insert-if-absent dedup.  The coin cursor advances only on live edges,
- * so the flip/edge pairing equals the reference's gather-then-flip. */
-#define SWEEP(NAME, NODE_T)                                                    \
-int64_t NAME(int64_t F, const int64_t *fids, const int64_t *fnodes,            \
-             const int64_t *offsets, const NODE_T *nodes,                      \
-             const double *probs, const uint8_t *active,                       \
-             const double *flips, int64_t n, int64_t *table, int64_t mask,     \
-             int64_t *next_ids, int64_t *next_src)                             \
-{                                                                              \
-    int64_t K = 0;                                                             \
-    int64_t c = 0;                                                             \
-    for (int64_t f = 0; f < F; ++f) {                                          \
-        int64_t id = fids[f];                                                  \
-        int64_t node = fnodes[f];                                              \
-        int64_t end = offsets[node + 1];                                       \
-        for (int64_t e = offsets[node]; e < end; ++e) {                        \
-            int64_t s = (int64_t)nodes[e];                                     \
-            if (active[s]) {                                                   \
-                if (flips[c] < probs[e]) {                                     \
-                    int64_t key = id * n + s;                                  \
-                    if (repro_insert(table, (uint64_t)mask, key)) {            \
-                        next_ids[K] = id;                                      \
-                        next_src[K] = s;                                       \
-                        ++K;                                                   \
-                    }                                                          \
-                }                                                              \
-                ++c;                                                           \
-            }                                                                  \
-        }                                                                      \
-    }                                                                          \
-    return K;                                                                  \
-}
-
-SWEEP(repro_sweep_i64, int64_t)
-SWEEP(repro_sweep_u32, uint32_t)
-
-/* Sweep specialisation for fully-active views: no mask reads, the coin
- * cursor equals the edge cursor, and the endpoint id is only loaded
- * when its coin succeeds (most coins fail under IC probabilities). */
-#define SWEEP_FULL(NAME, NODE_T)                                               \
-int64_t NAME(int64_t F, const int64_t *fids, const int64_t *fnodes,            \
-             const int64_t *offsets, const NODE_T *nodes,                      \
-             const double *probs, const double *flips, int64_t n,              \
-             int64_t *table, int64_t mask,                                     \
-             int64_t *next_ids, int64_t *next_src)                             \
-{                                                                              \
-    int64_t K = 0;                                                             \
-    int64_t c = 0;                                                             \
-    for (int64_t f = 0; f < F; ++f) {                                          \
-        int64_t id = fids[f];                                                  \
-        int64_t node = fnodes[f];                                              \
-        int64_t end = offsets[node + 1];                                       \
-        for (int64_t e = offsets[node]; e < end; ++e, ++c) {                   \
-            if (flips[c] < probs[e]) {                                         \
-                int64_t s = (int64_t)nodes[e];                                 \
-                int64_t key = id * n + s;                                      \
-                if (repro_insert(table, (uint64_t)mask, key)) {                \
-                    next_ids[K] = id;                                          \
-                    next_src[K] = s;                                           \
-                    ++K;                                                       \
-                }                                                              \
-            }                                                                  \
-        }                                                                      \
-    }                                                                          \
-    return K;                                                                  \
-}
-
-SWEEP_FULL(repro_sweep_full_i64, int64_t)
-SWEEP_FULL(repro_sweep_full_u32, uint32_t)
-
-/* Inline-RNG sweeps: draw each coin straight from the generator's C
- * next_double entry point (the same function NumPy's bulk random()
- * loops over), so the pre-sizing count pass and the flips array vanish
- * while the consumed stream stays bit-for-bit the reference's.  Coins
- * are drawn exactly where the flips-array variants would read them:
- * once per live edge, in frontier-then-edge order. */
+/* Fused gather+advance: one CSR walk in frontier order that draws one
+ * coin per live (active-endpoint) edge straight from the generator's C
+ * next_double entry point (the function NumPy's bulk random() loops
+ * over), applies the strict flip < prob test and inserts survivors with
+ * insert-if-absent dedup.  Coins are drawn in frontier-then-edge order,
+ * so the consumed stream is bit-for-bit the reference's. */
 #define SWEEP_RNG(NAME, NODE_T)                                                \
 int64_t NAME(int64_t F, const int64_t *fids, const int64_t *fnodes,            \
              const int64_t *offsets, const NODE_T *nodes,                      \
@@ -207,6 +116,9 @@ int64_t NAME(int64_t F, const int64_t *fids, const int64_t *fnodes,            \
 SWEEP_RNG(repro_sweep_rng_i64, int64_t)
 SWEEP_RNG(repro_sweep_rng_u32, uint32_t)
 
+/* Sweep specialisation for fully-active views: no mask reads, and the
+ * endpoint id is only loaded when its coin succeeds (most coins fail
+ * under IC probabilities). */
 #define SWEEP_RNG_FULL(NAME, NODE_T)                                           \
 int64_t NAME(int64_t F, const int64_t *fids, const int64_t *fnodes,            \
              const int64_t *offsets, const NODE_T *nodes,                      \
@@ -302,23 +214,7 @@ void repro_group_pairs(int64_t M, const int64_t *ids, const int64_t *nodes,
 """
 
 _CDEF = """
-int64_t repro_count_live_i64(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const uint8_t *);
-int64_t repro_count_live_u32(int64_t, const int64_t *, const int64_t *,
-    const uint32_t *, const uint8_t *);
 int64_t repro_degree_sum(int64_t, const int64_t *, const int64_t *);
-int64_t repro_sweep_i64(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const int64_t *, const double *, const uint8_t *,
-    const double *, int64_t, int64_t *, int64_t, int64_t *, int64_t *);
-int64_t repro_sweep_u32(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const uint32_t *, const double *, const uint8_t *,
-    const double *, int64_t, int64_t *, int64_t, int64_t *, int64_t *);
-int64_t repro_sweep_full_i64(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const int64_t *, const double *, const double *,
-    int64_t, int64_t *, int64_t, int64_t *, int64_t *);
-int64_t repro_sweep_full_u32(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const uint32_t *, const double *, const double *,
-    int64_t, int64_t *, int64_t, int64_t *, int64_t *);
 int64_t repro_sweep_rng_i64(int64_t, const int64_t *, const int64_t *,
     const int64_t *, const int64_t *, const double *, const uint8_t *,
     double (*next_double)(void *), void *, int64_t, int64_t *, int64_t,
@@ -428,11 +324,9 @@ class NativeKernels:
     Per-call pointer casts go through pre-parsed ctype objects (parsing
     the type string per call costs more than the small kernels
     themselves), and :meth:`bind` returns a per-sweep adapter with the
-    static CSR/mask pointers pre-cast once so the hot layer loop casts
-    only the arrays that change between layers.
+    static CSR/mask/generator pointers pre-cast once so the hot layer
+    loop casts only the arrays that change between layers.
     """
-
-    capabilities = CAPABILITIES
 
     def __init__(self) -> None:
         from cffi import FFI
@@ -450,77 +344,9 @@ class NativeKernels:
     def _ptr(self, ctype, array: np.ndarray):
         return self._ffi.cast(ctype, array.ctypes.data)
 
-    def _nodes_ptr(self, array: np.ndarray):
-        if array.dtype == np.uint32:
-            return "u32", self._ffi.cast(self._u32p, array.ctypes.data)
-        return "i64", self._ffi.cast(self._i64p, array.ctypes.data)
-
     def bind(self, csr, active: np.ndarray, rng=None) -> "_BoundNativeKernels":
         """A sweep-scoped kernel set with the static pointers pre-cast."""
         return _BoundNativeKernels(self, csr, active, rng)
-
-    def degree_sum(self, fnodes, offsets):
-        return self._lib.repro_degree_sum(
-            fnodes.shape[0],
-            self._ptr(self._i64p, fnodes),
-            self._ptr(self._i64p, offsets),
-        )
-
-    def count_live(self, fnodes, offsets, nodes, active):
-        variant, nodes_ptr = self._nodes_ptr(nodes)
-        func = (
-            self._lib.repro_count_live_u32
-            if variant == "u32"
-            else self._lib.repro_count_live_i64
-        )
-        return func(
-            fnodes.shape[0],
-            self._ptr(self._i64p, fnodes),
-            self._ptr(self._i64p, offsets),
-            nodes_ptr,
-            self._ptr(self._u8p, active),
-        )
-
-    def sweep(self, fids, fnodes, offsets, nodes, probs, active, flips, n, table, next_ids, next_src):
-        variant, nodes_ptr = self._nodes_ptr(nodes)
-        func = self._lib.repro_sweep_u32 if variant == "u32" else self._lib.repro_sweep_i64
-        return func(
-            fids.shape[0],
-            self._ptr(self._i64p, fids),
-            self._ptr(self._i64p, fnodes),
-            self._ptr(self._i64p, offsets),
-            nodes_ptr,
-            self._ptr(self._f64p, probs),
-            self._ptr(self._u8p, active),
-            self._ptr(self._f64p, flips),
-            n,
-            self._ptr(self._i64p, table),
-            table.shape[0] - 1,
-            self._ptr(self._i64p, next_ids),
-            self._ptr(self._i64p, next_src),
-        )
-
-    def sweep_full(self, fids, fnodes, offsets, nodes, probs, flips, n, table, next_ids, next_src):
-        variant, nodes_ptr = self._nodes_ptr(nodes)
-        func = (
-            self._lib.repro_sweep_full_u32
-            if variant == "u32"
-            else self._lib.repro_sweep_full_i64
-        )
-        return func(
-            fids.shape[0],
-            self._ptr(self._i64p, fids),
-            self._ptr(self._i64p, fnodes),
-            self._ptr(self._i64p, offsets),
-            nodes_ptr,
-            self._ptr(self._f64p, probs),
-            self._ptr(self._f64p, flips),
-            n,
-            self._ptr(self._i64p, table),
-            table.shape[0] - 1,
-            self._ptr(self._i64p, next_ids),
-            self._ptr(self._i64p, next_src),
-        )
 
     def insert_keys(self, keys, table):
         self._lib.repro_insert_keys(
@@ -536,27 +362,6 @@ class NativeKernels:
             self._ptr(self._i64p, old_table),
             self._ptr(self._i64p, new_table),
             new_table.shape[0] - 1,
-        )
-
-    def replay_advance(
-        self, fids, fnodes, offsets, targets, active, live, m, n, table, next_ids, next_nodes
-    ):
-        variant, targets_ptr = self._nodes_ptr(targets)
-        func = self._lib.repro_replay_u32 if variant == "u32" else self._lib.repro_replay_i64
-        return func(
-            fids.shape[0],
-            self._ptr(self._i64p, fids),
-            self._ptr(self._i64p, fnodes),
-            self._ptr(self._i64p, offsets),
-            targets_ptr,
-            self._ptr(self._u8p, active),
-            self._ptr(self._u8p, live),
-            m,
-            n,
-            self._ptr(self._i64p, table),
-            table.shape[0] - 1,
-            self._ptr(self._i64p, next_ids),
-            self._ptr(self._i64p, next_nodes),
         )
 
     def group_pairs(self, ids, nodes, count):
@@ -578,17 +383,15 @@ class NativeKernels:
 class _BoundNativeKernels:
     """Sweep-scoped view of :class:`NativeKernels`.
 
-    The CSR arrays and the residual mask are fixed for the whole frontier
-    sweep, so their pointers (and the u32/i64 gather variant) are cast
-    exactly once here; per-layer calls only cast the layer's own arrays.
-    The driver passes the full protocol signatures — the static operands
-    are ignored in favour of the pre-cast pointers.
+    The CSR arrays, the residual mask and the generator are fixed for the
+    whole frontier sweep, so their pointers (and the u32/i64 variant) are
+    cast exactly once here; per-layer calls only cast the layer's own
+    arrays.
     """
 
     __slots__ = ("_parent", "_lib", "_offsets", "_nodes", "_probs", "_active",
-                 "_count_live", "_sweep", "_sweep_full", "_replay", "_pin",
-                 "supports_inline_rng", "_sweep_rng", "_sweep_rng_full",
-                 "_rng_fn", "_rng_state")
+                 "_sweep_rng", "_sweep_rng_full", "_replay", "_rng_fn",
+                 "_rng_state", "_pin")
 
     def __init__(self, parent: NativeKernels, csr, active: np.ndarray, rng=None) -> None:
         self._parent = parent
@@ -597,94 +400,34 @@ class _BoundNativeKernels:
         self._offsets = ptr(parent._i64p, csr.offsets)
         if csr.nodes.dtype == np.uint32:
             self._nodes = ptr(parent._u32p, csr.nodes)
-            self._count_live = self._lib.repro_count_live_u32
-            self._sweep = self._lib.repro_sweep_u32
-            self._sweep_full = self._lib.repro_sweep_full_u32
-            self._replay = self._lib.repro_replay_u32
             self._sweep_rng = self._lib.repro_sweep_rng_u32
             self._sweep_rng_full = self._lib.repro_sweep_rng_full_u32
+            self._replay = self._lib.repro_replay_u32
         else:
             self._nodes = ptr(parent._i64p, csr.nodes)
-            self._count_live = self._lib.repro_count_live_i64
-            self._sweep = self._lib.repro_sweep_i64
-            self._sweep_full = self._lib.repro_sweep_full_i64
-            self._replay = self._lib.repro_replay_i64
             self._sweep_rng = self._lib.repro_sweep_rng_i64
             self._sweep_rng_full = self._lib.repro_sweep_rng_full_i64
+            self._replay = self._lib.repro_replay_i64
         self._probs = ptr(parent._f64p, csr.probs)
         self._active = ptr(parent._u8p, active)
         # Keep the arrays (and the generator whose state we point into)
         # alive for as long as their raw pointers are.
         self._pin = (csr, active, rng)
-        self.supports_inline_rng = False
         if rng is not None:
-            try:
-                # Every NumPy BitGenerator exports its C next_double entry
-                # point and state pointer; drawing through them consumes
-                # exactly the stream bulk Generator.random() would.
-                interface = rng.bit_generator.ctypes
-                self._rng_fn = parent._ffi.cast(
-                    parent._ndfp,
-                    ctypes.cast(interface.next_double, ctypes.c_void_p).value,
-                )
-                self._rng_state = parent._ffi.cast(
-                    parent._voidp, interface.state_address
-                )
-                self.supports_inline_rng = True
-            except (AttributeError, TypeError):
-                pass
+            # Every NumPy BitGenerator exports its C next_double entry
+            # point and state pointer; drawing through them consumes
+            # exactly the stream bulk Generator.random() would.
+            interface = rng.bit_generator.ctypes
+            self._rng_fn = parent._ffi.cast(
+                parent._ndfp,
+                ctypes.cast(interface.next_double, ctypes.c_void_p).value,
+            )
+            self._rng_state = parent._ffi.cast(parent._voidp, interface.state_address)
 
-    def degree_sum(self, fnodes, offsets):
+    def degree_sum(self, fnodes):
         parent = self._parent
         return self._lib.repro_degree_sum(
             fnodes.shape[0], parent._ptr(parent._i64p, fnodes), self._offsets
-        )
-
-    def count_live(self, fnodes, offsets, nodes, active):
-        parent = self._parent
-        return self._count_live(
-            fnodes.shape[0],
-            parent._ptr(parent._i64p, fnodes),
-            self._offsets,
-            self._nodes,
-            self._active,
-        )
-
-    def sweep(self, fids, fnodes, offsets, nodes, probs, active, flips, n, table, next_ids, next_src):
-        parent = self._parent
-        ptr, i64p = parent._ptr, parent._i64p
-        return self._sweep(
-            fids.shape[0],
-            ptr(i64p, fids),
-            ptr(i64p, fnodes),
-            self._offsets,
-            self._nodes,
-            self._probs,
-            self._active,
-            ptr(parent._f64p, flips),
-            n,
-            ptr(i64p, table),
-            table.shape[0] - 1,
-            ptr(i64p, next_ids),
-            ptr(i64p, next_src),
-        )
-
-    def sweep_full(self, fids, fnodes, offsets, nodes, probs, flips, n, table, next_ids, next_src):
-        parent = self._parent
-        ptr, i64p = parent._ptr, parent._i64p
-        return self._sweep_full(
-            fids.shape[0],
-            ptr(i64p, fids),
-            ptr(i64p, fnodes),
-            self._offsets,
-            self._nodes,
-            self._probs,
-            ptr(parent._f64p, flips),
-            n,
-            ptr(i64p, table),
-            table.shape[0] - 1,
-            ptr(i64p, next_ids),
-            ptr(i64p, next_src),
         )
 
     def sweep_rng(self, fids, fnodes, n, table, next_ids, next_src):
@@ -726,15 +469,7 @@ class _BoundNativeKernels:
             ptr(i64p, next_src),
         )
 
-    def insert_keys(self, keys, table):
-        self._parent.insert_keys(keys, table)
-
-    def rehash(self, old_table, new_table):
-        self._parent.rehash(old_table, new_table)
-
-    def replay_advance(
-        self, fids, fnodes, offsets, targets, active, live, m, n, table, next_ids, next_nodes
-    ):
+    def replay_advance(self, fids, fnodes, live, m, n, table, next_ids, next_nodes):
         parent = self._parent
         ptr, i64p = parent._ptr, parent._i64p
         return self._replay(
@@ -753,16 +488,12 @@ class _BoundNativeKernels:
             ptr(i64p, next_nodes),
         )
 
-    def group_pairs(self, ids, nodes, count):
-        return self._parent.group_pairs(ids, nodes, count)
-
 
 def load() -> KernelBackend:
     """Registry loader: compile (cached), dlopen, wire the layered driver."""
     kernels = NativeKernels()
     return KernelBackend(
         name="native",
-        capabilities=CAPABILITIES,
         generate_batch=lambda view, roots, rng: layered.generate_layered(
             view, roots, rng, kernels
         ),
@@ -772,5 +503,4 @@ def load() -> KernelBackend:
         replay_batch=lambda view, seeds, live: layered.replay_layered(
             view, seeds, live, kernels
         ),
-        warm_up=lambda: None,
     )

@@ -15,14 +15,7 @@ is simply the same sweep.
 
 from __future__ import annotations
 
-from repro.kernels.registry import KernelBackend, KernelCapabilities
-
-VECTORIZED_CAPABILITIES = KernelCapabilities(
-    uint32_csr=True, residual_masks=True, compiled=False
-)
-PYTHON_CAPABILITIES = KernelCapabilities(
-    uint32_csr=True, residual_masks=True, compiled=False
-)
+from repro.kernels.registry import KernelBackend
 
 
 def _replay_vectorized(view, seeds, live):
@@ -31,27 +24,21 @@ def _replay_vectorized(view, seeds, live):
     return mc_engine._replay_batch_vectorized(view, seeds, live)
 
 
-def load_vectorized() -> KernelBackend:
+def load(name: str) -> KernelBackend:
+    """The ``"vectorized"`` or ``"python"`` kernel triple."""
     from repro.diffusion import mc_engine
     from repro.sampling import engine
 
+    if name == "python":
+        generate, simulate = engine._generate_batch_python, mc_engine._simulate_batch_python
+    else:
+        generate, simulate = (
+            engine._generate_batch_vectorized,
+            mc_engine._simulate_batch_vectorized,
+        )
     return KernelBackend(
-        name="vectorized",
-        capabilities=VECTORIZED_CAPABILITIES,
-        generate_batch=engine._generate_batch_vectorized,
-        simulate_batch=mc_engine._simulate_batch_vectorized,
-        replay_batch=_replay_vectorized,
-    )
-
-
-def load_python() -> KernelBackend:
-    from repro.diffusion import mc_engine
-    from repro.sampling import engine
-
-    return KernelBackend(
-        name="python",
-        capabilities=PYTHON_CAPABILITIES,
-        generate_batch=engine._generate_batch_python,
-        simulate_batch=mc_engine._simulate_batch_python,
+        name=name,
+        generate_batch=generate,
+        simulate_batch=simulate,
         replay_batch=_replay_vectorized,
     )

@@ -1,41 +1,38 @@
-"""The kernel registry: named backends for the three hot kernels.
+"""The kernel registry: a fixed table of backends for the three hot kernels.
 
-Every compute backend of the library registers a
-:class:`KernelBackend` — a ``(generate_batch, simulate_batch,
-replay_batch)`` triple under a name — and every caller reaches an
-implementation exclusively through :func:`resolve_backend` +
-:func:`get_backend`.  That indirection is what makes new backends
-(numba, the cffi/C ``"native"`` backend, a future CuPy path) drop-in:
-``sampling/engine.py``, ``diffusion/mc_engine.py``, the pools and the
-service never name an implementation directly.
+Each backend is a :class:`KernelBackend` — a ``(generate_batch,
+simulate_batch, replay_batch)`` triple under a name — and every caller
+reaches an implementation exclusively through :func:`resolve_backend` +
+:func:`get_backend`, so ``sampling/engine.py``, ``diffusion/mc_engine.py``,
+the pools and the service never name an implementation directly.
 
 Contracts
 ---------
-* **Determinism** — every registered backend consumes the *identical*
-  RNG coin stream as the ``"vectorized"`` reference (bulk ``rng.random``
-  draws per frontier layer, residual filter before the flips) and
-  produces bit-for-bit identical batches.  ``resolve_backend("auto")``
-  may therefore pick any available backend without perturbing results.
+* **Determinism** — every backend consumes the *identical* RNG coin
+  stream as the ``"vectorized"`` reference (one draw per live edge in
+  frontier-then-edge order, residual filter before the flips) and
+  produces bit-for-bit identical batches.  ``"auto"`` — ``"native"``
+  when its probe passes, else ``"vectorized"`` — therefore never
+  perturbs results.
 * **Defaults** — ``backend=None`` resolves through the ``REPRO_BACKEND``
   environment variable and falls back to ``"vectorized"`` (the MC entry
   points resolve through ``REPRO_MC_BACKEND`` with default ``"python"``,
   their historical sequential loop); no knobs set keeps every historical
   RNG stream bit-for-bit.
-* **Optionality** — compiled backends are optional extras.  An
-  unavailable backend stays *registered* (so error messages can name
-  it) but :func:`get_backend` raises an actionable
-  :class:`~repro.utils.exceptions.ValidationError`, and ``"auto"``
-  silently falls back to the fastest backend that is importable.
+* **Availability** — ``"native"`` needs cffi and a C compiler.  Without
+  them it stays in the table (so error messages can name it), an
+  explicit request raises the probe's reason as a
+  :class:`~repro.utils.exceptions.ValidationError`, and ``"auto"`` falls
+  back to ``"vectorized"`` silently.
 
-Capability flags (:class:`KernelCapabilities`) describe what a backend
-can consume: ``uint32_csr`` backends read the mmap'd ``uint32`` node
-arrays of ``.rgx`` graphs in place, others receive an int64 copy from
-:func:`prepare_csr` — the single place the uint32→int64 cast lives.
+Every backend reads the ``uint32`` node arrays of mmap'd ``.rgx`` graphs
+in place; :meth:`PreparedCSR.gather` is the one place gathered node ids
+are upcast to int64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -46,35 +43,17 @@ from repro.utils.exceptions import ValidationError
 #: Environment variable consulted when a caller leaves ``backend`` unset.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: The resolve-time wildcard: pick the fastest available backend.
+#: The resolve-time wildcard: ``"native"`` when it can build, else
+#: ``"vectorized"``.
 AUTO = "auto"
 
-
-@dataclass(frozen=True)
-class KernelCapabilities:
-    """What a kernel backend can consume / guarantee.
-
-    ``uint32_csr``
-        The kernels read ``uint32`` node arrays (mmap'd ``.rgx`` CSR)
-        directly; when ``False``, :func:`prepare_csr` hands the backend
-        an int64 copy instead.
-    ``residual_masks``
-        The kernels honour residual ``active`` masks (every shipped
-        backend does; the flag exists so a future restricted backend can
-        be skipped by ``"auto"`` resolution on residual views).
-    ``compiled``
-        The backend runs machine code rather than NumPy/Python and
-        benefits from a one-off :func:`warm_up` per process.
-    """
-
-    uint32_csr: bool = False
-    residual_masks: bool = True
-    compiled: bool = False
+#: Every backend name, in listing order.
+_NAMES = ("vectorized", "python", "native")
 
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """A loaded backend: the three kernel entry points plus metadata.
+    """A loaded backend: its name and the three kernel entry points.
 
     ``generate_batch(view, roots, rng)`` grows one RR batch (reverse
     BFS), ``simulate_batch(view, seeds, count, rng)`` runs forward IC
@@ -85,99 +64,48 @@ class KernelBackend:
     """
 
     name: str
-    capabilities: KernelCapabilities
     generate_batch: Callable
     simulate_batch: Callable
     replay_batch: Callable
-    warm_up: Callable[[], None] = field(default=lambda: None)
 
 
-class _Registration:
-    """Lazy registry slot: the backend module loads on first use."""
-
-    __slots__ = ("name", "capabilities", "priority", "loader", "probe", "_backend")
-
-    def __init__(self, name, capabilities, priority, loader, probe):
-        self.name = name
-        self.capabilities = capabilities
-        self.priority = priority
-        self.loader = loader
-        self.probe = probe
-        self._backend: Optional[KernelBackend] = None
-
-    def unavailable_reason(self) -> Optional[str]:
-        if self._backend is not None:
-            return None
-        if self.probe is None:
-            return None
-        return self.probe()
-
-    def load(self) -> KernelBackend:
-        if self._backend is None:
-            self._backend = self.loader()
-        return self._backend
+#: Backends loaded in this process (``"native"`` compiles or dlopens its
+#: kernels on first load; pool workers load once, not once per shard).
+_LOADED: Dict[str, KernelBackend] = {}
 
 
-_REGISTRY: Dict[str, _Registration] = {}
+def _load(name: str) -> KernelBackend:
+    backend = _LOADED.get(name)
+    if backend is None:
+        if name == "native":
+            from repro.kernels import native_backend
 
-#: Names whose :func:`warm_up` already ran in this process (the once-
-#: per-worker memo: pool shards call ``warm_up`` per task, compile once).
-_WARMED: set = set()
+            backend = native_backend.load()
+        else:
+            from repro.kernels import reference
+
+            backend = reference.load(name)
+        _LOADED[name] = backend
+    return backend
 
 
-def register_backend(
-    name: str,
-    loader: Callable[[], KernelBackend],
-    capabilities: KernelCapabilities,
-    priority: int = 0,
-    probe: Optional[Callable[[], Optional[str]]] = None,
-) -> None:
-    """Register ``loader`` under ``name`` (idempotent re-registration).
+def _unavailable_reason(name: str) -> Optional[str]:
+    """``None`` when ``name`` can load, else why not (only native can fail)."""
+    if name != "native" or name in _LOADED:
+        return None
+    from repro.kernels import native_backend
 
-    ``priority`` orders ``"auto"`` resolution (higher wins among
-    available backends).  ``probe`` returns ``None`` when the backend
-    can load, else a human-readable reason (shown by the error an
-    explicit request for an unavailable backend raises).
-    """
-    key = str(name).strip().lower()
-    _REGISTRY[key] = _Registration(key, capabilities, int(priority), loader, probe)
+    return native_backend.probe()
 
 
 def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name, in registration order."""
-    return tuple(_REGISTRY)
+    """Every backend name in the table, available or not."""
+    return _NAMES
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered backends whose probe reports them loadable."""
-    return tuple(
-        name
-        for name, reg in _REGISTRY.items()
-        if reg.unavailable_reason() is None
-    )
-
-
-def backend_priority(name: str) -> int:
-    """The ``"auto"``-resolution priority of a registered backend."""
-    return _registration(name).priority
-
-
-def backend_capabilities(name: str) -> KernelCapabilities:
-    """The declared capabilities of a registered backend (no load)."""
-    return _registration(name).capabilities
-
-
-def _choices() -> str:
-    return ", ".join(list(_REGISTRY) + [AUTO])
-
-
-def _registration(name: str) -> _Registration:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown backend {name!r}; registered backends: {_choices()}"
-        ) from None
+    """The backends that can load on this machine."""
+    return tuple(name for name in _NAMES if _unavailable_reason(name) is None)
 
 
 def resolve_backend(
@@ -185,17 +113,17 @@ def resolve_backend(
     env_var: str = BACKEND_ENV_VAR,
     default: str = "vectorized",
 ) -> str:
-    """Resolve a backend request to a concrete registered name.
+    """Resolve a backend request to a concrete backend name.
 
     * an explicit value wins; ``None`` falls back to ``env_var``
       (``REPRO_BACKEND`` for the sampling/kernel knob,
       ``REPRO_MC_BACKEND`` for the Monte-Carlo strategy knob), then to
       ``default`` — so defaults keep the exact historical streams;
-    * ``"auto"`` picks the highest-priority *available* backend (all
-      backends are bit-for-bit identical, so this is stream-safe);
-    * an unknown name raises the shared error listing every registered
-      backend; a known-but-unavailable name raises the probe's reason
-      (e.g. how to install the ``[fast]`` extra).
+    * ``"auto"`` picks ``"native"`` when it is available, else
+      ``"vectorized"`` (both are bit-for-bit identical, so this is
+      stream-safe);
+    * an unknown name raises the shared error listing every backend; a
+      known-but-unavailable name raises the probe's reason.
     """
     source = None
     if backend is None:
@@ -206,25 +134,15 @@ def resolve_backend(
             source = env_var
     name = str(backend).strip().lower()
     if name == AUTO:
-        ranked = sorted(
-            (reg for reg in _REGISTRY.values() if reg.unavailable_reason() is None),
-            key=lambda reg: reg.priority,
-            reverse=True,
-        )
-        if not ranked:
-            raise ValidationError(
-                "no kernel backend is available (registry is empty)"
-            )
-        return ranked[0].name
-    if name not in _REGISTRY:
-        origin = f" (from {source})" if source else ""
+        return "native" if _unavailable_reason("native") is None else "vectorized"
+    origin = f" (from {source})" if source else ""
+    if name not in _NAMES:
         raise ValidationError(
             f"unknown backend {backend!r}{origin}; "
-            f"registered backends: {_choices()}"
+            f"registered backends: {', '.join(_NAMES + (AUTO,))}"
         )
-    reason = _REGISTRY[name].unavailable_reason()
+    reason = _unavailable_reason(name)
     if reason is not None:
-        origin = f" (from {source})" if source else ""
         raise ValidationError(
             f"backend {name!r}{origin} is registered but not available: "
             f"{reason}; use backend='auto' to pick the fastest available "
@@ -235,22 +153,17 @@ def resolve_backend(
 
 def get_backend(backend: Optional[str] = None, **resolve_kwargs) -> KernelBackend:
     """Load the backend ``resolve_backend`` picks for ``backend``."""
-    name = resolve_backend(backend, **resolve_kwargs)
-    return _registration(name).load()
+    return _load(resolve_backend(backend, **resolve_kwargs))
 
 
 def warm_up(backend: str) -> None:
-    """Run a backend's one-off per-process warm-up exactly once.
+    """Load ``backend`` now, so its one-off cost lands outside timed work.
 
-    Compiled backends pay their JIT/dlopen cost here; pool workers call
-    this per task but the memo makes every call after the first a set
-    lookup — warm-up happens once per worker, not once per shard.
+    ``"native"`` compiles (or finds cached) and dlopens its kernels here;
+    pool workers call this per task, and every call after the first is a
+    dict lookup.
     """
-    name = resolve_backend(backend)
-    if name in _WARMED:
-        return
-    _registration(name).load().warm_up()
-    _WARMED.add(name)
+    _load(resolve_backend(backend))
 
 
 # --------------------------------------------------------------------- #
@@ -260,14 +173,12 @@ def warm_up(backend: str) -> None:
 
 @dataclass(frozen=True)
 class PreparedCSR:
-    """A CSR triple prepared for one backend's capabilities.
+    """A CSR triple with int64 offsets and float64 probabilities.
 
-    ``offsets`` is always int64; ``nodes`` keeps its storage dtype
-    (mmap'd ``uint32`` for ``.rgx`` graphs) when the backend declared
-    ``uint32_csr`` support, and is an int64 copy otherwise.  Gathered
-    node-id slices go through :meth:`gather` — the one place the
-    uint32→int64 upcast happens, so every backend (and future ones)
-    inherits it instead of scattering ``.astype`` calls.
+    ``nodes`` keeps its storage dtype (mmap'd ``uint32`` for ``.rgx``
+    graphs, so the pages stay shared).  Gathered node-id slices go
+    through :meth:`gather` — the one place the uint32→int64 upcast
+    happens, instead of ``.astype`` calls scattered over the backends.
     """
 
     offsets: np.ndarray
@@ -279,27 +190,12 @@ class PreparedCSR:
         return self.nodes[edge_idx].astype(np.int64, copy=False)
 
 
-def prepare_csr(
-    offsets: np.ndarray,
-    nodes: np.ndarray,
-    probs: np.ndarray,
-    capabilities: Optional[KernelCapabilities] = None,
-) -> PreparedCSR:
-    """Adapt a raw CSR triple to what ``capabilities`` can consume.
-
-    Backends that cannot read ``uint32`` node arrays (none of the
-    shipped ones — the flag exists for future backends and for tests)
-    receive an int64 copy upfront; everyone else reads the storage
-    arrays in place and upcasts per-gather through
-    :meth:`PreparedCSR.gather`.
-    """
+def prepare_csr(offsets: np.ndarray, nodes: np.ndarray, probs: np.ndarray) -> PreparedCSR:
+    """Normalise a raw CSR triple; ``nodes`` is read in place."""
     offsets = np.asarray(offsets)
     if offsets.dtype != np.int64:
         offsets = offsets.astype(np.int64)
-    nodes = np.asarray(nodes)
-    if capabilities is not None and not capabilities.uint32_csr:
-        nodes = nodes.astype(np.int64, copy=False)
     probs = np.asarray(probs)
     if probs.dtype != np.float64:
         probs = probs.astype(np.float64)
-    return PreparedCSR(offsets=offsets, nodes=nodes, probs=probs)
+    return PreparedCSR(offsets=offsets, nodes=np.asarray(nodes), probs=probs)

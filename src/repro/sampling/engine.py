@@ -26,8 +26,8 @@ Backends
 ``generate_rr_batch`` dispatches through the kernel registry
 (:mod:`repro.kernels`): ``backend=None`` (the default) honours the
 ``REPRO_BACKEND`` environment variable and falls back to ``"vectorized"``;
-``"auto"`` picks the fastest available backend; explicit names
-(``"vectorized"``, ``"python"``, ``"numba"``, ``"native"``) select one
+``"auto"`` picks ``"native"`` when it can build, else ``"vectorized"``;
+explicit names (``"vectorized"``, ``"python"``, ``"native"``) select one
 implementation.  The Python backend is a deliberately simple loop-based
 reference implementation of *exactly the same algorithm*: it draws its
 roots with the same single bulk call and consumes the same coin-flip
@@ -54,11 +54,6 @@ from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import ResidualGraph, as_residual
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import RandomState, ensure_rng
-
-#: The historical reference backend names (the full set of recognised
-#: values — including compiled backends — lives in the kernel registry;
-#: see :func:`repro.kernels.registered_backends`).
-BACKENDS = ("vectorized", "python")
 
 
 @dataclass(frozen=True)
@@ -258,9 +253,7 @@ def _generate_batch_vectorized(
     active = view.active_mask
     # prepare_csr centralizes the uint32 -> int64 handling of mmap'd
     # ``.rgx`` node arrays: gathered slices upcast through ``csr.gather``.
-    csr = kernels.prepare_csr(
-        *base.in_csr(), capabilities=kernels.backend_capabilities("vectorized")
-    )
+    csr = kernels.prepare_csr(*base.in_csr())
     in_offsets, in_probs = csr.offsets, csr.probs
     count = roots.shape[0]
 

@@ -1,72 +1,72 @@
 """Unit tests for the kernel registry (resolution, probes, prepare_csr).
 
 The differential suites (``tests/sampling/test_engine_differential.py``,
-``tests/diffusion/test_mc_engine.py``) prove every registered backend is
-bit-for-bit identical; this file tests the registry machinery itself:
-name resolution, env fallback, ``"auto"`` priority ranking, actionable
-errors for unknown / unavailable backends, the warm-up memo, and the
-centralized uint32→int64 CSR preparation.
+``tests/diffusion/test_mc_engine.py``) prove every available backend is
+bit-for-bit identical; this file tests the registry itself: the fixed
+backend table, name resolution, env fallback, ``"auto"``, actionable
+errors for unknown / unavailable backends, load-once memoisation, and
+the centralized uint32→int64 CSR preparation.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.kernels.registry import (
-    _REGISTRY,
-    _WARMED,
-    KernelBackend,
-    KernelCapabilities,
-    _Registration,
-)
+from repro.diffusion.mc_engine import replay_live_edges, simulate_ic_batch
+from repro.graphs import generators
+from repro.graphs.weighting import weighted_cascade
+from repro.kernels import native_backend, reference, registry
+from repro.sampling.engine import generate_rr_batch
 from repro.utils.exceptions import ValidationError
+
+NO_COMPILER = "no C compiler found (test)"
 
 
 @pytest.fixture()
-def scratch_registry(monkeypatch):
-    """A disposable copy of the registry the test can mutate freely."""
-    fresh = dict(_REGISTRY)
-    monkeypatch.setattr("repro.kernels.registry._REGISTRY", fresh)
-    return fresh
+def fresh_loads(monkeypatch):
+    """An empty load memo, so probes run and loads can be counted."""
+    loaded = {}
+    monkeypatch.setattr(registry, "_LOADED", loaded)
+    return loaded
 
 
-def _fake_backend(name):
-    noop = lambda *args, **kwargs: None
-    return KernelBackend(
-        name=name,
-        capabilities=KernelCapabilities(),
-        generate_batch=noop,
-        simulate_batch=noop,
-        replay_batch=noop,
-    )
+@pytest.fixture()
+def native_unavailable(fresh_loads, monkeypatch):
+    """Native's probe fails, as on a machine without cffi or a compiler."""
+    monkeypatch.setattr(native_backend, "probe", lambda: NO_COMPILER)
+
+
+@pytest.fixture()
+def counted_loads(fresh_loads, monkeypatch):
+    """Every backend load, by name, in the order the loaders ran."""
+    loads = []
+    real_reference, real_native = reference.load, native_backend.load
+
+    def load_reference(name):
+        loads.append(name)
+        return real_reference(name)
+
+    def load_native():
+        loads.append("native")
+        return real_native()
+
+    monkeypatch.setattr(reference, "load", load_reference)
+    monkeypatch.setattr(native_backend, "load", load_native)
+    return loads
 
 
 class TestRegistration:
     def test_shipped_backends_are_registered(self):
-        names = kernels.registered_backends()
-        for expected in ("vectorized", "python", "numba", "native"):
-            assert expected in names
+        assert kernels.registered_backends() == ("vectorized", "python", "native")
 
     def test_reference_backends_are_always_available(self):
         available = kernels.available_backends()
         assert "vectorized" in available
         assert "python" in available
-
-    def test_auto_priority_order(self):
-        # numba > native > vectorized > python orders "auto" resolution.
-        assert (
-            kernels.backend_priority("numba")
-            > kernels.backend_priority("native")
-            > kernels.backend_priority("vectorized")
-            > kernels.backend_priority("python")
-        )
-
-    def test_capabilities_without_loading(self):
-        caps = kernels.backend_capabilities("numba")
-        assert caps.compiled and caps.uint32_csr and caps.residual_masks
-        assert not kernels.backend_capabilities("vectorized").compiled
 
 
 class TestResolution:
@@ -95,6 +95,27 @@ class TestResolution:
             assert name in message
         assert "auto" in message
 
+    def test_numba_is_an_unknown_backend(self, monkeypatch):
+        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numba")
+        with pytest.raises(ValidationError) as excinfo:
+            kernels.resolve_backend(None)
+        message = str(excinfo.value)
+        assert message.startswith("unknown backend 'numba' (from REPRO_BACKEND)")
+        assert message.endswith("registered backends: vectorized, python, native, auto")
+
+    def test_env_var_auto_resolves_like_explicit_auto(self, fresh_loads, monkeypatch):
+        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "auto")
+        monkeypatch.setattr(native_backend, "probe", lambda: None)
+        assert kernels.resolve_backend(None) == "native"
+        monkeypatch.setattr(native_backend, "probe", lambda: NO_COMPILER)
+        assert kernels.resolve_backend(None) == "vectorized"
+
+    def test_names_ignore_case_and_surrounding_space(self, monkeypatch):
+        assert kernels.resolve_backend("  Python ") == "python"
+        assert kernels.resolve_backend("VECTORIZED") == "vectorized"
+        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, " Auto ")
+        assert kernels.resolve_backend(None) == kernels.resolve_backend("auto")
+
     def test_mc_env_var_resolution(self, monkeypatch):
         # The MC knob routes through the same resolver with its own
         # env var and historical default.
@@ -108,99 +129,95 @@ class TestResolution:
         with pytest.raises(ValidationError, match="registered backends"):
             resolve_mc_backend(None)
 
-    def test_auto_picks_highest_priority_available(self, scratch_registry):
-        scratch_registry.clear()
-        kernels.register_backend(
-            "slow", lambda: _fake_backend("slow"), KernelCapabilities(), priority=1
-        )
-        kernels.register_backend(
-            "fast", lambda: _fake_backend("fast"), KernelCapabilities(), priority=9
-        )
-        assert kernels.resolve_backend("auto") == "fast"
+    def test_auto_picks_native_when_available(self, fresh_loads, monkeypatch):
+        monkeypatch.setattr(native_backend, "probe", lambda: None)
+        assert kernels.resolve_backend("auto") == "native"
+        assert not fresh_loads  # resolution never loads a backend
 
-    def test_auto_skips_unavailable_backends(self, scratch_registry):
-        scratch_registry.clear()
-        kernels.register_backend(
-            "base", lambda: _fake_backend("base"), KernelCapabilities(), priority=1
-        )
-        kernels.register_backend(
-            "jet",
-            lambda: _fake_backend("jet"),
-            KernelCapabilities(compiled=True),
-            priority=9,
-            probe=lambda: "jet engine not installed",
-        )
-        # The fast backend is unavailable: auto silently falls back.
-        assert kernels.resolve_backend("auto") == "base"
-        assert kernels.available_backends() == ("base",)
-        assert kernels.registered_backends() == ("base", "jet")
+    def test_auto_skips_unavailable_backends(self, native_unavailable):
+        # Native cannot build: auto silently falls back.
+        assert kernels.resolve_backend("auto") == "vectorized"
+        assert kernels.available_backends() == ("vectorized", "python")
+        assert kernels.registered_backends() == ("vectorized", "python", "native")
 
-    def test_unavailable_backend_raises_probe_reason(self, scratch_registry):
-        kernels.register_backend(
-            "ghost",
-            lambda: _fake_backend("ghost"),
-            KernelCapabilities(),
-            probe=lambda: "install the [fast] extra",
-        )
+    def test_unavailable_backend_raises_probe_reason(self, native_unavailable):
         with pytest.raises(ValidationError) as excinfo:
-            kernels.resolve_backend("ghost")
+            kernels.get_backend("native")
         message = str(excinfo.value)
-        assert "install the [fast] extra" in message
+        assert NO_COMPILER in message
         assert "auto" in message  # points at the fallback
 
-    def test_numba_backend_gated_when_missing(self):
-        # In an environment without numba the backend stays registered
-        # (so errors can name it) but an explicit request is actionable.
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            assert "numba" not in kernels.available_backends()
-            with pytest.raises(ValidationError, match=r"repro-tpm\[fast\]"):
-                kernels.get_backend("numba")
-        else:  # pragma: no cover - exercised by the CI kernels job
-            assert "numba" in kernels.available_backends()
-            assert kernels.get_backend("numba").name == "numba"
-
-    def test_get_backend_loads_lazily_and_caches(self, scratch_registry):
-        loads = []
-
-        def loader():
-            loads.append(1)
-            return _fake_backend("lazy")
-
-        kernels.register_backend("lazy", loader, KernelCapabilities())
-        assert not loads  # registration never imports/loads
-        first = kernels.get_backend("lazy")
-        second = kernels.get_backend("lazy")
-        assert first is second
-        assert len(loads) == 1
+    def test_get_backend_loads_lazily_and_caches(self, counted_loads):
+        names = kernels.available_backends()
+        assert not counted_loads  # listing and probing never load
+        for name in names:
+            first = kernels.get_backend(name)
+            assert kernels.get_backend(name) is first
+            assert first.name == name
+        assert sorted(counted_loads) == sorted(names)
 
 
 class TestWarmUp:
-    def test_warm_up_runs_once_per_process(self, scratch_registry, monkeypatch):
-        monkeypatch.setattr("repro.kernels.registry._WARMED", set())
-        calls = []
-        backend = KernelBackend(
-            name="warmable",
-            capabilities=KernelCapabilities(compiled=True),
-            generate_batch=lambda *a: None,
-            simulate_batch=lambda *a: None,
-            replay_batch=lambda *a: None,
-            warm_up=lambda: calls.append(1),
-        )
-        kernels.register_backend(
-            "warmable", lambda: backend, KernelCapabilities(compiled=True)
-        )
-        kernels.warm_up("warmable")
-        kernels.warm_up("warmable")
-        kernels.warm_up("warmable")
-        assert len(calls) == 1
+    def test_warm_up_runs_once_per_process(self, counted_loads):
+        # Pool workers call warm_up once per task: only the first call
+        # loads (native compiles or dlopens), later calls find the memo.
+        names = kernels.available_backends()
+        for _ in range(3):
+            for name in names:
+                kernels.warm_up(name)
+        assert sorted(counted_loads) == sorted(names)
 
-    def test_shipped_warm_up_is_callable(self):
-        # The memoized entry point the pool workers hit per shard.
+    def test_shipped_warm_up_is_callable(self, fresh_loads):
+        # warm_up leaves behind exactly the backend get_backend hands out.
         for name in kernels.available_backends():
             kernels.warm_up(name)
-            assert name in _WARMED or name in {"vectorized", "python"} or True
+            assert kernels.get_backend(name) is fresh_loads[name]
+
+    def test_warm_up_raises_probe_reason_when_native_unavailable(
+        self, native_unavailable, fresh_loads
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            kernels.warm_up("native")
+        assert NO_COMPILER in str(excinfo.value)
+        kernels.warm_up("auto")
+        assert list(fresh_loads) == ["vectorized"]
+
+
+class TestPackageAPI:
+    def test_entry_points_load_kernels_through_the_package_attribute(
+        self, monkeypatch
+    ):
+        # A wrapper that replaces ``repro.kernels.get_backend`` and
+        # ``dataclasses.replace``s the three kernel fields (as the
+        # benchmark's tracer does) must see every kernel call: the entry
+        # points look the attribute up at call time.
+        calls = []
+        original = kernels.get_backend
+
+        def counted(field, kernel):
+            def wrapper(*args):
+                calls.append(field)
+                return kernel(*args)
+
+            return wrapper
+
+        def get_backend(*args, **kwargs):
+            backend = original(*args, **kwargs)
+            return dataclasses.replace(
+                backend,
+                **{
+                    field: counted(field, getattr(backend, field))
+                    for field in ("generate_batch", "simulate_batch", "replay_batch")
+                },
+            )
+
+        monkeypatch.setattr(kernels, "get_backend", get_backend)
+        graph = weighted_cascade(generators.barabasi_albert(60, 2, random_state=3))
+        generate_rr_batch(graph, 10, random_state=0)
+        simulate_ic_batch(graph, [0, 1], 5, random_state=0)
+        spreads = replay_live_edges(graph, [0, 1], np.ones((2, graph.m), dtype=bool))
+        assert calls == ["generate_batch", "simulate_batch", "replay_batch"]
+        assert spreads.tolist() == [graph.n, graph.n]
 
 
 class TestPrepareCSR:
@@ -208,22 +225,9 @@ class TestPrepareCSR:
         offsets = np.array([0, 2, 3], dtype=np.int64)
         nodes = np.array([1, 2, 0], dtype=np.uint32)
         probs = np.array([0.5, 0.25, 1.0], dtype=np.float64)
-        csr = kernels.prepare_csr(
-            offsets, nodes, probs,
-            capabilities=KernelCapabilities(uint32_csr=True),
-        )
+        csr = kernels.prepare_csr(offsets, nodes, probs)
         assert csr.nodes.dtype == np.uint32
         assert csr.nodes is nodes  # zero-copy: mmap pages stay shared
-
-    def test_capability_mismatch_upcasts_upfront(self):
-        offsets = np.array([0, 2, 3], dtype=np.int64)
-        nodes = np.array([1, 2, 0], dtype=np.uint32)
-        probs = np.array([0.5, 0.25, 1.0], dtype=np.float64)
-        csr = kernels.prepare_csr(
-            offsets, nodes, probs,
-            capabilities=KernelCapabilities(uint32_csr=False),
-        )
-        assert csr.nodes.dtype == np.int64
 
     def test_gather_always_returns_int64(self):
         for dtype in (np.uint32, np.int64):
@@ -231,7 +235,6 @@ class TestPrepareCSR:
                 np.array([0, 3], dtype=np.int64),
                 np.array([5, 7, 9], dtype=dtype),
                 np.ones(3),
-                capabilities=KernelCapabilities(uint32_csr=True),
             )
             gathered = csr.gather(np.array([2, 0], dtype=np.int64))
             assert gathered.dtype == np.int64
@@ -257,13 +260,9 @@ class TestNativeBackend:
     )
 
     def test_probe_reports_available(self):
-        from repro.kernels import native_backend
-
         assert native_backend.probe() is None
 
     def test_shared_library_is_cached(self, tmp_path, monkeypatch):
-        from repro.kernels import native_backend
-
         monkeypatch.setenv(native_backend.CACHE_DIR_ENV_VAR, str(tmp_path))
         first = native_backend._build_library()
         artifacts = list(tmp_path.glob("*.so"))

@@ -32,8 +32,8 @@ from repro.sampling.rr_collection import RRCollection
 from repro.sampling.rr_sets import generate_rr_sets
 from repro.utils.exceptions import ValidationError
 
-#: Every backend importable on this machine (the CI ``kernels`` job adds
-#: numba on top of vectorized/python/native).
+#: Every backend available on this machine (vectorized and python always;
+#: native wherever cffi and a C compiler exist, as in the CI ``kernels`` job).
 AVAILABLE_BACKENDS = kernels.available_backends()
 
 
@@ -101,9 +101,8 @@ class TestRegisteredBackendParity:
     """Every registered backend must be bit-for-bit the vectorized engine.
 
     Parametrized over whatever :func:`repro.kernels.available_backends`
-    reports, so a machine with numba (the CI ``kernels`` job) runs the
-    same assertions against the jitted kernels and a machine without it
-    still exercises the cffi/C ``"native"`` backend.
+    reports, so a machine with cffi and a C compiler (the CI ``kernels``
+    job) runs the same assertions against the ``"native"`` kernels.
     """
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
