@@ -89,9 +89,10 @@ def test_bench_eval_jobs_scaling(bench_scale):
         num_rr_sets=bench_scale.num_rr_sets_instance,
         random_state=BENCH_SEED,
     )
-    # Session-level parallelism is active, so factories take sampling
-    # n_jobs=1 — the no-nested-pool policy the suite builders apply.
-    engine = replace(bench_scale.engine, eval_jobs=1)
+    # Sessions run on up to max(JOBS_SERIES) workers, so a set sampling
+    # worker count becomes n_jobs=1 — the no-nested-pool policy the suite
+    # builders apply; unset, every session samples the single-batch stream.
+    engine = replace(bench_scale.engine, eval_jobs=max(JOBS_SERIES))
     factory = partial(_make_hatp, engine, engine.sampling_jobs())
     tickets = [
         RealizationTicket.from_state(state)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Why a node's refinement rounds stopped, in priority order: the paper's
 #: stopping conditions (C1/C'1, C2/C'2), then the engine caps
@@ -20,6 +20,12 @@ def stop_reason(
     """The first of :data:`STOP_REASONS` that holds, or ``None`` to go on."""
     held = (condition_one, condition_two, sample_cap, round_cap)
     return next((reason for reason, hit in zip(STOP_REASONS, held) if hit), None)
+
+
+def stop_counts(iterations: Iterable["IterationRecord"]) -> Tuple[int, int]:
+    """``(cap_forced, decided)``: records a cap stopped, records with a reason."""
+    reasons = [record.stop_reason for record in iterations if record.stop_reason]
+    return sum(reason in CAP_REASONS for reason in reasons), len(reasons)
 
 
 @dataclass(frozen=True)

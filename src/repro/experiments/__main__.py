@@ -95,17 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for whole-session evaluation: complete "
         "adaptive runs fan out across realizations (-1 = all cores; "
         "outcomes are independent of the worker count; default: the "
-        "REPRO_EVAL_JOBS environment variable, else the historical "
-        "sequential loop)",
-    )
-    parser.add_argument(
-        "--mc-backend",
-        choices=_backend_choices(),
-        default=None,
-        help="forward Monte-Carlo backend for scoring seed sets against "
-        "realizations (default: the REPRO_MC_BACKEND environment variable, "
-        "else the historical per-cascade python loop; 'auto' picks the "
-        "fastest available kernel)",
+        "REPRO_EVAL_JOBS environment variable, else 1)",
     )
     parser.add_argument(
         "--backend",
@@ -121,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="checkpoint each completed data point to this JSONL file "
         "(default with --resume: results/<experiment>.journal.jsonl); "
-        "journal runs use per-point spawned RNG streams so interrupted "
-        "sweeps resume bit-for-bit",
+        "every point has its own spawned RNG stream, so interrupted "
+        "sweeps resume bit-for-bit and results match a run without it",
     )
     parser.add_argument(
         "--resume",
@@ -164,8 +154,6 @@ def run_experiment(args: argparse.Namespace, journal: Optional[ResultJournal] = 
         scale = scale.with_engine(n_jobs=args.jobs)
     if args.eval_jobs is not None:
         scale = scale.with_engine(eval_jobs=args.eval_jobs)
-    if args.mc_backend is not None:
-        scale = scale.with_engine(mc_backend=args.mc_backend)
     if args.backend is not None:
         scale = scale.with_engine(backend=args.backend)
     seed = args.seed

@@ -25,11 +25,7 @@ from typing import Dict, Optional
 from repro.core.targets import build_spread_calibrated_instance
 from repro.diffusion.realization import sample_realizations
 from repro.experiments.config import ExperimentScale, SMOKE
-from repro.experiments.journal import (
-    ResultJournal,
-    outcome_from_payload,
-    outcome_to_payload,
-)
+from repro.experiments.journal import ResultJournal, checkpointed
 from repro.experiments.results import SeriesResult
 from repro.experiments.runner import (
     AlgorithmSpec,
@@ -38,9 +34,9 @@ from repro.experiments.runner import (
     _make_hntp,
     evaluate_adaptive,
     evaluate_nonadaptive,
-    shared_eval_pool,
 )
 from repro.graphs import datasets as dataset_registry
+from repro.parallel.eval_pool import EvaluationPool
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -66,22 +62,6 @@ def _instance_and_realizations(
     return instance, realizations, rng
 
 
-def _checkpointed(journal, key, compute):
-    """Replay ``key`` from the journal or compute-and-record it.
-
-    The ablations thread every evaluation through this: each call site
-    hands an already-spawned RNG state to ``compute``, so replayed and
-    recomputed evaluations never share a stream and an interrupted
-    ablation resumes bit-for-bit.
-    """
-    if journal is not None and key in journal:
-        return outcome_from_payload(journal.get(key))
-    outcome = compute()
-    if journal is not None:
-        journal.record(key, outcome_to_payload(outcome))
-    return outcome
-
-
 def error_mode_ablation(
     dataset: str = "nethept",
     k: int = 10,
@@ -103,30 +83,29 @@ def error_mode_ablation(
         name="ADDATP", kind="adaptive", factory=partial(_make_addatp, engine, jobs)
     )
     prefix = f"ablation-error-mode/{dataset}/{cost_setting}/k={k}/"
-    states = rng.spawn(2) if journal is not None else [rng, rng]
-    eval_jobs = engine.eval_jobs if journal is None else (engine.eval_jobs or 1)
-    with shared_eval_pool(instance.graph, engine.eval_jobs) as pool:
-        hatp = _checkpointed(
+    hatp_state, addatp_state = rng.spawn(2)
+    with EvaluationPool(instance.graph, eval_jobs=engine.eval_jobs) as pool:
+        hatp = checkpointed(
             journal,
             prefix + "HATP",
-            lambda: evaluate_adaptive(
+            partial(
+                evaluate_adaptive,
                 hatp_spec,
                 instance,
                 realizations,
-                states[0],
-                eval_jobs=eval_jobs,
+                hatp_state,
                 eval_pool=pool,
             ),
         )
-        addatp = _checkpointed(
+        addatp = checkpointed(
             journal,
             prefix + "ADDATP",
-            lambda: evaluate_adaptive(
+            partial(
+                evaluate_adaptive,
                 addatp_spec,
                 instance,
                 realizations,
-                states[1],
-                eval_jobs=eval_jobs,
+                addatp_state,
                 eval_pool=pool,
             ),
         )
@@ -169,31 +148,29 @@ def adaptivity_ablation(
         name="HNTP", kind="nonadaptive", factory=partial(_make_hntp, engine, jobs)
     )
     prefix = f"ablation-adaptivity/{dataset}/{cost_setting}/k={k}/"
-    states = rng.spawn(2) if journal is not None else [rng, rng]
-    eval_jobs = engine.eval_jobs if journal is None else (engine.eval_jobs or 1)
-    with shared_eval_pool(instance.graph, engine.eval_jobs) as pool:
-        adaptive = _checkpointed(
+    hatp_state, hntp_state = rng.spawn(2)
+    with EvaluationPool(instance.graph, eval_jobs=engine.eval_jobs) as pool:
+        adaptive = checkpointed(
             journal,
             prefix + "HATP",
-            lambda: evaluate_adaptive(
+            partial(
+                evaluate_adaptive,
                 hatp_spec,
                 instance,
                 realizations,
-                states[0],
-                eval_jobs=eval_jobs,
+                hatp_state,
                 eval_pool=pool,
             ),
         )
-        nonadaptive = _checkpointed(
+        nonadaptive = checkpointed(
             journal,
             prefix + "HNTP",
-            lambda: evaluate_nonadaptive(
+            partial(
+                evaluate_nonadaptive,
                 hntp_spec,
                 instance,
                 realizations,
-                states[1],
-                mc_backend=engine.mc_backend,
-                eval_jobs=eval_jobs,
+                hntp_state,
                 eval_pool=pool,
             ),
         )
@@ -232,18 +209,16 @@ def sample_cap_ablation(
     jobs = engine.sampling_jobs()
     cap_values = caps if caps is not None else [100, 200, 400, 800]
     prefix = f"ablation-sample-cap/{dataset}/{cost_setting}/k={k}/"
-    states = rng.spawn(len(cap_values)) if journal is not None else [rng] * len(cap_values)
-    eval_jobs = engine.eval_jobs if journal is None else (engine.eval_jobs or 1)
     profits, rr_counts = [], []
-    with shared_eval_pool(instance.graph, engine.eval_jobs) as pool:
-        for cap, state in zip(cap_values, states):
+    with EvaluationPool(instance.graph, eval_jobs=engine.eval_jobs) as pool:
+        for cap, state in zip(cap_values, rng.spawn(len(cap_values))):
             capped_engine = replace(engine, max_samples_per_round=cap)
             spec = AlgorithmSpec(
                 name=f"HATP(cap={cap})",
                 kind="adaptive",
                 factory=partial(_make_hatp, capped_engine, jobs),
             )
-            outcome = _checkpointed(
+            outcome = checkpointed(
                 journal,
                 f"{prefix}cap={cap}",
                 partial(
@@ -252,7 +227,6 @@ def sample_cap_ablation(
                     instance,
                     realizations,
                     state,
-                    eval_jobs=eval_jobs,
                     eval_pool=pool,
                 ),
             )
@@ -284,42 +258,24 @@ def dynamic_threshold_ablation(
     engine = scale.engine
     jobs = engine.sampling_jobs()
     prefix = f"ablation-dynamic-threshold/{dataset}/{cost_setting}/k={k}/"
-    states = rng.spawn(2) if journal is not None else [rng, rng]
-    eval_jobs = engine.eval_jobs if journal is None else (engine.eval_jobs or 1)
-
-    with shared_eval_pool(instance.graph, engine.eval_jobs) as pool:
-        fixed = _checkpointed(
-            journal,
-            prefix + "ADDATP-fixed",
-            lambda: evaluate_adaptive(
-                AlgorithmSpec(
-                    "ADDATP-fixed",
-                    "adaptive",
-                    partial(_make_addatp, engine, jobs, dynamic_threshold=False),
+    outcomes = {}
+    with EvaluationPool(instance.graph, eval_jobs=engine.eval_jobs) as pool:
+        for name, dynamic_threshold, state in zip(
+            ("ADDATP-fixed", "ADDATP-dynamic"), (False, True), rng.spawn(2)
+        ):
+            spec = AlgorithmSpec(
+                name,
+                "adaptive",
+                partial(_make_addatp, engine, jobs, dynamic_threshold=dynamic_threshold),
+            )
+            outcomes[name] = checkpointed(
+                journal,
+                prefix + name,
+                partial(
+                    evaluate_adaptive, spec, instance, realizations, state, eval_pool=pool
                 ),
-                instance,
-                realizations,
-                states[0],
-                eval_jobs=eval_jobs,
-                eval_pool=pool,
-            ),
-        )
-        dynamic = _checkpointed(
-            journal,
-            prefix + "ADDATP-dynamic",
-            lambda: evaluate_adaptive(
-                AlgorithmSpec(
-                    "ADDATP-dynamic",
-                    "adaptive",
-                    partial(_make_addatp, engine, jobs, dynamic_threshold=True),
-                ),
-                instance,
-                realizations,
-                states[1],
-                eval_jobs=eval_jobs,
-                eval_pool=pool,
-            ),
-        )
+            )
+    fixed, dynamic = outcomes["ADDATP-fixed"], outcomes["ADDATP-dynamic"]
     return {
         "fixed_profit": fixed.mean_profit,
         "dynamic_profit": dynamic.mean_profit,

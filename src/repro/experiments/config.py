@@ -49,23 +49,15 @@ class EngineParameters:
     """RR batch for NSG / NDG; ``None`` derives it from the HATP cap."""
     n_jobs: Optional[int] = None
     """Worker processes for RR-set generation (``None`` honours the
-    ``REPRO_JOBS`` environment variable; ``-1`` uses all cores; sampled
-    output is bit-for-bit independent of the value)."""
+    ``REPRO_JOBS`` environment variable; ``-1`` uses all cores).  Unset,
+    sessions sample the single-batch stream; any set value samples the
+    sharded stream, which is bit-for-bit independent of the value."""
     eval_jobs: Optional[int] = None
     """Worker processes for whole-session evaluation — the outermost
     parallel tier: complete adaptive runs fan out across realizations
-    (``None`` honours the ``REPRO_EVAL_JOBS`` environment variable; if
-    that is unset too, evaluation keeps the exact historical sequential
-    RNG stream; ``-1`` uses all cores; any concrete value switches to
-    per-realization spawned streams whose outcomes are bit-for-bit
-    independent of the worker count)."""
-    mc_backend: Optional[str] = None
-    """Forward Monte-Carlo simulation backend used when scoring seed sets
-    against evaluation realizations (``None`` honours the
-    ``REPRO_MC_BACKEND`` environment variable and defaults to the
-    historical per-cascade ``"python"`` loop; any other registered kernel
-    backend — ``"vectorized"``, ``"native"``, or ``"auto"`` — batch-replays
-    all realizations at once with identical outcomes)."""
+    (``None`` honours the ``REPRO_EVAL_JOBS`` environment variable, then
+    1; ``-1`` uses all cores).  Outcomes are bit-for-bit independent of
+    the value."""
     backend: Optional[str] = None
     """RR-sampling kernel backend threaded into every algorithm the suite
     builds (``None`` honours the ``REPRO_BACKEND`` environment variable
@@ -82,18 +74,17 @@ class EngineParameters:
     def sampling_jobs(self) -> Optional[int]:
         """The sampling ``n_jobs`` algorithm factories should receive.
 
-        The no-nested-pool policy (``docs/parallelism.md``): whenever
-        session-level parallelism is active (``eval_jobs`` resolves to a
-        concrete value, including 1), algorithms run with sampling
-        ``n_jobs=1`` so worker counts never multiply — and the forcing is
-        uniform across ``eval_jobs`` values, which keeps the 1-vs-N
-        worker outcomes bit-for-bit identical.  Forcing is outcome-neutral
-        for any explicit ``n_jobs`` because sampled output is
-        ``n_jobs``-independent.
+        ``n_jobs`` itself, except under the no-nested-pool policy
+        (``docs/parallelism.md``): when ``eval_jobs > 1`` and a sampling
+        worker count is set (``n_jobs`` or ``REPRO_JOBS``), algorithms
+        run with ``n_jobs=1`` so worker counts never multiply.  That is
+        outcome-neutral, because every set ``n_jobs`` samples the same
+        sharded stream; an unset ``n_jobs`` is never forced.
         """
         from repro.parallel.eval_pool import resolve_eval_jobs
+        from repro.parallel.pool import resolve_jobs
 
-        if resolve_eval_jobs(self.eval_jobs) is not None:
+        if resolve_eval_jobs(self.eval_jobs) > 1 and resolve_jobs(self.n_jobs) is not None:
             return 1
         return self.n_jobs
 

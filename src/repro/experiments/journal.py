@@ -14,14 +14,14 @@ whole sweep away.  A :class:`ResultJournal` makes sweeps restartable:
 
 Bit-for-bit resume needs one more ingredient than the journal itself:
 the RNG stream of point ``i`` must not depend on whether points
-``0..i-1`` were computed or skipped.  The journal-aware drivers
-therefore derive **one spawned child stream per data point** from the
+``0..i-1`` were computed or skipped.  Every driver therefore derives
+**one spawned child stream per data point** (and per algorithm) from the
 sweep generator (``rng.spawn(n_points)``) instead of threading a single
 shared generator through the loop.  The spawn layout is a pure function
-of the master seed and the point list, so an interrupted-and-resumed
-sweep produces byte-identical artifacts to an uninterrupted journaled
-run.  (A journaled run is its own reproducible family: the journal-less
-default path keeps the historical shared-generator streams untouched.)
+of the master seed and the point list, and it is the same with or
+without a journal: the journal only replays and records, through
+:func:`checkpointed`, so an interrupted-and-resumed sweep produces
+byte-identical artifacts to an uninterrupted run, journaled or not.
 
 Payloads are :class:`~repro.experiments.runner.AggregateOutcome` objects
 (or small JSON dicts for driver-specific extras) serialized with
@@ -59,6 +59,22 @@ def outcome_from_payload(payload: Dict[str, object]):
             "the journal was probably written by an incompatible version — "
             "delete it and re-run without --resume"
         ) from exc
+
+
+def checkpointed(journal: Optional["ResultJournal"], key: str, compute):
+    """Replay ``key``'s outcome from ``journal``, or compute and record it.
+
+    ``compute`` is a zero-argument callable returning an
+    :class:`AggregateOutcome`; with no journal it simply runs.  Callers
+    hand ``compute`` an already-spawned RNG stream, so whether a point is
+    replayed or recomputed never shifts another point's randomness.
+    """
+    if journal is not None and key in journal:
+        return outcome_from_payload(journal.get(key))
+    outcome = compute()
+    if journal is not None:
+        journal.record(key, outcome_to_payload(outcome))
+    return outcome
 
 
 def journal_path(experiment: str, results_dir: str = "results") -> str:

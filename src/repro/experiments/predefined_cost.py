@@ -26,8 +26,8 @@ from repro.diffusion.realization import sample_realizations
 from repro.experiments.config import ExperimentScale, SMOKE
 from repro.experiments.journal import (
     ResultJournal,
+    checkpointed,
     outcome_from_payload,
-    outcome_to_payload,
 )
 from repro.experiments.results import SeriesResult
 from repro.experiments.runner import (
@@ -36,9 +36,9 @@ from repro.experiments.runner import (
     _make_hatp,
     evaluate_adaptive,
     evaluate_nonadaptive,
-    shared_eval_pool,
 )
 from repro.graphs import datasets as dataset_registry
+from repro.parallel.eval_pool import EvaluationPool
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -60,9 +60,10 @@ def hatp_vs_nonadaptive_selector(
     the λ grid (note the paper plots λ in decreasing order since smaller λ
     means a larger target set).
 
-    With a ``journal``, every λ point checkpoints its two evaluations
-    (and the derived target size) under its own spawned RNG stream; a
-    fully journaled point skips even its instance construction on resume.
+    Each λ point runs on its own spawned RNG stream, and each of its two
+    evaluations on a stream spawned from that.  With a ``journal``, every
+    λ point checkpoints its two evaluations (and the derived target size);
+    a fully journaled point skips even its instance construction on resume.
     """
     if selector not in {"ndg", "nsg"}:
         raise ConfigurationError("selector must be 'ndg' or 'nsg'")
@@ -73,13 +74,22 @@ def hatp_vs_nonadaptive_selector(
     engine = scale.engine
     values = list(lambda_values if lambda_values is not None else scale.lambda_values)
     figure = "fig7" if selector == "ndg" else "fig8"
-    point_states = rng.spawn(len(values)) if journal is not None else [None] * len(values)
+    hatp_spec = AlgorithmSpec(
+        name="HATP",
+        kind="adaptive",
+        factory=partial(_make_hatp, engine, engine.sampling_jobs()),
+    )
+    # The nonadaptive selector's own profit is that of seeding its whole
+    # output (the target set) in one batch.
+    selector_spec = AlgorithmSpec(
+        name=selector.upper(), kind="fixed", factory=_make_baseline
+    )
 
     hatp_profits: List[float] = []
     selector_profits: List[float] = []
     target_sizes: List[int] = []
-    with shared_eval_pool(graph, engine.eval_jobs) as pool:
-        for cost_ratio, point_state in zip(values, point_states):
+    with EvaluationPool(graph, eval_jobs=engine.eval_jobs) as pool:
+        for cost_ratio, point_rng in zip(values, rng.spawn(len(values))):
             prefix = f"{figure}/{dataset}/{cost_setting}/lambda={cost_ratio}/"
             meta_key = prefix + "meta"
             hatp_key = prefix + "HATP"
@@ -95,7 +105,6 @@ def hatp_vs_nonadaptive_selector(
                     outcome_from_payload(journal.get(selector_key)).mean_profit
                 )
                 continue
-            point_rng = rng if journal is None else ensure_rng(point_state)
             instance = build_predefined_cost_instance(
                 graph,
                 cost_ratio=cost_ratio,
@@ -107,54 +116,34 @@ def hatp_vs_nonadaptive_selector(
             )
             target_sizes.append(instance.k)
             realizations = sample_realizations(graph, scale.num_realizations, point_rng)
-            # One spawned stream per algorithm: replaying one from the
-            # journal must not shift the other's randomness.
-            alg_states = (
-                point_rng.spawn(2) if journal is not None else [point_rng, point_rng]
-            )
+            hatp_state, selector_state = point_rng.spawn(2)
             if journal is not None:
                 journal.record(meta_key, {"target_size": int(instance.k)})
-
-            hatp_outcome = None
-            if journal is not None and hatp_key in journal:
-                hatp_outcome = outcome_from_payload(journal.get(hatp_key))
-            else:
-                hatp_spec = AlgorithmSpec(
-                    name="HATP",
-                    kind="adaptive",
-                    factory=partial(_make_hatp, engine, engine.sampling_jobs()),
-                )
-                hatp_outcome = evaluate_adaptive(
+            hatp_outcome = checkpointed(
+                journal,
+                hatp_key,
+                partial(
+                    evaluate_adaptive,
                     hatp_spec,
                     instance,
                     realizations,
-                    alg_states[0],
-                    eval_jobs=engine.eval_jobs if journal is None else (engine.eval_jobs or 1),
+                    hatp_state,
                     eval_pool=pool,
-                )
-                if journal is not None:
-                    journal.record(hatp_key, outcome_to_payload(hatp_outcome))
-            hatp_profits.append(hatp_outcome.mean_profit)
-
-            # The nonadaptive selector's own profit is that of seeding its
-            # whole output (the target set) in one batch.
-            if journal is not None and selector_key in journal:
-                selector_outcome = outcome_from_payload(journal.get(selector_key))
-            else:
-                selector_spec = AlgorithmSpec(
-                    name=selector.upper(), kind="fixed", factory=_make_baseline
-                )
-                selector_outcome = evaluate_nonadaptive(
+                ),
+            )
+            selector_outcome = checkpointed(
+                journal,
+                selector_key,
+                partial(
+                    evaluate_nonadaptive,
                     selector_spec,
                     instance,
                     realizations,
-                    alg_states[1],
-                    mc_backend=engine.mc_backend,
-                    eval_jobs=engine.eval_jobs if journal is None else (engine.eval_jobs or 1),
+                    selector_state,
                     eval_pool=pool,
-                )
-                if journal is not None:
-                    journal.record(selector_key, outcome_to_payload(selector_outcome))
+                ),
+            )
+            hatp_profits.append(hatp_outcome.mean_profit)
             selector_profits.append(selector_outcome.mean_profit)
 
     return SeriesResult(

@@ -24,10 +24,10 @@ from repro.experiments.runner import (
     AggregateOutcome,
     build_standard_suite,
     evaluate_suite,
-    shared_eval_pool,
     suite_journal_keys,
 )
 from repro.graphs import datasets as dataset_registry
+from repro.parallel.eval_pool import EvaluationPool
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -45,37 +45,31 @@ def sweep_target_sizes(
     the profit figures (Fig. 2–4) and the running-time figures (Fig. 5–6)
     are extracted from.
 
-    With a ``journal``, every ``(k, algorithm)`` evaluation checkpoints as
-    it completes and completed points are replayed on resume; each ``k``
-    gets its own spawned RNG stream so the replayed/ recomputed split never
-    shifts another point's randomness (a fully journaled ``k`` skips even
-    its instance construction).
+    Each ``k`` gets its own spawned RNG stream.  With a ``journal``, every
+    ``(k, algorithm)`` evaluation checkpoints as it completes and
+    completed points are replayed on resume (a fully journaled ``k``
+    skips even its instance construction).
     """
     rng = ensure_rng(random_state)
     graph = dataset_registry.load_proxy(
         dataset, nodes=scale.nodes_for(dataset), random_state=rng
     )
     k_list = list(k_values if k_values is not None else scale.k_values)
-    point_states = rng.spawn(len(k_list)) if journal is not None else [None] * len(k_list)
     sweep: Dict[int, Dict[str, AggregateOutcome]] = {}
-    with shared_eval_pool(graph, scale.engine.eval_jobs) as pool:
-        for k, point_state in zip(k_list, point_states):
+    with EvaluationPool(graph, eval_jobs=scale.engine.eval_jobs) as pool:
+        for k, point_rng in zip(k_list, rng.spawn(len(k_list))):
             k = min(k, graph.n)
             suite = build_standard_suite(
                 scale.engine, include_addatp=k <= scale.include_addatp_up_to_k
             )
-            point_rng = rng
-            prefix = ""
-            if journal is not None:
-                prefix = f"{dataset}/{cost_setting}/k={k}/"
-                keys = suite_journal_keys(suite, prefix)
-                if journal.has_all(keys):
-                    sweep[k] = {
-                        spec.name: outcome_from_payload(journal.get(key))
-                        for spec, key in zip(suite, keys)
-                    }
-                    continue
-                point_rng = ensure_rng(point_state)
+            prefix = f"{dataset}/{cost_setting}/k={k}/"
+            keys = suite_journal_keys(suite, prefix)
+            if journal is not None and journal.has_all(keys):
+                sweep[k] = {
+                    spec.name: outcome_from_payload(journal.get(key))
+                    for spec, key in zip(suite, keys)
+                }
+                continue
             instance = build_spread_calibrated_instance(
                 graph,
                 k=k,
@@ -88,8 +82,6 @@ def sweep_target_sizes(
                 instance,
                 num_realizations=scale.num_realizations,
                 random_state=point_rng,
-                mc_backend=scale.engine.mc_backend,
-                eval_jobs=scale.engine.eval_jobs,
                 eval_pool=pool,
                 journal=journal,
                 journal_prefix=prefix,

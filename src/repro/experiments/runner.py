@@ -12,23 +12,20 @@ profit figures — HATP, ADDATP, HNTP, NSG, NDG, ARS and the Baseline (the
 whole target set) — parameterised by an
 :class:`~repro.experiments.config.EngineParameters`.
 
-Session-level parallelism: every evaluation function takes an
-``eval_jobs`` knob (and the suite threads
-:attr:`~repro.experiments.config.EngineParameters.eval_jobs` through it).
-With the default ``None`` (and no ``REPRO_EVAL_JOBS`` environment) the
-historical sequential loop — and its exact RNG stream — is untouched;
-any concrete value switches to per-realization spawned algorithm streams
-dispatched through :class:`repro.parallel.eval_pool.EvaluationPool`,
-whose outcomes are bit-for-bit independent of the worker count
-(``eval_jobs=1`` runs the identical loop in-process).  The suite
-builders hand algorithm factories as pickled ``functools.partial``
+One evaluation stream: every evaluation runs through an
+:class:`~repro.parallel.eval_pool.EvaluationPool` (in-process at one
+job), with one spawned algorithm stream per realization.  Realizations
+are spawned children of the suite generator, and each spec of a suite
+gets its own spawned algorithm stream, so the outcomes are bit-for-bit
+independent of the ``eval_jobs`` worker count and of whether a
+:class:`~repro.experiments.journal.ResultJournal` records them.  The
+suite builders hand algorithm factories as pickled ``functools.partial``
 objects over module-level constructors so complete sessions can run in
 worker processes.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -42,29 +39,18 @@ from repro.core.addatp import ADDATP
 from repro.core.hatp import HATP
 from repro.core.hntp import HNTP
 from repro.core.profit import total_cost
-from repro.core.results import NonadaptiveSelection, SeedingResult
-from repro.core.session import AdaptiveSession
+from repro.core.results import NonadaptiveSelection, stop_counts
 from repro.core.targets import TPMInstance
-from repro.diffusion.mc_engine import resolve_mc_backend
-from repro.diffusion.realization import (
-    BaseRealization,
-    Realization,
-    batch_realization_spreads,
-    sample_realizations,
-)
+from repro.diffusion.realization import BaseRealization
 from repro.experiments.config import EngineParameters
-from repro.experiments.journal import (
-    ResultJournal,
-    outcome_from_payload,
-    outcome_to_payload,
-)
+from repro.experiments.journal import ResultJournal, checkpointed
 from repro.parallel.eval_pool import (
     EvaluationPool,
     RealizationTicket,
     SessionRecord,
     as_tickets,
     parallel_evaluate_adaptive,
-    resolve_eval_jobs,
+    pool_for,
 )
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.timer import Timer
@@ -97,6 +83,11 @@ class AggregateOutcome:
     spreads, seed counts and seed costs, all in realization order — so a
     parallel evaluation's merge order stays auditable and downstream plots
     can draw variance bands instead of bare means.
+
+    ``cap_forced_frac`` is the share of decided nodes (iteration records
+    with a ``stop_reason``) whose rounds an engine cap ended rather than
+    the paper's stopping conditions; ``None`` when no record has a stop
+    reason (ARS, NSG, NDG, the Baseline).
     """
 
     algorithm: str
@@ -107,6 +98,7 @@ class AggregateOutcome:
     mean_seed_cost: float
     selection_runtime_seconds: float
     total_rr_sets: int
+    cap_forced_frac: Optional[float] = None
     per_realization_profits: List[float] = field(default_factory=list)
     per_realization_spreads: List[float] = field(default_factory=list)
     per_realization_seeds: List[float] = field(default_factory=list)
@@ -123,6 +115,9 @@ class AggregateOutcome:
             "cost": round(self.mean_seed_cost, 2),
             "runtime_s": round(self.selection_runtime_seconds, 4),
             "rr_sets": self.total_rr_sets,
+            "cap_forced_frac": (
+                None if self.cap_forced_frac is None else round(self.cap_forced_frac, 3)
+            ),
         }
 
 
@@ -134,6 +129,8 @@ def _aggregate(
     costs: Sequence[float],
     runtime: float,
     rr_sets: int,
+    cap_forced: int = 0,
+    decided: int = 0,
 ) -> AggregateOutcome:
     profits = np.asarray(profits, dtype=np.float64)
     return AggregateOutcome(
@@ -145,6 +142,7 @@ def _aggregate(
         mean_seed_cost=float(np.mean(costs)) if len(costs) else 0.0,
         selection_runtime_seconds=runtime,
         total_rr_sets=int(rr_sets),
+        cap_forced_frac=cap_forced / decided if decided else None,
         per_realization_profits=[float(p) for p in profits],
         per_realization_spreads=[float(s) for s in spreads],
         per_realization_seeds=[float(s) for s in seeds],
@@ -165,25 +163,9 @@ def _outcome_from_records(
         [record.seed_cost for record in records],
         total_runtime / max(len(records), 1),
         sum(record.rr_sets for record in records),
+        sum(record.cap_forced for record in records),
+        sum(record.decided for record in records),
     )
-
-
-@contextmanager
-def shared_eval_pool(graph, eval_jobs: Optional[int]):
-    """One :class:`EvaluationPool` for a driver's whole sweep.
-
-    Yields ``None`` when session-level parallelism is off (``eval_jobs``
-    resolves to ``None``), so callers can always write
-    ``evaluate_adaptive(..., eval_jobs=engine.eval_jobs, eval_pool=pool)``
-    — with a live pool the graph is published to the workers once per
-    sweep instead of once per data point.
-    """
-    resolved = resolve_eval_jobs(eval_jobs)
-    if resolved is None:
-        yield None
-        return
-    with EvaluationPool(graph, eval_jobs=resolved) as pool:
-        yield pool
 
 
 def evaluate_adaptive(
@@ -196,47 +178,21 @@ def evaluate_adaptive(
 ) -> AggregateOutcome:
     """Run an adaptive algorithm once per realization and average the outcomes.
 
-    With ``eval_jobs`` left at ``None`` (and no ``REPRO_EVAL_JOBS``
-    environment, no ``eval_pool``), the sessions run sequentially with the
-    exact historical RNG threading: one shared generator feeds every
-    factory, so realization ``i+1``'s algorithm stream depends on how much
-    randomness realization ``i`` consumed.  Any concrete ``eval_jobs``
-    (or an explicit ``eval_pool``) switches to one *spawned* algorithm
-    stream per realization, which decouples the sessions and lets them run
-    in parallel — the per-realization outcomes are then bit-for-bit
-    independent of the worker count (``eval_jobs=1`` runs the identical
-    spawned-stream loop in-process, with no processes started).
+    Each realization's session gets its own algorithm stream, spawned
+    from ``random_state``, and runs through ``eval_pool`` (or an
+    ephemeral :class:`EvaluationPool` of ``eval_jobs`` workers); the
+    per-realization outcomes are bit-for-bit independent of the worker
+    count.
     """
-    rng = ensure_rng(random_state)
-    resolved = resolve_eval_jobs(eval_jobs)
-    if resolved is not None or eval_pool is not None:
-        records = parallel_evaluate_adaptive(
-            spec.factory,
-            instance,
-            realizations,
-            random_state=rng,
-            eval_jobs=resolved or 1,
-            pool=eval_pool,
-        )
-        return _outcome_from_records(spec.name, records)
-
-    profits, spreads, seeds, costs = [], [], [], []
-    total_runtime = 0.0
-    total_rr = 0
-    for realization in realizations:
-        if isinstance(realization, RealizationTicket):
-            realization = realization.realize(instance.graph)
-        algorithm = spec.factory(instance, rng)
-        session = AdaptiveSession(instance.graph, realization, instance.costs)
-        result: SeedingResult = algorithm.run(session)
-        profits.append(result.realized_profit)
-        spreads.append(result.realized_spread)
-        seeds.append(result.num_seeds)
-        costs.append(result.seed_cost)
-        total_runtime += result.runtime_seconds
-        total_rr += result.rr_sets_generated
-    mean_runtime = total_runtime / max(len(realizations), 1)
-    return _aggregate(spec.name, profits, spreads, seeds, costs, mean_runtime, total_rr)
+    records = parallel_evaluate_adaptive(
+        spec.factory,
+        instance,
+        realizations,
+        random_state=random_state,
+        eval_jobs=eval_jobs,
+        pool=eval_pool,
+    )
+    return _outcome_from_records(spec.name, records)
 
 
 def evaluate_nonadaptive(
@@ -244,31 +200,24 @@ def evaluate_nonadaptive(
     instance: TPMInstance,
     realizations: Sequence[RealizationLike],
     random_state: RandomState = None,
-    mc_backend: Optional[str] = None,
     eval_jobs: Optional[int] = None,
     eval_pool: Optional[EvaluationPool] = None,
 ) -> AggregateOutcome:
     """Select once on the full graph, then score against every realization.
 
-    With ``mc_backend="vectorized"`` (or ``REPRO_MC_BACKEND=vectorized``)
-    and eagerly sampled realizations, the chosen seed set is scored against
-    *all* evaluation realizations in one batched live-edge replay instead
-    of one Python BFS per realization — replay is deterministic, so the
-    outcomes are element-for-element identical to the per-realization loop.
-
-    ``eval_jobs`` / ``eval_pool`` fan the per-realization scoring loop out
-    across session workers when the batched replay is not in play (replay
-    is deterministic given the realization, so the outcomes stay identical
-    for every worker count).  State-carrying tickets pass straight through
-    to the workers — the worlds are then never materialized in the parent
-    and nothing ``O(m)`` is pickled.  Selection itself is a single pass
-    and always runs in the parent.
+    Selection is a single pass in the parent.  The chosen seed set is
+    scored through :meth:`EvaluationPool.score_selection` on ``eval_pool``
+    (or an ephemeral pool of ``eval_jobs`` workers); replay is
+    deterministic given the realization, so the outcomes are identical
+    for every worker count.  Tickets pass straight through to the
+    workers, so the worlds are never materialized in the parent and
+    nothing ``O(m)`` is pickled.
     """
     rng = ensure_rng(random_state)
-    resolved = resolve_eval_jobs(eval_jobs)
-    items = list(realizations)
+    tickets = as_tickets(realizations)
     algorithm = spec.factory(instance, rng)
     timer = Timer().start()
+    cap_forced = decided = 0
     if spec.kind == "fixed":
         seeds_chosen: List[int] = list(algorithm)  # type: ignore[arg-type]
         selection_runtime = 0.0
@@ -278,64 +227,22 @@ def evaluate_nonadaptive(
         seeds_chosen = list(selection.seeds)
         selection_runtime = selection.runtime_seconds
         rr_sets = selection.rr_sets_generated
+        cap_forced, decided = stop_counts(selection.iterations)
     timer.stop()
 
-    def _materialized() -> List[BaseRealization]:
-        return [
-            r.realize(instance.graph) if isinstance(r, RealizationTicket) else r
-            for r in items
-        ]
-
-    profits, spreads, costs = [], [], []
-    # Tickets always score deterministically; materialized worlds qualify
-    # when they are eager and sampled on this instance's graph.
-    eager = len(items) > 0 and all(
-        isinstance(r, RealizationTicket)
-        or (isinstance(r, Realization) and r.graph is instance.graph)
-        for r in items
-    )
-    batched_replay = resolve_mc_backend(mc_backend) != "python" and eager
-    pool_jobs = eval_pool.n_jobs if eval_pool is not None else (resolved or 1)
-    if batched_replay:
-        replay_spreads = batch_realization_spreads(
-            _materialized(), [int(v) for v in seeds_chosen]
-        )
-        seed_cost = total_cost(instance.costs, seeds_chosen)
-        for spread in replay_spreads.tolist():
-            profits.append(float(spread) - seed_cost)
-            spreads.append(float(spread))
-            costs.append(seed_cost)
-    elif pool_jobs > 1 and eager:
-        tickets = as_tickets(items)
-        if eval_pool is not None:
-            pool_spreads = eval_pool.score_selection(
-                seeds_chosen, tickets, graph=instance.graph
-            )
-        else:
-            with EvaluationPool(instance.graph, eval_jobs=pool_jobs) as ephemeral:
-                pool_spreads = ephemeral.score_selection(
-                    seeds_chosen, tickets, graph=instance.graph
-                )
-        seed_cost = total_cost(instance.costs, seeds_chosen)
-        for spread in pool_spreads:
-            profits.append(float(spread) - seed_cost)
-            spreads.append(float(spread))
-            costs.append(seed_cost)
-    else:
-        for realization in _materialized():
-            session = AdaptiveSession(instance.graph, realization, instance.costs)
-            outcome = session.evaluate_nonadaptive(seeds_chosen)
-            profits.append(outcome.profit)
-            spreads.append(outcome.spread)
-            costs.append(outcome.cost)
+    with pool_for(instance.graph, eval_jobs, eval_pool) as pool:
+        spreads = pool.score_selection(seeds_chosen, tickets, graph=instance.graph)
+    seed_cost = total_cost(instance.costs, seeds_chosen)
     return _aggregate(
         spec.name,
-        profits,
+        [spread - seed_cost for spread in spreads],
         spreads,
-        [len(seeds_chosen)] * len(items),
-        costs,
+        [len(seeds_chosen)] * len(tickets),
+        [seed_cost] * len(tickets),
         selection_runtime if spec.kind != "fixed" else timer.elapsed,
         rr_sets,
+        cap_forced,
+        decided,
     )
 
 
@@ -355,7 +262,6 @@ def evaluate_suite(
     instance: TPMInstance,
     num_realizations: int,
     random_state: RandomState = None,
-    mc_backend: Optional[str] = None,
     eval_jobs: Optional[int] = None,
     eval_pool: Optional[EvaluationPool] = None,
     journal: Optional[ResultJournal] = None,
@@ -363,149 +269,45 @@ def evaluate_suite(
 ) -> Dict[str, AggregateOutcome]:
     """Evaluate every algorithm of ``specs`` on shared realizations.
 
-    ``mc_backend`` selects how nonadaptive seed sets are scored against the
-    evaluation realizations (see :func:`evaluate_nonadaptive`).
-
-    ``eval_jobs`` selects session-level parallelism.  The realization
-    *family* is identical on both paths — ``num_realizations`` children
-    spawned from the suite generator, exactly what
-    :func:`~repro.diffusion.realization.sample_realizations` draws — but
-    the parallel path carries them as :class:`RealizationTicket`\\ s, so
-    workers re-sample their world in-process instead of receiving a
-    pickled live mask, and one
+    The stream layout is a pure function of ``random_state``'s state on
+    entry: the first ``num_realizations`` spawned children are the
+    realization family (carried as :class:`RealizationTicket`\\ s, so
+    workers re-sample their world in-process), the next ``len(specs)``
+    children are one algorithm stream per spec.  One
     :class:`~repro.parallel.eval_pool.EvaluationPool` serves every
-    algorithm of the suite.  Sweep drivers that call this per data point
-    should pass an ``eval_pool`` (see :func:`shared_eval_pool`) so the
-    graph is published to the workers once per sweep rather than once
-    per call.
+    algorithm of the suite; sweep drivers pass an ``eval_pool`` so the
+    graph is published to the workers once per sweep rather than once per
+    call.
 
     ``journal`` switches on checkpoint/resume: each algorithm's outcome
     is recorded under ``journal_prefix + spec.name`` the moment it
-    completes, and already-recorded algorithms are replayed from the
-    journal instead of re-run.  Journal mode gives every algorithm its
-    own spawned RNG stream (and carries realizations as tickets), so a
-    resumed run is bit-for-bit identical to an uninterrupted journaled
-    run — see ``docs/robustness.md`` for the stream contract.
+    completes, and already-recorded algorithms are replayed instead of
+    re-run.  Replaying an algorithm never touches another algorithm's
+    stream, so a resumed run is bit-for-bit identical to an uninterrupted
+    one — see ``docs/robustness.md`` for the stream contract.
     """
     rng = ensure_rng(random_state)
-    resolved = resolve_eval_jobs(eval_jobs)
-    if journal is not None:
-        return _evaluate_suite_journaled(
-            specs,
-            instance,
-            num_realizations,
-            rng,
-            mc_backend,
-            resolved,
-            eval_pool,
-            journal,
-            journal_prefix,
-        )
-    if resolved is None and eval_pool is None:
-        realizations = sample_realizations(instance.graph, num_realizations, rng)
-        outcomes: Dict[str, AggregateOutcome] = {}
-        for spec in specs:
-            if spec.kind == "adaptive":
-                outcomes[spec.name] = evaluate_adaptive(spec, instance, realizations, rng)
-            else:
-                outcomes[spec.name] = evaluate_nonadaptive(
-                    spec, instance, realizations, rng, mc_backend=mc_backend
-                )
-        return outcomes
-
-    # Same spawn layout as sample_realizations: child stream i is
-    # realization i, regardless of eval_jobs.  Both the adaptive and the
-    # nonadaptive branches consume the tickets directly, so no world is
-    # materialized here (nothing O(R·m) held or pickled by the suite).
-    states = list(rng.spawn(num_realizations))
-    tickets = [RealizationTicket.from_state(state) for state in states]
-
-    def _run(pool: Optional[EvaluationPool]) -> Dict[str, AggregateOutcome]:
-        outcomes: Dict[str, AggregateOutcome] = {}
-        for spec in specs:
-            if spec.kind == "adaptive":
-                outcomes[spec.name] = evaluate_adaptive(
-                    spec, instance, tickets, rng, eval_jobs=resolved, eval_pool=pool
-                )
-            else:
-                outcomes[spec.name] = evaluate_nonadaptive(
-                    spec,
-                    instance,
-                    tickets,
-                    rng,
-                    mc_backend=mc_backend,
-                    eval_jobs=resolved,
-                    eval_pool=pool,
-                )
-        return outcomes
-
-    if eval_pool is not None:
-        return _run(eval_pool)
-    with EvaluationPool(instance.graph, eval_jobs=resolved) as pool:
-        return _run(pool)
-
-
-def _evaluate_suite_journaled(
-    specs: Sequence[AlgorithmSpec],
-    instance: TPMInstance,
-    num_realizations: int,
-    rng: np.random.Generator,
-    mc_backend: Optional[str],
-    resolved_jobs: Optional[int],
-    eval_pool: Optional[EvaluationPool],
-    journal: ResultJournal,
-    journal_prefix: str,
-) -> Dict[str, AggregateOutcome]:
-    """Journal-mode suite evaluation: per-algorithm checkpoints.
-
-    The stream layout is a pure function of ``rng``'s state on entry:
-    the first ``num_realizations`` spawned children are the realization
-    family (the same family every evaluation mode uses), the next
-    ``len(specs)`` children are one algorithm stream per spec.  Whether
-    an algorithm is computed or replayed from the journal never touches
-    another algorithm's stream — that is what makes an interrupted
-    sweep's resume bit-for-bit.
-    """
     tickets = [
-        RealizationTicket.from_state(state)
-        for state in rng.spawn(num_realizations)
+        RealizationTicket.from_state(state) for state in rng.spawn(num_realizations)
     ]
     algorithm_states = rng.spawn(len(specs))
     keys = suite_journal_keys(specs, journal_prefix)
-
-    def _run(pool: Optional[EvaluationPool]) -> Dict[str, AggregateOutcome]:
-        outcomes: Dict[str, AggregateOutcome] = {}
-        for spec, state, key in zip(specs, algorithm_states, keys):
-            if key in journal:
-                outcomes[spec.name] = outcome_from_payload(journal.get(key))
-                continue
-            if spec.kind == "adaptive":
-                outcome = evaluate_adaptive(
+    with pool_for(instance.graph, eval_jobs, eval_pool) as pool:
+        return {
+            spec.name: checkpointed(
+                journal,
+                key,
+                partial(
+                    evaluate_adaptive if spec.kind == "adaptive" else evaluate_nonadaptive,
                     spec,
                     instance,
                     tickets,
                     state,
-                    eval_jobs=resolved_jobs or 1,
                     eval_pool=pool,
-                )
-            else:
-                outcome = evaluate_nonadaptive(
-                    spec,
-                    instance,
-                    tickets,
-                    state,
-                    mc_backend=mc_backend,
-                    eval_jobs=resolved_jobs or 1,
-                    eval_pool=pool,
-                )
-            journal.record(key, outcome_to_payload(outcome))
-            outcomes[spec.name] = outcome
-        return outcomes
-
-    if eval_pool is not None or resolved_jobs is None:
-        return _run(eval_pool)
-    with EvaluationPool(instance.graph, eval_jobs=resolved_jobs) as pool:
-        return _run(pool)
+                ),
+            )
+            for spec, state, key in zip(specs, algorithm_states, keys)
+        }
 
 
 # --------------------------------------------------------------------------- #
@@ -515,8 +317,8 @@ def _evaluate_suite_journaled(
 # Factories are functools.partial over these module-level constructors —
 # never closures — so an AlgorithmSpec pickles cleanly into evaluation
 # workers.  Each takes the sampling n_jobs explicitly: the suite builder
-# passes `engine.sampling_jobs()`, which forces 1 whenever session-level
-# parallelism is active (the no-nested-pool policy of docs/parallelism.md).
+# passes `engine.sampling_jobs()`, which turns a set n_jobs into 1 when
+# eval_jobs > 1 (the no-nested-pool policy of docs/parallelism.md).
 
 
 def _make_hatp(engine: EngineParameters, n_jobs: Optional[int], inst, rng):

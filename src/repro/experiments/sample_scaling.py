@@ -17,20 +17,16 @@ from typing import Optional, Sequence
 from repro.core.targets import build_spread_calibrated_instance
 from repro.diffusion.realization import sample_realizations
 from repro.experiments.config import ExperimentScale, SMOKE
-from repro.experiments.journal import (
-    ResultJournal,
-    outcome_from_payload,
-    outcome_to_payload,
-)
+from repro.experiments.journal import ResultJournal, checkpointed
 from repro.experiments.results import SeriesResult
 from repro.experiments.runner import (
     AlgorithmSpec,
     _make_ndg,
     _make_nsg,
     evaluate_nonadaptive,
-    shared_eval_pool,
 )
 from repro.graphs import datasets as dataset_registry
+from repro.parallel.eval_pool import EvaluationPool
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -46,8 +42,8 @@ def sample_size_scaling(
 ) -> SeriesResult:
     """Fig. 9: profit and running time of NSG/NDG versus sample-size scale.
 
-    With a ``journal``, each ``(factor, algorithm)`` evaluation
-    checkpoints as it completes (per-factor spawned RNG streams), so
+    Each ``(factor, algorithm)`` evaluation runs on its own spawned RNG
+    stream.  With a ``journal``, each one checkpoints as it completes, so
     ``--resume`` recomputes only missing points.
     """
     rng = ensure_rng(random_state)
@@ -69,39 +65,31 @@ def sample_size_scaling(
 
     engine = scale.engine
     jobs = engine.sampling_jobs()
-    point_states = rng.spawn(len(factors)) if journal is not None else [None] * len(factors)
     nsg_profit, nsg_runtime, ndg_profit, ndg_runtime = [], [], [], []
-    with shared_eval_pool(instance.graph, engine.eval_jobs) as pool:
-        for factor, point_state in zip(factors, point_states):
+    with EvaluationPool(instance.graph, eval_jobs=engine.eval_jobs) as pool:
+        for factor, point_rng in zip(factors, rng.spawn(len(factors))):
             scaled_engine = replace(engine, baseline_sample_size=base * factor)
-            # One spawned stream per (factor, algorithm): replaying NSG
-            # from the journal must not shift NDG's randomness.
-            alg_states = point_state.spawn(2) if journal is not None else [rng, rng]
             outcomes = {}
             for (name, maker), alg_state in zip(
-                (("NSG", _make_nsg), ("NDG", _make_ndg)), alg_states
+                (("NSG", _make_nsg), ("NDG", _make_ndg)), point_rng.spawn(2)
             ):
-                key = f"fig9/{dataset}/{cost_setting}/k={k}/x{factor}/{name}"
-                if journal is not None and key in journal:
-                    outcomes[name] = outcome_from_payload(journal.get(key))
-                    continue
                 spec = AlgorithmSpec(
                     name=name,
                     kind="nonadaptive",
                     factory=partial(maker, scaled_engine, jobs),
                 )
-                outcome = evaluate_nonadaptive(
-                    spec,
-                    instance,
-                    realizations,
-                    alg_state,
-                    mc_backend=engine.mc_backend,
-                    eval_jobs=engine.eval_jobs if journal is None else (engine.eval_jobs or 1),
-                    eval_pool=pool,
+                outcomes[name] = checkpointed(
+                    journal,
+                    f"fig9/{dataset}/{cost_setting}/k={k}/x{factor}/{name}",
+                    partial(
+                        evaluate_nonadaptive,
+                        spec,
+                        instance,
+                        realizations,
+                        alg_state,
+                        eval_pool=pool,
+                    ),
                 )
-                if journal is not None:
-                    journal.record(key, outcome_to_payload(outcome))
-                outcomes[name] = outcome
             nsg_profit.append(outcomes["NSG"].mean_profit)
             nsg_runtime.append(outcomes["NSG"].selection_runtime_seconds)
             ndg_profit.append(outcomes["NDG"].mean_profit)

@@ -14,20 +14,12 @@ from typing import Optional, Sequence
 
 from repro.core.targets import build_spread_calibrated_instance
 from repro.experiments.config import ExperimentScale, SMOKE
-from repro.experiments.journal import (
-    ResultJournal,
-    outcome_from_payload,
-    outcome_to_payload,
-)
+from repro.experiments.journal import ResultJournal, checkpointed
 from repro.experiments.results import SeriesResult
-from repro.experiments.runner import (
-    AlgorithmSpec,
-    _make_hatp,
-    evaluate_adaptive,
-    shared_eval_pool,
-)
+from repro.experiments.runner import AlgorithmSpec, _make_hatp, evaluate_adaptive
 from repro.diffusion.realization import sample_realizations
 from repro.graphs import datasets as dataset_registry
+from repro.parallel.eval_pool import EvaluationPool
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -42,8 +34,9 @@ def epsilon_sensitivity(
 ) -> SeriesResult:
     """Fig. 4(b): HATP profit as a function of the relative-error threshold ε.
 
-    With a ``journal``, each ε value checkpoints as it completes (its own
-    spawned RNG stream), so ``--resume`` recomputes only missing points.
+    Each ε value runs on its own spawned RNG stream.  With a ``journal``,
+    each ε value checkpoints as it completes, so ``--resume`` recomputes
+    only missing points.
     """
     rng = ensure_rng(random_state)
     graph = dataset_registry.load_proxy(
@@ -63,17 +56,10 @@ def epsilon_sensitivity(
 
     values = list(epsilon_values if epsilon_values is not None else scale.epsilon_values)
     jobs = engine.sampling_jobs()
-    point_states = rng.spawn(len(values)) if journal is not None else [None] * len(values)
     profits = []
     runtimes = []
-    with shared_eval_pool(instance.graph, engine.eval_jobs) as pool:
-        for epsilon, point_state in zip(values, point_states):
-            key = f"fig4b/{dataset}/{cost_setting}/k={k}/eps={epsilon}"
-            if journal is not None and key in journal:
-                outcome = outcome_from_payload(journal.get(key))
-                profits.append(outcome.mean_profit)
-                runtimes.append(outcome.selection_runtime_seconds)
-                continue
+    with EvaluationPool(instance.graph, eval_jobs=engine.eval_jobs) as pool:
+        for epsilon, point_rng in zip(values, rng.spawn(len(values))):
             eps_engine = replace(
                 engine, epsilon=epsilon, epsilon0=max(engine.epsilon0, epsilon)
             )
@@ -82,16 +68,18 @@ def epsilon_sensitivity(
                 kind="adaptive",
                 factory=partial(_make_hatp, eps_engine, jobs),
             )
-            outcome = evaluate_adaptive(
-                spec,
-                instance,
-                realizations,
-                rng if journal is None else point_state,
-                eval_jobs=engine.eval_jobs if journal is None else (engine.eval_jobs or 1),
-                eval_pool=pool,
+            outcome = checkpointed(
+                journal,
+                f"fig4b/{dataset}/{cost_setting}/k={k}/eps={epsilon}",
+                partial(
+                    evaluate_adaptive,
+                    spec,
+                    instance,
+                    realizations,
+                    point_rng,
+                    eval_pool=pool,
+                ),
             )
-            if journal is not None:
-                journal.record(key, outcome_to_payload(outcome))
             profits.append(outcome.mean_profit)
             runtimes.append(outcome.selection_runtime_seconds)
 

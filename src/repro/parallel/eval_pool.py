@@ -26,33 +26,30 @@ Design, mirroring :class:`~repro.parallel.pool.SamplingPool`:
 * the work layout is a pure function of ``num_realizations`` (one task
   per realization, session ``i`` always runs with algorithm stream ``i``,
   records merged in realization order), so the outcome is **bit-for-bit
-  independent of** ``eval_jobs`` and ``eval_jobs=1`` runs the identical
-  spawned-stream loop in-process;
-* **no nested pools**: whenever session-level parallelism is active the
-  suite builders pass an explicit sampling ``n_jobs=1`` to every
+  independent of** ``eval_jobs``; ``eval_jobs=1`` runs the identical
+  spawned-stream loop in-process and starts no process;
+* **no nested pools**: when ``eval_jobs > 1`` and a sampling worker
+  count is set, the suite builders pass sampling ``n_jobs=1`` to every
   algorithm factory (:meth:`EngineParameters.sampling_jobs`), so the
   machine never runs ``eval_jobs × n_jobs`` processes.  Forcing 1 is
-  outcome-neutral because sampled output is ``n_jobs``-independent
-  (PR-2 contract).  Workers inherit the parent's environment knobs
-  *unchanged* — resolving ``REPRO_JOBS`` differently inside a worker
-  than in the in-process loop would break the 1-vs-N contract — so a
-  custom spec that opts into sampling workers while ``eval_jobs > 1``
-  still computes the right answer, merely oversubscribed (see the
-  oversubscription note in ``docs/parallelism.md``).
+  outcome-neutral because every set ``n_jobs`` samples the same sharded
+  stream; an unset ``n_jobs`` stays unset, so sessions keep the
+  single-batch stream.  Workers inherit the parent's environment knobs
+  *unchanged*, so a session resolves its sampling ``n_jobs`` in a worker
+  exactly as in-process.
 
 The ``eval_jobs`` knob resolves through :func:`resolve_eval_jobs`:
 explicit values go through the shared
 :func:`~repro.parallel.pool.resolve_jobs` semantics (``-1`` = all
 cores), ``None`` falls back to the ``REPRO_EVAL_JOBS`` environment
-variable, and ``None`` with no environment keeps the historical
-sequential evaluation loop untouched (pinned by snapshot tests in
-``tests/experiments/test_runner.py``).
+variable, and then to 1.
 """
 
 from __future__ import annotations
 
 import copy
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Union
@@ -79,22 +76,19 @@ from repro.utils.rng import RandomState, ensure_rng
 EVAL_JOBS_ENV_VAR = "REPRO_EVAL_JOBS"
 
 
-def resolve_eval_jobs(eval_jobs: Optional[int] = None) -> Optional[int]:
-    """Resolve the session-level worker-count request (or ``None``).
+def resolve_eval_jobs(eval_jobs: Optional[int] = None) -> int:
+    """Resolve the session-level worker-count request.
 
     * an explicit integer goes through the shared
       :func:`~repro.parallel.pool.resolve_jobs` semantics (``-1`` = all
       usable cores, values ``>= 1`` as-is, anything else rejected);
     * ``None`` falls back to the ``REPRO_EVAL_JOBS`` environment
-      variable with the same semantics;
-    * ``None`` with no environment override resolves to ``None`` — the
-      caller keeps the historical sequential evaluation loop (and its
-      exact RNG stream) untouched.
+      variable with the same semantics, and then to 1.
     """
     if eval_jobs is None:
         eval_jobs = read_env_int(EVAL_JOBS_ENV_VAR)
         if eval_jobs is None:
-            return None
+            return 1
     return resolve_jobs(eval_jobs)
 
 
@@ -205,6 +199,10 @@ class SessionRecord:
     seed_cost: float
     runtime_seconds: float
     rr_sets: int
+    cap_forced: int
+    """Decided nodes whose rounds an engine cap ended (``CAP_REASONS``)."""
+    decided: int
+    """Nodes whose iteration record carries a ``stop_reason``."""
 
 
 def _run_one_session(
@@ -220,6 +218,7 @@ def _run_one_session(
     """Run one complete adaptive session; shared by in-process and worker paths."""
     # Deferred: repro.core imports repro.sampling which imports
     # repro.parallel.pool — keep this module importable standalone.
+    from repro.core.results import stop_counts
     from repro.core.session import AdaptiveSession
     from repro.core.targets import TPMInstance
 
@@ -233,6 +232,7 @@ def _run_one_session(
     algorithm = factory(instance, ensure_rng(algorithm_state))
     session = AdaptiveSession(graph, realization, instance.costs)
     result = algorithm.run(session)
+    cap_forced, decided = stop_counts(result.iterations)
     return SessionRecord(
         index=index,
         profit=float(result.realized_profit),
@@ -241,6 +241,8 @@ def _run_one_session(
         seed_cost=float(result.seed_cost),
         runtime_seconds=float(result.runtime_seconds),
         rr_sets=int(result.rr_sets_generated),
+        cap_forced=cap_forced,
+        decided=decided,
     )
 
 
@@ -259,9 +261,9 @@ def _eval_worker_init(spec: SharedGraphSpec, graph_name: str) -> None:
     untouched: a session must resolve its sampling ``n_jobs`` exactly as
     the in-process ``eval_jobs=1`` loop would, or the 1-vs-N worker
     outcomes could diverge.  The no-nested-pool policy is enforced where
-    it is outcome-neutral instead — the suite builders pass an explicit
-    sampling ``n_jobs=1`` to every factory whenever session-level
-    parallelism is active (:meth:`EngineParameters.sampling_jobs`).
+    it is outcome-neutral instead: with ``eval_jobs > 1`` the suite
+    builders turn a set sampling worker count into ``n_jobs=1``
+    (:meth:`EngineParameters.sampling_jobs`).
     """
     shared, _mask, handles = attach_shared_graph(spec)
     in_offsets, in_sources, in_probs = shared.in_csr()
@@ -359,7 +361,7 @@ class EvaluationPool:
                 f"(sessions manage their own residual views), got {type(graph).__name__}"
             )
         self._base = graph
-        self._jobs = resolve_eval_jobs(eval_jobs) or 1
+        self._jobs = resolve_eval_jobs(eval_jobs)
         self._start_method = start_method
         self._task_timeout = resolve_task_timeout(task_timeout)
         self._max_retries = resolve_max_retries(max_retries)
@@ -626,7 +628,20 @@ def parallel_evaluate_adaptive(
     """
     tickets = as_tickets(realizations)
     states = spawn_shard_states(random_state, len(tickets))
+    with pool_for(instance.graph, eval_jobs, pool) as active:
+        return active.run_sessions(factory, instance, tickets, states)
+
+
+def pool_for(
+    graph: ProbabilisticGraph,
+    eval_jobs: Optional[int] = None,
+    pool: Optional[EvaluationPool] = None,
+):
+    """Context manager yielding ``pool``, or an ephemeral pool on ``graph``.
+
+    A caller's ``pool`` stays open on exit; the ephemeral one (resolved
+    from ``eval_jobs``) is closed.
+    """
     if pool is not None:
-        return pool.run_sessions(factory, instance, tickets, states)
-    with EvaluationPool(instance.graph, eval_jobs=eval_jobs) as ephemeral:
-        return ephemeral.run_sessions(factory, instance, tickets, states)
+        return nullcontext(pool)
+    return EvaluationPool(graph, eval_jobs=eval_jobs)

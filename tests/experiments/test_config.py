@@ -69,3 +69,28 @@ class TestEngineParameters:
     def test_nsg_ndg_samples_explicit(self):
         engine = EngineParameters(baseline_sample_size=999)
         assert engine.nsg_ndg_samples() == 999
+
+
+class TestSamplingJobs:
+    """The no-nested-pool policy never changes which RR stream sessions sample."""
+
+    def test_unset_n_jobs_is_never_forced(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_EVAL_JOBS", raising=False)
+        for eval_jobs in (None, 1, 2):
+            assert EngineParameters(eval_jobs=eval_jobs).sampling_jobs() is None
+
+    def test_set_n_jobs_becomes_one_only_under_eval_workers(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_EVAL_JOBS", raising=False)
+        assert EngineParameters(n_jobs=4).sampling_jobs() == 4
+        assert EngineParameters(n_jobs=4, eval_jobs=1).sampling_jobs() == 4
+        assert EngineParameters(n_jobs=4, eval_jobs=2).sampling_jobs() == 1
+        monkeypatch.setenv("REPRO_EVAL_JOBS", "2")
+        assert EngineParameters(n_jobs=4).sampling_jobs() == 1
+
+    def test_environment_worker_count_counts_as_set(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EVAL_JOBS", raising=False)
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert EngineParameters(eval_jobs=1).sampling_jobs() is None
+        assert EngineParameters(eval_jobs=2).sampling_jobs() == 1

@@ -32,6 +32,9 @@ from repro.experiments.ablations import (
     sample_cap_ablation,
 )
 from repro.experiments.config import EngineParameters
+from repro.experiments.journal import ResultJournal
+from repro.parallel.eval_pool import EvaluationPool
+from repro.parallel.pool import SamplingPool
 
 
 #: A deliberately tiny scale so every driver runs in a couple of seconds.
@@ -176,3 +179,78 @@ class TestAblations:
         assert set(result) == {
             "fixed_profit", "dynamic_profit", "fixed_rr_sets", "dynamic_rr_sets",
         }
+
+
+def _comparable(outcome):
+    """Everything of an AggregateOutcome except the measured runtime."""
+    return (
+        outcome.per_realization_profits,
+        outcome.per_realization_spreads,
+        outcome.per_realization_seeds,
+        outcome.per_realization_costs,
+        outcome.total_rr_sets,
+        outcome.cap_forced_frac,
+    )
+
+
+class TestOneEvaluationStream:
+    """A journal and the eval worker count never change a driver's outcomes."""
+
+    @staticmethod
+    def _modes(tmp_path):
+        """``(scale, journal)`` for: plain, a fresh journal, two eval workers."""
+        with_workers = dataclasses.replace(
+            TINY, engine=dataclasses.replace(TINY.engine, eval_jobs=2)
+        )
+        return [
+            (TINY, None),
+            (TINY, ResultJournal(tmp_path / "journal.jsonl")),
+            (with_workers, None),
+        ]
+
+    def test_sweep_target_sizes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_EVAL_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        runs = []
+        for scale, journal in self._modes(tmp_path):
+            sweep = sweep_target_sizes(
+                "nethept", "degree", scale, random_state=0, journal=journal
+            )
+            runs.append(
+                {
+                    (k, name): _comparable(outcome)
+                    for k, outcomes in sweep.items()
+                    for name, outcome in outcomes.items()
+                }
+            )
+            if journal is not None:
+                journal.close()
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_error_mode_ablation(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_EVAL_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        runs = []
+        for scale, journal in self._modes(tmp_path):
+            result = error_mode_ablation(
+                dataset="nethept", k=3, scale=scale, random_state=0, journal=journal
+            )
+            # profit and rr_sets; runtime_s is measured, not sampled.
+            runs.append({name: values[:2] for name, values in result.series.items()})
+            if journal is not None:
+                journal.close()
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_default_sweep_starts_no_processes(self, monkeypatch):
+        monkeypatch.delenv("REPRO_EVAL_JOBS", raising=False)
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+
+        def refuse(self):
+            raise AssertionError("the default evaluation path started a worker pool")
+
+        monkeypatch.setattr(EvaluationPool, "_ensure_workers", refuse)
+        monkeypatch.setattr(SamplingPool, "_ensure_workers", refuse)
+        sweep = sweep_target_sizes("nethept", "degree", TINY, random_state=0)
+        assert sorted(sweep) == [3, 5]

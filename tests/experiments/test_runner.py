@@ -8,6 +8,11 @@ from repro import kernels
 from repro.core.hatp import HATP
 from repro.diffusion.realization import sample_realizations
 from repro.experiments.config import SMOKE, EngineParameters
+from repro.experiments.journal import (
+    ResultJournal,
+    outcome_from_payload,
+    outcome_to_payload,
+)
 from repro.experiments.runner import (
     AlgorithmSpec,
     build_standard_suite,
@@ -118,36 +123,35 @@ class TestEvaluation:
                 assert profit == pytest.approx(spread - cost)
 
 
-#: Pinned outcomes of the historical sequential evaluation stream
-#: (evaluate_suite with eval_jobs=None on the shared fixtures), captured
-#: before the session-level parallel subsystem existed.  The default path
-#: must keep reproducing these bit-for-bit: it shares one generator
-#: across all factories, so any accidental re-threading of RNG state
-#: (e.g. routing the default through the spawned-stream path) shows up
-#: here immediately.
-HISTORICAL_SUITE_SNAPSHOT = {
+#: Pinned outcomes of the one evaluation stream (evaluate_suite on the
+#: shared fixtures: realizations and one algorithm stream per spec, all
+#: spawned from the suite generator).  The literals were captured from the
+#: journaled suite before the journal-less path joined it, so they also
+#: show that a journal does not pick the stream.  Any accidental
+#: re-threading of RNG state shows up here immediately.
+SUITE_SNAPSHOT = {
     "HATP": {
-        "profits": [-15.873486179813455, 3.2006366442623637, 17.576994883510185],
-        "rr_sets": 4856,
+        "profits": [-19.084988738058364, 2.420444218932907, 27.173160697428546],
+        "rr_sets": 4424,
     },
     "ADDATP": {
-        "profits": [-14.92843807348109, -1.285625382320724, 15.338016378431458],
-        "rr_sets": 3452,
+        "profits": [-12.846010232979637, 1.2830644847638197, 26.420444218932907],
+        "rr_sets": 2982,
     },
     "HNTP": {
-        "profits": [-9.203197541819272, -1.2031975418192715, 18.79680245818073],
+        "profits": [-11.634507674734728, -3.634507674734728, 20.365492325265272],
         "rr_sets": 1944,
     },
     "NSG": {
-        "profits": [-11.716935515236177, -5.716935515236177, 17.283064484763823],
+        "profits": [-8.909267143072906, -2.9092671430729062, 5.090732856927094],
         "rr_sets": 150,
     },
     "NDG": {
-        "profits": [-10.285625382320724, -1.285625382320724, 12.714374617679276],
+        "profits": [-4.771887408903819, 5.228112591096181, 26.22811259109618],
         "rr_sets": 150,
     },
     "ARS": {
-        "profits": [-10.60703172790091, 4.39296827209909, 4.8792302986821845],
+        "profits": [-5.368053222822184, -4.266454451912546, 18.549518936676368],
         "rr_sets": 0,
     },
     "Baseline": {
@@ -158,7 +162,7 @@ HISTORICAL_SUITE_SNAPSHOT = {
 
 
 class TestDeterminismContract:
-    """The eval_jobs determinism contract of docs/parallelism.md."""
+    """The one-stream contract of docs/parallelism.md."""
 
     @pytest.fixture(scope="class")
     def snapshot_engine(self) -> EngineParameters:
@@ -169,7 +173,7 @@ class TestDeterminismContract:
             addatp_max_samples_per_round=150,
         )
 
-    def test_default_path_reproduces_historical_stream(
+    def test_default_path_reproduces_suite_snapshot(
         self, small_instance, snapshot_engine, monkeypatch
     ):
         monkeypatch.delenv("REPRO_EVAL_JOBS", raising=False)
@@ -177,32 +181,85 @@ class TestDeterminismContract:
         outcomes = evaluate_suite(
             suite, small_instance, num_realizations=3, random_state=2020
         )
-        assert set(outcomes) == set(HISTORICAL_SUITE_SNAPSHOT)
-        for name, pinned in HISTORICAL_SUITE_SNAPSHOT.items():
+        assert set(outcomes) == set(SUITE_SNAPSHOT)
+        for name, pinned in SUITE_SNAPSHOT.items():
             assert outcomes[name].per_realization_profits == pytest.approx(
                 pinned["profits"], rel=1e-12, abs=1e-12
             ), name
             assert outcomes[name].total_rr_sets == pinned["rr_sets"], name
 
-    def test_eval_jobs_path_diverges_from_default_by_design(
-        self, small_instance, snapshot_engine
+    def test_journal_and_eval_jobs_leave_outcomes_unchanged(
+        self, small_instance, snapshot_engine, tmp_path, monkeypatch
     ):
-        # eval_jobs switches to per-realization spawned algorithm streams;
-        # the outcomes are valid draws of the same protocol but not the
-        # historical sequence (callers that never opt in keep theirs).
-        suite = build_standard_suite(snapshot_engine, include_addatp=False)
+        monkeypatch.delenv("REPRO_EVAL_JOBS", raising=False)
+        suite = build_standard_suite(snapshot_engine)
+
+        def run(**kwargs):
+            outcomes = evaluate_suite(
+                suite, small_instance, num_realizations=3, random_state=2020, **kwargs
+            )
+            return {
+                name: (
+                    outcome.per_realization_profits,
+                    outcome.per_realization_spreads,
+                    outcome.total_rr_sets,
+                )
+                for name, outcome in outcomes.items()
+            }
+
+        plain = run()
+        with ResultJournal(tmp_path / "suite.jsonl") as journal:
+            assert run(journal=journal) == plain
+        assert run(eval_jobs=1) == plain
+        assert run(eval_jobs=2) == plain
+
+
+class TestCapForcedFraction:
+    """``AggregateOutcome.cap_forced_frac``: which share of decisions a cap made."""
+
+    def test_capped_engines_let_the_caps_decide(self, small_instance, fast_engine):
+        for engine in (fast_engine, SMOKE.engine):
+            outcomes = evaluate_suite(
+                build_standard_suite(engine),
+                small_instance,
+                num_realizations=3,
+                random_state=2020,
+            )
+            for name in ("HATP", "ADDATP", "HNTP"):
+                assert outcomes[name].cap_forced_frac == 1.0, name
+            # No stop reasons: no rounds, so no fraction.
+            for name in ("NSG", "NDG", "ARS", "Baseline"):
+                assert outcomes[name].cap_forced_frac is None, name
+            assert outcomes["HATP"].as_row()["cap_forced_frac"] == 1.0
+            assert outcomes["Baseline"].as_row()["cap_forced_frac"] is None
+
+    def test_uncapped_engine_lets_the_conditions_decide(self, small_instance):
+        uncapped = EngineParameters(
+            max_rounds=30,
+            max_samples_per_round=10**7,
+            addatp_max_rounds=30,
+            addatp_max_samples_per_round=10**7,
+        )
+        suite = [
+            spec
+            for spec in build_standard_suite(uncapped)
+            if spec.name in ("HATP", "ADDATP", "HNTP")
+        ]
         outcomes = evaluate_suite(
-            suite, small_instance, num_realizations=3, random_state=2020, eval_jobs=1
+            suite, small_instance, num_realizations=1, random_state=2020
         )
-        assert (
-            outcomes["HATP"].per_realization_profits
-            != HISTORICAL_SUITE_SNAPSHOT["HATP"]["profits"]
+        for name in ("HATP", "ADDATP", "HNTP"):
+            assert outcomes[name].cap_forced_frac == 0.0, name
+
+    def test_payloads_without_the_field_load_as_none(self, small_instance, small_proxy):
+        realizations = sample_realizations(small_proxy, 2, random_state=0)
+        spec = AlgorithmSpec(
+            name="Baseline", kind="fixed", factory=lambda inst, rng: list(inst.target)
         )
-        # ...but the realization family itself is unchanged: the Baseline
-        # (a fixed seed set, no algorithm randomness) scores identically.
-        assert outcomes["Baseline"].per_realization_profits == pytest.approx(
-            HISTORICAL_SUITE_SNAPSHOT["Baseline"]["profits"]
-        )
+        outcome = evaluate_nonadaptive(spec, small_instance, realizations)
+        payload = outcome_to_payload(outcome)
+        del payload["cap_forced_frac"]
+        assert outcome_from_payload(payload) == outcome
 
 
 class TestBackendThroughEvaluationPool:

@@ -1,11 +1,10 @@
 """EvaluationPool: eval_jobs invariance, tickets, lifecycle, knob resolution.
 
-The central assertion — the ISSUE's acceptance criterion — is that for a
-shared seed the session-level pool produces bit-for-bit the same
-per-realization outcomes at ``eval_jobs=2+`` as the in-process
-``eval_jobs=1`` path, and that the default (``eval_jobs=None``, no env)
-keeps the historical sequential evaluation stream untouched (pinned by
-the snapshot tests in ``tests/experiments/test_runner.py``).
+The central assertion is that for a shared seed the session-level pool
+produces bit-for-bit the same per-realization outcomes at
+``eval_jobs=2+`` as the in-process ``eval_jobs=1`` path, which is also
+the default (``eval_jobs=None``, no env); the stream itself is pinned by
+the snapshot tests in ``tests/experiments/test_runner.py``.
 """
 
 from __future__ import annotations
@@ -95,9 +94,9 @@ class TestResolveEvalJobs:
         assert resolve_eval_jobs(4) == 4
         assert resolve_eval_jobs(-1) == available_cpus()
 
-    def test_none_without_env_is_none(self, monkeypatch):
+    def test_none_without_env_is_one(self, monkeypatch):
         monkeypatch.delenv(EVAL_JOBS_ENV_VAR, raising=False)
-        assert resolve_eval_jobs(None) is None
+        assert resolve_eval_jobs(None) == 1
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(EVAL_JOBS_ENV_VAR, "3")
@@ -246,7 +245,7 @@ class TestDeterminism:
         assert _comparable(sequential) == _comparable(pooled)
 
     def test_adaptive_default_path_accepts_tickets(self, graph, instance, fast_engine):
-        # Tickets realize transparently on the historical sequential path.
+        # Eager worlds and the tickets made from them run the same sessions.
         spec = AlgorithmSpec(
             name="HATP", kind="adaptive", factory=partial(_make_hatp, fast_engine, None)
         )
