@@ -1,7 +1,7 @@
 """Microbenchmarks of the compiled kernel backend vs. ``"vectorized"``.
 
 For the ``native`` backend, when the registry reports it available on
-this machine (cffi plus a C compiler), two series at
+this machine (a C compiler), two series at
 ``REPRO_BENCH_SCALE``-controlled sizes:
 
 * **generate** — one RR batch of ``theta`` sets through

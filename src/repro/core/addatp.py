@@ -73,15 +73,15 @@ class ADDATP:
         RNG used for RR-set generation.
     n_jobs:
         Worker processes for RR-set generation (``None`` honours the
-        ``REPRO_JOBS`` environment variable and otherwise keeps the
-        historical in-process path; ``-1`` uses all cores).
+        ``REPRO_JOBS`` environment variable and otherwise samples
+        in-process; ``-1`` uses all cores).  The run does not depend on
+        the worker count.
     sample_reuse:
         Carry the front/rear coverage counts across refinement rounds,
         drawing only the newly required sets and adding their counts
         instead of regenerating (the residual graph is frozen within a
         node-iteration, so all rounds sample the same distribution).
-        ``False`` (default) keeps the exact historical regenerate-per-round
-        RNG stream.
+        ``False`` (default) regenerates per round.
     """
 
     name = "ADDATP"
@@ -244,6 +244,7 @@ class ADDATP:
                     front_estimate=front_estimate,
                     rear_estimate=rear_estimate,
                     rounds=rounds,
+                    thetas=tuple(estimator.thetas),
                     rr_sets_generated=rr_this_iteration,
                     newly_activated=newly,
                     stop_reason=reason,

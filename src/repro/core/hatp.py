@@ -24,14 +24,14 @@ Between rounds the schedule tightens whichever error component is binding
 HATP roughly ``O(ε n)`` cheaper than ADDATP (Theorem 5 vs Theorem 3).
 
 A round keeps no collection: :class:`~repro.core.estimation.FrontRearEstimator`
-counts ``Cov_{R1}`` and ``Cov_{R2}`` straight from each freshly drawn RR
-batch and drops it.  With ``sample_reuse=True`` the two counts and ``θ``
-are kept across a node-iteration's refinement rounds, and each round draws
-only the ``θ_i − θ_{i−1}`` *new* RR sets per side and adds their counts
-(IMM-style sample carrying — the residual graph is frozen within a
-node-iteration, so all rounds sample the same distribution).  The default
-``False`` path redraws both batches from scratch each round on the exact
-historical RNG stream.
+counts ``Cov_{R1}`` and ``Cov_{R2}`` straight from each freshly drawn,
+stop-truncated RR batch and drops it.  With ``sample_reuse=True`` the two
+counts and ``θ`` are kept across a node-iteration's refinement rounds,
+and each round draws only the ``θ_i − θ_{i−1}`` *new* RR sets per side
+and adds their counts (IMM-style sample carrying — the residual graph is
+frozen within a node-iteration, so all rounds sample the same
+distribution).  The default ``False`` path redraws both batches under
+fresh keys each round, as Algorithm 4 does.
 
 The decision rule ``f_est + r_est ≥ 2 c(u_i)`` is algebraically the same
 test as ADG's ``ρ_f ≥ ρ_r`` written in terms of the raw spread estimates.
@@ -74,17 +74,16 @@ class HATP:
         RNG used for RR-set generation.
     n_jobs:
         Worker processes for RR-set generation (``None`` honours the
-        ``REPRO_JOBS`` environment variable and otherwise keeps the
-        historical in-process path; ``-1`` uses all cores).  When set, a
-        persistent :class:`~repro.parallel.pool.SamplingPool` is held open
-        for the whole run and the sampled batches are bit-for-bit
-        independent of the worker count.
+        ``REPRO_JOBS`` environment variable and otherwise samples
+        in-process; ``-1`` uses all cores).  When set, a persistent
+        :class:`~repro.parallel.pool.SamplingPool` is held open for the
+        whole run.  The sampled batches, and so the run, do not depend on
+        the worker count.
     sample_reuse:
         Carry the front/rear coverage counts across refinement rounds,
         drawing only the newly required sets and adding their counts
         (roughly halves the RR sets generated per iteration at a
-        geometric schedule).  ``False`` (default) regenerates per round on
-        the exact historical RNG stream.
+        geometric schedule).  ``False`` (default) regenerates per round.
     backend:
         Kernel backend for RR generation, resolved through the registry
         (``None`` honours ``REPRO_BACKEND``; all backends are
@@ -279,6 +278,7 @@ class HATP:
                     front_estimate=front_spread - cost_u,
                     rear_estimate=cost_u - rear_spread,
                     rounds=rounds,
+                    thetas=tuple(estimator.thetas),
                     rr_sets_generated=rr_this_iteration,
                     newly_activated=newly,
                     stop_reason=reason,

@@ -186,6 +186,7 @@ class HNTP:
                     front_estimate=front_spread - cost_u,
                     rear_estimate=cost_u - rear_spread,
                     rounds=rounds,
+                    thetas=tuple(estimator.thetas),
                     rr_sets_generated=rr_this_iteration,
                     stop_reason=reason,
                 )

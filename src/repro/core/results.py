@@ -34,7 +34,8 @@ class IterationRecord:
 
     ``stop_reason`` is the :data:`STOP_REASONS` entry that ended the
     node's refinement rounds (``None`` for skipped nodes and for
-    algorithms without rounds).
+    algorithms without rounds), and ``thetas`` holds the sample size θ of
+    each of those rounds, in order.
     """
 
     node: int
@@ -45,6 +46,7 @@ class IterationRecord:
     rr_sets_generated: int = 0
     newly_activated: int = 0
     stop_reason: Optional[str] = None
+    thetas: Tuple[int, ...] = ()
 
 
 @dataclass

@@ -49,9 +49,9 @@ class EngineParameters:
     """RR batch for NSG / NDG; ``None`` derives it from the HATP cap."""
     n_jobs: Optional[int] = None
     """Worker processes for RR-set generation (``None`` honours the
-    ``REPRO_JOBS`` environment variable; ``-1`` uses all cores).  Unset,
-    sessions sample the single-batch stream; any set value samples the
-    sharded stream, which is bit-for-bit independent of the value."""
+    ``REPRO_JOBS`` environment variable; ``-1`` uses all cores).  RR sets,
+    and so outcomes, are bit-for-bit independent of the value, unset
+    included."""
     eval_jobs: Optional[int] = None
     """Worker processes for whole-session evaluation — the outermost
     parallel tier: complete adaptive runs fan out across realizations
@@ -78,8 +78,8 @@ class EngineParameters:
         (``docs/parallelism.md``): when ``eval_jobs > 1`` and a sampling
         worker count is set (``n_jobs`` or ``REPRO_JOBS``), algorithms
         run with ``n_jobs=1`` so worker counts never multiply.  That is
-        outcome-neutral, because every set ``n_jobs`` samples the same
-        sharded stream; an unset ``n_jobs`` is never forced.
+        outcome-neutral, because every ``n_jobs`` samples the same RR
+        sets; an unset ``n_jobs`` is never forced.
         """
         from repro.parallel.eval_pool import resolve_eval_jobs
         from repro.parallel.pool import resolve_jobs

@@ -7,19 +7,20 @@ through a fixed table of three backends, each a ``(generate_batch,
 simulate_batch, replay_batch)`` triple:
 
 ``"vectorized"``
-    The NumPy frontier-at-a-time engine (the default and the bit-for-bit
-    reference the other backends are differential-tested against).
+    The NumPy frontier-at-a-time engines (the default).
 ``"python"``
-    The naive loop-based executable specification of the RNG contract.
+    Naive loop-based executable specifications: a per-set loop over the
+    keyed RR stream, and a per-cascade forward simulation.
 ``"native"``
-    cffi/C kernels compiled once per machine with the system C compiler.
+    C kernels compiled once per machine with the system C compiler and
+    opened through ``ctypes``: a per-set reverse BFS for RR sets, and a
+    per-layer driver for forward simulation and replay.
 
 ``resolve_backend("auto")`` picks ``"native"`` when it can build and
-``"vectorized"`` otherwise; because every backend consumes the identical
-RNG coin stream, the choice never changes results.  ``backend=None``
-(the default everywhere) resolves through ``REPRO_BACKEND`` and falls
-back to ``"vectorized"``, so defaults preserve the historical streams
-bit-for-bit.
+``"vectorized"`` otherwise; because every backend samples the identical
+streams, the choice never changes results.  ``backend=None`` (the
+default everywhere) resolves through ``REPRO_BACKEND`` and falls back to
+``"vectorized"``.
 
 See ``docs/performance.md`` ("Kernel registry & compiled backends").
 """
@@ -32,6 +33,7 @@ from repro.kernels.registry import (
     KernelBackend,
     PreparedCSR,
     available_backends,
+    coin_thresholds,
     get_backend,
     prepare_csr,
     registered_backends,
@@ -45,6 +47,7 @@ __all__ = [
     "KernelBackend",
     "PreparedCSR",
     "available_backends",
+    "coin_thresholds",
     "get_backend",
     "prepare_csr",
     "registered_backends",

@@ -1,10 +1,11 @@
-"""The per-layer driver of the ``"native"`` backend.
+"""The per-layer forward Monte-Carlo driver of the ``"native"`` backend.
 
 The native kernels (:mod:`repro.kernels.native_backend`) replace the
-*per-layer array work* of the NumPy engines — CSR gather, residual
-filter, coin flips, hash-set dedup, frontier construction — with one
-compiled sweep per layer.  The driver here runs the layer loop so that
-the stream contract is structurally the ``"vectorized"`` reference's:
+*per-layer array work* of the NumPy forward engines — CSR gather,
+residual filter, coin flips, hash-set dedup, frontier construction —
+with one compiled sweep per layer.  The driver here runs the layer loop
+so that the stream contract is structurally the ``"vectorized"``
+reference's:
 
 1. each layer's buffers are sized by the frontier's degree sum (an
    offsets-only read, an upper bound on the layer's survivors);
@@ -25,6 +26,9 @@ Live-edge replay runs the same loop with a deterministic sweep (live-mask
 lookups instead of coins).  Batches are assembled by a compiled stable
 counting sort (``group_pairs``) whose output equals the reference's
 stable ``argsort`` + ``bincount`` grouping element for element.
+
+RR sets do not come through here: their keyed stream lets the native
+backend run one reverse BFS per set instead.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.graphs.residual import ResidualGraph
 from repro.kernels.registry import prepare_csr
 
 
-def _as_uint8_mask(mask: np.ndarray) -> np.ndarray:
+def as_uint8_mask(mask: np.ndarray) -> np.ndarray:
     """A boolean mask as a C-contiguous uint8 array (zero-copy if possible)."""
     mask = np.ascontiguousarray(mask)
     if mask.dtype == np.bool_:
@@ -90,15 +94,13 @@ def _frontier_sweep(
     n: int,
     count: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The layer loop shared by generate, simulate and replay.
+    """The layer loop shared by simulate and replay.
 
     ``advance(ids, nodes, table, next_ids, next_nodes)`` is the layer's
     compiled sweep: it adds each surviving ``(id, node)`` pair not yet in
     ``table`` to the table and the two buffers, and returns how many.
-    Reverse BFS (RR generation), forward IC simulation and live-edge
-    replay differ only in the CSR they walk, the initial frontier and
-    that sweep; the loop — and therefore the RNG contract — is one piece
-    of code.
+    Forward IC simulation and live-edge replay differ only in that sweep;
+    the loop — and therefore the RNG contract — is one piece of code.
     """
     layer_ids = [frontier_ids]
     layer_nodes = [frontier_nodes]
@@ -133,64 +135,30 @@ def _frontier_sweep(
     )
 
 
-def _coin_sweep(
-    kernels,
-    view: ResidualGraph,
-    csr_triple,
-    frontier_ids: np.ndarray,
-    frontier_nodes: np.ndarray,
-    count: int,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Run the coin-flip layer loop over ``csr_triple`` (generate, simulate).
+def simulate_layered(view: ResidualGraph, seeds: np.ndarray, count: int, rng, kernels):
+    """Native forward IC simulation (out-CSR, shared seeds).
 
     Fully-active views take the sweep that never reads the residual mask.
     """
+    from repro.diffusion.mc_engine import MCBatch
+
     n = view.base.n
-    bound = kernels.bind(prepare_csr(*csr_triple), _as_uint8_mask(view.active_mask), rng)
+    bound = kernels.bind(
+        prepare_csr(*view.base.out_csr()), as_uint8_mask(view.active_mask), rng
+    )
     sweep = bound.sweep_rng_full if view.num_active == n else bound.sweep_rng
-    return _frontier_sweep(
+    offsets, nodes = _frontier_sweep(
         kernels,
         bound,
         lambda ids, nodes, table, next_ids, next_nodes: sweep(
             ids, nodes, n, table, next_ids, next_nodes
         ),
-        frontier_ids,
-        frontier_nodes,
+        np.repeat(np.arange(count, dtype=np.int64), seeds.size),
+        np.tile(seeds, count),
         n,
         count,
     )
-
-
-def generate_layered(view: ResidualGraph, roots: np.ndarray, rng, kernels):
-    """Native RR-batch generation (reverse BFS over in-CSR)."""
-    from repro.sampling.engine import RRBatch
-
-    count = roots.shape[0]
-    live = view.active_mask[roots]
-    frontier_ids = np.arange(count, dtype=np.int64)[live]
-    frontier_nodes = roots[live].astype(np.int64, copy=False)
-    offsets, nodes = _coin_sweep(
-        kernels, view, view.base.in_csr(), frontier_ids, frontier_nodes, count, rng
-    )
-    return RRBatch(
-        offsets=offsets,
-        nodes=nodes,
-        num_active_nodes=view.num_active,
-        n=view.base.n,
-    )
-
-
-def simulate_layered(view: ResidualGraph, seeds: np.ndarray, count: int, rng, kernels):
-    """Native forward IC simulation (out-CSR, shared seeds)."""
-    from repro.diffusion.mc_engine import MCBatch
-
-    frontier_ids = np.repeat(np.arange(count, dtype=np.int64), seeds.size)
-    frontier_nodes = np.tile(seeds, count)
-    offsets, nodes = _coin_sweep(
-        kernels, view, view.base.out_csr(), frontier_ids, frontier_nodes, count, rng
-    )
-    return MCBatch(offsets=offsets, nodes=nodes, n=view.base.n)
+    return MCBatch(offsets=offsets, nodes=nodes, n=n)
 
 
 def replay_layered(view: ResidualGraph, seeds: np.ndarray, live: np.ndarray, kernels):
@@ -201,8 +169,8 @@ def replay_layered(view: ResidualGraph, seeds: np.ndarray, live: np.ndarray, ker
     n = base.n
     m = base.m
     count = int(live.shape[0])
-    bound = kernels.bind(prepare_csr(*base.out_csr()), _as_uint8_mask(view.active_mask))
-    live_u8 = _as_uint8_mask(live)
+    bound = kernels.bind(prepare_csr(*base.out_csr()), as_uint8_mask(view.active_mask))
+    live_u8 = as_uint8_mask(live)
 
     frontier_ids = np.repeat(np.arange(count, dtype=np.int64), seeds.size)
     frontier_nodes = np.tile(seeds, count)

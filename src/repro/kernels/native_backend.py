@@ -1,24 +1,31 @@
-"""The ``"native"`` backend: C kernels compiled on first use via cffi.
+"""The ``"native"`` backend: C kernels compiled on first use, opened with ctypes.
 
-A single small C translation unit implements the per-layer primitives of
-:mod:`repro.kernels.layered` — the fused coin-flip sweep with
-open-addressing dedup, fused live-edge replay, and the stable counting
-sort that assembles flat batches.  It is compiled once per machine with
-the system C compiler (``cc``/``gcc``, override with ``CC``) into a
-content-addressed shared object under a per-user cache directory, then
-``dlopen``'d by every process that needs it — pool workers pay one
-``dlopen``, never a recompile.
+A single small C translation unit holds two kinds of kernel:
 
-The sweeps draw each coin straight from the generator's C
-``next_double`` entry point — the function NumPy's bulk
-``Generator.random`` loops over — once per live edge in
-frontier-then-edge order, so they consume exactly the ``"vectorized"``
-reference's stream and are bit-for-bit identical to it.  Node arrays are
-read in their storage dtype: dedicated ``uint32`` entry points consume
-mmap'd ``.rgx`` CSR arrays in place.
+* **RR sets** — one reverse BFS per set over the keyed stream of
+  :mod:`repro.sampling.engine`.  Visited nodes carry a per-set stamp, and
+  the output buffer doubles as each set's BFS queue, so a set's members
+  land in discovery order and the batch offsets come for free.  A set
+  ends at its first member in the optional ``stop`` mask.  Because every
+  coin is a pure function of (key, set index, edge), the batch equals the
+  ``"vectorized"`` and ``"python"`` batches element for element.
+* **Forward Monte-Carlo** — the per-layer primitives of
+  :mod:`repro.kernels.layered`: a coin-flip sweep with open-addressing
+  dedup that draws each coin from the generator's C ``next_double`` entry
+  point (passed in as a plain function pointer with its state pointer),
+  a live-edge replay sweep, and the stable counting sort that assembles
+  the flat batches.
 
-Availability is probed, never assumed: without cffi or a C compiler the
-registry reports the backend unavailable and ``"auto"`` falls back to
+The unit is compiled once per machine with the system C compiler
+(``cc``/``gcc``, override with ``CC``) into a content-addressed shared
+object under a per-user cache directory, then opened with
+:class:`ctypes.CDLL` by every process that needs it — pool workers pay
+one ``dlopen``, never a recompile.  Node arrays are read in their storage
+dtype: dedicated ``uint32`` entry points consume mmap'd ``.rgx`` CSR
+arrays in place.
+
+Availability is probed, never assumed: without a C compiler the registry
+reports the backend unavailable and ``"auto"`` falls back to
 ``"vectorized"`` silently.
 """
 
@@ -34,8 +41,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.graphs.residual import ResidualGraph
 from repro.kernels import layered
-from repro.kernels.registry import KernelBackend
+from repro.kernels.registry import KernelBackend, coin_thresholds, prepare_csr
 from repro.utils.exceptions import ValidationError
 
 #: Override the cache directory for the compiled shared object.
@@ -43,6 +51,86 @@ CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE_DIR"
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
+
+#define REPRO_GOLDEN 0x9E3779B97F4A7C15ULL
+
+/* The SplitMix64 finalizer. */
+static inline uint64_t repro_mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* Sets j0 .. count-1 of the keyed RR stream (stream indices start + j),
+ * one reverse BFS per set.  out doubles as each set's BFS queue, so
+ * out_offsets[j + 1] is simply where set j's queue ended.  active and
+ * stop may be NULL (fully active view, no stop mask); roots may be NULL
+ * (roots come from the stream).  Returns count, or the first set that
+ * did not fit in cap: sets before it are complete, and the caller grows
+ * out and resumes there. */
+#define RR_SETS(NAME, NODE_T)                                                  \
+int64_t NAME(uint64_t key, int64_t start, int64_t count, int64_t j0,          \
+             const int64_t *offsets, const NODE_T *sources,                    \
+             const uint64_t *thresholds, const uint8_t *active,                \
+             const uint8_t *stop, const int64_t *roots,                        \
+             const int64_t *active_nodes, int64_t n_active,                    \
+             uint32_t *stamp, int64_t n, uint32_t *epoch,                      \
+             int64_t *out_offsets, int64_t *out, int64_t cap)                  \
+{                                                                              \
+    int64_t tail = out_offsets[j0];                                            \
+    for (int64_t j = j0; j < count; ++j) {                                     \
+        uint64_t h = repro_mix64(key + (uint64_t)(start + j) * REPRO_GOLDEN);  \
+        int64_t root;                                                          \
+        if (roots) {                                                           \
+            root = roots[j];                                                   \
+        } else {                                                               \
+            int64_t idx = (int64_t)((double)(repro_mix64(h) >> 11)             \
+                                    * 0x1.0p-53 * (double)n_active);           \
+            root = active_nodes[idx < n_active ? idx : n_active - 1];          \
+        }                                                                      \
+        if (!active || active[root]) {                                         \
+            if (tail >= cap)                                                   \
+                return j;                                                      \
+            if (++*epoch == 0) { /* stamps wrapped around: clear them */       \
+                memset(stamp, 0, (size_t)n * sizeof *stamp);                   \
+                *epoch = 1;                                                    \
+            }                                                                  \
+            uint32_t mark = *epoch;                                            \
+            int64_t head = tail;                                               \
+            int open = !(stop && stop[root]);                                  \
+            stamp[root] = mark;                                                \
+            out[tail++] = root;                                                \
+            while (open && head < tail) {                                      \
+                int64_t v = out[head++];                                       \
+                int64_t end = offsets[v + 1];                                  \
+                for (int64_t e = offsets[v]; e < end; ++e) {                   \
+                    int64_t s = (int64_t)sources[e];                           \
+                    if (stamp[s] == mark || (active && !active[s]))            \
+                        continue;                                              \
+                    uint64_t coin = repro_mix64(                               \
+                        h + (uint64_t)(e + 1) * REPRO_GOLDEN) >> 11;           \
+                    if (coin >= thresholds[e])                                 \
+                        continue;                                              \
+                    if (tail >= cap)                                           \
+                        return j;                                              \
+                    stamp[s] = mark;                                           \
+                    out[tail++] = s;                                           \
+                    if (stop && stop[s]) {                                     \
+                        open = 0;                                              \
+                        break;                                                 \
+                    }                                                          \
+                }                                                              \
+            }                                                                  \
+        }                                                                      \
+        out_offsets[j + 1] = tail;                                             \
+    }                                                                          \
+    return count;                                                              \
+}
+
+RR_SETS(repro_rr_sets_i64, int64_t)
+RR_SETS(repro_rr_sets_u32, uint32_t)
 
 int64_t repro_degree_sum(int64_t F, const int64_t *fnodes,
                          const int64_t *offsets)
@@ -77,8 +165,8 @@ static inline int repro_insert(int64_t *table, uint64_t mask, int64_t key)
     }
 }
 
-/* Fused gather+advance: one CSR walk in frontier order that draws one
- * coin per live (active-endpoint) edge straight from the generator's C
+/* Forward-MC sweep: one CSR walk in frontier order that draws one coin
+ * per live (active-endpoint) edge straight from the generator's C
  * next_double entry point (the function NumPy's bulk random() loops
  * over), applies the strict flip < prob test and inserts survivors with
  * insert-if-absent dedup.  Coins are drawn in frontier-then-edge order,
@@ -213,35 +301,33 @@ void repro_group_pairs(int64_t M, const int64_t *ids, const int64_t *nodes,
 }
 """
 
-_CDEF = """
-int64_t repro_degree_sum(int64_t, const int64_t *, const int64_t *);
-int64_t repro_sweep_rng_i64(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const int64_t *, const double *, const uint8_t *,
-    double (*next_double)(void *), void *, int64_t, int64_t *, int64_t,
-    int64_t *, int64_t *);
-int64_t repro_sweep_rng_u32(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const uint32_t *, const double *, const uint8_t *,
-    double (*next_double)(void *), void *, int64_t, int64_t *, int64_t,
-    int64_t *, int64_t *);
-int64_t repro_sweep_rng_full_i64(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const int64_t *, const double *,
-    double (*next_double)(void *), void *, int64_t, int64_t *, int64_t,
-    int64_t *, int64_t *);
-int64_t repro_sweep_rng_full_u32(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const uint32_t *, const double *,
-    double (*next_double)(void *), void *, int64_t, int64_t *, int64_t,
-    int64_t *, int64_t *);
-void repro_insert_keys(int64_t, const int64_t *, int64_t *, int64_t);
-void repro_rehash(int64_t, const int64_t *, int64_t *, int64_t);
-int64_t repro_replay_i64(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const int64_t *, const uint8_t *, const uint8_t *,
-    int64_t, int64_t, int64_t *, int64_t, int64_t *, int64_t *);
-int64_t repro_replay_u32(int64_t, const int64_t *, const int64_t *,
-    const int64_t *, const uint32_t *, const uint8_t *, const uint8_t *,
-    int64_t, int64_t, int64_t *, int64_t, int64_t *, int64_t *);
-void repro_group_pairs(int64_t, const int64_t *, const int64_t *,
-    int64_t, int64_t *, int64_t *, int64_t *);
-"""
+_P, _I64 = ctypes.c_void_p, ctypes.c_int64
+
+#: ``name -> (restype, argtypes)`` of every entry point; pointers travel
+#: as plain addresses.
+_SIGNATURES = {
+    "repro_rr_sets": (
+        _I64,
+        (ctypes.c_uint64, _I64, _I64, _I64)
+        + (_P,) * 7
+        + (_I64, _P, _I64, _P, _P, _P, _I64),
+    ),
+    "repro_degree_sum": (_I64, (_I64, _P, _P)),
+    "repro_sweep_rng": (_I64, (_I64,) + (_P,) * 8 + (_I64, _P, _I64, _P, _P)),
+    "repro_sweep_rng_full": (_I64, (_I64,) + (_P,) * 7 + (_I64, _P, _I64, _P, _P)),
+    "repro_insert_keys": (None, (_I64, _P, _P, _I64)),
+    "repro_rehash": (None, (_I64, _P, _P, _I64)),
+    "repro_replay": (_I64, (_I64,) + (_P,) * 6 + (_I64, _I64, _P, _I64, _P, _P)),
+    "repro_group_pairs": (None, (_I64, _P, _P, _I64, _P, _P, _P)),
+}
+
+#: Entry points with one variant per CSR node dtype.
+_NODE_VARIANTS = (
+    "repro_rr_sets",
+    "repro_sweep_rng",
+    "repro_sweep_rng_full",
+    "repro_replay",
+)
 
 
 def _compiler() -> Optional[str]:
@@ -256,10 +342,6 @@ def _compiler() -> Optional[str]:
 
 def probe() -> Optional[str]:
     """``None`` when the native backend can build, else the reason it can't."""
-    try:
-        import cffi  # noqa: F401
-    except ImportError:
-        return "the cffi package is not installed"
     if _compiler() is None:
         return "no C compiler found (cc/gcc/clang; set CC to override)"
     return None
@@ -318,49 +400,100 @@ def _build_library() -> str:
     return library
 
 
-class NativeKernels:
-    """The compiled primitive set the layered driver drives.
+def _addr(array: Optional[np.ndarray]) -> Optional[int]:
+    """The data address of ``array`` (``None``, i.e. NULL, for ``None``)."""
+    return None if array is None else array.ctypes.data
 
-    Per-call pointer casts go through pre-parsed ctype objects (parsing
-    the type string per call costs more than the small kernels
-    themselves), and :meth:`bind` returns a per-sweep adapter with the
-    static CSR/mask/generator pointers pre-cast once so the hot layer
-    loop casts only the arrays that change between layers.
-    """
+
+class NativeKernels:
+    """The compiled kernel set, opened with ctypes."""
 
     def __init__(self) -> None:
-        from cffi import FFI
+        self._lib = ctypes.CDLL(_build_library())
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            variants = (
+                (f"{name}_i64", f"{name}_u32") if name in _NODE_VARIANTS else (name,)
+            )
+            for symbol in variants:
+                function = getattr(self._lib, symbol)
+                function.restype = restype
+                function.argtypes = argtypes
 
-        self._ffi = FFI()
-        self._ffi.cdef(_CDEF)
-        self._lib = self._ffi.dlopen(_build_library())
-        self._i64p = self._ffi.typeof("int64_t *")
-        self._u32p = self._ffi.typeof("uint32_t *")
-        self._f64p = self._ffi.typeof("double *")
-        self._u8p = self._ffi.typeof("uint8_t *")
-        self._ndfp = self._ffi.typeof("double (*)(void *)")
-        self._voidp = self._ffi.typeof("void *")
-
-    def _ptr(self, ctype, array: np.ndarray):
-        return self._ffi.cast(ctype, array.ctypes.data)
+    def entry(self, name: str, nodes: np.ndarray):
+        """Entry point ``name`` of :data:`_NODE_VARIANTS` for ``nodes``' dtype."""
+        suffix = "u32" if nodes.dtype == np.uint32 else "i64"
+        return getattr(self._lib, f"{name}_{suffix}")
 
     def bind(self, csr, active: np.ndarray, rng=None) -> "_BoundNativeKernels":
-        """A sweep-scoped kernel set with the static pointers pre-cast."""
+        """A sweep-scoped kernel set with the static pointers resolved once."""
         return _BoundNativeKernels(self, csr, active, rng)
+
+    def generate(
+        self,
+        view: ResidualGraph,
+        key: int,
+        start: int,
+        count: int,
+        roots: Optional[np.ndarray],
+        stop: Optional[np.ndarray],
+    ):
+        """Sets ``start … start + count − 1`` of the keyed RR stream."""
+        from repro.sampling.engine import RRBatch
+
+        base = view.base
+        n = base.n
+        offsets, sources, probs = base.in_csr()
+        csr = prepare_csr(offsets, sources, probs)
+        thresholds = coin_thresholds(probs)
+        active = None
+        if view.num_active < n:
+            active = layered.as_uint8_mask(view.active_mask)
+        stop_u8 = None if stop is None else layered.as_uint8_mask(stop)
+        if roots is not None:
+            roots = np.ascontiguousarray(roots, dtype=np.int64)
+        active_nodes = np.ascontiguousarray(view.active_nodes(), dtype=np.int64)
+        kernel = self.entry("repro_rr_sets", csr.nodes)
+        out_offsets = np.zeros(count + 1, dtype=np.int64)
+        stamp = np.zeros(n, dtype=np.uint32)
+        epoch = np.zeros(1, dtype=np.uint32)
+        out = np.empty(4 * count + 64, dtype=np.int64)
+        done = 0
+        while True:
+            done = kernel(
+                key, start, count, done,
+                _addr(csr.offsets), _addr(csr.nodes), _addr(thresholds),
+                _addr(active), _addr(stop_u8), _addr(roots),
+                _addr(active_nodes), active_nodes.size,
+                _addr(stamp), n, _addr(epoch),
+                _addr(out_offsets), _addr(out), out.size,
+            )
+            if done == count:
+                break
+            # Set `done` did not fit: grow to twice the size, or to the
+            # finished sets' mean size times the whole batch, and resume.
+            filled = int(out_offsets[done])
+            grown = np.empty(
+                max(2 * out.size, filled * count // max(done, 1) + n), dtype=np.int64
+            )
+            grown[:filled] = out[:filled]
+            out = grown
+        return RRBatch(
+            offsets=out_offsets,
+            nodes=out[: out_offsets[count]],
+            num_active_nodes=view.num_active,
+            n=n,
+        )
 
     def insert_keys(self, keys, table):
         self._lib.repro_insert_keys(
-            keys.shape[0],
-            self._ptr(self._i64p, keys),
-            self._ptr(self._i64p, table),
-            table.shape[0] - 1,
+            keys.shape[0], _addr(keys), _addr(table), table.shape[0] - 1
         )
 
     def rehash(self, old_table, new_table):
         self._lib.repro_rehash(
             old_table.shape[0],
-            self._ptr(self._i64p, old_table),
-            self._ptr(self._i64p, new_table),
+            _addr(old_table),
+            _addr(new_table),
             new_table.shape[0] - 1,
         )
 
@@ -369,134 +502,81 @@ class NativeKernels:
         out_nodes = np.empty(ids.shape[0], dtype=np.int64)
         cursor = np.empty(max(count, 1), dtype=np.int64)
         self._lib.repro_group_pairs(
-            ids.shape[0],
-            self._ptr(self._i64p, ids),
-            self._ptr(self._i64p, nodes),
-            count,
-            self._ptr(self._i64p, offsets),
-            self._ptr(self._i64p, out_nodes),
-            self._ptr(self._i64p, cursor),
+            ids.shape[0], _addr(ids), _addr(nodes), count,
+            _addr(offsets), _addr(out_nodes), _addr(cursor),
         )
         return offsets, out_nodes
 
 
 class _BoundNativeKernels:
-    """Sweep-scoped view of :class:`NativeKernels`.
+    """Sweep-scoped view of :class:`NativeKernels` for forward MC.
 
     The CSR arrays, the residual mask and the generator are fixed for the
-    whole frontier sweep, so their pointers (and the u32/i64 variant) are
-    cast exactly once here; per-layer calls only cast the layer's own
+    whole frontier sweep, so their addresses (and the u32/i64 variant) are
+    resolved exactly once here; per-layer calls only pass the layer's own
     arrays.
     """
 
-    __slots__ = ("_parent", "_lib", "_offsets", "_nodes", "_probs", "_active",
+    __slots__ = ("_parent", "_offsets", "_nodes", "_probs", "_active",
                  "_sweep_rng", "_sweep_rng_full", "_replay", "_rng_fn",
                  "_rng_state", "_pin")
 
     def __init__(self, parent: NativeKernels, csr, active: np.ndarray, rng=None) -> None:
         self._parent = parent
-        self._lib = parent._lib
-        ptr = parent._ptr
-        self._offsets = ptr(parent._i64p, csr.offsets)
-        if csr.nodes.dtype == np.uint32:
-            self._nodes = ptr(parent._u32p, csr.nodes)
-            self._sweep_rng = self._lib.repro_sweep_rng_u32
-            self._sweep_rng_full = self._lib.repro_sweep_rng_full_u32
-            self._replay = self._lib.repro_replay_u32
-        else:
-            self._nodes = ptr(parent._i64p, csr.nodes)
-            self._sweep_rng = self._lib.repro_sweep_rng_i64
-            self._sweep_rng_full = self._lib.repro_sweep_rng_full_i64
-            self._replay = self._lib.repro_replay_i64
-        self._probs = ptr(parent._f64p, csr.probs)
-        self._active = ptr(parent._u8p, active)
+        self._offsets = _addr(csr.offsets)
+        self._nodes = _addr(csr.nodes)
+        self._probs = _addr(csr.probs)
+        self._active = _addr(active)
+        self._sweep_rng = parent.entry("repro_sweep_rng", csr.nodes)
+        self._sweep_rng_full = parent.entry("repro_sweep_rng_full", csr.nodes)
+        self._replay = parent.entry("repro_replay", csr.nodes)
         # Keep the arrays (and the generator whose state we point into)
-        # alive for as long as their raw pointers are.
+        # alive for as long as their raw addresses are.
         self._pin = (csr, active, rng)
+        self._rng_fn = self._rng_state = None
         if rng is not None:
             # Every NumPy BitGenerator exports its C next_double entry
             # point and state pointer; drawing through them consumes
             # exactly the stream bulk Generator.random() would.
             interface = rng.bit_generator.ctypes
-            self._rng_fn = parent._ffi.cast(
-                parent._ndfp,
-                ctypes.cast(interface.next_double, ctypes.c_void_p).value,
-            )
-            self._rng_state = parent._ffi.cast(parent._voidp, interface.state_address)
+            self._rng_fn = ctypes.cast(interface.next_double, ctypes.c_void_p).value
+            self._rng_state = interface.state_address
 
     def degree_sum(self, fnodes):
-        parent = self._parent
-        return self._lib.repro_degree_sum(
-            fnodes.shape[0], parent._ptr(parent._i64p, fnodes), self._offsets
+        return self._parent._lib.repro_degree_sum(
+            fnodes.shape[0], _addr(fnodes), self._offsets
         )
 
     def sweep_rng(self, fids, fnodes, n, table, next_ids, next_src):
-        parent = self._parent
-        ptr, i64p = parent._ptr, parent._i64p
         return self._sweep_rng(
-            fids.shape[0],
-            ptr(i64p, fids),
-            ptr(i64p, fnodes),
-            self._offsets,
-            self._nodes,
-            self._probs,
-            self._active,
-            self._rng_fn,
-            self._rng_state,
-            n,
-            ptr(i64p, table),
-            table.shape[0] - 1,
-            ptr(i64p, next_ids),
-            ptr(i64p, next_src),
+            fids.shape[0], _addr(fids), _addr(fnodes),
+            self._offsets, self._nodes, self._probs, self._active,
+            self._rng_fn, self._rng_state,
+            n, _addr(table), table.shape[0] - 1, _addr(next_ids), _addr(next_src),
         )
 
     def sweep_rng_full(self, fids, fnodes, n, table, next_ids, next_src):
-        parent = self._parent
-        ptr, i64p = parent._ptr, parent._i64p
         return self._sweep_rng_full(
-            fids.shape[0],
-            ptr(i64p, fids),
-            ptr(i64p, fnodes),
-            self._offsets,
-            self._nodes,
-            self._probs,
-            self._rng_fn,
-            self._rng_state,
-            n,
-            ptr(i64p, table),
-            table.shape[0] - 1,
-            ptr(i64p, next_ids),
-            ptr(i64p, next_src),
+            fids.shape[0], _addr(fids), _addr(fnodes),
+            self._offsets, self._nodes, self._probs,
+            self._rng_fn, self._rng_state,
+            n, _addr(table), table.shape[0] - 1, _addr(next_ids), _addr(next_src),
         )
 
     def replay_advance(self, fids, fnodes, live, m, n, table, next_ids, next_nodes):
-        parent = self._parent
-        ptr, i64p = parent._ptr, parent._i64p
         return self._replay(
-            fids.shape[0],
-            ptr(i64p, fids),
-            ptr(i64p, fnodes),
-            self._offsets,
-            self._nodes,
-            self._active,
-            ptr(parent._u8p, live),
-            m,
-            n,
-            ptr(i64p, table),
-            table.shape[0] - 1,
-            ptr(i64p, next_ids),
-            ptr(i64p, next_nodes),
+            fids.shape[0], _addr(fids), _addr(fnodes),
+            self._offsets, self._nodes, self._active, _addr(live),
+            m, n, _addr(table), table.shape[0] - 1, _addr(next_ids), _addr(next_nodes),
         )
 
 
 def load() -> KernelBackend:
-    """Registry loader: compile (cached), dlopen, wire the layered driver."""
+    """Registry loader: compile (cached), dlopen, wire the kernels."""
     kernels = NativeKernels()
     return KernelBackend(
         name="native",
-        generate_batch=lambda view, roots, rng: layered.generate_layered(
-            view, roots, rng, kernels
-        ),
+        generate_batch=kernels.generate,
         simulate_batch=lambda view, seeds, count, rng: layered.simulate_layered(
             view, seeds, count, rng, kernels
         ),

@@ -1,12 +1,13 @@
-"""Registry wrappers for the historical NumPy / pure-Python kernels.
+"""Registry wrappers for the NumPy / pure-Python kernels.
 
-``"vectorized"`` is the NumPy frontier-at-a-time engine — the executable
-reference every other backend must match bit-for-bit.  ``"python"`` is
-the deliberately naive loop-based specification of the RNG contract.
-Both live in :mod:`repro.sampling.engine` / :mod:`repro.diffusion.
-mc_engine`; this module only adapts them to the registry's kernel-triple
-interface (imported lazily — the engines import the registry at module
-load, so the reverse import happens strictly at call time).
+``"vectorized"`` is the NumPy frontier-at-a-time engine.  ``"python"``
+is the deliberately naive loop-based specification of the streams every
+backend samples: a per-set loop over the keyed RR stream and a
+per-cascade forward simulation.  Both live in
+:mod:`repro.sampling.engine` / :mod:`repro.diffusion.mc_engine`; this
+module only adapts them to the registry's kernel-triple interface
+(imported lazily — the engines import the registry at module load, so
+the reverse import happens strictly at call time).
 
 Live-edge replay is deterministic (no coins), so both names share the
 vectorized replay implementation: a ``backend="python"`` replay request

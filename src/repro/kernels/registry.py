@@ -8,20 +8,20 @@ the pools and the service never name an implementation directly.
 
 Contracts
 ---------
-* **Determinism** — every backend consumes the *identical* RNG coin
-  stream as the ``"vectorized"`` reference (one draw per live edge in
-  frontier-then-edge order, residual filter before the flips) and
-  produces bit-for-bit identical batches.  ``"auto"`` — ``"native"``
-  when its probe passes, else ``"vectorized"`` — therefore never
-  perturbs results.
+* **Determinism** — RR generation samples the keyed stream of
+  :mod:`repro.sampling.engine`: every set is a pure function of the batch
+  key and its index, so every backend returns the identical batch, with
+  or without a ``stop`` mask.  Forward simulation consumes the caller's
+  generator, one draw per live edge in frontier-then-edge order, and
+  every backend consumes that stream identically.  ``"auto"`` —
+  ``"native"`` when its probe passes, else ``"vectorized"`` — therefore
+  never perturbs results.
 * **Defaults** — ``backend=None`` resolves through the ``REPRO_BACKEND``
   environment variable and falls back to ``"vectorized"`` (the MC entry
-  points resolve through ``REPRO_MC_BACKEND`` with default ``"python"``,
-  their historical sequential loop); no knobs set keeps every historical
-  RNG stream bit-for-bit.
-* **Availability** — ``"native"`` needs cffi and a C compiler.  Without
-  them it stays in the table (so error messages can name it), an
-  explicit request raises the probe's reason as a
+  points resolve through ``REPRO_MC_BACKEND`` with default ``"python"``).
+* **Availability** — ``"native"`` needs a C compiler.  Without one it
+  stays in the table (so error messages can name it), an explicit
+  request raises the probe's reason as a
   :class:`~repro.utils.exceptions.ValidationError`, and ``"auto"`` falls
   back to ``"vectorized"`` silently.
 
@@ -32,6 +32,7 @@ are upcast to int64.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -55,10 +56,12 @@ _NAMES = ("vectorized", "python", "native")
 class KernelBackend:
     """A loaded backend: its name and the three kernel entry points.
 
-    ``generate_batch(view, roots, rng)`` grows one RR batch (reverse
-    BFS), ``simulate_batch(view, seeds, count, rng)`` runs forward IC
-    cascades, ``replay_batch(view, seeds, live)`` replays precomputed
-    live-edge worlds deterministically.  All three receive pre-validated
+    ``generate_batch(view, key, start, count, roots, stop)`` grows sets
+    ``start … start + count − 1`` of the keyed RR stream (reverse BFS;
+    ``roots`` and ``stop`` may be ``None``),
+    ``simulate_batch(view, seeds, count, rng)`` runs forward IC cascades,
+    ``replay_batch(view, seeds, live)`` replays precomputed live-edge
+    worlds deterministically.  All three receive pre-validated
     arguments from their entry points in :mod:`repro.sampling.engine` /
     :mod:`repro.diffusion.mc_engine`.
     """
@@ -118,7 +121,7 @@ def resolve_backend(
     * an explicit value wins; ``None`` falls back to ``env_var``
       (``REPRO_BACKEND`` for the sampling/kernel knob,
       ``REPRO_MC_BACKEND`` for the Monte-Carlo strategy knob), then to
-      ``default`` — so defaults keep the exact historical streams;
+      ``default``;
     * ``"auto"`` picks ``"native"`` when it is available, else
       ``"vectorized"`` (both are bit-for-bit identical, so this is
       stream-safe);
@@ -199,3 +202,27 @@ def prepare_csr(offsets: np.ndarray, nodes: np.ndarray, probs: np.ndarray) -> Pr
     if probs.dtype != np.float64:
         probs = probs.astype(np.float64)
     return PreparedCSR(offsets=offsets, nodes=np.asarray(nodes), probs=probs)
+
+
+#: Coin thresholds per probability array: ``id(probs) -> (ref, thresholds)``.
+_THRESHOLDS: Dict[int, Tuple[weakref.ref, np.ndarray]] = {}
+
+
+def coin_thresholds(probs: np.ndarray) -> np.ndarray:
+    """``ceil(p · 2**53)`` per edge as ``uint64`` (cached per ``probs`` array).
+
+    An edge is live when its 53-bit keyed coin is below its threshold, the
+    exact integer form of ``u53 < p``.  The cache is keyed on the
+    probability array a graph's ``in_csr()`` returns, and an entry lives
+    as long as that array does.
+    """
+    ident = id(probs)
+    entry = _THRESHOLDS.get(ident)
+    if entry is not None and entry[0]() is probs:
+        return entry[1]
+    thresholds = np.ceil(np.asarray(probs, dtype=np.float64) * 2.0**53).astype(np.uint64)
+    _THRESHOLDS[ident] = (
+        weakref.ref(probs, lambda _, ident=ident: _THRESHOLDS.pop(ident, None)),
+        thresholds,
+    )
+    return thresholds

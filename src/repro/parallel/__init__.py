@@ -1,8 +1,9 @@
 """Parallel sampling subsystem: shared-memory workers, deterministic shards.
 
-RR-set generation is embarrassingly parallel — independent roots,
-independent coin flips — so this package scales the vectorized engine of
-:mod:`repro.sampling.engine` across cores without changing its output:
+RR-set generation is embarrassingly parallel — every RR set is a pure
+function of the batch key and its index — so this package scales the
+engines of :mod:`repro.sampling.engine` across cores without changing
+their output:
 
 * :mod:`repro.parallel.broker` — publishes a graph's incoming *and*
   outgoing CSR (and the residual view's active mask) into
@@ -11,9 +12,10 @@ independent coin flips — so this package scales the vectorized engine of
   outgoing direction feeds batched forward Monte-Carlo simulation
   (:meth:`~repro.parallel.pool.SamplingPool.simulate`).
 * :mod:`repro.parallel.seeds` — the deterministic shard layout (a pure
-  function of the batch size) and per-shard RNG streams derived with
-  ``SeedSequence.spawn``; together they make the merged batch a pure
-  function of ``(random_state, count)``, independent of the worker count.
+  function of the batch size) and, for forward Monte-Carlo, per-shard
+  RNG streams derived with ``SeedSequence.spawn``; RR shards share the
+  batch key.  Merged batches are therefore independent of the worker
+  count.
 * :mod:`repro.parallel.pool` — :class:`SamplingPool`, the persistent
   worker pool, plus :func:`resolve_jobs` (the ``n_jobs`` / ``REPRO_JOBS``
   knob) and :func:`parallel_generate_rr_batch` for one-shot batches.

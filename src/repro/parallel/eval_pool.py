@@ -32,11 +32,10 @@ Design, mirroring :class:`~repro.parallel.pool.SamplingPool`:
   count is set, the suite builders pass sampling ``n_jobs=1`` to every
   algorithm factory (:meth:`EngineParameters.sampling_jobs`), so the
   machine never runs ``eval_jobs × n_jobs`` processes.  Forcing 1 is
-  outcome-neutral because every set ``n_jobs`` samples the same sharded
-  stream; an unset ``n_jobs`` stays unset, so sessions keep the
-  single-batch stream.  Workers inherit the parent's environment knobs
-  *unchanged*, so a session resolves its sampling ``n_jobs`` in a worker
-  exactly as in-process.
+  outcome-neutral because every ``n_jobs``, unset included, samples the
+  same RR sets; an unset ``n_jobs`` stays unset.  Workers inherit the
+  parent's environment knobs *unchanged*, so a session resolves its
+  sampling ``n_jobs`` in a worker exactly as in-process.
 
 The ``eval_jobs`` knob resolves through :func:`resolve_eval_jobs`:
 explicit values go through the shared

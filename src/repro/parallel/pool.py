@@ -1,4 +1,4 @@
-"""Persistent worker pool running the vectorized RR engine on batch shards.
+"""Persistent worker pool running the RR engine on batch shards.
 
 :class:`SamplingPool` is the runtime of the parallel sampling subsystem.
 One pool serves one base graph:
@@ -7,25 +7,29 @@ One pool serves one base graph:
   :class:`~repro.parallel.broker.SharedGraphBroker` and starts a
   ``ProcessPoolExecutor`` whose workers attach to the shared segments in
   their initializer (zero-copy, once per worker);
-* :meth:`SamplingPool.generate` splits a batch into the deterministic
-  shard layout of :mod:`repro.parallel.seeds`, writes the residual view's
-  active mask into shared memory, dispatches one task per shard, and
-  merges the returned flat ``(offsets, nodes)`` arrays with
-  :func:`~repro.sampling.engine.merge_rr_batches` — RR sets are never
-  re-walked or re-encoded on the way back;
-* with ``n_jobs=1`` (or a single-shard batch) the pool runs the very same
-  sharded loop in-process — no processes, no shared memory — and produces
-  bit-for-bit the output of any other worker count, which is the
-  subsystem's determinism contract.
+* :meth:`SamplingPool.generate` draws the batch key once, splits the
+  batch into the contiguous shard layout of :mod:`repro.parallel.seeds`,
+  writes the residual view's active mask into shared memory, and hands
+  shard ``[a, b)`` to a worker as ``(key, start + a, b − a)``.  Every RR
+  set is a pure function of the key and its index
+  (:mod:`repro.sampling.engine`), so the merged shards — stitched with
+  :func:`~repro.sampling.engine.merge_rr_batches`, never re-walked — are
+  exactly the batch one process would draw;
+* with ``n_jobs=1`` (or a single-shard batch) the pool runs the batch as
+  one in-process call — no processes, no shared memory.  RR output is
+  therefore bit-for-bit independent of the worker count, and the same as
+  :func:`~repro.sampling.engine.generate_rr_batch` on the same seed.
 
-Extensions (``FlatRRCollection.extend_generate`` with ``pool=``, and the
-``sample_reuse`` rounds of HATP/HNTP/ADDATP) go through the same
-:meth:`SamplingPool.generate` entry point: an extension of ``m`` RR sets
-is sharded exactly like a stand-alone batch of ``m`` sets, so its
-determinism key is ``(random_state, m)`` — independent of how many sets
-the collection already holds, and still bit-for-bit independent of
-``n_jobs``.  See "Extend-through-pool semantics" in
-``docs/parallelism.md``.
+Forward Monte-Carlo (:meth:`SamplingPool.simulate`) keeps its generator
+stream: shard ``i`` runs with spawned stream ``i`` of
+:func:`~repro.parallel.seeds.spawn_shard_states`, and ``n_jobs=1`` runs
+the same sharded loop in-process.
+
+Extensions (``FlatRRCollection.extend_generate`` with ``pool=``) go
+through the same :meth:`SamplingPool.generate` entry point under a key of
+their own; the estimator's ``sample_reuse`` rounds pass one key per side
+and the ``start`` of the new sets.  See "Extend-through-pool semantics"
+in ``docs/parallelism.md``.
 
 ``resolve_jobs`` is the single knob-resolution point: explicit ``n_jobs``
 arguments win, the ``REPRO_JOBS`` environment variable fills in when the
@@ -64,7 +68,12 @@ from repro.parallel.supervisor import (
     resolve_task_timeout,
     supervised_collect,
 )
-from repro.sampling.engine import RRBatch, generate_rr_batch, merge_rr_batches
+from repro.sampling.engine import (
+    RRBatch,
+    draw_key,
+    generate_rr_batch,
+    merge_rr_batches,
+)
 from repro.utils.env import read_env_int
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import RandomState
@@ -88,8 +97,8 @@ def resolve_jobs(n_jobs: Optional[int] = None) -> Optional[int]:
       ``>= 1`` are taken as-is, anything else is rejected;
     * ``None`` falls back to the ``REPRO_JOBS`` environment variable with
       the same semantics;
-    * ``None`` with no environment override resolves to ``None`` — the
-      caller keeps its historical single-process path untouched.
+    * ``None`` with no environment override resolves to ``None``: one
+      process, which samples the same RR sets as any worker count.
     """
     if n_jobs is None:
         n_jobs = read_env_int(JOBS_ENV_VAR)
@@ -119,13 +128,13 @@ def _worker_init(spec: SharedGraphSpec) -> None:
     _WORKER["handles"] = handles  # keep segments alive for the worker's life
 
 
-def _worker_generate(fault, count, random_state, backend, roots):
+def _worker_generate(fault, key, start, count, backend, roots, stop):
     """Run one shard through the standard engine against shared arrays."""
     perform_fault(fault)
     kernels.warm_up(backend)  # compile once per worker, memoized thereafter
     view = SharedResidualView(_WORKER["graph"], _WORKER["mask"])
     batch = generate_rr_batch(
-        view, count, random_state, backend=backend, roots=roots
+        view, count, backend=backend, roots=roots, stop=stop, key=key, start=start
     )
     return batch.offsets, batch.nodes, batch.num_active_nodes, batch.n
 
@@ -155,12 +164,13 @@ class SamplingPool:
         Worker count request, resolved through :func:`resolve_jobs`
         (``None`` honours ``REPRO_JOBS``, defaulting to 1; ``-1`` uses all
         cores).  With one job the pool never starts processes or shared
-        memory — :meth:`generate` runs the sharded loop in-process.
+        memory — :meth:`generate` runs the batch in-process.
     shard_size:
         Override the deterministic shard-size heuristic
-        (:func:`repro.parallel.seeds.default_shard_size`).  Changing it
-        changes the sampled output; leave unset for the documented
-        ``(seed, count)`` determinism key.
+        (:func:`repro.parallel.seeds.default_shard_size`).  RR batches do
+        not depend on it; forward-MC batches do (one spawned stream per
+        shard), so leave it unset for their documented ``(seed, count)``
+        determinism key.
     start_method:
         Multiprocessing start method; defaults to ``"fork"`` where
         available (cheap on Linux), else ``"spawn"``.
@@ -168,9 +178,9 @@ class SamplingPool:
         Which CSR directions the pool publishes to its workers: ``"in"``
         enables :meth:`generate` (reverse RR sampling), ``"out"`` enables
         :meth:`simulate` (forward Monte-Carlo).  Defaults to ``("in",)`` —
-        the historical RR-only footprint, so existing pools never pay for
-        the outgoing CSR; forward-MC callers pass ``("out",)`` (or both
-        for a dual-workload pool).
+        the RR-only footprint, so RR pools never pay for the outgoing
+        CSR; forward-MC callers pass ``("out",)`` (or both for a
+        dual-workload pool).
     task_timeout:
         Per-shard timeout in seconds for supervised dispatch (``None``
         honours ``REPRO_TASK_TIMEOUT``, defaulting to no timeout).  A
@@ -349,14 +359,19 @@ class SamplingPool:
         backend: Optional[str] = None,
         roots: Optional[Sequence[int]] = None,
         task_timeout: Optional[float] = None,
+        stop: Optional[np.ndarray] = None,
+        key: Optional[int] = None,
+        start: int = 0,
     ) -> RRBatch:
         """Generate ``count`` RR sets on ``graph`` across the pool's workers.
 
         ``graph`` must be the pool's base graph or a residual view of it;
         the view's active mask is republished to the workers before the
         round is dispatched (rounds are synchronous, so the mask is never
-        rewritten while tasks are in flight).  Output is bit-for-bit
-        independent of ``n_jobs`` for a given ``(random_state, count)``.
+        rewritten while tasks are in flight).  ``roots``, ``stop``, ``key``
+        and ``start`` mean what they mean for
+        :func:`~repro.sampling.engine.generate_rr_batch`, and the batch is
+        the one that function returns, whatever ``n_jobs`` is.
 
         ``task_timeout`` tightens (or sets) the per-shard supervision
         timeout for this call only — how a service-level deadline reaches
@@ -377,23 +392,14 @@ class SamplingPool:
             )
         if count < 0:
             raise ValidationError(f"count must be >= 0, got {count}")
-        if count == 0:
-            return generate_rr_batch(view, 0, random_state, backend=backend)
-
+        if count > 0 and key is None:
+            key = draw_key(random_state)
         layout = shard_layout(count, self._shard_size)
-        states = spawn_shard_states(random_state, len(layout))
-        per_shard_roots = shard_roots(roots, layout)
-
-        if self._jobs == 1 or len(layout) == 1:
-            batches = [
-                generate_rr_batch(
-                    view, stop - start, state, backend=backend, roots=shard_root
-                )
-                for (start, stop), state, shard_root in zip(
-                    layout, states, per_shard_roots
-                )
-            ]
-            return merge_rr_batches(batches)
+        if self._jobs == 1 or len(layout) <= 1:
+            return generate_rr_batch(
+                view, count, backend=backend, roots=roots, stop=stop, key=key,
+                start=start,
+            )
 
         self._ensure_workers()
         self._broker.set_mask(view.active_mask)
@@ -401,21 +407,24 @@ class SamplingPool:
             SupervisedTask(
                 index=shard,
                 label=f"sampling shard {shard + 1}/{len(layout)} "
-                f"({stop - start} RR sets)",
+                f"({hi - lo} RR sets)",
                 submit=partial(
-                    self._submit_generate, stop - start, state, backend, shard_root
+                    self._submit_generate, key, start + lo, hi - lo,
+                    backend, shard_root, stop,
                 ),
                 run_local=partial(
                     generate_rr_batch,
                     view,
-                    stop - start,
-                    state,
+                    hi - lo,
                     backend=backend,
                     roots=shard_root,
+                    stop=stop,
+                    key=key,
+                    start=start + lo,
                 ),
             )
-            for shard, ((start, stop), state, shard_root) in enumerate(
-                zip(layout, states, per_shard_roots)
+            for shard, ((lo, hi), shard_root) in enumerate(
+                zip(layout, shard_roots(roots, layout))
             )
         ]
         raw = supervised_collect(
@@ -453,10 +462,11 @@ class SamplingPool:
             return min(timeout, self._task_timeout)
         return timeout
 
-    def _submit_generate(self, count, state, backend, roots):
+    def _submit_generate(self, key, start, count, backend, roots, stop):
         """Submit one generation shard to the current executor."""
         return self._executor.submit(
-            _worker_generate, self._faults.take("sampling"), count, state, backend, roots
+            _worker_generate, self._faults.take("sampling"), key, start, count,
+            backend, roots, stop,
         )
 
     def _submit_simulate(self, seeds, count, state, backend):
@@ -476,12 +486,11 @@ class SamplingPool:
     ) -> MCBatch:
         """Run ``count`` forward IC cascades from ``seeds`` across the pool.
 
-        The forward twin of :meth:`generate`, sharded under the exact same
-        determinism contract: the shard layout is a pure function of
-        ``count``, shard ``i`` always runs with spawned RNG stream ``i``,
-        and shards merge in shard order — so the merged batch is bit-for-bit
-        independent of ``n_jobs``, and ``n_jobs=1`` runs the identical
-        sharded loop in-process.
+        The forward twin of :meth:`generate`: the shard layout is a pure
+        function of ``count``, shard ``i`` always runs with spawned RNG
+        stream ``i``, and shards merge in shard order — so the merged batch
+        is bit-for-bit independent of ``n_jobs``, and ``n_jobs=1`` runs the
+        identical sharded loop in-process.
         """
         if self._closed:
             raise ValidationError("SamplingPool is closed")
@@ -561,6 +570,9 @@ def parallel_generate_rr_batch(
     n_jobs: Optional[int] = None,
     shard_size: Optional[int] = None,
     roots: Optional[Sequence[int]] = None,
+    stop: Optional[np.ndarray] = None,
+    key: Optional[int] = None,
+    start: int = 0,
 ) -> RRBatch:
     """One-shot sharded generation (ephemeral pool when ``n_jobs > 1``).
 
@@ -574,7 +586,8 @@ def parallel_generate_rr_batch(
         graph, n_jobs=jobs, shard_size=shard_size, directions=("in",)
     ) as pool:
         return pool.generate(
-            graph, count, random_state, backend=backend, roots=roots
+            graph, count, random_state, backend=backend, roots=roots, stop=stop,
+            key=key, start=start,
         )
 
 

@@ -1,21 +1,24 @@
-"""Deterministic shard layouts and per-shard seed streams.
+"""Deterministic shard layouts, and per-shard streams for forward Monte-Carlo.
 
 The parallel sampling subsystem owes its determinism contract to two
 choices made here:
 
 1. **The shard layout is a pure function of the batch size** (never of the
    worker count).  ``shard_layout(count)`` slices ``range(count)`` into
-   contiguous shards of :func:`default_shard_size` RR sets; how many
+   contiguous shards of :func:`default_shard_size` items; how many
    workers later pick those shards up cannot change what the shards are.
-2. **Each shard owns an independent, reproducible RNG stream** derived with
-   ``numpy.random.SeedSequence.spawn`` (or ``Generator.spawn`` when the
-   caller supplied a live generator).  Shard ``i`` always receives child
-   stream ``i``, regardless of which worker executes it or in which order
-   shards complete.
+2. **RR shards need no streams of their own.**  Every RR set is a pure
+   function of the batch key and its index (:mod:`repro.sampling.engine`),
+   so shard ``[a, b)`` simply draws sets ``a … b − 1`` under that key.
+   **Forward-MC shards** draw from the caller's generator, so each owns
+   an independent, reproducible stream derived with
+   ``numpy.random.SeedSequence.spawn`` (or ``Generator.spawn`` for a live
+   generator): shard ``i`` always receives child stream ``i``, whichever
+   worker runs it and in whichever order shards complete.
 
-Together these make the merged batch a pure function of
-``(random_state, count, shard_size)`` — running with ``n_jobs=1`` or
-``n_jobs=8`` produces bit-for-bit identical output (see
+RR batches are therefore a pure function of ``(random_state, count)`` and
+forward-MC batches of ``(random_state, count, shard_size)``; running with
+``n_jobs=1`` or ``n_jobs=8`` produces bit-for-bit identical output (see
 ``docs/parallelism.md`` for the full contract).
 """
 
@@ -78,7 +81,7 @@ def shard_layout(count: int, shard_size: int = None) -> List[Tuple[int, int]]:
 def spawn_shard_states(
     random_state: RandomState, num_shards: int
 ) -> List[ShardState]:
-    """Derive ``num_shards`` independent, picklable RNG states.
+    """Derive ``num_shards`` independent, picklable RNG states (forward MC).
 
     Accepts the library-wide ``RandomState`` union: ``None`` (fresh OS
     entropy), an ``int`` seed, a ``SeedSequence``, or a live ``Generator``

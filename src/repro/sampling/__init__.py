@@ -4,13 +4,14 @@ Architecture
 ------------
 The sampling layer is organised around a batched, NumPy-vectorized engine:
 
-* :mod:`repro.sampling.engine` — :func:`generate_rr_batch` grows a whole
-  batch of RR sets simultaneously: roots are drawn with one bulk call, the
-  reverse BFS advances frontier-at-a-time over *all* roots at once against
-  the base graph's incoming CSR, the residual ``active`` mask is applied as
-  a single vectorized filter, and each layer's coin flips are one bulk
-  ``rng.random`` draw.  Output is an :class:`~repro.sampling.engine.RRBatch`
-  in flat ``(offsets, nodes)`` form.
+* :mod:`repro.sampling.engine` — :func:`generate_rr_batch` samples a
+  batch of RR sets from the keyed stream: one 64-bit key per batch, and
+  each set's root and edge coins a pure function of the key, the set
+  index and the edge.  The default engine grows all sets at once,
+  frontier-at-a-time against the base graph's incoming CSR; an optional
+  ``stop`` mask ends each set at its first member in the mask.  Output is
+  an :class:`~repro.sampling.engine.RRBatch` in flat ``(offsets, nodes)``
+  form.
 * :mod:`repro.sampling.flat_collection` —
   :class:`~repro.sampling.flat_collection.FlatRRCollection` wraps a batch
   with a CSR inverted index ``node -> rr_ids``; ``coverage`` /
@@ -37,21 +38,21 @@ Generation entry points (``generate_rr_batch``, ``generate_rr_sets``,
 ``backend`` argument:
 
 * ``"vectorized"`` (default) — the batched NumPy engine;
-* ``"python"`` — a loop-based reference implementing the *same* RNG
-  contract (bulk root draw, per-layer bulk coin flips in frontier order),
-  so a shared seed yields bit-for-bit identical batches — this is what the
+* ``"python"`` — a per-set loop over the *same* keyed stream, so a
+  shared seed yields bit-for-bit identical batches — this is what the
   differential tests assert;
+* ``"native"`` — a compiled per-set reverse BFS, bit-for-bit identical;
 * ``"legacy"`` (``generate_rr_sets`` only) — the original per-set BFS,
-  which consumes the RNG stream per set and therefore matches the engine
-  statistically but not bit-for-bit.
+  which consumes the caller's generator per coin and therefore matches
+  the engine statistically but not bit-for-bit.
 
 Parallelism
 -----------
 :mod:`repro.parallel` scales the engine across cores: a shared-memory
 broker publishes the graph's CSR once, a persistent
 :class:`~repro.parallel.pool.SamplingPool` runs the engine on batch
-shards, and deterministic per-shard seed streams make the merged batch
-bit-for-bit independent of the worker count.  Every generation entry
+shards of one key, so the merged batch is bit-for-bit the single-call
+batch whatever the worker count.  Every generation entry
 point accepts ``n_jobs`` (or the ``REPRO_JOBS`` environment variable);
 see ``docs/parallelism.md``.
 

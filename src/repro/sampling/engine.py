@@ -1,49 +1,50 @@
-"""Batched, vectorized generation of random reverse-reachable (RR) sets.
+"""Batched generation of random reverse-reachable (RR) sets on one keyed stream.
 
-This module is the sampling back end of the whole library.  Instead of
-building RR sets one at a time with a per-node Python BFS (the historical
-path in :mod:`repro.sampling.rr_sets`), the engine grows *all* RR sets of a
-batch simultaneously:
+This module is the sampling back end of the whole library.  Every RR set
+of a batch is a pure function of the batch *key* and the set's index, so
+any traversal order, any backend and any sharding sample the same sets.
 
-1. every root is drawn in one bulk ``rng.integers`` call over the active
-   nodes of the residual view;
-2. the reverse BFS advances frontier-at-a-time across the whole batch — one
-   expansion gathers the incoming CSR slices of every frontier node of every
-   RR set at once, applies the residual ``active`` mask as a single
-   vectorized filter, and draws all coin flips of the layer with one
-   ``rng.random`` call;
-3. discovered ``(rr_id, node)`` pairs are deduplicated with sorted int64
-   keys, so membership checks are ``np.searchsorted`` instead of per-set
-   Python ``set`` lookups.
+The keyed stream
+----------------
+:func:`generate_rr_batch` draws one 64-bit key per batch from the
+caller's generator.  With ``G = 0x9E3779B97F4A7C15`` and ``mix64`` the
+SplitMix64 finalizer (all arithmetic modulo ``2**64``):
 
-The result is a :class:`RRBatch`: the batch in flat CSR-like form
-``(offsets, nodes)``, ready to be wrapped by
-:class:`repro.sampling.flat_collection.FlatRRCollection` without any
-per-set Python objects.
+* set ``j`` hashes to ``h_j = mix64(key + j·G)``;
+* its root is the view's sorted active-node array at index
+  ``floor(u53(mix64(h_j)) · n_active)`` (clamped to the last index), with
+  ``u53(x) = (x >> 11) · 2**-53``;
+* the in-CSR edge at position ``e`` is live in set ``j`` iff
+  ``mix64(h_j + (e+1)·G) >> 11 < ceil(p_e · 2**53)``, the integer form of
+  ``u53(...) < p_e``;
+* the set is everything that reaches the root over live edges whose
+  source is active.
+
+Sets ``[0, a)`` and ``[a, θ)`` drawn under one key (``start=a`` for the
+second) therefore concatenate to the batch of θ sets, which is what the
+parallel pool's shards and the estimator's sample reuse rely on.
+
+Members are listed in BFS discovery order: the root, then each frontier
+node's in-edges in CSR order.  An optional boolean ``stop`` mask ends a
+set at its first member in the mask (that member is kept), the
+hit-and-stop of SUBSIM (Guo et al., SIGMOD 2020): a count of sets that
+contain ``u`` and miss ``C`` is unchanged when each set stops at ``C``.
 
 Backends
 --------
 ``generate_rr_batch`` dispatches through the kernel registry
-(:mod:`repro.kernels`): ``backend=None`` (the default) honours the
-``REPRO_BACKEND`` environment variable and falls back to ``"vectorized"``;
-``"auto"`` picks ``"native"`` when it can build, else ``"vectorized"``;
-explicit names (``"vectorized"``, ``"python"``, ``"native"``) select one
-implementation.  The Python backend is a deliberately simple loop-based
-reference implementation of *exactly the same algorithm*: it draws its
-roots with the same single bulk call and consumes the same coin-flip
-stream in the same frontier order, so for any shared seed every backend
-produces bit-for-bit identical batches.  That property is what the
-differential tests (``tests/sampling/test_engine_differential.py``) pin
-down; the reference backend is the executable specification of the engine's
-RNG contract, and it is why ``"auto"`` is stream-safe.
-
-The historical per-set path (:func:`repro.sampling.rr_sets.generate_rr_set`)
-remains available as well; it consumes the stream per set rather than per
-layer, so it matches the engine statistically but not bit-for-bit.
+(:mod:`repro.kernels`): ``backend=None`` honours ``REPRO_BACKEND`` and
+falls back to ``"vectorized"``; ``"auto"`` picks ``"native"`` when it
+can build.  ``"vectorized"`` grows all sets of a batch frontier-at-a-time
+with NumPy; ``"python"`` is a per-set scalar loop, the literal statement
+of the stream above; ``"native"`` is a compiled per-set reverse BFS.  All
+three return identical batches, truncated or not
+(``tests/sampling/test_keyed_stream.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
@@ -169,33 +170,78 @@ def _empty_batch(count: int, num_active_nodes: int, n: int) -> RRBatch:
     )
 
 
-def _draw_roots(
-    view: ResidualGraph,
-    count: int,
-    rng: np.random.Generator,
-    roots: Optional[Sequence[int]],
-) -> Optional[np.ndarray]:
-    """Resolve the batch's roots (shared by both backends).
+# --------------------------------------------------------------------- #
+# the keyed stream
+# --------------------------------------------------------------------- #
 
-    Returns ``None`` when the residual view has no active node and roots
-    were not supplied — in that case no randomness is consumed at all,
-    mirroring the historical behaviour of ``generate_rr_sets``.
-    """
-    if roots is not None:
-        root_array = np.asarray(roots, dtype=np.int64)
-        if root_array.shape != (count,):
-            raise ValidationError(
-                f"roots must have shape ({count},), got {root_array.shape}"
-            )
-        if root_array.size and (
-            root_array.min() < 0 or root_array.max() >= view.n
-        ):
-            raise ValidationError("roots contains invalid node ids")
-        return root_array
-    active = view.active_nodes()
-    if active.size == 0:
+#: The SplitMix64 increment: consecutive sets and edges are this far apart.
+GOLDEN = 0x9E3779B97F4A7C15
+
+_MASK64 = (1 << 64) - 1
+_U53 = 2.0**-53
+_G = np.uint64(GOLDEN)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+
+
+def draw_key(random_state: RandomState) -> int:
+    """One 64-bit batch key drawn from the caller's generator."""
+    return int(ensure_rng(random_state).integers(0, 2**64, dtype=np.uint64))
+
+
+def mix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer, in place on a ``uint64`` array."""
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
+
+
+def mix64_int(z: int) -> int:
+    """:func:`mix64` of one Python int (taken modulo ``2**64``)."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def set_hashes(key: int, start: int, count: int) -> np.ndarray:
+    """``h_j = mix64(key + j·G)`` for ``j`` in ``[start, start + count)``."""
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= _G
+    z += np.uint64(key)
+    return mix64(z)
+
+
+def keyed_roots(hashes: np.ndarray, active_nodes: np.ndarray) -> np.ndarray:
+    """The root of each set: the active node at ``floor(u53(mix64(h)) · n_active)``."""
+    index = (mix64(hashes.copy()) >> _S11).astype(np.float64) * _U53 * active_nodes.size
+    return active_nodes[np.minimum(index.astype(np.int64), active_nodes.size - 1)]
+
+
+def _validated_mask(stop, n: int) -> Optional[np.ndarray]:
+    if stop is None:
         return None
-    return active[rng.integers(0, active.size, size=count)]
+    mask = np.asarray(stop, dtype=bool)
+    if mask.shape != (n,):
+        raise ValidationError(f"stop must have shape ({n},), got {mask.shape}")
+    return mask
+
+
+def _validated_roots(roots, count: int, n: int) -> Optional[np.ndarray]:
+    if roots is None:
+        return None
+    root_array = np.asarray(roots, dtype=np.int64)
+    if root_array.shape != (count,):
+        raise ValidationError(
+            f"roots must have shape ({count},), got {root_array.shape}"
+        )
+    if root_array.size and (root_array.min() < 0 or root_array.max() >= n):
+        raise ValidationError("roots contains invalid node ids")
+    return root_array
 
 
 def generate_rr_batch(
@@ -204,6 +250,9 @@ def generate_rr_batch(
     random_state: RandomState = None,
     backend: Optional[str] = None,
     roots: Optional[Sequence[int]] = None,
+    stop: Optional[np.ndarray] = None,
+    key: Optional[int] = None,
+    start: int = 0,
 ) -> RRBatch:
     """Generate ``count`` independent RR sets on ``graph`` as one flat batch.
 
@@ -214,30 +263,41 @@ def generate_rr_batch(
     count:
         Number of RR sets.
     random_state:
-        Seed / generator; every backend consumes it identically.
+        Seed / generator the batch key is drawn from (one draw per
+        non-empty batch; unused when ``key`` is given).
     backend:
         Kernel backend name resolved through the registry
         (:func:`repro.kernels.resolve_backend`): ``None`` honours
         ``REPRO_BACKEND`` and defaults to ``"vectorized"``; ``"auto"``
-        picks the fastest available backend — every backend is
-        bit-for-bit identical, so the choice never changes the batch.
+        picks the fastest available backend.  Every backend samples the
+        identical batch, so the choice never changes results.
     roots:
         Optional fixed roots, one per RR set (inactive roots yield empty
-        sets).  When omitted, roots are drawn uniformly from the active
-        nodes with a single bulk call.
+        sets).  When omitted, each set's root comes from the keyed stream.
+    stop:
+        Optional boolean mask over node ids: each set ends at its first
+        member in the mask, which is kept (see the module docstring).
+    key / start:
+        Draw sets ``start … start + count − 1`` of the stream of ``key``
+        instead of sets ``0 … count − 1`` under a freshly drawn key.
     """
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
+    if start < 0:
+        raise ValidationError(f"start must be >= 0, got {start}")
     spec = kernels.get_backend(backend)
     view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
     num_active = view.num_active
     if count == 0:
         return _empty_batch(0, num_active, view.n)
-    rng = ensure_rng(random_state)
-    root_array = _draw_roots(view, count, rng, roots)
-    if root_array is None:
+    if key is None:
+        key = draw_key(random_state)
+    root_array = _validated_roots(roots, count, view.n)
+    stop_mask = _validated_mask(stop, view.n)
+    if root_array is None and num_active == 0:
         return _empty_batch(count, num_active, view.n)
-    return spec.generate_batch(view, root_array, rng)
+    key = int(key) & _MASK64
+    return spec.generate_batch(view, key, int(start), count, root_array, stop_mask)
 
 
 # --------------------------------------------------------------------- #
@@ -245,61 +305,95 @@ def generate_rr_batch(
 # --------------------------------------------------------------------- #
 
 
+def _cut_at_stop(rr: np.ndarray, nodes: np.ndarray, hits: np.ndarray):
+    """Cut one layer's new members at each set's first stop member.
+
+    ``rr`` is sorted (the layer lists sets in order), so the first hit of a
+    set is where its id first appears among the hits.  Returns the members
+    to keep (each hit set up to and including its first stop member) and
+    the next frontier (the sets with no hit).
+    """
+    hit_pos = np.flatnonzero(hits)
+    hit_rr = rr[hit_pos]
+    first = np.ones(hit_rr.size, dtype=bool)
+    first[1:] = hit_rr[1:] != hit_rr[:-1]
+    cut_rr, cut_pos = hit_rr[first], hit_pos[first]
+    slot = np.minimum(np.searchsorted(cut_rr, rr), cut_rr.size - 1)
+    ended = cut_rr[slot] == rr
+    keep = ~ended | (np.arange(rr.size) <= cut_pos[slot])
+    return (rr[keep], nodes[keep]), (rr[~ended], nodes[~ended])
+
+
 def _generate_batch_vectorized(
-    view: ResidualGraph, roots: np.ndarray, rng: np.random.Generator
+    view: ResidualGraph,
+    key: int,
+    start: int,
+    count: int,
+    roots: Optional[np.ndarray],
+    stop: Optional[np.ndarray],
 ) -> RRBatch:
+    """All sets of the batch at once, one reverse-BFS layer per step.
+
+    Each layer gathers the in-CSR slices of every frontier node of every
+    set, evaluates their keyed coins, drops inactive sources among the live
+    edges, and deduplicates ``(set, node)`` pairs with sorted int64 keys.  The
+    frontier stays sorted by set id and, within a set, in discovery order,
+    so grouping the layers by set reproduces per-set BFS order.
+    """
     base = view.base
     n = base.n
     active = view.active_mask
+    fully_active = view.num_active == n
+    offsets, sources_csr, probs = base.in_csr()
     # prepare_csr centralizes the uint32 -> int64 handling of mmap'd
     # ``.rgx`` node arrays: gathered slices upcast through ``csr.gather``.
-    csr = kernels.prepare_csr(*base.in_csr())
-    in_offsets, in_probs = csr.offsets, csr.probs
-    count = roots.shape[0]
+    csr = kernels.prepare_csr(offsets, sources_csr, probs)
+    thresholds = kernels.coin_thresholds(probs)
+    hashes = set_hashes(key, start, count)
+    if roots is None:
+        roots = keyed_roots(hashes, view.active_nodes())
+    # mix64(h_j + (e+1)·G) is mix64(e·G + salted_j): one product per edge.
+    salted = hashes + _G
 
     rr_ids = np.arange(count, dtype=np.int64)
     live = active[roots]
     frontier_rr = rr_ids[live]
-    frontier_nodes = roots[live].astype(np.int64, copy=False)
-
+    frontier_nodes = roots[live]
     # Sorted (rr_id * n + node) keys of everything discovered so far; node
     # ids are < n so the key uniquely encodes the pair in one int64.
     visited_keys = frontier_rr * n + frontier_nodes  # sorted: rr-major
     member_rr = [frontier_rr]
     member_nodes = [frontier_nodes]
+    if stop is not None:
+        go_on = ~stop[frontier_nodes]
+        frontier_rr, frontier_nodes = frontier_rr[go_on], frontier_nodes[go_on]
 
     while frontier_nodes.size:
-        starts = in_offsets[frontier_nodes]
-        degrees = in_offsets[frontier_nodes + 1] - starts
-        total = int(degrees.sum())
-        if total == 0:
-            break
+        starts = csr.offsets[frontier_nodes]
+        degrees = csr.offsets[frontier_nodes + 1] - starts
         # Flat indices of every in-edge of the frontier, in frontier order.
         edge_idx = flat_slice_indices(starts, degrees)
-        expand_rr = np.repeat(frontier_rr, degrees)
-        sources = csr.gather(edge_idx)
-        # Residual filter first: coins are only flipped for live edges, so
-        # the flip stream is independent of inactive clutter (and matches
-        # the per-node reference, which filters before flipping too).
-        keep = active[sources]
-        sources = sources[keep]
-        probs = in_probs[edge_idx[keep]]
-        expand_rr = expand_rr[keep]
-        if sources.size == 0:
+        if edge_idx.size == 0:
             break
-        flips = rng.random(sources.size) < probs
-        sources = sources[flips]
+        expand_rr = np.repeat(frontier_rr, degrees)
+        # Coins do not depend on the order edges are met in, so they come
+        # first and only live edges have their source read and checked
+        # against the residual mask.
+        coins = edge_idx.view(np.uint64) * _G
+        coins += salted[expand_rr]
+        flips = (mix64(coins) >> _S11) < thresholds[edge_idx]
         expand_rr = expand_rr[flips]
+        sources = csr.gather(edge_idx[flips])
+        if not fully_active:
+            keep = active[sources]
+            sources, expand_rr = sources[keep], expand_rr[keep]
         if sources.size == 0:
             break
         keys = expand_rr * n + sources
         # Drop pairs already discovered in earlier layers ...
-        pos = np.searchsorted(visited_keys, keys)
-        pos_clipped = np.minimum(pos, visited_keys.size - 1)
-        fresh = visited_keys[pos_clipped] != keys
-        keys = keys[fresh]
-        sources = sources[fresh]
-        expand_rr = expand_rr[fresh]
+        pos = np.minimum(np.searchsorted(visited_keys, keys), visited_keys.size - 1)
+        fresh = visited_keys[pos] != keys
+        keys, sources, expand_rr = keys[fresh], sources[fresh], expand_rr[fresh]
         if keys.size == 0:
             break
         # ... and duplicates within this expansion, keeping the first
@@ -310,18 +404,25 @@ def _generate_batch_vectorized(
         frontier_rr = expand_rr[order]
         visited_keys = np.concatenate([visited_keys, unique_keys])
         visited_keys.sort(kind="stable")
+        if stop is not None:
+            hits = stop[frontier_nodes]
+            if hits.any():
+                (kept_rr, kept_nodes), (frontier_rr, frontier_nodes) = _cut_at_stop(
+                    frontier_rr, frontier_nodes, hits
+                )
+                member_rr.append(kept_rr)
+                member_nodes.append(kept_nodes)
+                continue
         member_rr.append(frontier_rr)
         member_nodes.append(frontier_nodes)
 
     all_rr = np.concatenate(member_rr)
-    all_nodes = np.concatenate(member_nodes)
     grouping = np.argsort(all_rr, kind="stable")
-    sizes = np.bincount(all_rr, minlength=count)
     offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
+    np.cumsum(np.bincount(all_rr, minlength=count), out=offsets[1:])
     return RRBatch(
         offsets=offsets,
-        nodes=all_nodes[grouping],
+        nodes=np.concatenate(member_nodes)[grouping],
         num_active_nodes=view.num_active,
         n=n,
     )
@@ -333,52 +434,53 @@ def _generate_batch_vectorized(
 
 
 def _generate_batch_python(
-    view: ResidualGraph, roots: np.ndarray, rng: np.random.Generator
+    view: ResidualGraph,
+    key: int,
+    start: int,
+    count: int,
+    roots: Optional[np.ndarray],
+    stop: Optional[np.ndarray],
 ) -> RRBatch:
-    """Loop-based reference with the exact RNG contract of the fast path.
+    """The keyed stream, one set at a time, in plain Python.
 
-    Kept intentionally naive (Python lists, sets and scalar loops): its only
-    job is to be obviously correct so the vectorized backend can be checked
-    against it seed-for-seed.
+    Kept intentionally naive (Python ints, lists, sets and scalar loops):
+    it is the literal statement of the stream in the module docstring, and
+    the other backends are checked against it.
     """
-    n = view.n
-    count = roots.shape[0]
-    members: List[List[int]] = [[] for _ in range(count)]
-    seen: List[Set[int]] = [set() for _ in range(count)]
-
-    frontier: List[tuple] = []
-    for rr_id, root in enumerate(roots.tolist()):
-        if view.is_active(root):
-            members[rr_id].append(root)
-            seen[rr_id].add(root)
-            frontier.append((rr_id, root))
-
-    while frontier:
-        # Gather the layer's live in-edges in frontier order, then flip all
-        # coins with one bulk draw (same stream as the vectorized backend).
-        layer: List[tuple] = []
-        for rr_id, node in frontier:
-            sources, probs, _ = view.in_neighbors(node)
-            for source, prob in zip(sources.tolist(), probs.tolist()):
-                layer.append((rr_id, source, prob))
-        if not layer:
-            break
-        flips = rng.random(len(layer))
-        next_frontier: List[tuple] = []
-        for (rr_id, source, prob), flip in zip(layer, flips.tolist()):
-            if flip < prob and source not in seen[rr_id]:
-                seen[rr_id].add(source)
-                members[rr_id].append(source)
-                next_frontier.append((rr_id, source))
-        frontier = next_frontier
-
-    sizes = np.asarray([len(member) for member in members], dtype=np.int64)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    flat = [node for member in members for node in member]
+    in_offsets, in_sources, in_probs = view.base.in_csr()
+    active_nodes = view.active_nodes().tolist()
+    members: List[int] = []
+    offsets = [0]
+    for j in range(start, start + count):
+        h = mix64_int(key + j * GOLDEN)
+        if roots is not None:
+            root = int(roots[j - start])
+        else:
+            index = int((mix64_int(h) >> 11) * _U53 * len(active_nodes))
+            root = active_nodes[min(index, len(active_nodes) - 1)]
+        rr: List[int] = [root] if view.is_active(root) else []
+        seen: Set[int] = set(rr)
+        stopped = not rr or (stop is not None and bool(stop[root]))
+        head = 0
+        while head < len(rr) and not stopped:
+            node = rr[head]
+            head += 1
+            for e in range(int(in_offsets[node]), int(in_offsets[node + 1])):
+                source = int(in_sources[e])
+                if source in seen or not view.is_active(source):
+                    continue
+                threshold = math.ceil(float(in_probs[e]) * 2**53)
+                if mix64_int(h + (e + 1) * GOLDEN) >> 11 < threshold:
+                    seen.add(source)
+                    rr.append(source)
+                    if stop is not None and stop[source]:
+                        stopped = True
+                        break
+        members.extend(rr)
+        offsets.append(len(members))
     return RRBatch(
-        offsets=offsets,
-        nodes=np.asarray(flat, dtype=np.int64),
+        offsets=np.asarray(offsets, dtype=np.int64),
+        nodes=np.asarray(members, dtype=np.int64),
         num_active_nodes=view.num_active,
-        n=n,
+        n=view.n,
     )

@@ -189,11 +189,11 @@ class FlatRRCollection:
         ``pool`` routes generation through a persistent
         :class:`~repro.parallel.pool.SamplingPool`; ``n_jobs`` (or the
         ``REPRO_JOBS`` environment variable when ``n_jobs`` is ``None``)
-        runs a one-shot sharded generation instead.  Both paths produce
-        output that is bit-for-bit independent of the worker count; when
-        neither is requested the historical single-batch engine runs
-        unchanged.  ``storage`` picks the backing store (RAM or disk
-        spill); the sampled sets are identical either way.
+        above one runs a one-shot sharded generation instead.  Every path
+        samples the same keyed stream, so the sets are bit-for-bit
+        independent of the worker count.  ``storage`` picks the backing
+        store (RAM or disk spill); the sampled sets are identical either
+        way.
         """
         view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
         return cls(
@@ -246,8 +246,9 @@ class FlatRRCollection:
         existing sets (checked through ``num_active_nodes``) — mixing
         scaling factors would silently bias the RIS estimator.  ``pool`` /
         ``n_jobs`` route the new batch through the parallel subsystem
-        exactly as in :meth:`generate`; the extension is sharded as a
-        stand-alone batch of ``count`` sets (see ``docs/parallelism.md``).
+        exactly as in :meth:`generate`; the extension is a stand-alone
+        batch of ``count`` sets under its own key (see
+        ``docs/parallelism.md``).
         """
         if count < 0:
             raise ValidationError(f"count must be >= 0, got {count}")
@@ -714,23 +715,34 @@ def dispatch_generate(
     backend: Optional[str],
     n_jobs: Optional[int],
     pool: Optional["SamplingPool"],
+    stop: Optional[np.ndarray] = None,
+    key: Optional[int] = None,
+    start: int = 0,
 ) -> RRBatch:
     """Route one batch generation through the pool / sharded / plain engine.
 
     The one routing rule behind :meth:`FlatRRCollection.generate` and
     ``extend_generate``; :class:`repro.core.estimation.FrontRearEstimator`
-    calls it directly, counting each batch without building a collection.
+    calls it directly with a ``stop`` mask, counting each batch without
+    building a collection.  ``stop``, ``key`` and ``start`` mean what they
+    mean for :func:`~repro.sampling.engine.generate_rr_batch`, and every
+    route returns the identical batch.
     """
     from repro.parallel.pool import parallel_generate_rr_batch, resolve_jobs
 
     if pool is not None:
-        return pool.generate(view, count, random_state, backend=backend)
-    jobs = resolve_jobs(n_jobs)
-    if jobs is not None:
-        return parallel_generate_rr_batch(
-            view, count, random_state, backend=backend, n_jobs=jobs
+        return pool.generate(
+            view, count, random_state, backend=backend, stop=stop, key=key, start=start
         )
-    return generate_rr_batch(view, count, random_state, backend=backend)
+    jobs = resolve_jobs(n_jobs)
+    if jobs is not None and jobs > 1:
+        return parallel_generate_rr_batch(
+            view, count, random_state, backend=backend, n_jobs=jobs, stop=stop,
+            key=key, start=start,
+        )
+    return generate_rr_batch(
+        view, count, random_state, backend=backend, stop=stop, key=key, start=start
+    )
 
 
 def _batch_from_sets(

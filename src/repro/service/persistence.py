@@ -55,8 +55,11 @@ PathLike = Union[str, Path]
 #: Journal directory knob (unset = no persistence, the historical mode).
 STATE_DIR_ENV_VAR = "REPRO_SERVICE_STATE_DIR"
 
-#: Journal format version (bump on incompatible layout changes).
-JOURNAL_FORMAT = 1
+#: Journal format version (bump on incompatible layout changes).  Format 2
+#: marks journals written on the keyed RR stream: collections regenerate
+#: from that stream, so answers cached under the earlier stream (format 1)
+#: would disagree with them.
+JOURNAL_FORMAT = 2
 
 MANIFEST_NAME = "manifest.json"
 GRAPHS_NAME = "graphs.jsonl"

@@ -352,8 +352,8 @@ class ServiceState:
                     view, num, rng, backend=self._backend, pool=pool
                 )
         else:
-            # n_jobs=1 routes through the same deterministic shard layout
-            # the pool uses (in-process, no workers or shared memory), so
+            # In-process generation samples exactly the batch the pool
+            # would (RR sets do not depend on the worker count), so
             # answers are independent of the configured worker count.
             # An unhealthy pool lands here too: degrade now, rebuild later.
             if pool is not None:

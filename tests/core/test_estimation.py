@@ -2,12 +2,13 @@
 
 :class:`FrontRearEstimator` counts ``Cov(u | C)`` straight from each RR
 batch.  The reference below is the collection-based estimator it
-replaced: it draws the same batches into
+replaced: it draws full (never stop-truncated) batches into
 :class:`~repro.sampling.flat_collection.FlatRRCollection` objects
-(``generate`` every round, or ``extend_generate`` when reusing) and asks
-the collection's inverted index for ``estimate_marginal_spread``.  Both
-start from the same seed, so every round's ``(front, rear, generated)``
-and the RNG state after the last round must agree exactly.
+(``generate`` every round, or, when reusing, one key per side whose next
+sets ``extend`` the collections) and asks the collection's inverted
+index for ``estimate_marginal_spread``.  Both start from the same seed,
+so every round's ``(front, rear, generated)`` and the RNG state after
+the last round must agree exactly.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from repro.graphs import generators
 from repro.graphs.residual import as_residual
 from repro.graphs.weighting import weighted_cascade
 from repro.parallel import SamplingPool
-from repro.sampling.engine import generate_rr_batch
-from repro.sampling.flat_collection import FlatRRCollection
+from repro.sampling.engine import draw_key, generate_rr_batch
+from repro.sampling.flat_collection import FlatRRCollection, dispatch_generate
 
 AVAILABLE_BACKENDS = kernels.available_backends()
 
@@ -39,15 +40,28 @@ class ReferenceEstimator:
         self.node, self.front, self.rear, self.reuse = node, front, rear, reuse
         self.collections = None
 
+    def _draw(self, count, key, start):
+        view, rng = self.args
+        return dispatch_generate(
+            view, count, rng, self.kwargs["backend"], None, self.kwargs["pool"],
+            key=key, start=start,
+        )
+
     def estimates(self, theta):
         view, rng = self.args
         if self.reuse and self.collections is not None:
             extra = theta - self.collections[0].num_sets
             generated = 0
             if extra > 0:
-                for collection in self.collections:
-                    collection.extend_generate(view, extra, rng, **self.kwargs)
+                for collection, key in zip(self.collections, self.keys):
+                    collection.extend(self._draw(extra, key, collection.num_sets))
                 generated = 2 * extra
+        elif self.reuse:
+            self.keys = [draw_key(rng), draw_key(rng)]
+            self.collections = [
+                FlatRRCollection(self._draw(theta, key, 0)) for key in self.keys
+            ]
+            generated = 2 * theta
         else:
             self.collections = [
                 FlatRRCollection.generate(view, theta, rng, **self.kwargs)
@@ -123,7 +137,7 @@ def test_matches_collection_reference(name, backend, reuse, graph):
 
 @pytest.mark.parametrize("reuse", [False, True], ids=["regenerate", "reuse"])
 def test_repro_jobs_routing_matches(reuse, graph, monkeypatch):
-    # REPRO_JOBS switches both to the sharded stream; one job stays in-process.
+    # REPRO_JOBS routes both through the same dispatch; one job stays in-process.
     monkeypatch.setenv("REPRO_JOBS", "1")
     _compare(_cases(graph)["empty-front"], None, reuse)
 

@@ -4,7 +4,7 @@
 ``"round_cap"`` for selected and rejected nodes of HATP, ADDATP and HNTP
 (the first that holds, in that order) and ``None`` for skipped nodes, so
 the cap-forced decisions that ``extra["budget_hits"]`` counts can be told
-apart node by node.
+apart node by node.  ``IterationRecord.thetas`` lists each round's θ.
 """
 
 from __future__ import annotations
@@ -82,3 +82,19 @@ def test_uncapped_instance_is_decided_by_the_conditions(cls, graph, target):
     )
     assert reasons and set(reasons) <= {"C1", "C2"}
     assert result.extra["budget_hits"] == 0
+
+
+@pytest.mark.parametrize("cls", ALGORITHMS, ids=lambda cls: cls.name)
+def test_every_round_records_its_theta(cls, graph, target):
+    # Regenerating rounds draw two fresh batches of θ sets each, so the
+    # recorded θs account for every RR set the node cost.
+    result = run(cls, graph, target, max_samples_per_round=3000, max_rounds=30)
+    examined = [r for r in result.iterations if r.action != "skipped-activated"]
+    assert examined
+    for record in examined:
+        assert len(record.thetas) == record.rounds >= 1
+        assert record.rr_sets_generated == 2 * sum(record.thetas)
+        assert all(0 < theta <= 3000 for theta in record.thetas)
+    skipped = [r for r in result.iterations if r.action == "skipped-activated"]
+    assert all(r.thetas == () for r in skipped)
+    assert result.rr_sets_generated == sum(2 * sum(r.thetas) for r in examined)

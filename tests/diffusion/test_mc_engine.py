@@ -45,7 +45,7 @@ from repro.utils.exceptions import ValidationError
 from repro import kernels
 
 #: Every backend available on this machine (vectorized and python always;
-#: native wherever cffi and a C compiler exist, as in the CI ``kernels`` job).
+#: native wherever a C compiler exists, as on every CI runner).
 AVAILABLE_BACKENDS = kernels.available_backends()
 
 
@@ -176,8 +176,8 @@ class TestRegisteredBackendParity:
     """Every registered backend must be bit-for-bit the vectorized engine.
 
     Parametrized over :func:`repro.kernels.available_backends`, so a
-    machine with cffi and a C compiler (the CI ``kernels`` job) runs the
-    same assertions against the ``"native"`` kernels.
+    machine with a C compiler runs the same assertions against the
+    ``"native"`` kernels.
     """
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)

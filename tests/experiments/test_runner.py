@@ -125,37 +125,36 @@ class TestEvaluation:
 
 #: Pinned outcomes of the one evaluation stream (evaluate_suite on the
 #: shared fixtures: realizations and one algorithm stream per spec, all
-#: spawned from the suite generator).  The literals were captured from the
-#: journaled suite before the journal-less path joined it, so they also
-#: show that a journal does not pick the stream.  Any accidental
-#: re-threading of RNG state shows up here immediately.
+#: spawned from the suite generator; RR sets from the keyed stream, which
+#: also calibrates the instance).  Any accidental re-threading of RNG
+#: state shows up here immediately.
 SUITE_SNAPSHOT = {
     "HATP": {
-        "profits": [-19.084988738058364, 2.420444218932907, 27.173160697428546],
-        "rr_sets": 4424,
+        "profits": [-4.281489094876754, -1.6931548991886345, 18.204563400540913],
+        "rr_sets": 4654,
     },
     "ADDATP": {
-        "profits": [-12.846010232979637, 1.2830644847638197, 26.420444218932907],
-        "rr_sets": 2982,
+        "profits": [-16.13271571266518, -1.7210499083533044, 17.241756746093806],
+        "rr_sets": 3236,
     },
     "HNTP": {
-        "profits": [-11.634507674734728, -3.634507674734728, 20.365492325265272],
+        "profits": [-4.281489094876754, -0.2814890948767541, 21.718510905123246],
         "rr_sets": 1944,
     },
     "NSG": {
-        "profits": [-8.909267143072906, -2.9092671430729062, 5.090732856927094],
+        "profits": [-8.318682440429647, -6.318682440429647, 10.681317559570353],
         "rr_sets": 150,
     },
     "NDG": {
-        "profits": [-4.771887408903819, 5.228112591096181, 26.22811259109618],
+        "profits": [-4.281489094876754, -0.2814890948767541, 21.718510905123246],
         "rr_sets": 150,
     },
     "ARS": {
-        "profits": [-5.368053222822184, -4.266454451912546, 18.549518936676368],
+        "profits": [-5.7861382630708675, -1.9349116452824378, -0.8326299450119805],
         "rr_sets": 0,
     },
     "Baseline": {
-        "profits": [-19.084988738058364, -7.084988738058364, 18.915011261941636],
+        "profits": [-20.516486507812395, -8.516486507812395, 11.483513492187605],
         "rr_sets": 0,
     },
 }

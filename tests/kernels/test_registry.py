@@ -36,7 +36,7 @@ def fresh_loads(monkeypatch):
 
 @pytest.fixture()
 def native_unavailable(fresh_loads, monkeypatch):
-    """Native's probe fails, as on a machine without cffi or a compiler."""
+    """Native's probe fails, as on a machine without a C compiler."""
     monkeypatch.setattr(native_backend, "probe", lambda: NO_COMPILER)
 
 
@@ -251,12 +251,12 @@ class TestPrepareCSR:
 
 
 class TestNativeBackend:
-    """Loader-level checks for the cffi/C backend (parity lives in the
-    differential suites)."""
+    """Loader-level checks for the compiled C backend (parity lives in
+    the differential suites)."""
 
     pytestmark = pytest.mark.skipif(
         "native" not in kernels.available_backends(),
-        reason="no C compiler / cffi on this machine",
+        reason="no C compiler on this machine",
     )
 
     def test_probe_reports_available(self):

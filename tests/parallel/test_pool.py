@@ -1,8 +1,9 @@
 """SamplingPool: n_jobs invariance, lifecycle, knob resolution, wiring.
 
-The central assertion — the ISSUE's differential acceptance criterion —
-is that for a shared seed the pool produces bit-for-bit the same RR
-batches at ``n_jobs=2+`` as the in-process ``n_jobs=1`` path.
+The central assertion is that for a shared seed the pool produces
+bit-for-bit the same RR batches at ``n_jobs=2+`` as the in-process
+``n_jobs=1`` path, and both the batch a plain ``generate_rr_batch`` call
+draws: RR sampling does not depend on ``n_jobs`` (None ≡ 1 ≡ N).
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ from repro.parallel import (
     parallel_generate_rr_batch,
     resolve_jobs,
 )
+from repro.core.hatp import HATP
+from repro.core.session import AdaptiveSession
+from repro.diffusion.realization import Realization
 from repro.parallel.pool import JOBS_ENV_VAR, available_cpus
+from repro.sampling.engine import generate_rr_batch
 from repro.sampling.flat_collection import FlatRRCollection
 from repro.utils.exceptions import ValidationError
 
@@ -81,6 +86,42 @@ class TestDeterminism:
         assert np.array_equal(serial.offsets, parallel.offsets)
         assert np.array_equal(serial.nodes, parallel.nodes)
         assert serial.num_active_nodes == parallel.num_active_nodes
+
+    @pytest.mark.parametrize("seed", [0, 2020])
+    def test_batches_do_not_depend_on_the_worker_count(self, view, worker_pool, seed):
+        plain = generate_rr_batch(view, 300, seed)
+        with SamplingPool(view, n_jobs=1) as single:
+            one = single.generate(view, 300, seed)
+        two = worker_pool.generate(view, 300, seed)
+        for batch in (one, two):
+            assert batch.offsets.tobytes() == plain.offsets.tobytes()
+            assert batch.nodes.tobytes() == plain.nodes.tobytes()
+
+    def test_stop_truncated_keyed_shards_match_one_call(self, view, worker_pool):
+        stop = np.zeros(view.n, dtype=bool)
+        stop[view.active_nodes()[::9]] = True
+        plain = generate_rr_batch(view, 260, key=2**63 + 5, start=40, stop=stop)
+        sharded = worker_pool.generate(view, 260, key=2**63 + 5, start=40, stop=stop)
+        assert plain.offsets.tobytes() == sharded.offsets.tobytes()
+        assert plain.nodes.tobytes() == sharded.nodes.tobytes()
+
+    def test_hatp_outcome_does_not_depend_on_n_jobs(self, graph, monkeypatch):
+        monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
+        target = [int(v) for v in np.argsort(-graph.out_degrees)[:6]]
+        costs = {node: 2.0 for node in target}
+
+        def outcome(n_jobs):
+            session = AdaptiveSession(graph, Realization.sample(graph, 5), costs)
+            result = HATP(
+                target, random_state=7, max_samples_per_round=4000, n_jobs=n_jobs
+            ).run(session)
+            records = [
+                (r.action, r.thetas, r.front_estimate, r.rear_estimate)
+                for r in result.iterations
+            ]
+            return result.seeds, result.rr_sets_generated, records
+
+        assert outcome(None) == outcome(1) == outcome(2)
 
     def test_python_backend_through_pool(self, view, worker_pool):
         serial = parallel_generate_rr_batch(

@@ -3,10 +3,11 @@
 Three layers of checks:
 
 1. **Bit-for-bit parity** — ``backend="vectorized"`` and
-   ``backend="python"`` implement the same RNG contract (one bulk root
-   draw, per-layer bulk coin flips in frontier order), so a shared seed
-   must produce *identical* batches: same root sequence, same members, same
-   discovery order.
+   ``backend="python"`` sample the same keyed RR stream (one key per
+   batch; each root and coin a pure function of the key, the set index
+   and the edge), so a shared seed must produce *identical* batches: same
+   root sequence, same members, same discovery order.  The stop mask and
+   the stream's own contract are covered by ``test_keyed_stream.py``.
 2. **Collection parity** — :class:`FlatRRCollection` and the dict-indexed
    :class:`RRCollection` must answer every coverage/estimation query
    identically when built from the same sets.
@@ -33,7 +34,7 @@ from repro.sampling.rr_sets import generate_rr_sets
 from repro.utils.exceptions import ValidationError
 
 #: Every backend available on this machine (vectorized and python always;
-#: native wherever cffi and a C compiler exist, as in the CI ``kernels`` job).
+#: native wherever a C compiler exists, as on every CI runner).
 AVAILABLE_BACKENDS = kernels.available_backends()
 
 
@@ -66,8 +67,8 @@ class TestBackendParity:
         assert np.array_equal(fast.nodes, reference.nodes)
 
     def test_same_root_sequence(self, generated_view):
-        # The root draw is one bulk call shared by both backends: set i of
-        # one backend has the root (first member) of set i of the other.
+        # Roots come from the keyed stream shared by both backends: set i
+        # of one backend has the root (first member) of set i of the other.
         fast = generate_rr_batch(generated_view, 200, 3, backend="vectorized")
         reference = generate_rr_batch(generated_view, 200, 3, backend="python")
         roots_fast = [int(fast.set_at(i)[0]) for i in range(len(fast))]
@@ -101,8 +102,8 @@ class TestRegisteredBackendParity:
     """Every registered backend must be bit-for-bit the vectorized engine.
 
     Parametrized over whatever :func:`repro.kernels.available_backends`
-    reports, so a machine with cffi and a C compiler (the CI ``kernels``
-    job) runs the same assertions against the ``"native"`` kernels.
+    reports, so a machine with a C compiler runs the same assertions
+    against the ``"native"`` kernels.
     """
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
@@ -116,8 +117,8 @@ class TestRegisteredBackendParity:
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
     def test_generator_end_state_is_shared(self, generated_view, backend):
-        # Backends consume the identical coin stream, so a shared
-        # generator must end in the same state: the next draw agrees.
+        # Every backend draws one key per batch from the generator, so a
+        # shared generator must end in the same state: the next draw agrees.
         rng_a = np.random.default_rng(99)
         rng_b = np.random.default_rng(99)
         generate_rr_batch(generated_view, 150, rng_a, backend=backend)

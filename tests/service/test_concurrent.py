@@ -162,7 +162,7 @@ class TestDeterministicModeUnderConcurrency:
                 return results[len(noise):]
 
         spread, topk, mc = asyncio.run(scenario())
-        assert spread["spread"] == pytest.approx(2.9633333333333334)
+        assert spread["spread"] == pytest.approx(2.7533333333333334)
         assert topk["seeds"] == [5, 1]
         assert mc["spread"] == pytest.approx(2.859375)
 

@@ -135,6 +135,20 @@ class TestJournalRoundTrip:
         with pytest.raises(ValidationError, match="format"):
             ServiceState.restore(tmp_path)
 
+    def test_journal_from_the_layer_major_stream_is_refused(self, tmp_path):
+        # Format 1 journals cached answers drawn from the layer-major RR
+        # stream; collections now regenerate from the keyed stream, so
+        # such a state dir must cold-start rather than mix the two.
+        with make_state() as state:
+            state.enable_journal(tmp_path)
+            state.execute_batch(QUERIES[:2])
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="delete the state dir to cold-start"):
+            ServiceState.restore(tmp_path)
+
     def test_resolve_state_dir_env(self, monkeypatch, tmp_path):
         assert resolve_state_dir() is None
         monkeypatch.setenv("REPRO_SERVICE_STATE_DIR", str(tmp_path))

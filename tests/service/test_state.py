@@ -213,7 +213,7 @@ class TestDeterminismContract:
         with ServiceState(num_samples=300, seed=42) as s:
             s.register_graph(toy_graph())
             assert s.query({"op": "spread", "seeds": [1, 2]})["spread"] == pytest.approx(
-                2.9633333333333334
+                2.7533333333333334
             )
             assert s.query({"op": "topk", "k": 2})["seeds"] == [5, 1]
             assert s.query({"op": "mc_spread", "seeds": [1], "simulations": 64})[
