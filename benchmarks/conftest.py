@@ -23,36 +23,6 @@ BENCH_SEED = 2020
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
-#: Sizing of the out-of-core graph_io workload per ``REPRO_BENCH_SCALE``
-#: tier.  ``paper`` converts the largest feasible synthetic LiveJournal
-#: proxy to ``.rgx`` and pushes the RR collection well past the point
-#: where the in-RAM layout dominates the process's peak RSS; ``smoke`` is
-#: sized so the storage difference is still ≥ 2x but the whole two-process
-#: comparison finishes in well under a minute.
-GRAPH_IO_TIERS = {
-    "smoke": {
-        "nodes": 20_000,
-        "rounds": 24,
-        "sets_per_round": 25_000,
-        "chunk_bytes": 4 << 20,
-        "queries": 50,
-    },
-    "small": {
-        "nodes": 60_000,
-        "rounds": 24,
-        "sets_per_round": 50_000,
-        "chunk_bytes": 16 << 20,
-        "queries": 50,
-    },
-    "paper": {
-        "nodes": 250_000,
-        "rounds": 32,
-        "sets_per_round": 100_000,
-        "chunk_bytes": 64 << 20,
-        "queries": 50,
-    },
-}
-
 
 @pytest.fixture(scope="session")
 def bench_scale():

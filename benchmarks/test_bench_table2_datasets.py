@@ -1,20 +1,10 @@
-"""Table II — dataset statistics of the four proxies, and the out-of-core
-``graph_io`` series measuring the ``.rgx`` mmap + disk-spill path against
-the historical in-RAM layout on the LiveJournal proxy."""
+"""Table II — dataset statistics of the four proxies."""
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-from benchmarks.conftest import BENCH_SEED, GRAPH_IO_TIERS, OUTPUT_DIR, run_once
-from repro.experiments.reporting import write_rows_csv, write_rows_json
+from benchmarks.conftest import BENCH_SEED, OUTPUT_DIR, run_once
+from repro.experiments.reporting import write_rows_csv
 from repro.experiments.table2 import format_table2, reproduce_table2
-from repro.graphs.binary import write_rgx
-from repro.graphs.datasets import load_proxy
 
 
 def test_bench_table2_dataset_statistics(benchmark, bench_scale):
@@ -41,116 +31,3 @@ def test_bench_table2_dataset_statistics(benchmark, bench_scale):
     )
     for row in rows:
         assert row["proxy_m"] > 0
-
-
-#: Acceptance bars of the out-of-core path (ISSUE 8): peak-RSS reduction
-#: and the sets/sec factor the disk backend may cost.  Recorded always;
-#: asserted when ``REPRO_BENCH_REQUIRE_SPEEDUP=1`` (perf bars are gated
-#: like the jobs-scaling benchmarks because absolute numbers depend on
-#: the host, not the code).
-REQUIRED_RSS_REDUCTION = 2.0
-ALLOWED_SETS_PER_SEC_SLOWDOWN = 2.0
-
-
-def _run_graph_io_child(rgx_path, mode, params, spill_dir):
-    """One storage-backend workload in its own process (isolated ru_maxrss)."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_SPILL_DIR"] = str(spill_dir)
-    command = [
-        sys.executable,
-        "-m",
-        "repro.experiments.graph_io",
-        "--rgx",
-        str(rgx_path),
-        "--mode",
-        mode,
-        "--rounds",
-        str(params["rounds"]),
-        "--sets-per-round",
-        str(params["sets_per_round"]),
-        "--seed",
-        str(BENCH_SEED),
-        "--queries",
-        str(params["queries"]),
-        "--chunk-bytes",
-        str(params["chunk_bytes"]),
-    ]
-    completed = subprocess.run(
-        command, capture_output=True, text=True, env=env, check=True
-    )
-    return json.loads(completed.stdout.strip().splitlines()[-1])
-
-
-def test_bench_graph_io_out_of_core(bench_scale, tmp_path):
-    """mmap + disk-spill vs in-RAM: identical answers, lower peak RSS.
-
-    Converts the LiveJournal proxy to ``.rgx`` once, runs the identical
-    rounds-of-generation + coverage-query workload through both storage
-    backends (one subprocess each, so peak RSS is attributable), checks
-    the bit-for-bit determinism contract via the workload checksum, and
-    records the first ``benchmarks/output/graph_io.{csv,json}`` series.
-    """
-    params = GRAPH_IO_TIERS.get(bench_scale.name, GRAPH_IO_TIERS["smoke"])
-    graph = load_proxy("livejournal", nodes=params["nodes"], random_state=BENCH_SEED)
-    rgx_path = tmp_path / "livejournal.rgx"
-    write_rgx(graph, rgx_path)
-
-    spill_dir = tmp_path / "spill"
-    spill_dir.mkdir()
-    results = {
-        mode: _run_graph_io_child(rgx_path, mode, params, spill_dir)
-        for mode in ("ram", "disk")
-    }
-
-    # Determinism contract: bit-for-bit identical answers either way.
-    assert results["ram"]["checksum"] == results["disk"]["checksum"]
-    assert results["ram"]["total_sets"] == results["disk"]["total_sets"]
-    assert results["ram"]["total_members"] == results["disk"]["total_members"]
-    # Orderly exits leave no spill directories behind.
-    leaked = [p for p in spill_dir.iterdir() if p.name.startswith("repro-spill-")]
-    assert leaked == []
-
-    rss_reduction = (
-        results["ram"]["peak_rss_bytes"] / results["disk"]["peak_rss_bytes"]
-    )
-    slowdown = results["ram"]["sets_per_sec"] / results["disk"]["sets_per_sec"]
-    rows = [
-        {
-            "series": "graph_io",
-            "scale": bench_scale.name,
-            "mode": mode,
-            "n": result["n"],
-            "m": result["m"],
-            "rounds": result["rounds"],
-            "total_sets": result["total_sets"],
-            "total_members": result["total_members"],
-            "load_s": result["load_s"],
-            "gen_s": result["gen_s"],
-            "query_s": result["query_s"],
-            "sets_per_sec": result["sets_per_sec"],
-            "peak_rss_bytes": result["peak_rss_bytes"],
-            "checksum": result["checksum"],
-            "rss_reduction_x": rss_reduction,
-            "ram_vs_disk_sets_per_sec_x": slowdown,
-        }
-        for mode, result in results.items()
-    ]
-    write_rows_csv(rows, OUTPUT_DIR / "graph_io.csv")
-    write_rows_json(rows, OUTPUT_DIR / "graph_io.json")
-    print()
-    for row in rows:
-        print(
-            f"graph_io[{row['mode']}]: load {row['load_s']:.4f}s, "
-            f"{row['sets_per_sec']:.0f} sets/s, "
-            f"peak RSS {row['peak_rss_bytes'] / 2**20:.0f} MiB"
-        )
-    print(
-        f"graph_io: RSS reduction {rss_reduction:.2f}x, "
-        f"ram/disk sets-per-sec {slowdown:.2f}x"
-    )
-
-    if os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP") == "1":
-        assert rss_reduction >= REQUIRED_RSS_REDUCTION
-        assert slowdown <= ALLOWED_SETS_PER_SEC_SLOWDOWN

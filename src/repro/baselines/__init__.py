@@ -1,11 +1,5 @@
-"""Baseline algorithms: USM double greedy, RS/ARS, NSG, NDG, IMM-style IM."""
+"""Baseline algorithms: RS/ARS, NSG, NDG, IMM-style IM."""
 
-from repro.baselines.double_greedy import (
-    deterministic_double_greedy,
-    deterministic_double_greedy_with_marginals,
-    greedy_maximize,
-    randomized_double_greedy,
-)
 from repro.baselines.imm import (
     estimate_influence,
     greedy_max_coverage,
@@ -20,11 +14,7 @@ __all__ = [
     "NSG",
     "AdaptiveRandomSet",
     "RandomSet",
-    "deterministic_double_greedy",
-    "deterministic_double_greedy_with_marginals",
     "estimate_influence",
     "greedy_max_coverage",
-    "greedy_maximize",
-    "randomized_double_greedy",
     "top_k_influential",
 ]

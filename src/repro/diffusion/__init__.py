@@ -1,4 +1,4 @@
-"""Diffusion substrate: IC / LT simulation, realizations, spread estimation."""
+"""Diffusion substrate: IC simulation, realizations, spread estimation."""
 
 from repro.diffusion.ic_model import (
     cascade_trace,
@@ -6,7 +6,6 @@ from repro.diffusion.ic_model import (
     simulate_ic,
     simulate_ic_spread,
 )
-from repro.diffusion.lt_model import simulate_lt, simulate_lt_spread, validate_lt_weights
 from repro.diffusion.mc_engine import (
     MC_BACKEND_ENV_VAR,
     MCBatch,
@@ -57,7 +56,4 @@ __all__ = [
     "simulate_ic",
     "simulate_ic_batch",
     "simulate_ic_spread",
-    "simulate_lt",
-    "simulate_lt_spread",
-    "validate_lt_weights",
 ]

@@ -8,7 +8,7 @@ Usage examples::
     python -m repro.experiments fig7 --scale small
     python -m repro.experiments fig2 --journal results/fig2.journal.jsonl
     python -m repro.experiments fig2 --resume     # continue an interrupted run
-    python -m repro.experiments clean-shm         # sweep orphaned /dev/shm segments + spill dirs
+    python -m repro.experiments clean-shm         # sweep orphaned /dev/shm segments
     python -m repro.experiments convert-graph soc-LiveJournal1.txt.gz lj.rgx
     python -m repro.experiments serve --dataset nethept --port 8321
     python -m repro.experiments loadgen --self-serve --queries 200
@@ -205,7 +205,7 @@ def run_experiment(args: argparse.Namespace, journal: Optional[ResultJournal] = 
 
 
 def clean_shm() -> int:
-    """``clean-shm``: sweep segments and spill dirs whose owner is dead."""
+    """``clean-shm``: sweep segments whose owner is dead."""
     from repro.parallel import janitor
 
     removed = janitor.clean_orphan_segments()
@@ -218,19 +218,6 @@ def clean_shm() -> int:
         print("no orphaned segments found")
     if remaining:
         print(f"{len(remaining)} segment(s) belong to live processes and were kept")
-    removed_dirs = janitor.clean_orphan_spill_dirs()
-    remaining_dirs = janitor.list_spill_dirs()
-    if removed_dirs:
-        print(f"removed {len(removed_dirs)} orphaned spill directorie(s):")
-        for path in removed_dirs:
-            print(f"  {path}")
-    else:
-        print("no orphaned spill directories found")
-    if remaining_dirs:
-        print(
-            f"{len(remaining_dirs)} spill directorie(s) belong to live "
-            f"processes and were kept"
-        )
     return 0
 
 

@@ -341,8 +341,7 @@ def load_rgx(
     touch, and one file serves every process on the host (the graph's
     :attr:`~repro.graphs.graph.ProbabilisticGraph.mmap_info` lets pool
     workers attach by path).  With ``mmap=False`` the arrays are read
-    fully into RAM — the layout the historical constructors produce, used
-    as the baseline in the ``graph_io`` benchmark.
+    fully into RAM — the layout the in-memory constructors produce.
 
     ``verify=True`` runs :func:`verify_rgx` first — a full sequential
     read checking every section against its stored CRC32 — and raises

@@ -26,13 +26,6 @@ The sweep unlinks the files directly instead of attaching through
 ``SharedMemory`` — attaching would register the orphan with *this*
 process's resource tracker, and the owner's tracker is as dead as the
 owner.
-
-Disk-backed RR collections (:mod:`repro.sampling.spill`) have the same
-lifecycle problem with their spill directories (``repro-spill-<pid>-<token>``
-under ``REPRO_SPILL_DIR`` or the system temp dir), so the identical three
-layers cover them: tagged directory names, rmtree-on-exit hooks, and a
-dead-owner sweep (:func:`clean_orphan_spill_dirs`, also run by
-``repro-experiments clean-shm``).
 """
 
 from __future__ import annotations
@@ -41,18 +34,13 @@ import atexit
 import logging
 import os
 import secrets
-import shutil
 import signal
-import tempfile
 from typing import List, Optional
 
 logger = logging.getLogger("repro.parallel")
 
 #: Prefix of every shared-memory segment this library creates.
 SEGMENT_PREFIX = "repro-shm"
-
-#: Prefix of every on-disk spill directory this library creates.
-SPILL_PREFIX = "repro-spill"
 
 #: Where POSIX shared memory lives on Linux.
 DEFAULT_SHM_DIR = "/dev/shm"
@@ -61,10 +49,6 @@ DEFAULT_SHM_DIR = "/dev/shm"
 #: the brokers' own mutable lists: a closed broker's list is empty, so the
 #: hooks naturally skip it.
 _REGISTRY: List[list] = []
-
-#: Live spill-directory lists registered by disk-backed collections.  Same
-#: contract as ``_REGISTRY``: the owner's mutable list of path strings.
-_SPILL_REGISTRY: List[list] = []
 
 _HOOKS_INSTALLED = False
 
@@ -81,43 +65,16 @@ def tagged_segment_name() -> str:
     return f"{SEGMENT_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
 
 
-def default_spill_root() -> str:
-    """Directory under which spill directories are created.
-
-    ``REPRO_SPILL_DIR`` when set (point it at a large/fast volume for
-    paper-scale runs), otherwise the system temp dir.
-    """
-    root = os.environ.get("REPRO_SPILL_DIR", "").strip()
-    return root or tempfile.gettempdir()
-
-
-def tagged_spill_dir(root: Optional[str] = None) -> str:
-    """Create and return a fresh pid-tagged spill directory."""
-    base = root or default_spill_root()
-    path = os.path.join(base, f"{SPILL_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}")
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _tagged_owner(name: str, prefix: str) -> Optional[int]:
-    name = name.lstrip("/")
-    if not name.startswith(prefix + "-"):
+def owner_pid(segment_name: str) -> Optional[int]:
+    """The owner pid encoded in a tagged segment name (``None`` if untagged)."""
+    name = segment_name.lstrip("/")
+    if not name.startswith(SEGMENT_PREFIX + "-"):
         return None
-    fields = name[len(prefix) + 1 :].split("-", 1)
+    fields = name[len(SEGMENT_PREFIX) + 1 :].split("-", 1)
     try:
         return int(fields[0])
     except (ValueError, IndexError):
         return None
-
-
-def owner_pid(segment_name: str) -> Optional[int]:
-    """The owner pid encoded in a tagged segment name (``None`` if untagged)."""
-    return _tagged_owner(segment_name, SEGMENT_PREFIX)
-
-
-def spill_owner_pid(dir_name: str) -> Optional[int]:
-    """The owner pid encoded in a tagged spill directory name."""
-    return _tagged_owner(os.path.basename(dir_name.rstrip("/")), SPILL_PREFIX)
 
 
 def pid_alive(pid: int) -> bool:
@@ -153,10 +110,6 @@ def _cleanup_registered() -> None:
             except Exception:  # pragma: no cover - defensive teardown
                 pass
         segments.clear()
-    for paths in _SPILL_REGISTRY:
-        for path in list(paths):
-            shutil.rmtree(path, ignore_errors=True)
-        paths.clear()
 
 
 def _sigterm_handler(signum, frame):  # pragma: no cover - exercised via subprocess
@@ -175,7 +128,6 @@ def _install_hooks() -> None:
         # First broker created *after a fork*: the inherited registry
         # entries are the parent's, not ours — drop them.
         _REGISTRY.clear()
-        _SPILL_REGISTRY.clear()
     _HOOKS_INSTALLED = True
     _OWNER_PID = os.getpid()
     atexit.register(_cleanup_registered)
@@ -197,17 +149,6 @@ def register_segments(segments: list) -> None:
     # A long-lived driver churns through many brokers; drop spent lists.
     _REGISTRY[:] = [entry for entry in _REGISTRY if entry]
     _REGISTRY.append(segments)
-
-
-def register_spill_dirs(paths: list) -> None:
-    """Track a disk-backed collection's spill-directory list for rmtree-on-exit.
-
-    Same contract as :func:`register_segments`: the mutable *list object*
-    is registered, and the owner empties it on orderly close.
-    """
-    _install_hooks()
-    _SPILL_REGISTRY[:] = [entry for entry in _SPILL_REGISTRY if entry]
-    _SPILL_REGISTRY.append(paths)
 
 
 # --------------------------------------------------------------------- #
@@ -246,42 +187,4 @@ def clean_orphan_segments(shm_dir: str = DEFAULT_SHM_DIR) -> List[str]:
             continue
         logger.warning("removed orphan shared-memory segment %s (owner %d dead)", name, pid)
         removed.append(name)
-    return removed
-
-
-def list_spill_dirs(root: Optional[str] = None) -> List[str]:
-    """Absolute paths of every ``repro-spill-*`` directory under ``root``."""
-    base = root or default_spill_root()
-    try:
-        entries = os.listdir(base)
-    except (FileNotFoundError, NotADirectoryError):
-        return []
-    return sorted(
-        os.path.join(base, name)
-        for name in entries
-        if name.startswith(SPILL_PREFIX + "-")
-    )
-
-
-def clean_orphan_spill_dirs(root: Optional[str] = None) -> List[str]:
-    """Remove spill directories whose owner process is dead; return their paths.
-
-    The SIGKILL counterpart of the exit hooks, mirroring
-    :func:`clean_orphan_segments` for disk-backed RR collections.  Run by
-    ``repro-experiments clean-shm``.
-    """
-    removed: List[str] = []
-    for path in list_spill_dirs(root):
-        pid = spill_owner_pid(path)
-        if pid is None or pid_alive(pid):
-            continue
-        try:
-            shutil.rmtree(path)
-        except FileNotFoundError:
-            continue
-        except OSError as exc:  # pragma: no cover - permissions, races
-            logger.warning("could not remove orphan spill dir %s: %s", path, exc)
-            continue
-        logger.warning("removed orphan spill directory %s (owner %d dead)", path, pid)
-        removed.append(path)
     return removed

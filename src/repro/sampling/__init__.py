@@ -28,8 +28,10 @@ The sampling layer is organised around a batched, NumPy-vectorized engine:
   of HATP/HNTP/ADDATP (samples carried across refinement rounds instead of
   regenerated).
 * :mod:`repro.sampling.rr_sets` / :mod:`repro.sampling.rr_collection` — the
-  historical per-set BFS and dict-indexed collection.  They remain fully
-  supported as reference implementations.
+  ``legacy`` per-set BFS and the dict-indexed
+  :class:`~repro.sampling.rr_collection.RRCollection`.  They are the tests'
+  references: ``FlatRRCollection`` and the engine are compared against
+  them.
 
 Backend switch
 --------------
@@ -73,11 +75,6 @@ from repro.sampling.bounds import (
 )
 from repro.sampling.coverage import CoverageCounter
 from repro.sampling.engine import RRBatch, generate_rr_batch, merge_rr_batches
-from repro.sampling.estimators import (
-    RISProfitEstimator,
-    RISSpreadEstimator,
-    choose_sample_size_like_hatp,
-)
 from repro.sampling.flat_collection import FlatRRCollection
 from repro.sampling.rr_collection import RRCollection
 from repro.sampling.rr_sets import (
@@ -90,14 +87,11 @@ from repro.sampling.rr_sets import (
 __all__ = [
     "CoverageCounter",
     "FlatRRCollection",
-    "RISProfitEstimator",
-    "RISSpreadEstimator",
     "RRBatch",
     "RRCollection",
     "SpreadConfidenceInterval",
     "additive_confidence_interval",
     "additive_error_for_budget",
-    "choose_sample_size_like_hatp",
     "expected_rr_width",
     "generate_rr_batch",
     "generate_rr_set",

@@ -29,22 +29,13 @@ parallel pool when one is supplied.  The refinement rounds of
 HATP/HNTP/ADDATP need a single count per batch and skip the collection
 altogether (:mod:`repro.core.estimation`).
 
-**Out-of-core storage.**  With ``storage="disk"`` (or
-``REPRO_RR_STORAGE=disk``) the flat arrays and the inverted index live in
-mmap'd files that grow in fixed-size chunks inside a pid-tagged spill
-directory (:mod:`repro.sampling.spill`; janitor-cleaned like shared-memory
-segments), so θ in the hundreds of millions of members no longer has to
-fit in RAM.  The inverted index is rebuilt chunk-at-a-time in node bands —
-each band is the *global* stable sort restricted to its node range, so
-every query answers bit-for-bit identically to the in-RAM path
-(differential-tested in ``tests/sampling/test_disk_collection.py``).
+Collections live in RAM.  The ones that are kept — NSG/NDG's single batch
+and the service's warm collections — fit there; the graphs they are
+sampled on can still be mmap'd ``.rgx`` files (:mod:`repro.graphs.binary`).
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import weakref
 from typing import Iterable, List, Optional, Sequence, Set, Union
 
 import numpy as np
@@ -52,36 +43,8 @@ import numpy as np
 from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import ResidualGraph, as_residual
 from repro.sampling.engine import RRBatch, flat_slice_indices, generate_rr_batch
-from repro.sampling.spill import DEFAULT_CHUNK_BYTES, SpillArray
-from repro.utils.env import read_env_choice
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import RandomState
-
-#: Storage backends a collection can use.
-STORAGE_CHOICES = ("ram", "disk")
-
-
-def resolve_rr_storage(storage: Optional[str] = None) -> str:
-    """Resolve the RR-collection storage backend.
-
-    Explicit argument first, then the ``REPRO_RR_STORAGE`` environment
-    variable, defaulting to ``"ram"``.
-    """
-    if storage is not None:
-        if storage not in STORAGE_CHOICES:
-            raise ValidationError(
-                f"storage must be one of {', '.join(STORAGE_CHOICES)}, "
-                f"got {storage!r}"
-            )
-        return storage
-    return read_env_choice("REPRO_RR_STORAGE", STORAGE_CHOICES) or "ram"
-
-
-def _cleanup_spill_dirs(paths: List[str]) -> None:
-    """Finalizer for disk-backed collections (must not capture ``self``)."""
-    for path in list(paths):
-        shutil.rmtree(path, ignore_errors=True)
-    paths.clear()
 
 
 class FlatRRCollection:
@@ -91,13 +54,6 @@ class FlatRRCollection:
     ----------
     batch:
         The RR sets as an :class:`~repro.sampling.engine.RRBatch`.
-    storage:
-        ``"ram"`` (historical in-memory arrays), ``"disk"`` (mmap'd spill
-        files, see the module docstring), or ``None`` to consult
-        ``REPRO_RR_STORAGE`` and default to RAM.
-    chunk_bytes:
-        Growth increment of the spill files and the working-set bound of
-        the chunked index rebuild (disk mode only).
     """
 
     __slots__ = (
@@ -109,64 +65,21 @@ class FlatRRCollection:
         "_inv_offsets",
         "_inv_rr_ids",
         "_inv_synced_sets",
-        "_storage",
-        "_chunk_bytes",
-        "_spill_dirs",
-        "_spill_offsets",
-        "_spill_nodes",
-        "_spill_inv",
-        "_finalizer",
-        "__weakref__",
     )
 
-    def __init__(
-        self,
-        batch: RRBatch,
-        storage: Optional[str] = None,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    ) -> None:
+    def __init__(self, batch: RRBatch) -> None:
         if batch.num_active_nodes < 0:
             raise ValidationError("num_active_nodes must be >= 0")
         self._num_active_nodes = int(batch.num_active_nodes)
         self._n = int(batch.n)
-        self._storage = resolve_rr_storage(storage)
-        self._chunk_bytes = int(chunk_bytes)
         self._pending: List[RRBatch] = []
         self._inv_offsets: Optional[np.ndarray] = None
         self._inv_rr_ids: Optional[np.ndarray] = None
         self._inv_synced_sets = 0
-        self._spill_dirs: List[str] = []
-        self._spill_offsets: Optional[SpillArray] = None
-        self._spill_nodes: Optional[SpillArray] = None
-        self._spill_inv: Optional[SpillArray] = None
-        self._finalizer = None
-        node_dtype = _node_storage_dtype(self._n)
-        if self._storage == "disk":
-            # Deferred: importing repro.parallel at module scope would be
-            # circular (same pattern as dispatch_generate).
-            from repro.parallel import janitor
-
-            spill_dir = janitor.tagged_spill_dir()
-            self._spill_dirs.append(spill_dir)
-            janitor.register_spill_dirs(self._spill_dirs)
-            self._finalizer = weakref.finalize(
-                self, _cleanup_spill_dirs, self._spill_dirs
-            )
-            self._spill_offsets = SpillArray(
-                os.path.join(spill_dir, "offsets.bin"), np.int64, self._chunk_bytes
-            )
-            self._spill_nodes = SpillArray(
-                os.path.join(spill_dir, "nodes.bin"), node_dtype, self._chunk_bytes
-            )
-            self._spill_inv = SpillArray(
-                os.path.join(spill_dir, "inv_rr_ids.bin"), np.int64, self._chunk_bytes
-            )
-            self._spill_offsets.append(np.asarray(batch.offsets, dtype=np.int64))
-            self._spill_nodes.append(np.asarray(batch.nodes))
-            self._refresh_views()
-        else:
-            self._offsets = np.asarray(batch.offsets, dtype=np.int64)
-            self._nodes = np.asarray(batch.nodes).astype(node_dtype, copy=False)
+        self._offsets = np.asarray(batch.offsets, dtype=np.int64)
+        self._nodes = np.asarray(batch.nodes).astype(
+            _node_storage_dtype(self._n), copy=False
+        )
 
     # ------------------------------------------------------------------ #
     # construction
@@ -181,8 +94,6 @@ class FlatRRCollection:
         backend: Optional[str] = None,
         n_jobs: Optional[int] = None,
         pool: Optional["SamplingPool"] = None,
-        storage: Optional[str] = None,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> "FlatRRCollection":
         """Generate ``count`` RR sets on ``graph`` with the batched engine.
 
@@ -191,16 +102,10 @@ class FlatRRCollection:
         ``REPRO_JOBS`` environment variable when ``n_jobs`` is ``None``)
         above one runs a one-shot sharded generation instead.  Every path
         samples the same keyed stream, so the sets are bit-for-bit
-        independent of the worker count.  ``storage`` picks the backing
-        store (RAM or disk spill); the sampled sets are identical either
-        way.
+        independent of the worker count.
         """
         view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
-        return cls(
-            dispatch_generate(view, count, random_state, backend, n_jobs, pool),
-            storage=storage,
-            chunk_bytes=chunk_bytes,
-        )
+        return cls(dispatch_generate(view, count, random_state, backend, n_jobs, pool))
 
     @classmethod
     def from_rr_sets(
@@ -208,15 +113,9 @@ class FlatRRCollection:
         rr_sets: Sequence[Iterable[int]],
         num_active_nodes: int,
         n: Optional[int] = None,
-        storage: Optional[str] = None,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ) -> "FlatRRCollection":
         """Build a collection from explicit RR sets (tests, hand-built cases)."""
-        return cls(
-            _batch_from_sets(rr_sets, num_active_nodes, n),
-            storage=storage,
-            chunk_bytes=chunk_bytes,
-        )
+        return cls(_batch_from_sets(rr_sets, num_active_nodes, n))
 
     def extend(self, rr_sets: Union[RRBatch, Iterable[Iterable[int]]]) -> None:
         """Append RR sets (an ``RRBatch`` or explicit sets); index merged lazily."""
@@ -264,19 +163,11 @@ class FlatRRCollection:
             )
         self.extend(batch)
 
-    def _refresh_views(self) -> None:
-        """Point ``_offsets``/``_nodes`` at the current spill prefixes."""
-        self._offsets = self._spill_offsets.view()
-        self._nodes = self._spill_nodes.view()
-
     def _consolidate(self) -> None:
         # The node dtype follows the (possibly grown) universe: downsized
         # storage upcasts to int64 if `extend` ever pushed `n` past the
         # uint32 range — the overflow guard of the compact representation.
         dtype = _node_storage_dtype(self._n)
-        if self._storage == "disk":
-            self._consolidate_disk(dtype)
-            return
         if self._nodes.dtype != dtype:
             self._nodes = self._nodes.astype(dtype)
         if not self._pending:
@@ -292,49 +183,10 @@ class FlatRRCollection:
         self._nodes = np.concatenate(nodes_parts)
         self._pending = []
 
-    def _consolidate_disk(self, dtype: np.dtype) -> None:
-        """Fold pending batches into the spill files and drop dirty pages."""
-        if self._spill_nodes.dtype != dtype:
-            self._upcast_spill_nodes(dtype)
-        if not self._pending:
-            return
-        last_offset = int(self._spill_offsets.view()[-1])
-        for batch in self._pending:
-            self._spill_offsets.append(
-                last_offset + np.asarray(batch.offsets[1:], dtype=np.int64)
-            )
-            self._spill_nodes.append(np.asarray(batch.nodes))
-            last_offset += int(batch.offsets[-1])
-        self._pending = []
-        # Written data is durable on disk; evict it from this process.
-        self._spill_offsets.release()
-        self._spill_nodes.release()
-        self._refresh_views()
-
-    def _upcast_spill_nodes(self, dtype: np.dtype) -> None:
-        """Stream-convert the spilled member array to a wider dtype."""
-        old = self._spill_nodes
-        replacement = SpillArray(
-            os.path.join(self._spill_dirs[0], f"nodes-{dtype.char}.bin"),
-            dtype,
-            self._chunk_bytes,
-        )
-        chunk = max(1, self._chunk_bytes // dtype.itemsize)
-        view = old.view()
-        for start in range(0, view.shape[0], chunk):
-            replacement.append(view[start : start + chunk].astype(dtype))
-        old.close()
-        self._spill_nodes = replacement
-        self._refresh_views()
-
     def _index(self) -> tuple:
         """The inverted CSR index ``node -> rr_ids`` (built/merged on demand)."""
         self._consolidate()
         num_sets = int(self._offsets.shape[0] - 1)
-        if self._storage == "disk":
-            if self._inv_offsets is None or self._inv_synced_sets < num_sets:
-                self._build_index_disk(num_sets)
-            return self._inv_offsets, self._inv_rr_ids
         if self._inv_offsets is None:
             counts = np.bincount(self._nodes, minlength=self._n)
             self._inv_offsets = np.zeros(self._n + 1, dtype=np.int64)
@@ -382,109 +234,6 @@ class FlatRRCollection:
         self._inv_offsets = new_offsets
         self._inv_rr_ids = merged
         self._inv_synced_sets = num_sets
-
-    def _rr_of_positions(self, start: int, end: int) -> np.ndarray:
-        """RR-set id of every member position in ``[start, end)``."""
-        offsets = self._offsets
-        first = int(np.searchsorted(offsets, start, side="right")) - 1
-        last = int(np.searchsorted(offsets, end, side="left"))
-        sub = np.clip(
-            np.asarray(offsets[first : last + 1], dtype=np.int64), start, end
-        )
-        return np.repeat(np.arange(first, last, dtype=np.int64), np.diff(sub))
-
-    def _build_index_disk(self, num_sets: int) -> None:
-        """Chunked rebuild of the inverted index into the spill file.
-
-        Equivalent to the RAM path's single stable ``argsort`` — the index
-        is produced in *node bands*, and within a band the members are
-        collected in position order then stably sorted by node, which is
-        exactly the global stable sort restricted to that band.  Peak
-        working set is one band (≈ ``chunk_bytes``) plus the per-node
-        offset array, independent of the collection's total size.
-        """
-        n = self._n
-        nodes_view = self._nodes
-        total = int(nodes_view.shape[0])
-        chunk_items = max(1, self._chunk_bytes // 8)
-        # Pass 1: per-node counts -> inverted offsets (RAM, n + 1 int64).
-        counts = np.zeros(n, dtype=np.int64)
-        for start in range(0, total, chunk_items):
-            chunk = np.asarray(
-                nodes_view[start : start + chunk_items], dtype=np.int64
-            )
-            counts += np.bincount(chunk, minlength=n)
-        inv_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=inv_offsets[1:])
-        # Pass 2: fill the index band by band, appending sequentially.
-        inv = self._spill_inv
-        inv.clear()
-        lo = 0
-        while lo < n:
-            hi = int(
-                np.searchsorted(
-                    inv_offsets, inv_offsets[lo] + chunk_items, side="right"
-                )
-            ) - 1
-            if hi <= lo:
-                hi = lo + 1  # one node with > chunk_items members
-            band_nodes: List[np.ndarray] = []
-            band_rr: List[np.ndarray] = []
-            for start in range(0, total, chunk_items):
-                end = min(start + chunk_items, total)
-                chunk = np.asarray(nodes_view[start:end], dtype=np.int64)
-                mask = (chunk >= lo) & (chunk < hi)
-                if not mask.any():
-                    continue
-                band_nodes.append(chunk[mask])
-                band_rr.append(self._rr_of_positions(start, end)[mask])
-            if band_nodes:
-                merged_nodes = np.concatenate(band_nodes)
-                merged_rr = np.concatenate(band_rr)
-                order = np.argsort(merged_nodes, kind="stable")
-                inv.append(merged_rr[order])
-            lo = hi
-        inv.release()
-        self._inv_offsets = inv_offsets
-        self._inv_rr_ids = inv.view()
-        self._inv_synced_sets = num_sets
-
-    # ------------------------------------------------------------------ #
-    # storage lifecycle
-    # ------------------------------------------------------------------ #
-
-    @property
-    def storage(self) -> str:
-        """The backing store: ``"ram"`` or ``"disk"``."""
-        return self._storage
-
-    @property
-    def spill_path(self) -> Optional[str]:
-        """The collection's spill directory (``None`` in RAM mode)."""
-        return self._spill_dirs[0] if self._spill_dirs else None
-
-    def release(self) -> None:
-        """Drop resident spill pages from RSS (no-op in RAM mode).
-
-        Data stays on disk; subsequent queries page-fault it back.
-        """
-        for spill in (self._spill_offsets, self._spill_nodes, self._spill_inv):
-            if spill is not None:
-                spill.release()
-
-    def close(self) -> None:
-        """Delete the spill directory (no-op in RAM mode; idempotent)."""
-        for spill in (self._spill_offsets, self._spill_nodes, self._spill_inv):
-            if spill is not None:
-                spill.close(unlink=False)
-        if self._finalizer is not None:
-            self._finalizer()  # rmtree + empties the janitor-registered list
-        if self._storage == "disk":
-            self._offsets = np.zeros(1, dtype=np.int64)
-            self._nodes = np.empty(0, dtype=_node_storage_dtype(self._n))
-            self._inv_offsets = None
-            self._inv_rr_ids = None
-            self._inv_synced_sets = 0
 
     # ------------------------------------------------------------------ #
     # basic accessors

@@ -1,9 +1,10 @@
 """One shared reader for the library's environment knobs.
 
-Every ``REPRO_*`` environment variable is consulted through the helpers
-here, so a malformed value fails the same way everywhere: a
-:class:`~repro.utils.exceptions.ValidationError` that names the variable,
-shows the offending value, and says what a well-formed value looks like.
+The ``REPRO_*`` environment variables are read through the helpers here
+(a string, an integer or a float), so a malformed value fails the same way
+everywhere: a :class:`~repro.utils.exceptions.ValidationError` that names
+the variable, shows the offending value, and says what a well-formed value
+looks like.
 
 The knobs themselves keep living next to the subsystems they configure
 (``REPRO_JOBS`` in :mod:`repro.parallel.pool`, ``REPRO_EVAL_JOBS`` in
@@ -15,7 +16,7 @@ The knobs themselves keep living next to the subsystems they configure
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.utils.exceptions import ValidationError
 
@@ -55,17 +56,3 @@ def read_env_float(name: str, hint: str = "e.g. 30 or 0.5 (seconds)") -> Optiona
             f"{name} must be a number ({hint}), got {raw!r}; "
             f"fix or unset the variable"
         ) from None
-
-
-def read_env_choice(name: str, choices: Sequence[str]) -> Optional[str]:
-    """Parse ``name`` as one of ``choices``, case-insensitively."""
-    raw = read_env(name)
-    if raw is None:
-        return None
-    value = raw.lower()
-    if value not in choices:
-        raise ValidationError(
-            f"{name} must be one of {', '.join(choices)}, got {raw!r}; "
-            f"fix or unset the variable"
-        )
-    return value

@@ -13,6 +13,7 @@ from repro.diffusion.ic_model import (
 )
 from repro.diffusion.realization import Realization
 from repro.graphs.generators import path_graph, star_graph
+from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import ResidualGraph
 
 
@@ -71,3 +72,31 @@ class TestObserveActivation:
         world = Realization.sample(path4, 0)
         residual = ResidualGraph(path4).without([3])
         assert observe_activation(world, 0, residual) == {0, 1, 2}
+
+
+class TestIndependentCoins:
+    """Under IC every edge is one independent coin of its own probability."""
+
+    #: Two parents of node 2 with different edge probabilities.
+    EDGES = [(0, 2, 0.4), (1, 2, 0.5)]
+
+    def test_each_edge_live_with_its_probability(self):
+        graph = ProbabilisticGraph.from_edge_list(self.EDGES, n=3)
+        rng = np.random.default_rng(3)
+        live = np.array([Realization.sample(graph, rng).live_mask for _ in range(4000)])
+        assert live.mean(axis=0) == pytest.approx([0.4, 0.5], abs=0.03)
+
+    def test_in_edges_of_a_node_flip_independently(self):
+        # Both in-edges of node 2 may be live in one world, with the
+        # product probability (a triggering model would allow only one).
+        graph = ProbabilisticGraph.from_edge_list(self.EDGES, n=3)
+        rng = np.random.default_rng(4)
+        live = np.array([Realization.sample(graph, rng).live_mask for _ in range(4000)])
+        assert np.mean(live[:, 0] & live[:, 1]) == pytest.approx(0.4 * 0.5, abs=0.03)
+
+    def test_activation_probability_with_two_seeded_parents(self):
+        # Node 2 stays inactive only if both coins fail: 1 - 0.6 * 0.5.
+        graph = ProbabilisticGraph.from_edge_list(self.EDGES, n=3)
+        rng = np.random.default_rng(5)
+        hits = [2 in simulate_ic(graph, [0, 1], rng) for _ in range(4000)]
+        assert np.mean(hits) == pytest.approx(0.7, abs=0.03)

@@ -9,18 +9,10 @@ segments; workers ``np.memmap`` the same file.  The contracts under test:
 * pool output stays bit-for-bit invariant to the worker count, and an
   mmap-backed pool matches a RAM-backed pool exactly;
 * the evaluation pool and the seeding service answer identically over
-  either backing;
-* spill directories are janitor-tracked: SIGKILL leaks them by design
-  and the orphan sweep reclaims them.
+  either backing.
 """
 
 from __future__ import annotations
-
-import os
-import signal
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -174,111 +166,3 @@ class TestServiceState:
             over_mmap.register_graph(mmap_graph)
             mmap_answers = [over_mmap.query(r) for r in self.REQUESTS]
         assert ram_answers == mmap_answers
-
-
-# --------------------------------------------------------------------- #
-# janitor: spill directories
-# --------------------------------------------------------------------- #
-
-
-class TestSpillJanitor:
-    def test_tagged_spill_dir_round_trip(self, tmp_path):
-        path = janitor.tagged_spill_dir(str(tmp_path))
-        assert os.path.isdir(path)
-        assert os.path.basename(path).startswith(
-            f"{janitor.SPILL_PREFIX}-{os.getpid()}-"
-        )
-        assert janitor.spill_owner_pid(path) == os.getpid()
-        assert janitor.spill_owner_pid("/tmp/unrelated-dir") is None
-
-    def test_orphan_sweep_removes_only_dead_owners(self, tmp_path):
-        dead_pid = _spawn_and_reap_pid()
-        dead = tmp_path / f"{janitor.SPILL_PREFIX}-{dead_pid}-aabb"
-        live = tmp_path / f"{janitor.SPILL_PREFIX}-{os.getpid()}-ccdd"
-        foreign = tmp_path / "some-other-dir"
-        for d in (dead, live, foreign):
-            d.mkdir()
-            (d / "nodes.bin").write_bytes(b"x")
-
-        listed = {os.path.basename(p) for p in janitor.list_spill_dirs(str(tmp_path))}
-        assert dead.name in listed and live.name in listed
-        assert foreign.name not in listed
-
-        removed = janitor.clean_orphan_spill_dirs(str(tmp_path))
-        assert [os.path.basename(p) for p in removed] == [dead.name]
-        assert not dead.exists()
-        assert live.exists() and foreign.exists()
-
-    def test_sweep_of_missing_root(self, tmp_path):
-        assert janitor.clean_orphan_spill_dirs(str(tmp_path / "nope")) == []
-        assert janitor.list_spill_dirs(str(tmp_path / "nope")) == []
-
-    def test_sigkill_orphans_are_swept(self, tmp_path):
-        # SIGKILL cannot be caught: the spill directory leaks by design
-        # and the clean-shm sweep (layer 3) reclaims it.
-        proc, spill_dir = _spawn_spill_subprocess(tmp_path)
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30)
-        finally:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
-        assert os.path.isdir(spill_dir), "SIGKILL should have leaked the spill dir"
-        removed = janitor.clean_orphan_spill_dirs(str(tmp_path))
-        assert spill_dir in removed
-        assert not os.path.exists(spill_dir)
-
-    def test_orderly_exit_leaves_no_spill_dir(self, tmp_path):
-        proc, spill_dir = _spawn_spill_subprocess(tmp_path)
-        proc.send_signal(signal.SIGTERM)
-        proc.wait(timeout=30)
-        assert not os.path.exists(spill_dir)
-
-
-def _spawn_and_reap_pid() -> int:
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    return proc.pid
-
-
-_SPILL_SCRIPT = textwrap.dedent(
-    """
-    import time
-    from repro.graphs.generators import erdos_renyi
-    from repro.sampling.flat_collection import FlatRRCollection
-
-    graph = erdos_renyi(60, 3.0, random_state=0)
-    collection = FlatRRCollection.generate(
-        graph, 100, random_state=0, storage="disk", chunk_bytes=4096
-    )
-    print(collection.spill_path, flush=True)
-    print("READY", flush=True)
-    time.sleep(120)
-    """
-)
-
-
-def _spawn_spill_subprocess(spill_root):
-    """Start a driver holding a live disk collection; return (proc, spill_dir)."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_SPILL_DIR"] = str(spill_root)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _SPILL_SCRIPT],
-        stdout=subprocess.PIPE,
-        text=True,
-        env=env,
-        start_new_session=True,
-    )
-    spill_dir = None
-    for line in proc.stdout:
-        line = line.strip()
-        if line == "READY":
-            break
-        if line:
-            spill_dir = line
-    assert spill_dir, "subprocess reported no spill directory"
-    return proc, spill_dir

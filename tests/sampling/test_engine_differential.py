@@ -154,21 +154,21 @@ class TestRegisteredBackendParity:
         assert np.array_equal(fast.nodes, in_ram.nodes)
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-    def test_disk_backed_collection(self, generated_view, tmp_path, backend, monkeypatch):
-        # storage="disk" spills the batch to .rrc chunks; the sampled
-        # sets must be identical to the in-RAM vectorized collection.
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-        disk = FlatRRCollection.generate(
-            generated_view, 250, 23, backend=backend, storage="disk"
+    def test_collection_index(self, generated_view, backend):
+        # The inverted index a collection builds over any backend's batch
+        # must equal the one over the vectorized batch.
+        collection = FlatRRCollection.generate(generated_view, 250, 23, backend=backend)
+        reference = FlatRRCollection.generate(
+            generated_view, 250, 23, backend="vectorized"
         )
-        ram = FlatRRCollection.generate(
-            generated_view, 250, 23, backend="vectorized", storage="ram"
+        assert collection.num_sets == reference.num_sets
+        assert np.array_equal(collection.sizes(), reference.sizes())
+        assert np.array_equal(
+            collection.nodes_appearing(), reference.nodes_appearing()
         )
-        assert disk.num_sets == ram.num_sets
-        assert np.array_equal(disk.sizes(), ram.sizes())
         for probe in (100, 300, 599):
             assert np.array_equal(
-                disk.sets_containing(probe), ram.sets_containing(probe)
+                collection.sets_containing(probe), reference.sets_containing(probe)
             )
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.env import read_env, read_env_choice, read_env_float, read_env_int
+from repro.utils.env import read_env, read_env_float, read_env_int
 from repro.utils.exceptions import ValidationError
 
 VAR = "REPRO_TEST_KNOB"
@@ -34,6 +34,10 @@ class TestReadEnvInt:
     def test_unset_is_none(self):
         assert read_env_int(VAR) is None
 
+    def test_blank_is_none(self, monkeypatch):
+        monkeypatch.setenv(VAR, "  ")
+        assert read_env_int(VAR) is None
+
     def test_parses_integers(self, monkeypatch):
         monkeypatch.setenv(VAR, "4")
         assert read_env_int(VAR) == 4
@@ -54,6 +58,10 @@ class TestReadEnvFloat:
     def test_unset_is_none(self):
         assert read_env_float(VAR) is None
 
+    def test_blank_is_none(self, monkeypatch):
+        monkeypatch.setenv(VAR, "")
+        assert read_env_float(VAR) is None
+
     def test_parses_floats(self, monkeypatch):
         monkeypatch.setenv(VAR, "0.5")
         assert read_env_float(VAR) == 0.5
@@ -65,18 +73,11 @@ class TestReadEnvFloat:
         with pytest.raises(ValidationError, match=VAR):
             read_env_float(VAR)
 
-
-class TestReadEnvChoice:
-    CHOICES = ("python", "vectorized")
-
-    def test_unset_is_none(self):
-        assert read_env_choice(VAR, self.CHOICES) is None
-
-    def test_matches_case_insensitively(self, monkeypatch):
-        monkeypatch.setenv(VAR, "Vectorized")
-        assert read_env_choice(VAR, self.CHOICES) == "vectorized"
-
-    def test_error_lists_choices(self, monkeypatch):
-        monkeypatch.setenv(VAR, "gpu")
-        with pytest.raises(ValidationError, match="python, vectorized"):
-            read_env_choice(VAR, self.CHOICES)
+    def test_error_shows_value_and_hint(self, monkeypatch):
+        monkeypatch.setenv(VAR, "1,5")
+        with pytest.raises(ValidationError) as excinfo:
+            read_env_float(VAR, hint="e.g. 2.5 (seconds)")
+        message = str(excinfo.value)
+        assert "'1,5'" in message
+        assert "e.g. 2.5 (seconds)" in message
+        assert "unset" in message
