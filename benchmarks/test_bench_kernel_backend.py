@@ -11,8 +11,8 @@ this machine (a C compiler), two series at
 
 Both series re-assert the registry's core contract inline: the compiled
 batch must equal the ``"vectorized"`` batch *bit for bit* (same flat
-offsets, same node arrays) because every backend consumes the identical
-RNG stream.  Equality is checked unconditionally on every run — a
+offsets, same node arrays) because every backend samples the identical
+keyed stream.  Equality is checked unconditionally on every run — a
 benchmark that got faster by drifting off the stream must fail here,
 not in a nightly differential suite.
 

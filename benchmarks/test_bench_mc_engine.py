@@ -5,12 +5,13 @@ Three metrics, at ``REPRO_BENCH_SCALE``-controlled sizes (``smoke`` /
 cascade:
 
 * **spread** — ``monte_carlo_spread`` with ``backend="vectorized"`` (one
-  batched frontier-at-a-time sweep for all 1000 cascades) against
-  ``backend="python"`` (the historical per-cascade ``deque`` loop);
-* **marginal** — ``monte_carlo_marginal_spread`` with both backends (the
-  vectorized path replays both common-random-number cascades of every
-  realization through the live-edge engine, bit-for-bit identical
-  estimate);
+  batched layer-at-a-time sweep for all 1000 cascades) against
+  ``backend="python"`` (the per-cascade scalar loop that states the
+  keyed cascade stream; both draw the same cascades);
+* **marginal** — ``monte_carlo_marginal_spread`` with both backends (both
+  replay the common-random-number cascades of every realization through
+  the live-edge engine, whose ``python`` replay is the vectorized sweep:
+  bit-for-bit identical estimate);
 * **replay** — scoring one seed set against 20 sampled realizations:
   ``batch_realization_spreads`` (one batched live-edge sweep) against the
   per-realization ``BaseRealization.spread`` loop.
@@ -79,7 +80,7 @@ def test_bench_mc_engine_series(bench_scale):
     seeds = [int(v) for v in np.argsort(-graph.out_degrees)[:SEED_SET_SIZE]]
     sims = params["sims"]
 
-    # -- spread: batched sweep vs historical per-cascade loop ----------- #
+    # -- spread: batched sweep vs per-cascade keyed reference loop ------ #
     vector_seconds, vector_estimate = _timed(
         lambda: monte_carlo_spread(graph, seeds, sims, BENCH_SEED, backend="vectorized"),
         warmup=True,
@@ -88,10 +89,10 @@ def test_bench_mc_engine_series(bench_scale):
         lambda: monte_carlo_spread(graph, seeds, sims, BENCH_SEED, backend="python")
     )
     spread_speedup = python_seconds / max(vector_seconds, 1e-12)
-    # Different (equally distributed) streams: agreement within MC noise.
-    assert vector_estimate > 0 and python_estimate > 0
+    # One keyed cascade stream: both backends draw the same cascades.
+    assert vector_estimate == python_estimate > 0
 
-    # -- marginal: common-random-numbers replay vs per-realization loop - #
+    # -- marginal: both backends replay one realization stream --------- #
     marginal_sims = params["marginal_sims"]
     probe, conditioning = seeds[0], seeds[1:11]
     marginal_vec_seconds, marginal_vec = _timed(

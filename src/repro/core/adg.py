@@ -23,9 +23,9 @@ fresh batch through the vectorized engine of
 same fast sampling substrate as the noise-model ones.  Both per-node
 marginals are requested through
 :meth:`~repro.core.oracle.ProfitOracle.marginal_profit_pair`: oracles with
-a batched backend (the vectorized Monte-Carlo oracle) answer the front and
-rear queries from one shared realization batch, while every other oracle
-falls back to the historical two sequential queries.
+a batched pair query (the Monte-Carlo oracle) answer the front and rear
+queries from one shared realization batch, while every other oracle
+answers two sequential queries, front first.
 """
 
 from __future__ import annotations

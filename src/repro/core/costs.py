@@ -24,7 +24,11 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.profit import CostMap, total_cost
-from repro.diffusion.spread import expected_spread_lower_bound, monte_carlo_spread_samples
+from repro.diffusion.spread import (
+    expected_spread_lower_bound,
+    monte_carlo_spread_samples,
+    normal_quantile,
+)
 from repro.graphs.graph import ProbabilisticGraph
 from repro.sampling.flat_collection import FlatRRCollection
 from repro.utils.exceptions import ConfigurationError
@@ -138,31 +142,28 @@ def estimate_spread_lower_bound(
     num_mc_runs: int = 0,
     confidence: float = 0.95,
     random_state: RandomState = None,
-    mc_backend: Optional[str] = None,
 ) -> float:
     """Lower bound ``E_l[I(T)]`` on the expected spread of ``nodes``.
 
     Uses the RIS estimator by default (fast, low variance); passing
     ``num_mc_runs > 0`` switches to Monte-Carlo simulation with a one-sided
     confidence bound, which is the more literal reading of the paper.
-    ``mc_backend`` selects the simulation engine for that path (``None``
-    honours ``REPRO_MC_BACKEND``, defaulting to the historical per-cascade
-    loop; ``"vectorized"`` runs all cascades as one batched sweep).
+    Both paths take the one-sided normal quantile of ``confidence``
+    (0.90, 0.95 or 0.99; any other level raises ``ValidationError``).
     """
+    z = normal_quantile(confidence)
     nodes = [int(v) for v in nodes]
     if not nodes:
         return 0.0
     if num_mc_runs > 0:
-        samples = monte_carlo_spread_samples(
-            graph, nodes, num_mc_runs, random_state, backend=mc_backend
-        )
+        samples = monte_carlo_spread_samples(graph, nodes, num_mc_runs, random_state)
         return expected_spread_lower_bound(samples, confidence)
     collection = FlatRRCollection.generate(graph, num_rr_sets, random_state)
     estimate = collection.estimate_spread(nodes)
     # Conservative additive slack: one standard error of the binomial count.
     fraction = collection.estimate_fraction(nodes)
     std_error = np.sqrt(max(fraction * (1.0 - fraction), 0.0) / max(collection.num_sets, 1))
-    return max(0.0, float(estimate - 1.6449 * std_error * graph.n))
+    return max(0.0, float(estimate - z * std_error * graph.n))
 
 
 def spread_calibrated_costs(

@@ -23,12 +23,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, 
 
 import numpy as np
 
+from repro import kernels
 from repro.core.profit import total_cost
-from repro.diffusion.mc_engine import (
-    replay_live_edges,
-    resolve_mc_backend,
-    sample_live_chunks,
-)
+from repro.diffusion.mc_engine import replay_live_edges, sample_live_chunks
 from repro.diffusion.spread import (
     exact_expected_spread,
     monte_carlo_marginal_spread,
@@ -38,6 +35,7 @@ from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import ResidualGraph, as_residual
 from repro.sampling.flat_collection import FlatRRCollection
 from repro.service.cache import LRUCache
+from repro.utils.exceptions import ValidationError
 from repro.utils.rng import RandomState, ensure_rng
 
 #: Default capacity of the :class:`ExactSpreadOracle` memo.  Exact-policy
@@ -165,28 +163,23 @@ class _PooledOracleMixin:
 class MonteCarloSpreadOracle(_PooledOracleMixin):
     """Monte-Carlo oracle averaging forward IC cascades.
 
-    ``backend`` selects the simulation engine per query (resolved through
-    :func:`repro.diffusion.mc_engine.resolve_mc_backend`; ``None`` honours
-    ``REPRO_MC_BACKEND`` and defaults to the historical per-cascade
-    ``"python"`` loop, keeping the exact historical RNG streams).  With
-    any batched backend (``"vectorized"``, ``"auto"``, or a compiled
-    kernel) every spread query runs as one batched
-    frontier-at-a-time sweep, and ``n_jobs`` shards the
-    :meth:`expected_spread` batches across a persistent
+    ``backend`` is the kernel backend of every query (resolved through
+    :func:`repro.kernels.resolve_backend`; ``None`` honours
+    ``REPRO_BACKEND`` and defaults to ``"vectorized"``).  Every spread
+    query runs as one batch of the keyed cascade stream, and ``n_jobs``
+    shards the :meth:`expected_spread` batches across a persistent
     :class:`~repro.parallel.pool.SamplingPool` per base graph (call
     :meth:`close` or use the oracle as a context manager to release the
     workers eagerly; output is bit-for-bit independent of the worker
-    count).  Marginal queries deliberately stay in-process regardless of
-    ``n_jobs``: they replay a *shared* realization stream whose contract
-    is bit-for-bit equality with the historical per-realization loop, and
-    sharding would re-draw the realizations per shard and break it.
+    count).  Marginal queries stay in-process regardless of ``n_jobs``:
+    they replay realizations drawn from the oracle's generator in bulk
+    rows, one ``rng.random(m)`` row per simulation.
 
-    The batched backends additionally unlock the *batched query API*
-    (:meth:`marginal_spreads`, :meth:`marginal_spread_pair`): many
-    candidate marginals are evaluated against one shared realization
-    stream (common random numbers across *queries*, not just within one),
-    which is how ADG amortises its per-node front/rear evaluations over a
-    single bulk draw.
+    The *batched query API* (:meth:`marginal_spreads`,
+    :meth:`marginal_spread_pair`) evaluates many candidate marginals
+    against one shared realization stream (common random numbers across
+    *queries*, not just within one), which is how ADG amortises its
+    per-node front/rear evaluations over a single bulk draw.
     """
 
     def __init__(
@@ -198,10 +191,14 @@ class MonteCarloSpreadOracle(_PooledOracleMixin):
     ) -> None:
         from repro.parallel.pool import resolve_jobs
 
+        if num_simulations < 1:
+            raise ValidationError(
+                f"num_simulations must be >= 1, got {num_simulations}"
+            )
         self._num_simulations = int(num_simulations)
         self._rng = ensure_rng(random_state)
-        self._backend = resolve_mc_backend(backend)
-        self._n_jobs = resolve_jobs(n_jobs) if self._backend != "python" else None
+        self._backend = kernels.resolve_backend(backend)
+        self._n_jobs = resolve_jobs(n_jobs)
         self._pool = None
 
     @property
@@ -286,16 +283,10 @@ class MonteCarloSpreadOracle(_PooledOracleMixin):
         baseline ``E[I(S)]`` evaluation), so the whole sweep costs one bulk
         coin-flip pass plus one replay per candidate instead of one full
         Monte-Carlo run per candidate.  Candidates already in ``S`` read
-        0.0, mirroring :meth:`marginal_spread`.  With ``backend="python"``
-        the historical per-query loop runs instead.
+        0.0, mirroring :meth:`marginal_spread`.
         """
         nodes = [int(v) for v in nodes]
         conditioning = [int(v) for v in conditioning_set]
-        if self._backend == "python":
-            return np.asarray(
-                [self.marginal_spread(graph, node, conditioning) for node in nodes],
-                dtype=np.float64,
-            )
         view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
         members = set(conditioning)
         candidates = [node for node in nodes if node not in members]
@@ -326,11 +317,6 @@ class MonteCarloSpreadOracle(_PooledOracleMixin):
         node = int(node)
         front = [int(v) for v in front_conditioning]
         rear = [int(v) for v in rear_conditioning]
-        if self._backend == "python":
-            return (
-                self.marginal_spread(graph, node, front),
-                self.marginal_spread(graph, node, rear),
-            )
         view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
         seed_sets: List[List[int]] = []
         layout: List[Optional[Tuple[int, int]]] = []
@@ -374,10 +360,9 @@ class RISSpreadOracle(_PooledOracleMixin):
     queries on the same residual state become correlated — acceptable for
     the oracle-model experiments, so it is opt-in.  The cache is a bounded
     LRU (:class:`repro.service.cache.LRUCache`); ``cache_size=1``, the
-    default, reproduces the historical single-entry semantics bit-for-bit
-    (returning to an earlier residual state regenerates, consuming the
-    same RNG draws), while the long-lived service raises it to keep many
-    residual states warm at once.
+    default, keeps only the latest residual state (returning to an earlier
+    one regenerates, drawing a fresh key), while the long-lived service
+    raises it to keep many residual states warm at once.
     """
 
     def __init__(
@@ -538,10 +523,10 @@ class ProfitOracle:
 
         ``(∆_G(u | S), ∆_G(u | R))`` for the two conditioning sets ADG
         compares at every examined node.  Spread oracles exposing a batched
-        :meth:`marginal_spread_pair` (the vectorized Monte-Carlo oracle)
-        answer both marginals from one shared realization batch; all other
-        oracles fall back to two sequential :meth:`marginal_profit` calls —
-        front first, rear second, exactly the historical query order.
+        :meth:`marginal_spread_pair` (the Monte-Carlo oracle) answer both
+        marginals from one shared realization batch; all other oracles
+        answer two sequential :meth:`marginal_profit` calls — front first,
+        rear second.
         """
         node = int(node)
         front = {int(v) for v in front_conditioning}

@@ -7,12 +7,10 @@ from repro.diffusion.ic_model import (
     simulate_ic_spread,
 )
 from repro.diffusion.mc_engine import (
-    MC_BACKEND_ENV_VAR,
     MCBatch,
     live_edge_reachable,
     merge_mc_batches,
     replay_live_edges,
-    resolve_mc_backend,
     simulate_ic_batch,
 )
 from repro.diffusion.realization import (
@@ -36,7 +34,6 @@ __all__ = [
     "BaseRealization",
     "LazyRealization",
     "MAX_EXACT_EDGES",
-    "MC_BACKEND_ENV_VAR",
     "MCBatch",
     "Realization",
     "batch_realization_spreads",
@@ -51,7 +48,6 @@ __all__ = [
     "monte_carlo_spread_samples",
     "observe_activation",
     "replay_live_edges",
-    "resolve_mc_backend",
     "sample_realizations",
     "simulate_ic",
     "simulate_ic_batch",

@@ -9,12 +9,11 @@ Simulating the process directly is equivalent to sampling a realization and
 taking the live-edge reachable set, but a direct simulation only flips the
 coins it actually needs, which is what :func:`simulate_ic` does.
 
-:func:`simulate_ic` runs one cascade at a time and is the executable
-specification of the per-cascade RNG stream; Monte-Carlo callers that need
-many cascades per query should go through the batched engine
-(:mod:`repro.diffusion.mc_engine`), which runs a whole batch as one
-frontier-at-a-time sweep and reproduces this module's stream exactly for a
-batch of one.
+:func:`simulate_ic` and :func:`cascade_trace` run one cascade at a time,
+drawing each node's coins from the caller's generator.  Monte-Carlo
+callers that need many cascades per query go through the batched engine
+(:mod:`repro.diffusion.mc_engine`), which draws them from its keyed
+cascade stream instead.
 """
 
 from __future__ import annotations

@@ -1,55 +1,54 @@
-"""Batched, vectorized forward simulation of the Independent Cascade model.
+"""Batched forward simulation of the Independent Cascade model on a keyed stream.
 
-This module is the forward-side twin of :mod:`repro.sampling.engine`.  The
-historical Monte-Carlo paths (`monte_carlo_spread`, the MC spread oracle,
-sample-based cost estimation, policy replay) run one cascade at a time
-through a per-node Python ``deque`` loop; with ``num_simulations=1000`` per
-spread query that loop dominates the figure/table experiment drivers.  The
-engine here grows *all* cascades of a batch simultaneously:
+This module is the forward-side twin of :mod:`repro.sampling.engine`.  A
+batch of IC cascades shares one seed set, and every cascade is a pure
+function of the batch *key* and its index, so any traversal order, any
+backend and any sharding simulate the same cascades.
 
-1. the (shared) seed set is resolved once — inactive seeds are ignored,
-   duplicates keep their first occurrence, exactly as in
-   :func:`repro.diffusion.ic_model.simulate_ic`;
-2. the forward BFS advances frontier-at-a-time across the whole batch —
-   one expansion gathers the outgoing CSR slices of every frontier node of
-   every simulation at once, applies the residual ``active`` mask as a
-   single vectorized filter, and draws all coin flips of the wave with one
-   ``rng.random`` call;
-3. activated ``(sim_id, node)`` pairs are deduplicated with sorted int64
-   keys (``np.searchsorted``), no per-simulation Python ``set`` lookups.
+The keyed cascade stream
+------------------------
+:func:`simulate_ic_batch` draws one 64-bit key per batch from the
+caller's generator, as :func:`~repro.sampling.engine.generate_rr_batch`
+does.  With ``G`` and ``mix64`` as in :mod:`repro.sampling.engine` (all
+arithmetic modulo ``2**64``):
 
-The result is an :class:`MCBatch`: the activated sets of all simulations in
-flat CSR-like form ``(offsets, nodes)`` — per-simulation spreads are
-``np.diff(offsets)``, and full activation masks are available on demand.
+* cascade ``j`` hashes to ``h_j = mix64(key + j·G)``;
+* the out-CSR edge at position ``e`` (its edge id) is live in cascade
+  ``j`` iff ``mix64(h_j + (e+1)·G) >> 11 < ceil(p_e · 2**53)``;
+* the cascade lists the active seeds in first-occurrence order, then
+  every node reached over live edges whose target is active, in BFS
+  discovery order (each frontier node's out-edges in CSR order).
+
+Cascades ``[0, a)`` and ``[a, B)`` drawn under one key (``start=a`` for
+the second) therefore concatenate to the batch of ``B`` cascades, which
+is what the parallel pool's shards rely on.  The result is an
+:class:`MCBatch`: the activated sets of all cascades in flat CSR-like
+form ``(offsets, nodes)`` — per-cascade spreads are ``np.diff(offsets)``.
 
 Backends
 --------
-``simulate_ic_batch`` accepts ``backend="vectorized"`` (default) or
-``backend="python"``.  The Python backend is a loop-based reference
-implementation of *exactly the same algorithm*: it consumes the same
-coin-flip stream in the same frontier order, so for any shared seed the two
-backends produce bit-for-bit identical batches (pinned by
-``tests/diffusion/test_mc_engine.py``).  Because numpy ``Generator.random``
-streams concatenate across calls, a batch of ``count=1`` consumes *exactly*
-the stream of one historical :func:`simulate_ic` cascade — the historical
-per-cascade loop is the ``B = 1`` special case of the engine's RNG
-contract.  A batch of ``B > 1`` simulations interleaves the waves of all
-cascades and therefore draws a different (equally distributed) stream than
-``B`` sequential cascades; that is why the Monte-Carlo entry points in
-:mod:`repro.diffusion.spread` default to ``backend="python"`` (the
-historical sequential loop) and treat the batched engine as an opt-in.
+``simulate_ic_batch`` dispatches through the kernel registry
+(:mod:`repro.kernels`): ``"vectorized"`` grows all cascades of a batch
+layer by layer with NumPy (:func:`~repro.sampling.engine.layered_bfs`,
+the sweep the RR engine runs), ``"python"`` is a per-cascade scalar loop,
+the literal statement of the stream above, and ``"native"`` is a
+compiled per-cascade BFS.  All three return identical batches
+(``tests/diffusion/test_keyed_cascades.py``).
 
 Live-edge replay
 ----------------
-:func:`replay_live_edges` is the deterministic sibling: instead of flipping
-coins it follows precomputed live/blocked edge states (one boolean row per
-realization), which batches `Realization.activated_by`-style policy replay
-over many realizations — and powers the vectorized possible-world
+:func:`replay_live_edges` is the deterministic sibling: instead of keyed
+coins it follows precomputed live/blocked edge states (one boolean row
+per realization), which batches `Realization.activated_by`-style policy
+replay over many realizations — and powers the possible-world
 enumeration of :func:`repro.diffusion.spread.exact_expected_spread`.
+Realizations keep their own stream: :func:`sample_live_chunks` draws
+``rng.random(m)`` rows from the caller's generator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set
 
@@ -58,36 +57,16 @@ import numpy as np
 from repro import kernels
 from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import ResidualGraph, as_residual
-from repro.sampling.engine import flat_slice_indices
+from repro.sampling.engine import (
+    GOLDEN,
+    draw_key,
+    keyed_coins,
+    layered_bfs,
+    mix64_int,
+    set_hashes,
+)
 from repro.utils.exceptions import ValidationError
-from repro.utils.rng import RandomState, ensure_rng
-
-#: Environment variable consulted when a caller leaves ``backend`` unset.
-MC_BACKEND_ENV_VAR = "REPRO_MC_BACKEND"
-
-
-def resolve_mc_backend(backend: Optional[str] = None) -> str:
-    """Resolve a Monte-Carlo backend request to a concrete kernel name.
-
-    A thin wrapper over :func:`repro.kernels.resolve_backend` — one
-    shared parser and one shared error message listing every registered
-    backend — with the Monte-Carlo knob's historical semantics:
-
-    * an explicit value wins (any registered backend, or ``"auto"`` for
-      the fastest available one);
-    * ``None`` falls back to the ``REPRO_MC_BACKEND`` environment variable;
-    * ``None`` with no environment override resolves to ``"python"`` — the
-      historical per-cascade loop, so defaults keep the exact historical
-      RNG streams bit-for-bit.
-
-    ``"python"`` selects the sequential per-cascade strategy at the
-    :mod:`repro.diffusion.spread` entry points; every other name runs
-    the batched engine with that kernel backend.
-    """
-    return kernels.resolve_backend(
-        backend, env_var=MC_BACKEND_ENV_VAR, default="python"
-    )
-
+from repro.utils.rng import RandomState
 
 #: Soft cap on floats materialised per live-edge chunk (~32 MB of draws).
 _CHUNK_FLOATS = 4_000_000
@@ -107,9 +86,10 @@ def sample_live_chunks(rng: np.random.Generator, probs: np.ndarray, count: int):
     """Yield ``(rows, m)`` boolean live-edge matrices for ``count`` realizations.
 
     The single place that encodes the bulk realization stream: row ``i``
-    of the concatenated chunks equals the live mask the historical loop
-    samples with its ``i``-th ``rng.random(m)`` call (``probs`` is the
-    edge-id-ordered probability array, ``base.out_csr()[2]``).  Every
+    of the concatenated chunks equals the live mask
+    :meth:`~repro.diffusion.realization.Realization.sample` draws with its
+    ``i``-th ``rng.random(m)`` call (``probs`` is the edge-id-ordered
+    probability array, ``base.out_csr()[2]``).  Every
     common-random-numbers consumer — ``monte_carlo_marginal_spread`` and
     the Monte-Carlo oracle's batched queries — iterates these chunks so
     the stream contract lives in exactly one function.
@@ -224,16 +204,17 @@ def _empty_batch(count: int, n: int) -> MCBatch:
 
 
 def _resolve_seeds(view: ResidualGraph, seeds: Iterable[int]) -> np.ndarray:
-    """Active seeds in first-occurrence order (the ``simulate_ic`` contract).
+    """Active seeds in first-occurrence order: every cascade's first members.
 
-    Inactive seeds are ignored and duplicates keep their first occurrence —
-    exactly what the historical per-cascade loop does when it fills its
-    initial deque.
+    Inactive seeds are ignored and duplicates keep their first occurrence.
+    Ids outside ``[0, n)`` are rejected: the kernels index arrays with them.
     """
     resolved: List[int] = []
     seen: Set[int] = set()
     for seed in seeds:
         seed = int(seed)
+        if not 0 <= seed < view.n:
+            raise ValidationError(f"seed {seed} is not a node id in [0, {view.n})")
         if seed not in seen and view.is_active(seed):
             seen.add(seed)
             resolved.append(seed)
@@ -246,6 +227,8 @@ def simulate_ic_batch(
     count: int,
     random_state: RandomState = None,
     backend: Optional[str] = None,
+    key: Optional[int] = None,
+    start: int = 0,
 ) -> MCBatch:
     """Run ``count`` independent IC cascades from ``seeds`` as one batch.
 
@@ -255,29 +238,37 @@ def simulate_ic_batch(
         Graph or residual view to simulate on; propagation never enters
         inactive nodes and inactive seeds are ignored.
     seeds:
-        Seed set shared by every simulation of the batch.
+        Seed set shared by every cascade of the batch.
     count:
         Number of independent cascades.
     random_state:
-        Seed / generator; every backend consumes it identically.
+        Seed / generator the batch key is drawn from (one draw per
+        non-empty batch; unused when ``key`` is given).
     backend:
         Kernel backend name resolved through the registry
         (:func:`repro.kernels.resolve_backend`): ``None`` honours
         ``REPRO_BACKEND`` and defaults to ``"vectorized"``; ``"auto"``
-        picks the fastest available backend — every backend is
-        bit-for-bit identical, so the choice never changes the batch.
+        picks the fastest available backend.  Every backend simulates the
+        identical batch, so the choice never changes results.
+    key / start:
+        Draw cascades ``start … start + count − 1`` of the stream of
+        ``key`` instead of cascades ``0 … count − 1`` under a freshly
+        drawn key.
     """
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
+    if start < 0:
+        raise ValidationError(f"start must be >= 0, got {start}")
     spec = kernels.get_backend(backend)
     view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
     if count == 0:
         return _empty_batch(0, view.n)
+    if key is None:
+        key = draw_key(random_state)
     seed_array = _resolve_seeds(view, seeds)
     if seed_array.size == 0:
         return _empty_batch(count, view.n)
-    rng = ensure_rng(random_state)
-    return spec.simulate_batch(view, seed_array, count, rng)
+    return spec.simulate_batch(view, seed_array, int(key) % 2**64, int(start), count)
 
 
 # --------------------------------------------------------------------- #
@@ -285,103 +276,40 @@ def simulate_ic_batch(
 # --------------------------------------------------------------------- #
 
 
-def _finalize_batch(
-    member_sim: List[np.ndarray],
-    member_nodes: List[np.ndarray],
-    count: int,
-    n: int,
-) -> MCBatch:
-    all_sim = np.concatenate(member_sim)
-    all_nodes = np.concatenate(member_nodes)
-    grouping = np.argsort(all_sim, kind="stable")
-    sizes = np.bincount(all_sim, minlength=count)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return MCBatch(offsets=offsets, nodes=all_nodes[grouping], n=n)
-
-
-def _frontier_sweep(
-    view: ResidualGraph, seeds: np.ndarray, count: int, traverse
-) -> MCBatch:
-    """The shared frontier-at-a-time sweep of the coin-flip and replay paths.
-
-    ``traverse(expand_sim, edge_idx, targets)`` decides which gathered
-    edges propagate this wave and returns the surviving ``(sims, targets)``
-    pair — coin flips for :func:`simulate_ic_batch`, live-mask lookups for
-    :func:`replay_live_edges`.  Everything else (CSR gather, sorted-key
-    dedup against earlier waves, first-occurrence dedup within a wave,
-    flat-batch assembly) lives here exactly once, so the two modes cannot
-    drift apart.
-    """
-    n = view.n
+def _sweep(view: ResidualGraph, seeds: np.ndarray, count: int, live) -> MCBatch:
+    """:func:`~repro.sampling.engine.layered_bfs` on the out-CSR from shared seeds."""
+    base = view.base
     # prepare_csr centralizes the uint32 -> int64 handling of mmap'd
     # ``.rgx`` node arrays: gathered slices upcast through ``csr.gather``.
-    csr = kernels.prepare_csr(*view.base.out_csr())
-    out_offsets = csr.offsets
-
-    # Every simulation starts from the same (active, deduplicated) seeds.
-    frontier_sim = np.repeat(np.arange(count, dtype=np.int64), seeds.size)
-    frontier_nodes = np.tile(seeds, count)
-
-    # Sorted (sim_id * n + node) keys of everything activated so far.
-    visited_keys = np.sort(frontier_sim * n + frontier_nodes)
-    member_sim = [frontier_sim]
-    member_nodes = [frontier_nodes]
-
-    while frontier_nodes.size:
-        starts = out_offsets[frontier_nodes]
-        degrees = out_offsets[frontier_nodes + 1] - starts
-        if int(degrees.sum()) == 0:
-            break
-        edge_idx = flat_slice_indices(starts, degrees)
-        expand_sim = np.repeat(frontier_sim, degrees)
-        targets = csr.gather(edge_idx)
-        expand_sim, targets = traverse(expand_sim, edge_idx, targets)
-        if targets.size == 0:
-            break
-        keys = expand_sim * n + targets
-        # Drop pairs activated in earlier waves ...
-        pos = np.searchsorted(visited_keys, keys)
-        pos_clipped = np.minimum(pos, visited_keys.size - 1)
-        fresh = visited_keys[pos_clipped] != keys
-        keys = keys[fresh]
-        targets = targets[fresh]
-        expand_sim = expand_sim[fresh]
-        if keys.size == 0:
-            break
-        # ... and duplicates within this wave, keeping the first occurrence.
-        unique_keys, first_idx = np.unique(keys, return_index=True)
-        order = np.sort(first_idx)
-        frontier_nodes = targets[order]
-        frontier_sim = expand_sim[order]
-        visited_keys = np.concatenate([visited_keys, unique_keys])
-        visited_keys.sort(kind="stable")
-        member_sim.append(frontier_sim)
-        member_nodes.append(frontier_nodes)
-
-    return _finalize_batch(member_sim, member_nodes, count, n)
+    csr = kernels.prepare_csr(*base.out_csr())
+    offsets, nodes = layered_bfs(
+        csr,
+        base.n,
+        None if view.num_active == base.n else view.active_mask,
+        np.repeat(np.arange(count, dtype=np.int64), seeds.size),
+        np.tile(seeds, count),
+        count,
+        live,
+    )
+    return MCBatch(offsets=offsets, nodes=nodes, n=base.n)
 
 
 def _simulate_batch_vectorized(
-    view: ResidualGraph, seeds: np.ndarray, count: int, rng: np.random.Generator
+    view: ResidualGraph, seeds: np.ndarray, key: int, start: int, count: int
 ) -> MCBatch:
-    active = view.active_mask
-    out_probs = view.base.out_csr()[2]
+    """All cascades of the batch at once, one layer per step, on keyed coins."""
+    thresholds = kernels.coin_thresholds(view.base.out_csr()[2])
+    live = keyed_coins(set_hashes(key, start, count), thresholds)
+    return _sweep(view, seeds, count, live)
 
-    def traverse(expand_sim, edge_idx, targets):
-        # Residual filter first: coins are only flipped for edges whose
-        # target is still active — the per-node reference filters through
-        # `out_neighbors` before flipping, and so does `simulate_ic`.
-        keep = active[targets]
-        targets = targets[keep]
-        probs = out_probs[edge_idx[keep]]
-        expand_sim = expand_sim[keep]
-        if targets.size == 0:
-            return expand_sim, targets
-        flips = rng.random(targets.size) < probs
-        return expand_sim[flips], targets[flips]
 
-    return _frontier_sweep(view, seeds, count, traverse)
+def _replay_batch_vectorized(
+    view: ResidualGraph, seeds: np.ndarray, live: np.ndarray
+) -> MCBatch:
+    """One cascade per world row, all worlds at once, one layer per step."""
+    return _sweep(
+        view, seeds, int(live.shape[0]), lambda ids, edge_idx: live[ids, edge_idx]
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -390,68 +318,46 @@ def _simulate_batch_vectorized(
 
 
 def _simulate_batch_python(
-    view: ResidualGraph, seeds: np.ndarray, count: int, rng: np.random.Generator
+    view: ResidualGraph, seeds: np.ndarray, key: int, start: int, count: int
 ) -> MCBatch:
-    """Loop-based reference with the exact RNG contract of the fast path.
+    """The keyed cascade stream, one cascade at a time, in plain Python.
 
-    Kept intentionally naive (Python lists, sets and scalar loops): its only
-    job is to be obviously correct so the vectorized backend can be checked
-    against it seed-for-seed.
+    Kept intentionally naive (Python ints, lists, sets and scalar loops):
+    it is the literal statement of the stream in the module docstring, and
+    the other backends are checked against it.
     """
-    n = view.n
+    out_offsets, out_targets, out_probs = view.base.out_csr()
     seed_list = seeds.tolist()
-    members: List[List[int]] = [list(seed_list) for _ in range(count)]
-    activated: List[Set[int]] = [set(seed_list) for _ in range(count)]
-    frontier: List[tuple] = [
-        (sim, seed) for sim in range(count) for seed in seed_list
-    ]
-
-    while frontier:
-        # Gather the wave's live out-edges in frontier order, then flip all
-        # coins with one bulk draw (same stream as the vectorized backend).
-        layer: List[tuple] = []
-        for sim, node in frontier:
-            targets, probs, _ = view.out_neighbors(node)
-            for target, prob in zip(targets.tolist(), probs.tolist()):
-                layer.append((sim, target, prob))
-        if not layer:
-            break
-        flips = rng.random(len(layer))
-        next_frontier: List[tuple] = []
-        for (sim, target, prob), flip in zip(layer, flips.tolist()):
-            if flip < prob and target not in activated[sim]:
-                activated[sim].add(target)
-                members[sim].append(target)
-                next_frontier.append((sim, target))
-        frontier = next_frontier
-
-    sizes = np.asarray([len(member) for member in members], dtype=np.int64)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    flat = [node for member in members for node in member]
+    members: List[int] = []
+    offsets = [0]
+    for j in range(start, start + count):
+        h = mix64_int(key + j * GOLDEN)
+        cascade = list(seed_list)
+        seen: Set[int] = set(cascade)
+        head = 0
+        while head < len(cascade):
+            node = cascade[head]
+            head += 1
+            for e in range(int(out_offsets[node]), int(out_offsets[node + 1])):
+                target = int(out_targets[e])
+                if target in seen or not view.is_active(target):
+                    continue
+                threshold = math.ceil(float(out_probs[e]) * 2**53)
+                if mix64_int(h + (e + 1) * GOLDEN) >> 11 < threshold:
+                    seen.add(target)
+                    cascade.append(target)
+        members.extend(cascade)
+        offsets.append(len(members))
     return MCBatch(
-        offsets=offsets,
-        nodes=np.asarray(flat, dtype=np.int64),
-        n=n,
+        offsets=np.asarray(offsets, dtype=np.int64),
+        nodes=np.asarray(members, dtype=np.int64),
+        n=view.n,
     )
 
 
 # --------------------------------------------------------------------- #
 # deterministic live-edge replay (realizations / possible worlds)
 # --------------------------------------------------------------------- #
-
-
-def _replay_batch_vectorized(
-    view: ResidualGraph, seeds: np.ndarray, live: np.ndarray
-) -> MCBatch:
-    """Vectorized replay kernel: one deterministic sweep per world row."""
-    active = view.active_mask
-
-    def traverse(expand_sim, edge_idx, targets):
-        keep = active[targets] & live[expand_sim, edge_idx]
-        return expand_sim[keep], targets[keep]
-
-    return _frontier_sweep(view, seeds, int(live.shape[0]), traverse)
 
 
 def replay_live_edges(

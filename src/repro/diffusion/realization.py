@@ -111,8 +111,8 @@ class Realization(BaseRealization):
 
         Reads the graph's cached probability array directly — sampling
         needs only the probability column, not the three ``O(m)`` copies
-        ``edge_array()`` materializes.  The draws are unchanged, so
-        sampled worlds are bit-for-bit the historical ones.
+        ``edge_array()`` materializes: one ``rng.random(m)`` call, edge
+        ``e`` live iff its draw is below ``p(e)``.
         """
         rng = ensure_rng(random_state)
         probs = graph.edge_probabilities
@@ -177,7 +177,7 @@ class LazyRealization(BaseRealization):
     Two sampling granularities:
 
     * ``batch_flip=False`` (default) — one Python-level Bernoulli draw per
-      edge on first inspection, the exact historical stream.
+      edge on first inspection, in the order edges are inspected.
     * ``batch_flip=True`` — on the first touch of any edge, the whole
       out-neighbour slice of its source node is flipped with a single
       vectorized draw and memoised.  Diffusion inspects edges source by

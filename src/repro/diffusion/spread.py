@@ -10,8 +10,7 @@ model* (spreads estimated by sampling).  This module provides
   and in the Fig. 1 worked example, and guarded accordingly.  The worlds
   are evaluated in chunks through the batched live-edge replay engine
   (:func:`repro.diffusion.mc_engine.replay_live_edges`) with the pattern
-  probabilities computed vectorized, instead of the historical per-pattern
-  Python inner loop.
+  probabilities computed vectorized.
 * :func:`monte_carlo_spread` — the classical unbiased estimator obtained by
   averaging IC simulations.
 * conditional variants used by the oracle-model algorithm ADG, where the
@@ -20,24 +19,15 @@ model* (spreads estimated by sampling).  This module provides
 
 Backends
 --------
-The Monte-Carlo estimators accept ``backend=``, resolved through
-:func:`repro.diffusion.mc_engine.resolve_mc_backend` (the
-``REPRO_MC_BACKEND`` environment variable fills in when the caller passes
-``None``):
-
-* ``"python"`` (default) — the historical per-cascade loop; defaults keep
-  the exact historical RNG streams bit-for-bit.
-* any other registered kernel backend (``"vectorized"``, ``"native"``,
-  or ``"auto"`` for ``"native"`` when it can build) — the batched
-  engine of :mod:`repro.diffusion.mc_engine`: all cascades of a query
-  advance frontier-at-a-time with that kernel, optionally sharded across
-  a :class:`~repro.parallel.pool.SamplingPool` (``n_jobs`` / ``pool``)
-  under the library-wide determinism contract (output independent of the
-  worker count and of the kernel choice).  For
-  :func:`monte_carlo_marginal_spread` the batched engines consume the
-  *same* realization stream as the historical loop (one ``rng.random(m)``
-  row per simulation), so every backend returns bit-for-bit identical
-  estimates.
+The Monte-Carlo estimators accept ``backend=``, any registered kernel
+backend resolved through :func:`repro.kernels.resolve_backend` (``None``
+honours ``REPRO_BACKEND`` and defaults to ``"vectorized"``).  Every query
+runs as one batch of the keyed cascade stream of
+:mod:`repro.diffusion.mc_engine`, optionally sharded across a
+:class:`~repro.parallel.pool.SamplingPool` (``n_jobs`` / ``pool``); the
+estimate depends on neither the kernel nor the worker count.
+:func:`monte_carlo_marginal_spread` replays common realizations instead
+(one ``rng.random(m)`` row per simulation), whatever the backend.
 """
 
 from __future__ import annotations
@@ -46,12 +36,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.diffusion.ic_model import simulate_ic
 from repro.diffusion.mc_engine import (
     MCBatch,
     live_chunk_rows,
     replay_live_edges,
-    resolve_mc_backend,
     sample_live_chunks,
     simulate_ic_batch,
 )
@@ -76,10 +64,9 @@ def exact_expected_spread(
     Raises :class:`ValidationError` when that count exceeds ``max_edges``.
 
     Pattern probabilities are computed for all ``2^r`` worlds with one
-    vectorized pass per edge (same multiplication order as the historical
-    scalar loop, so the products are bit-for-bit identical), and the
-    per-world spreads are evaluated in chunks by the batched live-edge
-    replay engine instead of one Python BFS per world.
+    vectorized pass per edge (the factors of each world multiply in edge
+    order), and the per-world spreads are evaluated in chunks by the
+    batched live-edge replay engine.
     """
     view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
     base = view.base
@@ -101,9 +88,8 @@ def exact_expected_spread(
     rel_comp = 1.0 - rel_probs
 
     # Probability of every bit pattern at once.  Bit ``num_edges - 1 - k``
-    # of the pattern index is edge ``k``'s live flag, which reproduces the
-    # historical ``itertools.product([False, True], ...)`` enumeration
-    # order (and the per-pattern multiplication order, factor by factor).
+    # of the pattern index is edge ``k``'s live flag, so worlds enumerate
+    # in ``itertools.product([False, True], ...)`` order.
     indices = np.arange(num_worlds, dtype=np.int64)
     pattern_probs = np.ones(num_worlds, dtype=np.float64)
     for k in range(num_edges):
@@ -111,7 +97,7 @@ def exact_expected_spread(
         pattern_probs *= np.where(bit, rel_probs[k], rel_comp[k])
 
     # Worlds of probability zero (some edge has p == 1 flagged blocked)
-    # contribute nothing; skip their BFS like the historical loop did.
+    # contribute nothing; skip their BFS.
     feasible = np.nonzero(pattern_probs > 0.0)[0]
     shifts = (num_edges - 1 - np.arange(num_edges, dtype=np.int64))
 
@@ -128,6 +114,13 @@ def exact_expected_spread(
     return total
 
 
+def _require_simulations(num_simulations: int) -> None:
+    if num_simulations < 1:
+        raise ValidationError(
+            f"num_simulations must be >= 1, got {num_simulations}"
+        )
+
+
 def monte_carlo_spread(
     graph: ProbabilisticGraph | ResidualGraph,
     seeds: Iterable[int],
@@ -139,26 +132,16 @@ def monte_carlo_spread(
 ) -> float:
     """Monte-Carlo estimate of ``E[I(S)]`` from ``num_simulations`` cascades.
 
-    ``backend="python"`` (the resolved default) runs the historical
-    per-cascade loop on the exact historical RNG stream; ``"vectorized"``
-    runs the whole query as one batched sweep, sharded across ``n_jobs``
-    workers (or a held ``pool``) when requested — the batched result is
-    bit-for-bit independent of the worker count.
+    The cascades are one batch of the keyed cascade stream, sharded
+    across ``n_jobs`` workers (or a held ``pool``) when requested; the
+    estimate depends on neither the worker count nor the kernel.
     """
-    if num_simulations <= 0:
-        raise ValidationError("num_simulations must be positive")
-    rng = ensure_rng(random_state)
+    _require_simulations(num_simulations)
     seeds = list(seeds)
     if not seeds:
         return 0.0
-    resolved = resolve_mc_backend(backend)
-    if resolved == "python":
-        total = 0
-        for _ in range(num_simulations):
-            total += len(simulate_ic(graph, seeds, rng))
-        return total / num_simulations
     batch = _dispatch_simulate(
-        graph, seeds, num_simulations, rng, n_jobs, pool, resolved
+        graph, seeds, num_simulations, random_state, n_jobs, pool, backend
     )
     return batch.total_spread() / num_simulations
 
@@ -173,15 +156,9 @@ def monte_carlo_spread_samples(
     pool: Optional["SamplingPool"] = None,
 ) -> np.ndarray:
     """Return the individual spread samples (for variance / CI analysis)."""
-    rng = ensure_rng(random_state)
-    resolved = resolve_mc_backend(backend)
-    if resolved == "python":
-        samples = np.empty(num_simulations, dtype=np.float64)
-        for index in range(num_simulations):
-            samples[index] = len(simulate_ic(graph, seeds, rng))
-        return samples
+    _require_simulations(num_simulations)
     batch = _dispatch_simulate(
-        graph, list(seeds), num_simulations, rng, n_jobs, pool, resolved
+        graph, list(seeds), num_simulations, random_state, n_jobs, pool, backend
     )
     return batch.spreads().astype(np.float64)
 
@@ -212,42 +189,45 @@ def monte_carlo_marginal_spread(
     """Monte-Carlo estimate of ``E[I_G(u | S)]`` using common random numbers.
 
     The same realization is used for the "with" and "without" cascades,
-    which greatly reduces the variance of the difference.  The vectorized
-    backend draws the realizations in bulk rows (the identical stream the
-    per-realization loop consumes) and replays both cascades of every
-    realization through the batched live-edge engine, so the two backends
-    return bit-for-bit identical estimates.
+    which greatly reduces the variance of the difference.  Realizations
+    are drawn in bulk rows (:func:`~repro.diffusion.mc_engine.
+    sample_live_chunks`) and both cascades of every realization are
+    replayed through the batched live-edge engine with ``backend``.
     """
-    from repro.diffusion.realization import Realization
-
+    _require_simulations(num_simulations)
     rng = ensure_rng(random_state)
     conditioning = [int(v) for v in conditioning_set]
     node = int(node)
     if node in conditioning:
         return 0.0
     view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
-    base = view.base
-    resolved = resolve_mc_backend(backend)
-    if resolved == "python":
-        total = 0.0
-        for _ in range(num_simulations):
-            world = Realization.sample(base, rng)
-            with_node = world.spread(conditioning + [node], view)
-            without_node = world.spread(conditioning, view) if conditioning else 0
-            total += with_node - without_node
-        return total / num_simulations
-
-    total_int = 0
-    for live in sample_live_chunks(rng, base.out_csr()[2], num_simulations):
-        with_spreads = replay_live_edges(
-            view, conditioning + [node], live, backend=resolved
+    total = 0
+    for live in sample_live_chunks(rng, view.base.out_csr()[2], num_simulations):
+        total += int(
+            replay_live_edges(view, conditioning + [node], live, backend=backend).sum()
         )
-        total_int += int(with_spreads.sum())
         if conditioning:
-            total_int -= int(
-                replay_live_edges(view, conditioning, live, backend=resolved).sum()
+            total -= int(
+                replay_live_edges(view, conditioning, live, backend=backend).sum()
             )
-    return total_int / num_simulations
+    return total / num_simulations
+
+
+#: One-sided standard-normal quantiles of the supported confidence levels.
+_NORMAL_QUANTILES = {0.9: 1.2816, 0.95: 1.6449, 0.99: 2.3263}
+
+
+def normal_quantile(confidence: float) -> float:
+    """The one-sided normal quantile ``z`` of ``confidence`` (0.90, 0.95 or 0.99).
+
+    Raises :class:`ValidationError` for any other level.
+    """
+    z = _NORMAL_QUANTILES.get(round(float(confidence), 9))
+    if z is None:
+        raise ValidationError(
+            f"confidence must be one of {sorted(_NORMAL_QUANTILES)}, got {confidence}"
+        )
+    return z
 
 
 def expected_spread_lower_bound(
@@ -263,15 +243,13 @@ def expected_spread_lower_bound(
     which is accurate for the sample sizes the experiments use, clipped at
     the sample minimum to stay conservative on tiny sample counts.
     """
+    z = normal_quantile(confidence)
     if samples.size == 0:
         return 0.0
     mean = float(samples.mean())
     if samples.size == 1:
         return mean
     std_error = float(samples.std(ddof=1)) / np.sqrt(samples.size)
-    # 95% one-sided normal quantile by default.
-    z_values = {0.9: 1.2816, 0.95: 1.6449, 0.99: 2.3263}
-    z = z_values.get(round(confidence, 2), 1.6449)
     lower = mean - z * std_error
     return max(lower, float(samples.min()), 0.0)
 
@@ -283,7 +261,7 @@ def _dispatch_simulate(
     random_state: RandomState,
     n_jobs: Optional[int],
     pool: Optional["SamplingPool"],
-    backend: str = "vectorized",
+    backend: Optional[str] = None,
 ) -> MCBatch:
     """Route one batched MC query through the pool / sharded / plain engine."""
     from repro.parallel.pool import parallel_simulate_ic_batch, resolve_jobs

@@ -161,7 +161,7 @@ def roundtrip_equal(graph: ProbabilisticGraph, path: PathLike) -> bool:
     ``.rgx`` the binary format is used and the comparison is exact —
     including graphs with isolated trailing nodes, which a plain edge
     list cannot represent (``n`` is stored explicitly in the binary
-    header).  For text paths the historical caveat stands: a graph whose
+    header).  For text paths the edge-list caveat stands: a graph whose
     highest-numbered nodes have no edges reloads with a smaller ``n``,
     and this helper reports ``False``.
     """

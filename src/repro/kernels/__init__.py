@@ -9,12 +9,13 @@ simulate_batch, replay_batch)`` triple:
 ``"vectorized"``
     The NumPy frontier-at-a-time engines (the default).
 ``"python"``
-    Naive loop-based executable specifications: a per-set loop over the
-    keyed RR stream, and a per-cascade forward simulation.
+    Naive loop-based executable specifications of the keyed streams: a
+    per-set loop for RR sets and a per-cascade loop for forward
+    simulation.
 ``"native"``
-    C kernels compiled once per machine with the system C compiler and
-    opened through ``ctypes``: a per-set reverse BFS for RR sets, and a
-    per-layer driver for forward simulation and replay.
+    One C BFS compiled once per machine with the system C compiler and
+    opened through ``ctypes``, instantiated per RR set, per cascade and
+    per replayed world.
 
 ``resolve_backend("auto")`` picks ``"native"`` when it can build and
 ``"vectorized"`` otherwise; because every backend samples the identical

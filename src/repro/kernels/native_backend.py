@@ -1,20 +1,25 @@
-"""The ``"native"`` backend: C kernels compiled on first use, opened with ctypes.
+"""The ``"native"`` backend: one C BFS compiled on first use, opened with ctypes.
 
-A single small C translation unit holds two kinds of kernel:
+A single small C translation unit holds one breadth-first search,
+instantiated three times:
 
-* **RR sets** — one reverse BFS per set over the keyed stream of
-  :mod:`repro.sampling.engine`.  Visited nodes carry a per-set stamp, and
-  the output buffer doubles as each set's BFS queue, so a set's members
-  land in discovery order and the batch offsets come for free.  A set
-  ends at its first member in the optional ``stop`` mask.  Because every
-  coin is a pure function of (key, set index, edge), the batch equals the
-  ``"vectorized"`` and ``"python"`` batches element for element.
-* **Forward Monte-Carlo** — the per-layer primitives of
-  :mod:`repro.kernels.layered`: a coin-flip sweep with open-addressing
-  dedup that draws each coin from the generator's C ``next_double`` entry
-  point (passed in as a plain function pointer with its state pointer),
-  a live-edge replay sweep, and the stable counting sort that assembles
-  the flat batches.
+* **RR sets** — one reverse BFS per set on the in-CSR, over the keyed
+  stream of :mod:`repro.sampling.engine`: the root comes from the stream
+  (or an explicit ``roots`` array), every in-edge coin is a pure function
+  of (key, set index, edge), and a set ends at its first member in the
+  optional ``stop`` mask;
+* **cascades** — one forward BFS per cascade on the out-CSR from a shared
+  seed list, over the keyed cascade stream of
+  :mod:`repro.diffusion.mc_engine`;
+* **replayed worlds** — one forward BFS per world from a shared seed
+  list, following the precomputed live mask ``live[j·m + e]``.
+
+Visited nodes carry a per-item stamp, and the output buffer doubles as
+each item's BFS queue, so members land in discovery order and the batch
+offsets come for free; a batch that outgrows its buffer is grown and
+resumed at the first unfinished item.  Because every coin is keyed, the
+batches equal the ``"vectorized"`` and ``"python"`` batches element for
+element.
 
 The unit is compiled once per machine with the system C compiler
 (``cc``/``gcc``, override with ``CC``) into a content-addressed shared
@@ -42,7 +47,6 @@ from typing import Optional
 import numpy as np
 
 from repro.graphs.residual import ResidualGraph
-from repro.kernels import layered
 from repro.kernels.registry import KernelBackend, coin_thresholds, prepare_csr
 from repro.utils.exceptions import ValidationError
 
@@ -63,35 +67,29 @@ static inline uint64_t repro_mix64(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* Sets j0 .. count-1 of the keyed RR stream (stream indices start + j),
- * one reverse BFS per set.  out doubles as each set's BFS queue, so
- * out_offsets[j + 1] is simply where set j's queue ended.  active and
- * stop may be NULL (fully active view, no stop mask); roots may be NULL
- * (roots come from the stream).  Returns count, or the first set that
- * did not fit in cap: sets before it are complete, and the caller grows
- * out and resumes there. */
-#define RR_SETS(NAME, NODE_T)                                                  \
-int64_t NAME(uint64_t key, int64_t start, int64_t count, int64_t j0,          \
-             const int64_t *offsets, const NODE_T *sources,                    \
-             const uint64_t *thresholds, const uint8_t *active,                \
-             const uint8_t *stop, const int64_t *roots,                        \
-             const int64_t *active_nodes, int64_t n_active,                    \
+/* One BFS per item j in [j0, count).  ITEM fixes item j's first nodes
+ * (first[0 .. n_first), active and distinct) and whatever LIVE reads;
+ * LIVE(e) says whether edge e is live in item j.  An edge's endpoint
+ * joins when it is unseen, active (active may be NULL: a fully active
+ * view) and the edge is live.  stop (may be NULL) ends an item at its
+ * first member in the mask, which is kept.  out doubles as each item's
+ * BFS queue, so out_offsets[j + 1] is simply where item j's queue ended.
+ * Returns count, or the first item that did not fit in cap: items before
+ * it are complete, and the caller grows out and resumes there. */
+#define REPRO_BFS(NAME, NODE_T, ITEM, LIVE, ...)                               \
+int64_t NAME(__VA_ARGS__, int64_t count, int64_t j0,                           \
+             const int64_t *offsets, const NODE_T *nodes,                      \
+             const uint8_t *active, const uint8_t *stop,                       \
              uint32_t *stamp, int64_t n, uint32_t *epoch,                      \
              int64_t *out_offsets, int64_t *out, int64_t cap)                  \
 {                                                                              \
     int64_t tail = out_offsets[j0];                                            \
     for (int64_t j = j0; j < count; ++j) {                                     \
-        uint64_t h = repro_mix64(key + (uint64_t)(start + j) * REPRO_GOLDEN);  \
-        int64_t root;                                                          \
-        if (roots) {                                                           \
-            root = roots[j];                                                   \
-        } else {                                                               \
-            int64_t idx = (int64_t)((double)(repro_mix64(h) >> 11)             \
-                                    * 0x1.0p-53 * (double)n_active);           \
-            root = active_nodes[idx < n_active ? idx : n_active - 1];          \
-        }                                                                      \
-        if (!active || active[root]) {                                         \
-            if (tail >= cap)                                                   \
+        const int64_t *first;                                                  \
+        int64_t n_first;                                                       \
+        ITEM                                                                   \
+        if (n_first) {                                                         \
+            if (tail + n_first > cap)                                          \
                 return j;                                                      \
             if (++*epoch == 0) { /* stamps wrapped around: clear them */       \
                 memset(stamp, 0, (size_t)n * sizeof *stamp);                   \
@@ -99,19 +97,19 @@ int64_t NAME(uint64_t key, int64_t start, int64_t count, int64_t j0,          \
             }                                                                  \
             uint32_t mark = *epoch;                                            \
             int64_t head = tail;                                               \
-            int open = !(stop && stop[root]);                                  \
-            stamp[root] = mark;                                                \
-            out[tail++] = root;                                                \
+            for (int64_t i = 0; i < n_first; ++i) {                            \
+                stamp[first[i]] = mark;                                        \
+                out[tail++] = first[i];                                        \
+            }                                                                  \
+            int open = !(stop && stop[first[0]]);                              \
             while (open && head < tail) {                                      \
                 int64_t v = out[head++];                                       \
                 int64_t end = offsets[v + 1];                                  \
                 for (int64_t e = offsets[v]; e < end; ++e) {                   \
-                    int64_t s = (int64_t)sources[e];                           \
+                    int64_t s = (int64_t)nodes[e];                             \
                     if (stamp[s] == mark || (active && !active[s]))            \
                         continue;                                              \
-                    uint64_t coin = repro_mix64(                               \
-                        h + (uint64_t)(e + 1) * REPRO_GOLDEN) >> 11;           \
-                    if (coin >= thresholds[e])                                 \
+                    if (!LIVE(e))                                              \
                         continue;                                              \
                     if (tail >= cap)                                           \
                         return j;                                              \
@@ -129,205 +127,68 @@ int64_t NAME(uint64_t key, int64_t start, int64_t count, int64_t j0,          \
     return count;                                                              \
 }
 
-RR_SETS(repro_rr_sets_i64, int64_t)
-RR_SETS(repro_rr_sets_u32, uint32_t)
+/* Both CSR node dtypes of one instantiation. */
+#define REPRO_BFS_BOTH(NAME, ...)                                              \
+    REPRO_BFS(NAME##_i64, int64_t, __VA_ARGS__)                                \
+    REPRO_BFS(NAME##_u32, uint32_t, __VA_ARGS__)
 
-int64_t repro_degree_sum(int64_t F, const int64_t *fnodes,
-                         const int64_t *offsets)
-{
-    int64_t total = 0;
-    for (int64_t f = 0; f < F; ++f) {
-        int64_t node = fnodes[f];
-        total += offsets[node + 1] - offsets[node];
-    }
-    return total;
-}
+/* Item j of the keyed stream hashes to h; edge e is live iff its 53-bit
+ * coin is below e's threshold. */
+#define KEYED_HASH                                                             \
+    uint64_t h = repro_mix64(key + (uint64_t)(start + j) * REPRO_GOLDEN);
+#define KEYED_LIVE(e)                                                          \
+    ((repro_mix64(h + (uint64_t)((e) + 1) * REPRO_GOLDEN) >> 11) < thresholds[e])
 
-static inline uint64_t repro_slot(int64_t key, uint64_t mask)
-{
-    uint64_t h = (uint64_t)key * 0x9E3779B97F4A7C15ULL;
-    return (h ^ (h >> 32)) & mask;
-}
-
-/* Insert key if absent; returns 1 when inserted, 0 when already present. */
-static inline int repro_insert(int64_t *table, uint64_t mask, int64_t key)
-{
-    uint64_t slot = repro_slot(key, mask);
-    for (;;) {
-        int64_t cur = table[slot];
-        if (cur == key)
-            return 0;
-        if (cur == -1) {
-            table[slot] = key;
-            return 1;
-        }
-        slot = (slot + 1) & mask;
-    }
-}
-
-/* Forward-MC sweep: one CSR walk in frontier order that draws one coin
- * per live (active-endpoint) edge straight from the generator's C
- * next_double entry point (the function NumPy's bulk random() loops
- * over), applies the strict flip < prob test and inserts survivors with
- * insert-if-absent dedup.  Coins are drawn in frontier-then-edge order,
- * so the consumed stream is bit-for-bit the reference's. */
-#define SWEEP_RNG(NAME, NODE_T)                                                \
-int64_t NAME(int64_t F, const int64_t *fids, const int64_t *fnodes,            \
-             const int64_t *offsets, const NODE_T *nodes,                      \
-             const double *probs, const uint8_t *active,                       \
-             double (*next_double)(void *), void *state,                       \
-             int64_t n, int64_t *table, int64_t mask,                          \
-             int64_t *next_ids, int64_t *next_src)                            \
-{                                                                              \
-    int64_t K = 0;                                                             \
-    for (int64_t f = 0; f < F; ++f) {                                          \
-        int64_t id = fids[f];                                                  \
-        int64_t node = fnodes[f];                                              \
-        int64_t end = offsets[node + 1];                                       \
-        for (int64_t e = offsets[node]; e < end; ++e) {                        \
-            int64_t s = (int64_t)nodes[e];                                     \
-            if (active[s]) {                                                   \
-                if (next_double(state) < probs[e]) {                           \
-                    int64_t key = id * n + s;                                  \
-                    if (repro_insert(table, (uint64_t)mask, key)) {            \
-                        next_ids[K] = id;                                      \
-                        next_src[K] = s;                                       \
-                        ++K;                                                   \
-                    }                                                          \
-                }                                                              \
-            }                                                                  \
-        }                                                                      \
+/* RR set j: one root, from roots or the stream (an inactive root leaves
+ * the set empty). */
+#define RR_ITEM                                                                \
+    KEYED_HASH                                                                 \
+    int64_t root;                                                              \
+    if (roots) {                                                               \
+        root = roots[j];                                                       \
+    } else {                                                                   \
+        int64_t idx = (int64_t)((double)(repro_mix64(h) >> 11)                 \
+                                * 0x1.0p-53 * (double)n_active);               \
+        root = active_nodes[idx < n_active ? idx : n_active - 1];              \
     }                                                                          \
-    return K;                                                                  \
-}
+    first = &root;                                                             \
+    n_first = !active || active[root];
 
-SWEEP_RNG(repro_sweep_rng_i64, int64_t)
-SWEEP_RNG(repro_sweep_rng_u32, uint32_t)
+/* Cascade j and world j start from the shared seeds. */
+#define CASCADE_ITEM                                                           \
+    KEYED_HASH                                                                 \
+    first = seeds;                                                             \
+    n_first = n_seeds;
+#define REPLAY_ITEM                                                            \
+    const uint8_t *row = live + j * m;                                         \
+    first = seeds;                                                             \
+    n_first = n_seeds;
+#define REPLAY_LIVE(e) (row[e])
 
-/* Sweep specialisation for fully-active views: no mask reads, and the
- * endpoint id is only loaded when its coin succeeds (most coins fail
- * under IC probabilities). */
-#define SWEEP_RNG_FULL(NAME, NODE_T)                                           \
-int64_t NAME(int64_t F, const int64_t *fids, const int64_t *fnodes,            \
-             const int64_t *offsets, const NODE_T *nodes,                      \
-             const double *probs,                                              \
-             double (*next_double)(void *), void *state,                       \
-             int64_t n, int64_t *table, int64_t mask,                          \
-             int64_t *next_ids, int64_t *next_src)                            \
-{                                                                              \
-    int64_t K = 0;                                                             \
-    for (int64_t f = 0; f < F; ++f) {                                          \
-        int64_t id = fids[f];                                                  \
-        int64_t node = fnodes[f];                                              \
-        int64_t end = offsets[node + 1];                                       \
-        for (int64_t e = offsets[node]; e < end; ++e) {                        \
-            if (next_double(state) < probs[e]) {                               \
-                int64_t s = (int64_t)nodes[e];                                 \
-                int64_t key = id * n + s;                                      \
-                if (repro_insert(table, (uint64_t)mask, key)) {                \
-                    next_ids[K] = id;                                          \
-                    next_src[K] = s;                                           \
-                    ++K;                                                       \
-                }                                                              \
-            }                                                                  \
-        }                                                                      \
-    }                                                                          \
-    return K;                                                                  \
-}
-
-SWEEP_RNG_FULL(repro_sweep_rng_full_i64, int64_t)
-SWEEP_RNG_FULL(repro_sweep_rng_full_u32, uint32_t)
-
-void repro_insert_keys(int64_t L, const int64_t *keys,
-                       int64_t *table, int64_t mask)
-{
-    for (int64_t i = 0; i < L; ++i)
-        repro_insert(table, (uint64_t)mask, keys[i]);
-}
-
-void repro_rehash(int64_t old_cap, const int64_t *old_table,
-                  int64_t *new_table, int64_t new_mask)
-{
-    for (int64_t i = 0; i < old_cap; ++i) {
-        int64_t key = old_table[i];
-        if (key != -1)
-            repro_insert(new_table, (uint64_t)new_mask, key);
-    }
-}
-
-#define REPLAY(NAME, NODE_T)                                                   \
-int64_t NAME(int64_t F, const int64_t *fids, const int64_t *fnodes,            \
-             const int64_t *offsets, const NODE_T *targets,                    \
-             const uint8_t *active, const uint8_t *live, int64_t m,            \
-             int64_t n, int64_t *table, int64_t mask,                          \
-             int64_t *next_ids, int64_t *next_nodes)                           \
-{                                                                              \
-    int64_t K = 0;                                                             \
-    for (int64_t f = 0; f < F; ++f) {                                          \
-        int64_t id = fids[f];                                                  \
-        int64_t node = fnodes[f];                                              \
-        const uint8_t *row = live + id * m;                                    \
-        int64_t end = offsets[node + 1];                                       \
-        for (int64_t e = offsets[node]; e < end; ++e) {                        \
-            int64_t t = (int64_t)targets[e];                                   \
-            if (active[t] && row[e]) {                                         \
-                int64_t key = id * n + t;                                      \
-                if (repro_insert(table, (uint64_t)mask, key)) {                \
-                    next_ids[K] = id;                                          \
-                    next_nodes[K] = t;                                         \
-                    ++K;                                                       \
-                }                                                              \
-            }                                                                  \
-        }                                                                      \
-    }                                                                          \
-    return K;                                                                  \
-}
-
-REPLAY(repro_replay_i64, int64_t)
-REPLAY(repro_replay_u32, uint32_t)
-
-void repro_group_pairs(int64_t M, const int64_t *ids, const int64_t *nodes,
-                       int64_t count, int64_t *offsets, int64_t *out_nodes,
-                       int64_t *cursor)
-{
-    for (int64_t i = 0; i < M; ++i)
-        offsets[ids[i] + 1] += 1;
-    for (int64_t c = 0; c < count; ++c)
-        offsets[c + 1] += offsets[c];
-    for (int64_t c = 0; c < count; ++c)
-        cursor[c] = offsets[c];
-    for (int64_t i = 0; i < M; ++i)
-        out_nodes[cursor[ids[i]]++] = nodes[i];
-}
+REPRO_BFS_BOTH(repro_rr_sets, RR_ITEM, KEYED_LIVE,
+               uint64_t key, int64_t start, const uint64_t *thresholds,
+               const int64_t *roots, const int64_t *active_nodes,
+               int64_t n_active)
+REPRO_BFS_BOTH(repro_cascades, CASCADE_ITEM, KEYED_LIVE,
+               uint64_t key, int64_t start, const uint64_t *thresholds,
+               const int64_t *seeds, int64_t n_seeds)
+REPRO_BFS_BOTH(repro_replay, REPLAY_ITEM, REPLAY_LIVE,
+               const uint8_t *live, int64_t m,
+               const int64_t *seeds, int64_t n_seeds)
 """
 
-_P, _I64 = ctypes.c_void_p, ctypes.c_int64
+_P, _I64, _U64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64
 
-#: ``name -> (restype, argtypes)`` of every entry point; pointers travel
-#: as plain addresses.
-_SIGNATURES = {
-    "repro_rr_sets": (
-        _I64,
-        (ctypes.c_uint64, _I64, _I64, _I64)
-        + (_P,) * 7
-        + (_I64, _P, _I64, _P, _P, _P, _I64),
-    ),
-    "repro_degree_sum": (_I64, (_I64, _P, _P)),
-    "repro_sweep_rng": (_I64, (_I64,) + (_P,) * 8 + (_I64, _P, _I64, _P, _P)),
-    "repro_sweep_rng_full": (_I64, (_I64,) + (_P,) * 7 + (_I64, _P, _I64, _P, _P)),
-    "repro_insert_keys": (None, (_I64, _P, _P, _I64)),
-    "repro_rehash": (None, (_I64, _P, _P, _I64)),
-    "repro_replay": (_I64, (_I64,) + (_P,) * 6 + (_I64, _I64, _P, _I64, _P, _P)),
-    "repro_group_pairs": (None, (_I64, _P, _P, _I64, _P, _P, _P)),
+#: The arguments every instantiation ends with (count, j0, the CSR, the
+#: masks, the stamps and the output); pointers travel as plain addresses.
+_BFS_TAIL = (_I64, _I64, _P, _P, _P, _P, _P, _I64, _P, _P, _P, _I64)
+
+#: ``name -> leading argtypes`` of each instantiation (``_i64``/``_u32``).
+_KERNELS = {
+    "repro_rr_sets": (_U64, _I64, _P, _P, _P, _I64),
+    "repro_cascades": (_U64, _I64, _P, _P, _I64),
+    "repro_replay": (_P, _I64, _P, _I64),
 }
-
-#: Entry points with one variant per CSR node dtype.
-_NODE_VARIANTS = (
-    "repro_rr_sets",
-    "repro_sweep_rng",
-    "repro_sweep_rng_full",
-    "repro_replay",
-)
 
 
 def _compiler() -> Optional[str]:
@@ -405,28 +266,64 @@ def _addr(array: Optional[np.ndarray]) -> Optional[int]:
     return None if array is None else array.ctypes.data
 
 
+def as_uint8_mask(mask: np.ndarray) -> np.ndarray:
+    """A boolean mask as a C-contiguous uint8 array (zero-copy if possible)."""
+    mask = np.ascontiguousarray(mask)
+    if mask.dtype == np.bool_:
+        return mask.view(np.uint8)
+    return mask.astype(np.uint8)
+
+
 class NativeKernels:
     """The compiled kernel set, opened with ctypes."""
 
     def __init__(self) -> None:
         self._lib = ctypes.CDLL(_build_library())
-        for name, (restype, argtypes) in _SIGNATURES.items():
-            variants = (
-                (f"{name}_i64", f"{name}_u32") if name in _NODE_VARIANTS else (name,)
+        for name, leading in _KERNELS.items():
+            for suffix in ("i64", "u32"):
+                function = getattr(self._lib, f"{name}_{suffix}")
+                function.restype = _I64
+                function.argtypes = leading + _BFS_TAIL
+
+    def _bfs(self, name, leading, count, view, csr, stop=None, size=0):
+        """Run instantiation ``name`` over ``count`` items; ``(offsets, nodes)``.
+
+        ``leading`` are the instantiation's own arguments (their arrays
+        must stay alive for the call) and ``size`` is a first guess at the
+        total output.  A batch that does not fit grows the buffer and
+        resumes at its first unfinished item.
+        """
+        n = view.base.n
+        active = None
+        if view.num_active < n:
+            active = as_uint8_mask(view.active_mask)
+        stop_u8 = None if stop is None else as_uint8_mask(stop)
+        suffix = "u32" if csr.nodes.dtype == np.uint32 else "i64"
+        kernel = getattr(self._lib, f"{name}_{suffix}")
+        out_offsets = np.zeros(count + 1, dtype=np.int64)
+        stamp = np.zeros(n, dtype=np.uint32)
+        epoch = np.zeros(1, dtype=np.uint32)
+        out = np.empty(size + 64, dtype=np.int64)
+        done = 0
+        while True:
+            done = kernel(
+                *leading, count, done,
+                _addr(csr.offsets), _addr(csr.nodes),
+                _addr(active), _addr(stop_u8),
+                _addr(stamp), n, _addr(epoch),
+                _addr(out_offsets), _addr(out), out.size,
             )
-            for symbol in variants:
-                function = getattr(self._lib, symbol)
-                function.restype = restype
-                function.argtypes = argtypes
-
-    def entry(self, name: str, nodes: np.ndarray):
-        """Entry point ``name`` of :data:`_NODE_VARIANTS` for ``nodes``' dtype."""
-        suffix = "u32" if nodes.dtype == np.uint32 else "i64"
-        return getattr(self._lib, f"{name}_{suffix}")
-
-    def bind(self, csr, active: np.ndarray, rng=None) -> "_BoundNativeKernels":
-        """A sweep-scoped kernel set with the static pointers resolved once."""
-        return _BoundNativeKernels(self, csr, active, rng)
+            if done == count:
+                break
+            # Item `done` did not fit: grow to twice the size, or to the
+            # finished items' mean size times the whole batch, and resume.
+            filled = int(out_offsets[done])
+            grown = np.empty(
+                max(2 * out.size, filled * count // max(done, 1) + n), dtype=np.int64
+            )
+            grown[:filled] = out[:filled]
+            out = grown
+        return out_offsets, out[: out_offsets[count]]
 
     def generate(
         self,
@@ -440,135 +337,53 @@ class NativeKernels:
         """Sets ``start … start + count − 1`` of the keyed RR stream."""
         from repro.sampling.engine import RRBatch
 
-        base = view.base
-        n = base.n
-        offsets, sources, probs = base.in_csr()
+        offsets, sources, probs = view.base.in_csr()
         csr = prepare_csr(offsets, sources, probs)
         thresholds = coin_thresholds(probs)
-        active = None
-        if view.num_active < n:
-            active = layered.as_uint8_mask(view.active_mask)
-        stop_u8 = None if stop is None else layered.as_uint8_mask(stop)
         if roots is not None:
             roots = np.ascontiguousarray(roots, dtype=np.int64)
         active_nodes = np.ascontiguousarray(view.active_nodes(), dtype=np.int64)
-        kernel = self.entry("repro_rr_sets", csr.nodes)
-        out_offsets = np.zeros(count + 1, dtype=np.int64)
-        stamp = np.zeros(n, dtype=np.uint32)
-        epoch = np.zeros(1, dtype=np.uint32)
-        out = np.empty(4 * count + 64, dtype=np.int64)
-        done = 0
-        while True:
-            done = kernel(
-                key, start, count, done,
-                _addr(csr.offsets), _addr(csr.nodes), _addr(thresholds),
-                _addr(active), _addr(stop_u8), _addr(roots),
-                _addr(active_nodes), active_nodes.size,
-                _addr(stamp), n, _addr(epoch),
-                _addr(out_offsets), _addr(out), out.size,
-            )
-            if done == count:
-                break
-            # Set `done` did not fit: grow to twice the size, or to the
-            # finished sets' mean size times the whole batch, and resume.
-            filled = int(out_offsets[done])
-            grown = np.empty(
-                max(2 * out.size, filled * count // max(done, 1) + n), dtype=np.int64
-            )
-            grown[:filled] = out[:filled]
-            out = grown
+        out_offsets, out = self._bfs(
+            "repro_rr_sets",
+            (key, start, _addr(thresholds), _addr(roots),
+             _addr(active_nodes), active_nodes.size),
+            count, view, csr, stop, 4 * count,
+        )
         return RRBatch(
-            offsets=out_offsets,
-            nodes=out[: out_offsets[count]],
-            num_active_nodes=view.num_active,
-            n=n,
+            offsets=out_offsets, nodes=out, num_active_nodes=view.num_active, n=view.n
         )
 
-    def insert_keys(self, keys, table):
-        self._lib.repro_insert_keys(
-            keys.shape[0], _addr(keys), _addr(table), table.shape[0] - 1
+    def simulate(
+        self, view: ResidualGraph, seeds: np.ndarray, key: int, start: int, count: int
+    ):
+        """Cascades ``start … start + count − 1`` of the keyed cascade stream."""
+        from repro.diffusion.mc_engine import MCBatch
+
+        offsets, targets, probs = view.base.out_csr()
+        csr = prepare_csr(offsets, targets, probs)
+        thresholds = coin_thresholds(probs)
+        seeds = np.ascontiguousarray(seeds, dtype=np.int64)
+        out_offsets, out = self._bfs(
+            "repro_cascades",
+            (key, start, _addr(thresholds), _addr(seeds), seeds.size),
+            count, view, csr, size=4 * count * seeds.size,
         )
+        return MCBatch(offsets=out_offsets, nodes=out, n=view.n)
 
-    def rehash(self, old_table, new_table):
-        self._lib.repro_rehash(
-            old_table.shape[0],
-            _addr(old_table),
-            _addr(new_table),
-            new_table.shape[0] - 1,
+    def replay(self, view: ResidualGraph, seeds: np.ndarray, live: np.ndarray):
+        """One cascade per row of the live-edge matrix ``live``."""
+        from repro.diffusion.mc_engine import MCBatch
+
+        csr = prepare_csr(*view.base.out_csr())
+        seeds = np.ascontiguousarray(seeds, dtype=np.int64)
+        live_u8 = as_uint8_mask(live)
+        count = int(live.shape[0])
+        offsets, nodes = self._bfs(
+            "repro_replay",
+            (_addr(live_u8), view.base.m, _addr(seeds), seeds.size),
+            count, view, csr, size=4 * count * seeds.size,
         )
-
-    def group_pairs(self, ids, nodes, count):
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        out_nodes = np.empty(ids.shape[0], dtype=np.int64)
-        cursor = np.empty(max(count, 1), dtype=np.int64)
-        self._lib.repro_group_pairs(
-            ids.shape[0], _addr(ids), _addr(nodes), count,
-            _addr(offsets), _addr(out_nodes), _addr(cursor),
-        )
-        return offsets, out_nodes
-
-
-class _BoundNativeKernels:
-    """Sweep-scoped view of :class:`NativeKernels` for forward MC.
-
-    The CSR arrays, the residual mask and the generator are fixed for the
-    whole frontier sweep, so their addresses (and the u32/i64 variant) are
-    resolved exactly once here; per-layer calls only pass the layer's own
-    arrays.
-    """
-
-    __slots__ = ("_parent", "_offsets", "_nodes", "_probs", "_active",
-                 "_sweep_rng", "_sweep_rng_full", "_replay", "_rng_fn",
-                 "_rng_state", "_pin")
-
-    def __init__(self, parent: NativeKernels, csr, active: np.ndarray, rng=None) -> None:
-        self._parent = parent
-        self._offsets = _addr(csr.offsets)
-        self._nodes = _addr(csr.nodes)
-        self._probs = _addr(csr.probs)
-        self._active = _addr(active)
-        self._sweep_rng = parent.entry("repro_sweep_rng", csr.nodes)
-        self._sweep_rng_full = parent.entry("repro_sweep_rng_full", csr.nodes)
-        self._replay = parent.entry("repro_replay", csr.nodes)
-        # Keep the arrays (and the generator whose state we point into)
-        # alive for as long as their raw addresses are.
-        self._pin = (csr, active, rng)
-        self._rng_fn = self._rng_state = None
-        if rng is not None:
-            # Every NumPy BitGenerator exports its C next_double entry
-            # point and state pointer; drawing through them consumes
-            # exactly the stream bulk Generator.random() would.
-            interface = rng.bit_generator.ctypes
-            self._rng_fn = ctypes.cast(interface.next_double, ctypes.c_void_p).value
-            self._rng_state = interface.state_address
-
-    def degree_sum(self, fnodes):
-        return self._parent._lib.repro_degree_sum(
-            fnodes.shape[0], _addr(fnodes), self._offsets
-        )
-
-    def sweep_rng(self, fids, fnodes, n, table, next_ids, next_src):
-        return self._sweep_rng(
-            fids.shape[0], _addr(fids), _addr(fnodes),
-            self._offsets, self._nodes, self._probs, self._active,
-            self._rng_fn, self._rng_state,
-            n, _addr(table), table.shape[0] - 1, _addr(next_ids), _addr(next_src),
-        )
-
-    def sweep_rng_full(self, fids, fnodes, n, table, next_ids, next_src):
-        return self._sweep_rng_full(
-            fids.shape[0], _addr(fids), _addr(fnodes),
-            self._offsets, self._nodes, self._probs,
-            self._rng_fn, self._rng_state,
-            n, _addr(table), table.shape[0] - 1, _addr(next_ids), _addr(next_src),
-        )
-
-    def replay_advance(self, fids, fnodes, live, m, n, table, next_ids, next_nodes):
-        return self._replay(
-            fids.shape[0], _addr(fids), _addr(fnodes),
-            self._offsets, self._nodes, self._active, _addr(live),
-            m, n, _addr(table), table.shape[0] - 1, _addr(next_ids), _addr(next_nodes),
-        )
+        return MCBatch(offsets=offsets, nodes=nodes, n=view.n)
 
 
 def load() -> KernelBackend:
@@ -577,10 +392,6 @@ def load() -> KernelBackend:
     return KernelBackend(
         name="native",
         generate_batch=kernels.generate,
-        simulate_batch=lambda view, seeds, count, rng: layered.simulate_layered(
-            view, seeds, count, rng, kernels
-        ),
-        replay_batch=lambda view, seeds, live: layered.replay_layered(
-            view, seeds, live, kernels
-        ),
+        simulate_batch=kernels.simulate,
+        replay_batch=kernels.replay,
     )

@@ -1,9 +1,9 @@
 """Registry wrappers for the NumPy / pure-Python kernels.
 
-``"vectorized"`` is the NumPy frontier-at-a-time engine.  ``"python"``
-is the deliberately naive loop-based specification of the streams every
-backend samples: a per-set loop over the keyed RR stream and a
-per-cascade forward simulation.  Both live in
+``"vectorized"`` is the NumPy layer-at-a-time engine.  ``"python"`` is
+the deliberately naive loop-based specification of the keyed streams
+every backend samples: a per-set loop over the RR stream and a
+per-cascade loop over the cascade stream.  Both live in
 :mod:`repro.sampling.engine` / :mod:`repro.diffusion.mc_engine`; this
 module only adapts them to the registry's kernel-triple interface
 (imported lazily — the engines import the registry at module load, so
@@ -17,12 +17,6 @@ is simply the same sweep.
 from __future__ import annotations
 
 from repro.kernels.registry import KernelBackend
-
-
-def _replay_vectorized(view, seeds, live):
-    from repro.diffusion import mc_engine
-
-    return mc_engine._replay_batch_vectorized(view, seeds, live)
 
 
 def load(name: str) -> KernelBackend:
@@ -41,5 +35,5 @@ def load(name: str) -> KernelBackend:
         name=name,
         generate_batch=generate,
         simulate_batch=simulate,
-        replay_batch=_replay_vectorized,
+        replay_batch=mc_engine._replay_batch_vectorized,
     )

@@ -8,17 +8,17 @@ the pools and the service never name an implementation directly.
 
 Contracts
 ---------
-* **Determinism** — RR generation samples the keyed stream of
-  :mod:`repro.sampling.engine`: every set is a pure function of the batch
-  key and its index, so every backend returns the identical batch, with
-  or without a ``stop`` mask.  Forward simulation consumes the caller's
-  generator, one draw per live edge in frontier-then-edge order, and
-  every backend consumes that stream identically.  ``"auto"`` —
-  ``"native"`` when its probe passes, else ``"vectorized"`` — therefore
-  never perturbs results.
+* **Determinism** — RR generation and forward simulation sample the
+  keyed streams of :mod:`repro.sampling.engine` and
+  :mod:`repro.diffusion.mc_engine`: every set and every cascade is a pure
+  function of the batch key and its index, so every backend returns the
+  identical batch, with or without a ``stop`` mask.  Replay follows
+  precomputed live edges and draws nothing.  ``"auto"`` — ``"native"``
+  when its probe passes, else ``"vectorized"`` — therefore never
+  perturbs results.
 * **Defaults** — ``backend=None`` resolves through the ``REPRO_BACKEND``
-  environment variable and falls back to ``"vectorized"`` (the MC entry
-  points resolve through ``REPRO_MC_BACKEND`` with default ``"python"``).
+  environment variable and falls back to ``"vectorized"``, for RR sets
+  and Monte-Carlo alike.
 * **Availability** — ``"native"`` needs a C compiler.  Without one it
   stays in the table (so error messages can name it), an explicit
   request raises the probe's reason as a
@@ -59,7 +59,8 @@ class KernelBackend:
     ``generate_batch(view, key, start, count, roots, stop)`` grows sets
     ``start … start + count − 1`` of the keyed RR stream (reverse BFS;
     ``roots`` and ``stop`` may be ``None``),
-    ``simulate_batch(view, seeds, count, rng)`` runs forward IC cascades,
+    ``simulate_batch(view, seeds, key, start, count)`` grows cascades
+    ``start … start + count − 1`` of the keyed cascade stream,
     ``replay_batch(view, seeds, live)`` replays precomputed live-edge
     worlds deterministically.  All three receive pre-validated
     arguments from their entry points in :mod:`repro.sampling.engine` /
@@ -111,17 +112,11 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(name for name in _NAMES if _unavailable_reason(name) is None)
 
 
-def resolve_backend(
-    backend: Optional[str] = None,
-    env_var: str = BACKEND_ENV_VAR,
-    default: str = "vectorized",
-) -> str:
+def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve a backend request to a concrete backend name.
 
-    * an explicit value wins; ``None`` falls back to ``env_var``
-      (``REPRO_BACKEND`` for the sampling/kernel knob,
-      ``REPRO_MC_BACKEND`` for the Monte-Carlo strategy knob), then to
-      ``default``;
+    * an explicit value wins; ``None`` falls back to ``REPRO_BACKEND``,
+      then to ``"vectorized"``;
     * ``"auto"`` picks ``"native"`` when it is available, else
       ``"vectorized"`` (both are bit-for-bit identical, so this is
       stream-safe);
@@ -130,11 +125,11 @@ def resolve_backend(
     """
     source = None
     if backend is None:
-        backend = read_env(env_var)
+        backend = read_env(BACKEND_ENV_VAR)
         if backend is None:
-            backend = default
+            backend = "vectorized"
         else:
-            source = env_var
+            source = BACKEND_ENV_VAR
     name = str(backend).strip().lower()
     if name == AUTO:
         return "native" if _unavailable_reason("native") is None else "vectorized"
@@ -154,9 +149,9 @@ def resolve_backend(
     return name
 
 
-def get_backend(backend: Optional[str] = None, **resolve_kwargs) -> KernelBackend:
+def get_backend(backend: Optional[str] = None) -> KernelBackend:
     """Load the backend ``resolve_backend`` picks for ``backend``."""
-    return _load(resolve_backend(backend, **resolve_kwargs))
+    return _load(resolve_backend(backend))
 
 
 def warm_up(backend: str) -> None:

@@ -1,9 +1,10 @@
 """Parallel sampling subsystem: shared-memory workers, deterministic shards.
 
-RR-set generation is embarrassingly parallel — every RR set is a pure
-function of the batch key and its index — so this package scales the
-engines of :mod:`repro.sampling.engine` across cores without changing
-their output:
+RR-set generation and forward Monte-Carlo are embarrassingly parallel —
+every RR set and every cascade is a pure function of the batch key and
+its index — so this package scales the engines of
+:mod:`repro.sampling.engine` and :mod:`repro.diffusion.mc_engine` across
+cores without changing their output:
 
 * :mod:`repro.parallel.broker` — publishes a graph's incoming *and*
   outgoing CSR (and the residual view's active mask) into
@@ -12,10 +13,9 @@ their output:
   outgoing direction feeds batched forward Monte-Carlo simulation
   (:meth:`~repro.parallel.pool.SamplingPool.simulate`).
 * :mod:`repro.parallel.seeds` — the deterministic shard layout (a pure
-  function of the batch size) and, for forward Monte-Carlo, per-shard
-  RNG streams derived with ``SeedSequence.spawn``; RR shards share the
-  batch key.  Merged batches are therefore independent of the worker
-  count.
+  function of the batch size; shards share the batch key, so merged
+  batches are independent of the worker count) and the spawned streams
+  of evaluation sessions.
 * :mod:`repro.parallel.pool` — :class:`SamplingPool`, the persistent
   worker pool, plus :func:`resolve_jobs` (the ``n_jobs`` / ``REPRO_JOBS``
   knob) and :func:`parallel_generate_rr_batch` for one-shot batches.

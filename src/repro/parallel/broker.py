@@ -63,8 +63,8 @@ logger = logging.getLogger("repro.parallel")
 #: All array keys a broker may publish, in publication order.  The
 #: incoming CSR feeds reverse RR-set sampling, the outgoing CSR feeds the
 #: batched forward Monte-Carlo engine; a broker publishes only the
-#: requested directions (plus the mask), so RR-only pools keep their
-#: historical shared-memory footprint.
+#: requested directions (plus the mask), so RR-only pools never publish
+#: the outgoing CSR.
 SHARED_ARRAY_KEYS = (
     "in_offsets",
     "in_sources",

@@ -20,10 +20,10 @@ One pool serves one base graph:
   therefore bit-for-bit independent of the worker count, and the same as
   :func:`~repro.sampling.engine.generate_rr_batch` on the same seed.
 
-Forward Monte-Carlo (:meth:`SamplingPool.simulate`) keeps its generator
-stream: shard ``i`` runs with spawned stream ``i`` of
-:func:`~repro.parallel.seeds.spawn_shard_states`, and ``n_jobs=1`` runs
-the same sharded loop in-process.
+Forward Monte-Carlo (:meth:`SamplingPool.simulate`) runs the same way:
+one key per batch, shard ``[a, b)`` as ``(key, a, b − a)`` of the keyed
+cascade stream (:mod:`repro.diffusion.mc_engine`), merged with
+:func:`~repro.diffusion.mc_engine.merge_mc_batches`.
 
 Extensions (``FlatRRCollection.extend_generate`` with ``pool=``) go
 through the same :meth:`SamplingPool.generate` entry point under a key of
@@ -60,7 +60,7 @@ from repro.diffusion.mc_engine import (
     simulate_ic_batch,
 )
 from repro.parallel.faults import FaultPlan, FaultRule, perform_fault
-from repro.parallel.seeds import shard_layout, shard_roots, spawn_shard_states
+from repro.parallel.seeds import shard_layout, shard_roots
 from repro.parallel.supervisor import (
     LadderStats,
     SupervisedTask,
@@ -139,12 +139,14 @@ def _worker_generate(fault, key, start, count, backend, roots, stop):
     return batch.offsets, batch.nodes, batch.num_active_nodes, batch.n
 
 
-def _worker_simulate(fault, seeds, count, random_state, backend):
+def _worker_simulate(fault, key, start, count, backend, seeds):
     """Run one forward-MC shard against the shared outgoing CSR."""
     perform_fault(fault)
     kernels.warm_up(backend)  # compile once per worker, memoized thereafter
     view = SharedResidualView(_WORKER["graph"], _WORKER["mask"])
-    batch = simulate_ic_batch(view, seeds, count, random_state, backend=backend)
+    batch = simulate_ic_batch(
+        view, seeds, count, backend=backend, key=key, start=start
+    )
     return batch.offsets, batch.nodes, batch.n
 
 
@@ -164,13 +166,8 @@ class SamplingPool:
         Worker count request, resolved through :func:`resolve_jobs`
         (``None`` honours ``REPRO_JOBS``, defaulting to 1; ``-1`` uses all
         cores).  With one job the pool never starts processes or shared
-        memory — :meth:`generate` runs the batch in-process.
-    shard_size:
-        Override the deterministic shard-size heuristic
-        (:func:`repro.parallel.seeds.default_shard_size`).  RR batches do
-        not depend on it; forward-MC batches do (one spawned stream per
-        shard), so leave it unset for their documented ``(seed, count)``
-        determinism key.
+        memory — :meth:`generate` and :meth:`simulate` run the batch
+        in-process.
     start_method:
         Multiprocessing start method; defaults to ``"fork"`` where
         available (cheap on Linux), else ``"spawn"``.
@@ -199,7 +196,6 @@ class SamplingPool:
         self,
         graph: ProbabilisticGraph | ResidualGraph,
         n_jobs: Optional[int] = None,
-        shard_size: Optional[int] = None,
         start_method: Optional[str] = None,
         directions: tuple = ("in",),
         task_timeout: Optional[float] = None,
@@ -209,7 +205,6 @@ class SamplingPool:
         view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
         self._base = view.base
         self._jobs = resolve_jobs(n_jobs) or 1
-        self._shard_size = shard_size
         self._start_method = start_method
         self._directions = tuple(directions)
         self._task_timeout = resolve_task_timeout(task_timeout)
@@ -394,7 +389,7 @@ class SamplingPool:
             raise ValidationError(f"count must be >= 0, got {count}")
         if count > 0 and key is None:
             key = draw_key(random_state)
-        layout = shard_layout(count, self._shard_size)
+        layout = shard_layout(count)
         if self._jobs == 1 or len(layout) <= 1:
             return generate_rr_batch(
                 view, count, backend=backend, roots=roots, stop=stop, key=key,
@@ -469,10 +464,11 @@ class SamplingPool:
             backend, roots, stop,
         )
 
-    def _submit_simulate(self, seeds, count, state, backend):
+    def _submit_simulate(self, key, start, count, backend, seeds):
         """Submit one forward-MC shard to the current executor."""
         return self._executor.submit(
-            _worker_simulate, self._faults.take("sampling"), seeds, count, state, backend
+            _worker_simulate, self._faults.take("sampling"), key, start, count,
+            backend, seeds,
         )
 
     def simulate(
@@ -486,11 +482,11 @@ class SamplingPool:
     ) -> MCBatch:
         """Run ``count`` forward IC cascades from ``seeds`` across the pool.
 
-        The forward twin of :meth:`generate`: the shard layout is a pure
-        function of ``count``, shard ``i`` always runs with spawned RNG
-        stream ``i``, and shards merge in shard order — so the merged batch
-        is bit-for-bit independent of ``n_jobs``, and ``n_jobs=1`` runs the
-        identical sharded loop in-process.
+        The forward twin of :meth:`generate`: one key per batch, shard
+        ``[a, b)`` draws cascades ``a … b − 1`` of that key, and shards
+        merge in order, so the batch is the one
+        :func:`~repro.diffusion.mc_engine.simulate_ic_batch` returns,
+        whatever ``n_jobs`` is.
         """
         if self._closed:
             raise ValidationError("SamplingPool is closed")
@@ -504,20 +500,12 @@ class SamplingPool:
         if count < 0:
             raise ValidationError(f"count must be >= 0, got {count}")
         seed_tuple = tuple(int(s) for s in seeds)
-        if count == 0:
-            return simulate_ic_batch(view, seed_tuple, 0, random_state, backend=backend)
-
-        layout = shard_layout(count, self._shard_size)
-        states = spawn_shard_states(random_state, len(layout))
-
-        if self._jobs == 1 or len(layout) == 1:
-            batches = [
-                simulate_ic_batch(
-                    view, seed_tuple, stop - start, state, backend=backend
-                )
-                for (start, stop), state in zip(layout, states)
-            ]
-            return merge_mc_batches(batches)
+        layout = shard_layout(count)
+        if self._jobs == 1 or len(layout) <= 1:
+            return simulate_ic_batch(
+                view, seed_tuple, count, random_state, backend=backend
+            )
+        key = draw_key(random_state)
 
         self._ensure_workers()
         self._broker.set_mask(view.active_mask)
@@ -525,20 +513,21 @@ class SamplingPool:
             SupervisedTask(
                 index=shard,
                 label=f"simulation shard {shard + 1}/{len(layout)} "
-                f"({stop - start} cascades)",
+                f"({hi - lo} cascades)",
                 submit=partial(
-                    self._submit_simulate, seed_tuple, stop - start, state, backend
+                    self._submit_simulate, key, lo, hi - lo, backend, seed_tuple
                 ),
                 run_local=partial(
                     simulate_ic_batch,
                     view,
                     seed_tuple,
-                    stop - start,
-                    state,
+                    hi - lo,
                     backend=backend,
+                    key=key,
+                    start=lo,
                 ),
             )
-            for shard, ((start, stop), state) in enumerate(zip(layout, states))
+            for shard, (lo, hi) in enumerate(layout)
         ]
         raw = supervised_collect(
             tasks,
@@ -568,7 +557,6 @@ def parallel_generate_rr_batch(
     random_state: RandomState = None,
     backend: Optional[str] = None,
     n_jobs: Optional[int] = None,
-    shard_size: Optional[int] = None,
     roots: Optional[Sequence[int]] = None,
     stop: Optional[np.ndarray] = None,
     key: Optional[int] = None,
@@ -582,9 +570,7 @@ def parallel_generate_rr_batch(
     paying worker start-up per call.
     """
     jobs = resolve_jobs(n_jobs) or 1
-    with SamplingPool(
-        graph, n_jobs=jobs, shard_size=shard_size, directions=("in",)
-    ) as pool:
+    with SamplingPool(graph, n_jobs=jobs, directions=("in",)) as pool:
         return pool.generate(
             graph, count, random_state, backend=backend, roots=roots, stop=stop,
             key=key, start=start,
@@ -598,7 +584,6 @@ def parallel_simulate_ic_batch(
     random_state: RandomState = None,
     backend: Optional[str] = None,
     n_jobs: Optional[int] = None,
-    shard_size: Optional[int] = None,
 ) -> MCBatch:
     """One-shot sharded forward simulation (ephemeral pool when ``n_jobs > 1``).
 
@@ -608,7 +593,5 @@ def parallel_simulate_ic_batch(
     start-up per query.
     """
     jobs = resolve_jobs(n_jobs) or 1
-    with SamplingPool(
-        graph, n_jobs=jobs, shard_size=shard_size, directions=("out",)
-    ) as pool:
+    with SamplingPool(graph, n_jobs=jobs, directions=("out",)) as pool:
         return pool.simulate(graph, seeds, count, random_state, backend=backend)

@@ -1,25 +1,22 @@
-"""Deterministic shard layouts, and per-shard streams for forward Monte-Carlo.
-
-The parallel sampling subsystem owes its determinism contract to two
-choices made here:
+"""Deterministic shard layouts, and spawned per-item streams.
 
 1. **The shard layout is a pure function of the batch size** (never of the
    worker count).  ``shard_layout(count)`` slices ``range(count)`` into
    contiguous shards of :func:`default_shard_size` items; how many
    workers later pick those shards up cannot change what the shards are.
-2. **RR shards need no streams of their own.**  Every RR set is a pure
-   function of the batch key and its index (:mod:`repro.sampling.engine`),
-   so shard ``[a, b)`` simply draws sets ``a … b − 1`` under that key.
-   **Forward-MC shards** draw from the caller's generator, so each owns
-   an independent, reproducible stream derived with
-   ``numpy.random.SeedSequence.spawn`` (or ``Generator.spawn`` for a live
-   generator): shard ``i`` always receives child stream ``i``, whichever
-   worker runs it and in whichever order shards complete.
+2. **Sampling shards need no streams of their own.**  Every RR set and
+   every forward cascade is a pure function of the batch key and its
+   index (:mod:`repro.sampling.engine`, :mod:`repro.diffusion.mc_engine`),
+   so shard ``[a, b)`` simply draws items ``a … b − 1`` under that key,
+   and no batch depends on the layout at all.
+3. **Evaluation items own spawned streams.**
+   :func:`spawn_shard_states` derives independent, reproducible streams
+   with ``numpy.random.SeedSequence.spawn`` (or ``Generator.spawn`` for a
+   live generator): item ``i`` always receives child stream ``i``,
+   whichever worker runs it (:mod:`repro.parallel.eval_pool`).
 
-RR batches are therefore a pure function of ``(random_state, count)`` and
-forward-MC batches of ``(random_state, count, shard_size)``; running with
-``n_jobs=1`` or ``n_jobs=8`` produces bit-for-bit identical output (see
-``docs/parallelism.md`` for the full contract).
+Running with ``n_jobs=1`` or ``n_jobs=8`` therefore produces bit-for-bit
+identical output (see ``docs/parallelism.md`` for the full contract).
 """
 
 from __future__ import annotations
@@ -62,8 +59,7 @@ def default_shard_size(count: int) -> int:
 def shard_layout(count: int, shard_size: int = None) -> List[Tuple[int, int]]:
     """Contiguous ``(start, stop)`` shards covering ``range(count)``.
 
-    ``shard_size`` defaults to :func:`default_shard_size`; overriding it
-    changes the determinism key (see module docstring).
+    ``shard_size`` defaults to :func:`default_shard_size`.
     """
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
@@ -81,7 +77,7 @@ def shard_layout(count: int, shard_size: int = None) -> List[Tuple[int, int]]:
 def spawn_shard_states(
     random_state: RandomState, num_shards: int
 ) -> List[ShardState]:
-    """Derive ``num_shards`` independent, picklable RNG states (forward MC).
+    """Derive ``num_shards`` independent, picklable RNG states.
 
     Accepts the library-wide ``RandomState`` union: ``None`` (fresh OS
     entropy), an ``int`` seed, a ``SeedSequence``, or a live ``Generator``

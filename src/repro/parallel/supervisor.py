@@ -56,7 +56,7 @@ logger = logging.getLogger("repro.parallel")
 DEFAULT_MAX_RETRIES = 2
 
 #: Environment variable: per-task timeout in seconds for supervised
-#: dispatch (unset = wait forever, the historical behaviour).
+#: dispatch (unset = wait forever).
 TASK_TIMEOUT_ENV_VAR = "REPRO_TASK_TIMEOUT"
 
 #: Environment variable: per-task retry budget for supervised dispatch.

@@ -324,6 +324,110 @@ def _cut_at_stop(rr: np.ndarray, nodes: np.ndarray, hits: np.ndarray):
     return (rr[keep], nodes[keep]), (rr[~ended], nodes[~ended])
 
 
+def keyed_coins(hashes: np.ndarray, thresholds: np.ndarray):
+    """The keyed-coin test of a batch, for :func:`layered_bfs`.
+
+    Edge ``e`` is live in item ``j`` iff ``mix64(h_j + (e+1)·G) >> 11 <
+    thresholds[e]``; ``hashes[j]`` is ``h_j`` of the batch's ``j``-th item.
+    """
+    # mix64(h_j + (e+1)·G) is mix64(e·G + salted_j): one product per edge.
+    salted = hashes + _G
+
+    def live(ids: np.ndarray, edge_idx: np.ndarray) -> np.ndarray:
+        coins = edge_idx.view(np.uint64) * _G
+        coins += salted[ids]
+        return (mix64(coins) >> _S11) < thresholds[edge_idx]
+
+    return live
+
+
+def layered_bfs(
+    csr,
+    n: int,
+    active: Optional[np.ndarray],
+    ids: np.ndarray,
+    nodes: np.ndarray,
+    count: int,
+    live,
+    stop: Optional[np.ndarray] = None,
+):
+    """Grow every item of a batch at once, one BFS layer per step.
+
+    ``ids`` / ``nodes`` are the items' first members, sorted by item and in
+    discovery order within an item: at most one per item, or the same
+    number for every item.  Each layer gathers the CSR slices of
+    every frontier node of every item, asks ``live(expand_ids, edge_idx)``
+    which edges are live, drops inactive endpoints among the live edges
+    (``active`` is ``None`` on a fully active view) and deduplicates
+    ``(item, node)`` pairs with sorted int64 keys.  ``stop`` ends an item
+    at its first member in the mask, which is kept.  The frontier stays
+    sorted by item and, within an item, in discovery order, so grouping
+    the layers by item reproduces per-item BFS order.  Returns the batch's
+    ``(offsets, nodes)``.
+    """
+    # Sorted (id * n + node) keys of everything discovered so far; node
+    # ids are < n so the key uniquely encodes the pair in one int64.  With
+    # at most one first member per item the keys are sorted already.
+    visited_keys = ids * n + nodes
+    if ids.size > count:
+        visited_keys.sort()
+    member_ids = [ids]
+    member_nodes = [nodes]
+    if stop is not None:
+        go_on = ~stop[nodes]
+        ids, nodes = ids[go_on], nodes[go_on]
+
+    while nodes.size:
+        starts = csr.offsets[nodes]
+        degrees = csr.offsets[nodes + 1] - starts
+        # Flat indices of every edge of the frontier, in frontier order.
+        edge_idx = flat_slice_indices(starts, degrees)
+        if edge_idx.size == 0:
+            break
+        expand_ids = np.repeat(ids, degrees)
+        # Coins do not depend on the order edges are met in, so they come
+        # first and only live edges have their endpoint read and checked
+        # against the residual mask.
+        flips = live(expand_ids, edge_idx)
+        expand_ids = expand_ids[flips]
+        reached = csr.gather(edge_idx[flips])
+        if active is not None:
+            keep = active[reached]
+            reached, expand_ids = reached[keep], expand_ids[keep]
+        if reached.size == 0:
+            break
+        keys = expand_ids * n + reached
+        # Drop pairs already discovered in earlier layers ...
+        pos = np.minimum(np.searchsorted(visited_keys, keys), visited_keys.size - 1)
+        fresh = visited_keys[pos] != keys
+        keys, reached, expand_ids = keys[fresh], reached[fresh], expand_ids[fresh]
+        if keys.size == 0:
+            break
+        # ... and duplicates within this expansion, keeping the first
+        # occurrence (np.unique sorts stably when return_index is set).
+        unique_keys, first_idx = np.unique(keys, return_index=True)
+        order = np.sort(first_idx)
+        nodes = reached[order]
+        ids = expand_ids[order]
+        visited_keys = np.concatenate([visited_keys, unique_keys])
+        visited_keys.sort(kind="stable")
+        if stop is not None:
+            hits = stop[nodes]
+            if hits.any():
+                (kept_ids, kept_nodes), (ids, nodes) = _cut_at_stop(ids, nodes, hits)
+                member_ids.append(kept_ids)
+                member_nodes.append(kept_nodes)
+                continue
+        member_ids.append(ids)
+        member_nodes.append(nodes)
+
+    all_ids = np.concatenate(member_ids)
+    grouping = np.argsort(all_ids, kind="stable")
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(all_ids, minlength=count), out=offsets[1:])
+    return offsets, np.concatenate(member_nodes)[grouping]
+
+
 def _generate_batch_vectorized(
     view: ResidualGraph,
     key: int,
@@ -332,99 +436,29 @@ def _generate_batch_vectorized(
     roots: Optional[np.ndarray],
     stop: Optional[np.ndarray],
 ) -> RRBatch:
-    """All sets of the batch at once, one reverse-BFS layer per step.
-
-    Each layer gathers the in-CSR slices of every frontier node of every
-    set, evaluates their keyed coins, drops inactive sources among the live
-    edges, and deduplicates ``(set, node)`` pairs with sorted int64 keys.  The
-    frontier stays sorted by set id and, within a set, in discovery order,
-    so grouping the layers by set reproduces per-set BFS order.
-    """
+    """All sets of the batch at once: :func:`layered_bfs` on the in-CSR."""
     base = view.base
-    n = base.n
     active = view.active_mask
-    fully_active = view.num_active == n
-    offsets, sources_csr, probs = base.in_csr()
+    offsets, sources, probs = base.in_csr()
     # prepare_csr centralizes the uint32 -> int64 handling of mmap'd
     # ``.rgx`` node arrays: gathered slices upcast through ``csr.gather``.
-    csr = kernels.prepare_csr(offsets, sources_csr, probs)
-    thresholds = kernels.coin_thresholds(probs)
+    csr = kernels.prepare_csr(offsets, sources, probs)
     hashes = set_hashes(key, start, count)
     if roots is None:
         roots = keyed_roots(hashes, view.active_nodes())
-    # mix64(h_j + (e+1)·G) is mix64(e·G + salted_j): one product per edge.
-    salted = hashes + _G
-
-    rr_ids = np.arange(count, dtype=np.int64)
     live = active[roots]
-    frontier_rr = rr_ids[live]
-    frontier_nodes = roots[live]
-    # Sorted (rr_id * n + node) keys of everything discovered so far; node
-    # ids are < n so the key uniquely encodes the pair in one int64.
-    visited_keys = frontier_rr * n + frontier_nodes  # sorted: rr-major
-    member_rr = [frontier_rr]
-    member_nodes = [frontier_nodes]
-    if stop is not None:
-        go_on = ~stop[frontier_nodes]
-        frontier_rr, frontier_nodes = frontier_rr[go_on], frontier_nodes[go_on]
-
-    while frontier_nodes.size:
-        starts = csr.offsets[frontier_nodes]
-        degrees = csr.offsets[frontier_nodes + 1] - starts
-        # Flat indices of every in-edge of the frontier, in frontier order.
-        edge_idx = flat_slice_indices(starts, degrees)
-        if edge_idx.size == 0:
-            break
-        expand_rr = np.repeat(frontier_rr, degrees)
-        # Coins do not depend on the order edges are met in, so they come
-        # first and only live edges have their source read and checked
-        # against the residual mask.
-        coins = edge_idx.view(np.uint64) * _G
-        coins += salted[expand_rr]
-        flips = (mix64(coins) >> _S11) < thresholds[edge_idx]
-        expand_rr = expand_rr[flips]
-        sources = csr.gather(edge_idx[flips])
-        if not fully_active:
-            keep = active[sources]
-            sources, expand_rr = sources[keep], expand_rr[keep]
-        if sources.size == 0:
-            break
-        keys = expand_rr * n + sources
-        # Drop pairs already discovered in earlier layers ...
-        pos = np.minimum(np.searchsorted(visited_keys, keys), visited_keys.size - 1)
-        fresh = visited_keys[pos] != keys
-        keys, sources, expand_rr = keys[fresh], sources[fresh], expand_rr[fresh]
-        if keys.size == 0:
-            break
-        # ... and duplicates within this expansion, keeping the first
-        # occurrence (np.unique sorts stably when return_index is set).
-        unique_keys, first_idx = np.unique(keys, return_index=True)
-        order = np.sort(first_idx)
-        frontier_nodes = sources[order]
-        frontier_rr = expand_rr[order]
-        visited_keys = np.concatenate([visited_keys, unique_keys])
-        visited_keys.sort(kind="stable")
-        if stop is not None:
-            hits = stop[frontier_nodes]
-            if hits.any():
-                (kept_rr, kept_nodes), (frontier_rr, frontier_nodes) = _cut_at_stop(
-                    frontier_rr, frontier_nodes, hits
-                )
-                member_rr.append(kept_rr)
-                member_nodes.append(kept_nodes)
-                continue
-        member_rr.append(frontier_rr)
-        member_nodes.append(frontier_nodes)
-
-    all_rr = np.concatenate(member_rr)
-    grouping = np.argsort(all_rr, kind="stable")
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(all_rr, minlength=count), out=offsets[1:])
+    offsets, nodes = layered_bfs(
+        csr,
+        base.n,
+        None if view.num_active == base.n else active,
+        np.arange(count, dtype=np.int64)[live],
+        roots[live],
+        count,
+        keyed_coins(hashes, kernels.coin_thresholds(probs)),
+        stop,
+    )
     return RRBatch(
-        offsets=offsets,
-        nodes=np.concatenate(member_nodes)[grouping],
-        num_active_nodes=view.num_active,
-        n=n,
+        offsets=offsets, nodes=nodes, num_active_nodes=view.num_active, n=base.n
     )
 
 

@@ -90,9 +90,9 @@ def generate_rr_sets(
     ``backend`` selects the sampling engine: ``"vectorized"`` (default) and
     ``"python"`` route through the batched engine of
     :mod:`repro.sampling.engine` and materialise its flat output as Python
-    sets; ``"legacy"`` runs the historical per-set BFS of
-    :func:`generate_rr_set` (one sequential RNG stream per batch, kept for
-    reference and differential testing).
+    sets; ``"legacy"`` runs the per-set BFS of :func:`generate_rr_set`
+    (one sequential RNG stream per batch, kept for reference and
+    differential testing).
     """
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")

@@ -114,9 +114,8 @@ class RequestBatcher:
         Optional hard batch-size cap; a full window flushes immediately.
     max_pending:
         Admission-control bound on the pending queue (``None`` honours
-        ``REPRO_SERVICE_MAX_PENDING``, defaulting to unbounded — the
-        historical behaviour).  A submission arriving at a full queue is
-        shed immediately with a
+        ``REPRO_SERVICE_MAX_PENDING``, defaulting to unbounded).  A
+        submission arriving at a full queue is shed immediately with a
         :class:`~repro.utils.exceptions.ServiceOverloadError` carrying a
         ``retry_after_ms`` estimate, instead of queueing unboundedly
         behind a slow batch.

@@ -52,7 +52,7 @@ from repro.utils.exceptions import ValidationError
 
 PathLike = Union[str, Path]
 
-#: Journal directory knob (unset = no persistence, the historical mode).
+#: Journal directory knob (unset = no persistence).
 STATE_DIR_ENV_VAR = "REPRO_SERVICE_STATE_DIR"
 
 #: Journal format version (bump on incompatible layout changes).  Format 2

@@ -20,7 +20,7 @@ typed exception for in-process callers — plus the HTTP status mapping
 
 ``REPRO_SERVICE_DEADLINE_MS``
     Default per-query deadline (a query's own ``deadline_ms`` field
-    wins; unset means no deadline — the historical behaviour).
+    wins; unset means no deadline).
 ``REPRO_SERVICE_MAX_PENDING``
     Bound on the batcher's pending queue before it sheds load.
 ``REPRO_SERVICE_MAX_INFLIGHT``
@@ -47,7 +47,7 @@ from repro.utils.exceptions import (
 #: Default per-query deadline in milliseconds (unset = no deadline).
 DEADLINE_MS_ENV_VAR = "REPRO_SERVICE_DEADLINE_MS"
 
-#: Bound on the batcher's pending queue (unset = unbounded, historical).
+#: Bound on the batcher's pending queue (unset = unbounded).
 MAX_PENDING_ENV_VAR = "REPRO_SERVICE_MAX_PENDING"
 
 #: Bound on concurrently admitted /query requests (unset = unbounded).
@@ -198,8 +198,8 @@ def raise_error_answer(answer: Mapping[str, Any]) -> None:
 
     The inverse of :func:`error_answer` for in-process callers
     (:meth:`ServiceState.query`): batch execution answers errors in place
-    to protect the batch, but a direct caller still gets the historical
-    ``raise`` contract — ``except ValidationError`` keeps working.
+    to protect the batch, but a direct caller still gets the typed
+    exception raised — ``except ValidationError`` keeps working.
     """
     if not is_error_answer(answer):
         return

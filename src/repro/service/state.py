@@ -334,8 +334,8 @@ class ServiceState:
             rng = self._stream(entry, digest)
         else:
             # Extra words (a tag plus the count) keep override streams
-            # disjoint from both the historical collection stream and the
-            # mc_spread streams, which use a single extra word.
+            # disjoint from both the default-count collection stream and
+            # the mc_spread streams, which use a single extra word.
             rng = self._stream(entry, digest, 1, num)
         pool = self._pool(entry)
         if pool is not None and pool.healthy:
@@ -581,8 +581,8 @@ class ServiceState:
         """Answer one request (the unbatched reference path).
 
         Structured error answers are converted back into their typed
-        exceptions here, preserving the historical ``raise`` contract of
-        direct callers while batch execution stays poison-free.
+        exceptions here, so direct callers get the exception raised while
+        batch execution stays poison-free.
         """
         answer = self.execute_batch([request])[0]
         raise_error_answer(answer)

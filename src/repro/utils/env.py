@@ -8,8 +8,8 @@ looks like.
 
 The knobs themselves keep living next to the subsystems they configure
 (``REPRO_JOBS`` in :mod:`repro.parallel.pool`, ``REPRO_EVAL_JOBS`` in
-:mod:`repro.parallel.eval_pool`, ``REPRO_MC_BACKEND`` in
-:mod:`repro.diffusion.mc_engine`, ``REPRO_FAULT_SPEC`` in
+:mod:`repro.parallel.eval_pool`, ``REPRO_BACKEND`` in
+:mod:`repro.kernels.registry`, ``REPRO_FAULT_SPEC`` in
 :mod:`repro.parallel.faults`); this module only owns the parsing.
 """
 

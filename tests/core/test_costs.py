@@ -17,7 +17,7 @@ from repro.core.costs import (
 )
 from repro.diffusion.spread import exact_expected_spread
 from repro.graphs.generators import star_graph
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.exceptions import ConfigurationError, ValidationError
 
 
 class TestDistributionSchemes:
@@ -67,6 +67,25 @@ class TestSpreadCalibratedCosts:
             diamond, [0], num_mc_runs=500, random_state=0
         )
         assert 0 < bound <= exact_expected_spread(diamond, [0]) + 0.1
+
+    def test_confidence_moves_the_ris_bound(self, diamond):
+        bounds = [
+            estimate_spread_lower_bound(
+                diamond, [0], num_rr_sets=3000, confidence=level, random_state=0
+            )
+            for level in (0.9, 0.95, 0.99)
+        ]
+        assert bounds[0] > bounds[1] > bounds[2] > 0
+        assert bounds[1] == estimate_spread_lower_bound(
+            diamond, [0], num_rr_sets=3000, random_state=0
+        )
+
+    @pytest.mark.parametrize("num_mc_runs", [0, 500])
+    def test_unsupported_confidence_is_refused(self, diamond, num_mc_runs):
+        with pytest.raises(ValidationError, match="confidence must be one of"):
+            estimate_spread_lower_bound(
+                diamond, [0], num_mc_runs=num_mc_runs, confidence=0.5, random_state=0
+            )
 
     def test_invalid_setting_rejected(self, small_proxy):
         with pytest.raises(ConfigurationError):

@@ -60,6 +60,11 @@ class TestSamplingOracles:
 class TestVectorizedMonteCarloOracle:
     """The batched query API (shared realization streams across queries)."""
 
+    @pytest.mark.parametrize("num_simulations", [0, -5])
+    def test_simulation_count_below_one_is_refused(self, num_simulations):
+        with pytest.raises(ValidationError, match="num_simulations must be >= 1"):
+            MonteCarloSpreadOracle(num_simulations)
+
     def test_expected_spread_matches_exact(self, diamond):
         with MonteCarloSpreadOracle(4000, random_state=0, backend="vectorized") as oracle:
             assert oracle.backend == "vectorized"
@@ -74,16 +79,6 @@ class TestVectorizedMonteCarloOracle:
             assert spreads[index] == pytest.approx(
                 exact.marginal_spread(diamond, node, [0]), abs=0.15
             )
-
-    def test_marginal_spreads_python_backend_falls_back(self, diamond):
-        batched = MonteCarloSpreadOracle(2000, random_state=0, backend="python")
-        sequential = MonteCarloSpreadOracle(2000, random_state=0, backend="python")
-        spreads = batched.marginal_spreads(diamond, [3, 1], [0])
-        expected = [
-            sequential.marginal_spread(diamond, 3, [0]),
-            sequential.marginal_spread(diamond, 1, [0]),
-        ]
-        assert spreads.tolist() == expected  # same per-query historical streams
 
     def test_marginal_spread_pair_matches_exact(self, diamond):
         oracle = MonteCarloSpreadOracle(6000, random_state=0, backend="vectorized")

@@ -3,13 +3,11 @@
 Four layers of checks, mirroring ``tests/sampling/test_engine_differential.py``:
 
 1. **Bit-for-bit backend parity** — ``backend="vectorized"`` and
-   ``backend="python"`` implement the same RNG contract (per-wave bulk coin
-   flips in frontier order), so a shared seed must produce identical
-   batches.
-2. **Historical-stream parity** — a batch of ``count=1`` consumes exactly
-   the stream of one historical :func:`simulate_ic` cascade, and the
-   default ``backend="python"`` of ``monte_carlo_spread`` reproduces the
-   historical estimator bit-for-bit.
+   ``backend="python"`` (the per-cascade literal spec) sample the same
+   keyed cascade stream, so a shared seed must produce identical batches.
+2. **Backend selection** — ``REPRO_BACKEND`` fills in for ``backend=None``
+   at the Monte-Carlo entry points, and the marginal estimator replays
+   one realization stream whatever the backend.
 3. **Parallel determinism** — batches routed through
    :meth:`SamplingPool.simulate` are bit-for-bit independent of ``n_jobs``.
 4. **Residual-mask correctness and statistical agreement** — inactive
@@ -22,11 +20,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.diffusion.ic_model import simulate_ic
 from repro.diffusion.mc_engine import (
     merge_mc_batches,
     replay_live_edges,
-    resolve_mc_backend,
     simulate_ic_batch,
 )
 from repro.diffusion.realization import Realization, batch_realization_spreads
@@ -99,44 +95,34 @@ class TestBackendParity:
             simulate_ic_batch(path4, [0], -1, 0)
 
 
-class TestHistoricalStreamParity:
-    @pytest.mark.parametrize("seed", [0, 3, 9])
-    def test_single_simulation_matches_simulate_ic(
-        self, generated_view, seed_set, seed
-    ):
-        # A batch of one consumes exactly the historical per-cascade stream:
-        # same activated set, same generator position afterwards.
-        rng_hist = np.random.default_rng(seed)
-        historical = simulate_ic(generated_view, seed_set, rng_hist)
-        rng_batch = np.random.default_rng(seed)
-        batch = simulate_ic_batch(generated_view, seed_set, 1, rng_batch)
-        assert set(batch.activated_at(0).tolist()) == historical
-        assert rng_hist.random() == rng_batch.random()
-
-    def test_default_backend_is_historical_python_loop(
-        self, generated_view, seed_set, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_MC_BACKEND", raising=False)
-        assert resolve_mc_backend(None) == "python"
-        default = monte_carlo_spread(generated_view, seed_set, 50, 13)
-        explicit = monte_carlo_spread(generated_view, seed_set, 50, 13, backend="python")
-        assert default == explicit
-
+class TestBackendSelection:
     def test_env_var_switches_backend(self, generated_view, seed_set, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_BACKEND", "vectorized")
-        assert resolve_mc_backend(None) == "vectorized"
+        # REPRO_BACKEND picks the kernel of every MC query left at None;
+        # kernels are stream-equal, so the estimate is the explicit one.
+        calls = []
+        original = kernels.get_backend
+
+        def spy(backend=None):
+            spec = original(backend)
+            calls.append(spec.name)
+            return spec
+
+        monkeypatch.setattr(kernels, "get_backend", spy)
+        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "python")
         from_env = monte_carlo_spread(generated_view, seed_set, 50, 13)
+        assert calls == ["python"]
         explicit = monte_carlo_spread(
             generated_view, seed_set, 50, 13, backend="vectorized"
         )
+        assert calls == ["python", "vectorized"]
         assert from_env == explicit
-        monkeypatch.setenv("REPRO_MC_BACKEND", "cuda")
-        with pytest.raises(ValidationError):
-            resolve_mc_backend(None)
+        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "cuda")
+        with pytest.raises(ValidationError, match="REPRO_BACKEND"):
+            monte_carlo_spread(generated_view, seed_set, 50, 13)
 
     def test_marginal_backends_agree_bit_for_bit(self, generated_view):
-        # The vectorized marginal consumes the identical realization stream
-        # (bulk rows of rng.random(m)), so the estimates are equal exactly.
+        # Every backend replays the identical realization stream (bulk
+        # rows of rng.random(m)), so the estimates are equal exactly.
         python = monte_carlo_marginal_spread(
             generated_view, 90, [100, 200], 120, 17, backend="python"
         )

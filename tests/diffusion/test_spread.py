@@ -71,6 +71,14 @@ class TestMonteCarloSpread:
         with pytest.raises(ValidationError):
             monte_carlo_spread(diamond, [0], num_simulations=0)
 
+    def test_negative_sample_count_is_a_validation_error(self, diamond):
+        with pytest.raises(ValidationError, match="num_simulations must be >= 1"):
+            monte_carlo_spread_samples(diamond, [0], -1, 0)
+
+    def test_zero_marginal_simulations_is_a_validation_error(self, diamond):
+        with pytest.raises(ValidationError, match="num_simulations must be >= 1"):
+            monte_carlo_marginal_spread(diamond, 3, [0], num_simulations=0)
+
     def test_samples_shape(self, diamond):
         samples = monte_carlo_spread_samples(diamond, [0], 50, 0)
         assert samples.shape == (50,)
@@ -101,3 +109,19 @@ class TestLowerBound:
     def test_never_negative(self):
         samples = np.array([0.0, 0.1, 0.0, 0.2])
         assert expected_spread_lower_bound(samples) >= 0.0
+
+    def test_confidence_sets_the_quantile(self):
+        samples = np.array([10.0, 12.0, 11.0, 9.0, 13.0] * 10)
+        std_error = samples.std(ddof=1) / np.sqrt(samples.size)
+        for confidence, z in ((0.9, 1.2816), (0.95, 1.6449), (0.99, 2.3263)):
+            bound = expected_spread_lower_bound(samples, confidence)
+            assert bound == samples.mean() - z * std_error
+        assert expected_spread_lower_bound(samples) == expected_spread_lower_bound(
+            samples, 0.95
+        )
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.975, 0.5, 1.0])
+    def test_unsupported_confidence_is_refused(self, confidence):
+        samples = np.array([10.0, 12.0, 11.0])
+        with pytest.raises(ValidationError, match="confidence must be one of"):
+            expected_spread_lower_bound(samples, confidence)

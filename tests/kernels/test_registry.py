@@ -116,19 +116,6 @@ class TestResolution:
         monkeypatch.setenv(kernels.BACKEND_ENV_VAR, " Auto ")
         assert kernels.resolve_backend(None) == kernels.resolve_backend("auto")
 
-    def test_mc_env_var_resolution(self, monkeypatch):
-        # The MC knob routes through the same resolver with its own
-        # env var and historical default.
-        from repro.diffusion.mc_engine import MC_BACKEND_ENV_VAR, resolve_mc_backend
-
-        monkeypatch.delenv(MC_BACKEND_ENV_VAR, raising=False)
-        assert resolve_mc_backend(None) == "python"
-        monkeypatch.setenv(MC_BACKEND_ENV_VAR, "vectorized")
-        assert resolve_mc_backend(None) == "vectorized"
-        monkeypatch.setenv(MC_BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ValidationError, match="registered backends"):
-            resolve_mc_backend(None)
-
     def test_auto_picks_native_when_available(self, fresh_loads, monkeypatch):
         monkeypatch.setattr(native_backend, "probe", lambda: None)
         assert kernels.resolve_backend("auto") == "native"

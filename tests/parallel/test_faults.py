@@ -181,9 +181,9 @@ def _assert_batches_equal(serial, chaotic):
 
 class TestSamplingChaos:
     def test_killed_shard_worker_rebuilds_and_matches(self, graph):
-        serial = parallel_generate_rr_batch(graph, 200, 7, n_jobs=1, shard_size=64)
+        serial = parallel_generate_rr_batch(graph, 200, 7, n_jobs=1)
         plan = FaultPlan.from_spec("kill:sampling:1")
-        with SamplingPool(graph, n_jobs=2, shard_size=64, fault_plan=plan) as pool:
+        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
             chaotic = pool.generate(graph, 200, 7)
             _assert_batches_equal(serial, chaotic)
             assert not plan.armed
@@ -194,9 +194,9 @@ class TestSamplingChaos:
     def test_two_kills_in_one_wave_rebuild_and_match(self, graph):
         # Both workers die in the same round (every worker gone at once):
         # one rebuild must replay every incomplete shard, in order.
-        serial = parallel_generate_rr_batch(graph, 200, 13, n_jobs=1, shard_size=64)
+        serial = parallel_generate_rr_batch(graph, 200, 13, n_jobs=1)
         plan = FaultPlan.from_spec("kill:sampling:0,kill:sampling:1")
-        with SamplingPool(graph, n_jobs=2, shard_size=64, fault_plan=plan) as pool:
+        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
             chaotic = pool.generate(graph, 200, 13)
             _assert_batches_equal(serial, chaotic)
             assert pool.supervision_stats.rebuilds >= 1
@@ -208,9 +208,9 @@ class TestSamplingChaos:
         # The second kill lands on a *replayed* submission — the pool
         # breaks again mid-recovery, and the ladder's last rung (degrade
         # everything incomplete in-process) still produces exact bytes.
-        serial = parallel_generate_rr_batch(graph, 200, 17, n_jobs=1, shard_size=64)
+        serial = parallel_generate_rr_batch(graph, 200, 17, n_jobs=1)
         plan = FaultPlan.from_spec("kill:sampling:0,kill:sampling:4")
-        with SamplingPool(graph, n_jobs=2, shard_size=64, fault_plan=plan) as pool:
+        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
             chaotic = pool.generate(graph, 200, 17)
             _assert_batches_equal(serial, chaotic)
             stats = pool.supervision_stats
@@ -219,7 +219,7 @@ class TestSamplingChaos:
 
     def test_supervision_stats_accumulate_across_rounds(self, graph):
         plan = FaultPlan.from_spec("kill:sampling:0,kill:sampling:6")
-        with SamplingPool(graph, n_jobs=2, shard_size=64, fault_plan=plan) as pool:
+        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
             pool.generate(graph, 200, 19)
             first = dataclasses.replace(pool.supervision_stats)
             pool.generate(graph, 200, 23)
@@ -228,18 +228,18 @@ class TestSamplingChaos:
             assert second.as_dict()["rebuilds"] == second.rebuilds
 
     def test_poisoned_shard_retries_clean_and_matches(self, graph):
-        serial = parallel_generate_rr_batch(graph, 200, 3, n_jobs=1, shard_size=64)
+        serial = parallel_generate_rr_batch(graph, 200, 3, n_jobs=1)
         plan = FaultPlan.from_spec("poison:sampling:0")
-        with SamplingPool(graph, n_jobs=2, shard_size=64, fault_plan=plan) as pool:
+        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
             chaotic = pool.generate(graph, 200, 3)
         _assert_batches_equal(serial, chaotic)
         assert not plan.armed
 
     def test_delayed_shard_degrades_on_timeout_and_matches(self, graph):
-        serial = parallel_generate_rr_batch(graph, 130, 5, n_jobs=1, shard_size=64)
+        serial = parallel_generate_rr_batch(graph, 130, 5, n_jobs=1)
         plan = FaultPlan.from_spec("delay:sampling:0:1.5")
         with SamplingPool(
-            graph, n_jobs=2, shard_size=64, fault_plan=plan, task_timeout=0.2
+            graph, n_jobs=2, fault_plan=plan, task_timeout=0.2
         ) as pool:
             chaotic = pool.generate(graph, 130, 5)
         _assert_batches_equal(serial, chaotic)
@@ -247,9 +247,9 @@ class TestSamplingChaos:
     def test_env_spec_reaches_the_pool(self, graph, monkeypatch):
         # The CI chaos matrix sets REPRO_FAULT_SPEC ambiently; the default
         # FaultPlan.from_env() wiring must pick it up with no explicit plan.
-        serial = parallel_generate_rr_batch(graph, 200, 11, n_jobs=1, shard_size=64)
+        serial = parallel_generate_rr_batch(graph, 200, 11, n_jobs=1)
         monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "poison:sampling:1")
-        with SamplingPool(graph, n_jobs=2, shard_size=64) as pool:
+        with SamplingPool(graph, n_jobs=2) as pool:
             chaotic = pool.generate(graph, 200, 11)
         _assert_batches_equal(serial, chaotic)
 
@@ -360,8 +360,8 @@ _POOL_SCRIPT = textwrap.dedent(
     from repro.parallel import SamplingPool
 
     graph = weighted_cascade(generators.barabasi_albert(120, 2, random_state=0))
-    pool = SamplingPool(graph, n_jobs=2, shard_size=32)
-    pool.generate(graph, 64, 0)
+    pool = SamplingPool(graph, n_jobs=2)
+    pool.generate(graph, 128, 0)
     for spec in pool._broker.spec.arrays.values():
         print(spec.name, flush=True)
     print("READY", flush=True)
@@ -421,7 +421,7 @@ class TestJanitor:
         assert not janitor.pid_alive(_spawn_and_reap_pid())
 
     def test_broker_segments_carry_owner_tag(self, graph):
-        with SamplingPool(graph, n_jobs=2, shard_size=64) as pool:
+        with SamplingPool(graph, n_jobs=2) as pool:
             pool.generate(graph, 100, 0)
             names = [spec.name for spec in pool._broker.spec.arrays.values()]
         assert names

@@ -64,7 +64,7 @@ def _batch_equal(a, b):
 class TestSamplingPool:
     def test_mask_is_the_only_segment(self, mmap_graph):
         before = set(janitor.list_library_segments())
-        with SamplingPool(mmap_graph, n_jobs=2, shard_size=64) as pool:
+        with SamplingPool(mmap_graph, n_jobs=2) as pool:
             pool.generate(mmap_graph, 100, 0)
             specs = pool._broker.spec.arrays
             created = set(janitor.list_library_segments()) - before
@@ -77,8 +77,8 @@ class TestSamplingPool:
         assert set(janitor.list_library_segments()) == before
 
     def test_one_vs_many_workers_bit_for_bit(self, ram_graph, mmap_graph):
-        with SamplingPool(ram_graph, n_jobs=1, shard_size=64) as one, SamplingPool(
-            mmap_graph, n_jobs=3, shard_size=64
+        with SamplingPool(ram_graph, n_jobs=1) as one, SamplingPool(
+            mmap_graph, n_jobs=3
         ) as many:
             for seed in (0, 17):
                 assert _batch_equal(
@@ -87,7 +87,7 @@ class TestSamplingPool:
                 )
 
     def test_file_specs_point_at_the_rgx(self, mmap_graph, rgx_path):
-        with SamplingPool(mmap_graph, n_jobs=2, shard_size=64) as pool:
+        with SamplingPool(mmap_graph, n_jobs=2) as pool:
             pool.generate(mmap_graph, 200, 0)
             for key, spec in pool._broker.spec.arrays.items():
                 if spec.path is not None:

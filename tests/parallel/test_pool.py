@@ -48,7 +48,7 @@ def worker_pool(graph):
     differential tests (worker start-up is the expensive part on CI
     machines); publishes both CSR directions so the forward-simulate
     tests can reuse it."""
-    with SamplingPool(graph, n_jobs=2, shard_size=64, directions=("in", "out")) as pool:
+    with SamplingPool(graph, n_jobs=2, directions=("in", "out")) as pool:
         yield pool
 
 
@@ -81,7 +81,7 @@ class TestResolveJobs:
 class TestDeterminism:
     @pytest.mark.parametrize("seed", [0, 7, 2020])
     def test_pool_matches_in_process_bit_for_bit(self, view, worker_pool, seed):
-        serial = parallel_generate_rr_batch(view, 250, seed, n_jobs=1, shard_size=64)
+        serial = parallel_generate_rr_batch(view, 250, seed, n_jobs=1)
         parallel = worker_pool.generate(view, 250, seed)
         assert np.array_equal(serial.offsets, parallel.offsets)
         assert np.array_equal(serial.nodes, parallel.nodes)
@@ -125,7 +125,7 @@ class TestDeterminism:
 
     def test_python_backend_through_pool(self, view, worker_pool):
         serial = parallel_generate_rr_batch(
-            view, 120, 5, n_jobs=1, shard_size=64, backend="python"
+            view, 120, 5, n_jobs=1, backend="python"
         )
         parallel = worker_pool.generate(view, 120, 5, backend="python")
         assert np.array_equal(serial.offsets, parallel.offsets)
@@ -147,7 +147,7 @@ class TestDeterminism:
     def test_explicit_roots_are_sharded(self, view, worker_pool):
         roots = view.active_nodes()[:130]
         serial = parallel_generate_rr_batch(
-            view, 130, 1, n_jobs=1, shard_size=64, roots=roots
+            view, 130, 1, n_jobs=1, roots=roots
         )
         parallel = worker_pool.generate(view, 130, 1, roots=roots)
         assert np.array_equal(serial.nodes, parallel.nodes)
@@ -169,7 +169,7 @@ class TestDeterminism:
         rng_pool = np.random.default_rng(33)
         for count in (100, 70):
             serial = parallel_generate_rr_batch(
-                view, count, rng_serial, n_jobs=1, shard_size=64
+                view, count, rng_serial, n_jobs=1
             )
             parallel = worker_pool.generate(view, count, rng_pool)
             assert np.array_equal(serial.nodes, parallel.nodes)
@@ -183,14 +183,14 @@ class TestLifecycle:
             assert not pool.running
 
     def test_small_batch_runs_in_process_even_with_workers(self, graph):
-        # One-shard batches skip dispatch entirely (shard_size >= count).
+        # One-shard batches skip dispatch entirely (count <= the shard size).
         with SamplingPool(graph, n_jobs=2) as pool:
             batch = pool.generate(graph, 10, 0)
             assert len(batch) == 10
             assert not pool.running
 
     def test_close_is_idempotent_and_unlinks(self, graph):
-        pool = SamplingPool(graph, n_jobs=2, shard_size=32)
+        pool = SamplingPool(graph, n_jobs=2)
         pool.generate(graph, 80, 0)
         assert pool.running
         names = [spec.name for spec in pool._broker.spec.arrays.values()]
@@ -238,7 +238,7 @@ class TestForwardSimulate:
     def test_pool_matches_in_process_bit_for_bit(self, view, worker_pool):
         seeds = [100, 200, 300]
         with SamplingPool(
-            view, n_jobs=1, shard_size=64, directions=("out",)
+            view, n_jobs=1, directions=("out",)
         ) as serial:
             expected = serial.simulate(view, seeds, 400, 7)
         actual = worker_pool.simulate(view, seeds, 400, 7)

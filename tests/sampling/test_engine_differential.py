@@ -177,9 +177,9 @@ class TestRegisteredBackendParity:
         # reproduce the single-process vectorized batch bit-for-bit.
         from repro.parallel.pool import SamplingPool
 
-        with SamplingPool(generated_view, n_jobs=2, shard_size=64) as pool:
+        with SamplingPool(generated_view, n_jobs=2) as pool:
             sharded = pool.generate(generated_view, 256, 31, backend=backend)
-        with SamplingPool(generated_view, n_jobs=1, shard_size=64) as pool:
+        with SamplingPool(generated_view, n_jobs=1) as pool:
             local = pool.generate(generated_view, 256, 31, backend="vectorized")
         assert np.array_equal(sharded.offsets, local.offsets)
         assert np.array_equal(sharded.nodes, local.nodes)

@@ -189,7 +189,7 @@ class TestConstruction:
     def test_generation_routes_agree(self, graph):
         plain = FlatRRCollection.generate(graph, 300, random_state=8, n_jobs=1)
         sharded = FlatRRCollection.generate(graph, 300, random_state=8, n_jobs=2)
-        with SamplingPool(graph, n_jobs=2, shard_size=64) as pool:
+        with SamplingPool(graph, n_jobs=2) as pool:
             pooled = FlatRRCollection.generate(graph, 300, random_state=8, pool=pool)
         for other in (sharded, pooled):
             assert np.array_equal(other.flat()[0], plain.flat()[0])
