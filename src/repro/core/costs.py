@@ -238,11 +238,3 @@ def scale_costs(assignment: CostAssignment, factor: float) -> CostAssignment:
         calibration_spread=assignment.calibration_spread,
         metadata={**assignment.metadata, "scaled_by": factor},
     )
-
-
-def merge_costs(*assignments: CostAssignment) -> CostMap:
-    """Merge several assignments into one cost map (later ones win ties)."""
-    merged: CostMap = {}
-    for assignment in assignments:
-        merged.update(assignment.costs)
-    return merged

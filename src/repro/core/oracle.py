@@ -165,7 +165,7 @@ class MonteCarloSpreadOracle(_PooledOracleMixin):
 
     ``backend`` is the kernel backend of every query (resolved through
     :func:`repro.kernels.resolve_backend`; ``None`` honours
-    ``REPRO_BACKEND`` and defaults to ``"vectorized"``).  Every spread
+    ``REPRO_BACKEND``, then ``"auto"``).  Every spread
     query runs as one batch of the keyed cascade stream, and ``n_jobs``
     shards the :meth:`expected_spread` batches across a persistent
     :class:`~repro.parallel.pool.SamplingPool` per base graph (call

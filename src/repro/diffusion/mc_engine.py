@@ -247,8 +247,8 @@ def simulate_ic_batch(
     backend:
         Kernel backend name resolved through the registry
         (:func:`repro.kernels.resolve_backend`): ``None`` honours
-        ``REPRO_BACKEND`` and defaults to ``"vectorized"``; ``"auto"``
-        picks the fastest available backend.  Every backend simulates the
+        ``REPRO_BACKEND``, then ``"auto"``, the fastest available backend
+        (``"native"`` where it builds).  Every backend simulates the
         identical batch, so the choice never changes results.
     key / start:
         Draw cascades ``start … start + count − 1`` of the stream of

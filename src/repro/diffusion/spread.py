@@ -21,7 +21,7 @@ Backends
 --------
 The Monte-Carlo estimators accept ``backend=``, any registered kernel
 backend resolved through :func:`repro.kernels.resolve_backend` (``None``
-honours ``REPRO_BACKEND`` and defaults to ``"vectorized"``).  Every query
+honours ``REPRO_BACKEND``, then ``"auto"``).  Every query
 runs as one batch of the keyed cascade stream of
 :mod:`repro.diffusion.mc_engine`, optionally sharded across a
 :class:`~repro.parallel.pool.SamplingPool` (``n_jobs`` / ``pool``); the

@@ -102,8 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=_backend_choices(),
         default=None,
         help="RR-sampling kernel backend (default: the REPRO_BACKEND "
-        "environment variable, else 'vectorized'; 'auto' picks the fastest "
-        "available kernel; every backend samples identical RR sets)",
+        "environment variable, else 'auto', which picks 'native' where it "
+        "builds and 'vectorized' otherwise; every backend samples "
+        "identical RR sets)",
     )
     parser.add_argument(
         "--journal",

@@ -60,10 +60,10 @@ class EngineParameters:
     the value."""
     backend: Optional[str] = None
     """RR-sampling kernel backend threaded into every algorithm the suite
-    builds (``None`` honours the ``REPRO_BACKEND`` environment variable
-    and defaults to ``"vectorized"``; ``"auto"`` picks ``"native"`` when
-    it can build, else ``"vectorized"``; every backend samples bit-for-bit
-    identical RR sets, so this knob only changes speed)."""
+    builds (``None`` honours the ``REPRO_BACKEND`` environment variable,
+    then ``"auto"``, which picks ``"native"`` when it can build, else
+    ``"vectorized"``; every backend samples bit-for-bit identical RR
+    sets, so this knob only changes speed)."""
 
     def nsg_ndg_samples(self) -> int:
         """Sample size for NSG/NDG: the largest batch HATP may generate."""

@@ -7,7 +7,8 @@ through a fixed table of three backends, each a ``(generate_batch,
 simulate_batch, replay_batch)`` triple:
 
 ``"vectorized"``
-    The NumPy frontier-at-a-time engines (the default).
+    The NumPy frontier-at-a-time engines (the fallback where the native
+    kernels cannot build).
 ``"python"``
     Naive loop-based executable specifications of the keyed streams: a
     per-set loop for RR sets and a per-cascade loop for forward
@@ -17,11 +18,11 @@ simulate_batch, replay_batch)`` triple:
     opened through ``ctypes``, instantiated per RR set, per cascade and
     per replayed world.
 
-``resolve_backend("auto")`` picks ``"native"`` when it can build and
-``"vectorized"`` otherwise; because every backend samples the identical
-streams, the choice never changes results.  ``backend=None`` (the
-default everywhere) resolves through ``REPRO_BACKEND`` and falls back to
-``"vectorized"``.
+``resolve_backend("auto")`` picks ``"native"`` when its kernels build and
+load (probed once per process) and ``"vectorized"`` otherwise; because every
+backend samples the identical streams, the choice never changes results.
+``backend=None`` (the default everywhere) resolves through
+``REPRO_BACKEND``, then ``"auto"``.
 
 See ``docs/performance.md`` ("Kernel registry & compiled backends").
 """

@@ -29,20 +29,27 @@ one ``dlopen``, never a recompile.  Node arrays are read in their storage
 dtype: dedicated ``uint32`` entry points consume mmap'd ``.rgx`` CSR
 arrays in place.
 
-Availability is probed, never assumed: without a C compiler the registry
-reports the backend unavailable and ``"auto"`` falls back to
-``"vectorized"`` silently.
+Availability is probed, never assumed: :func:`probe` builds the kernels
+(or finds the cached ``.so``) and opens them once per process, and
+remembers the outcome — the opened library, or why there is none.  When
+either step fails — no C compiler, one that cannot compile the unit, or a
+shared object that will not load (a ``noexec`` cache directory, a cached
+file built for another machine) — the registry reports the backend
+unavailable, ``backend=None`` and ``"auto"`` fall back to
+``"vectorized"`` after one warning on the ``repro.kernels`` logger, and
+an explicit ``"native"`` raises the reason.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
 import tempfile
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +59,8 @@ from repro.utils.exceptions import ValidationError
 
 #: Override the cache directory for the compiled shared object.
 CACHE_DIR_ENV_VAR = "REPRO_NATIVE_CACHE_DIR"
+
+logger = logging.getLogger("repro.kernels")
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -201,13 +210,6 @@ def _compiler() -> Optional[str]:
     return None
 
 
-def probe() -> Optional[str]:
-    """``None`` when the native backend can build, else the reason it can't."""
-    if _compiler() is None:
-        return "no C compiler found (cc/gcc/clang; set CC to override)"
-    return None
-
-
 def _cache_dir() -> str:
     override = os.environ.get(CACHE_DIR_ENV_VAR)
     if override:
@@ -216,20 +218,23 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-kernels-{uid}")
 
 
+def _library_path() -> str:
+    """Where the compiled kernels live: content-addressed, in the cache."""
+    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"repro_kernels_{digest}.so")
+
+
 def _build_library() -> str:
     """Compile the kernel source into a content-addressed ``.so`` (cached)."""
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    library = os.path.join(cache, f"repro_kernels_{digest}.so")
+    library = _library_path()
     if os.path.exists(library):
         return library
     compiler = _compiler()
-    if compiler is None:  # pragma: no cover - guarded by probe()
-        raise ValidationError(
-            "backend 'native' needs a C compiler (cc/gcc/clang; set CC)"
-        )
+    if compiler is None:
+        raise ValidationError("no C compiler found (cc/gcc/clang; set CC to override)")
+    cache = os.path.dirname(library)
     os.makedirs(cache, exist_ok=True)
-    source_path = os.path.join(cache, f"repro_kernels_{digest}.c")
+    source_path = os.path.splitext(library)[0] + ".c"
     with open(source_path, "w") as handle:
         handle.write(_SOURCE)
     with tempfile.NamedTemporaryFile(
@@ -253,12 +258,52 @@ def _build_library() -> str:
         except OSError:
             pass
         raise ValidationError(
-            f"backend 'native' failed to compile its kernels with "
-            f"{compiler!r}: {result.stderr.strip()[:500]}"
+            f"failed to compile the kernels with {compiler!r} (exit status "
+            f"{result.returncode}): {result.stderr.strip()[:500] or 'no output'}"
         )
     # Atomic publish: concurrent builders race to an identical artifact.
     os.replace(scratch_path, library)
     return library
+
+
+def _open_library() -> ctypes.CDLL:
+    """Build (or find cached) and dlopen the kernels, signatures wired."""
+    library = ctypes.CDLL(_build_library())
+    for name, leading in _KERNELS.items():
+        for suffix in ("i64", "u32"):
+            function = getattr(library, f"{name}_{suffix}")
+            function.restype = _I64
+            function.argtypes = leading + _BFS_TAIL
+    return library
+
+
+#: This process's one probe: ``(opened library, None)`` or ``(None, reason)``.
+_OPENED: Optional[Tuple[Optional[ctypes.CDLL], Optional[str]]] = None
+
+
+def _opened() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
+    """Build and open the kernels at most once per process.
+
+    A failure at either step — including a ``.so`` that exists but will
+    not load — is remembered with its reason, so it costs one attempt and
+    one warning per process.
+    """
+    global _OPENED
+    if _OPENED is None:
+        try:
+            _OPENED = (_open_library(), None)
+        except (ValidationError, OSError) as exc:
+            _OPENED = (None, str(exc))
+            logger.warning(
+                "native kernels unavailable, so backend=None and 'auto' use "
+                "'vectorized' (same results, slower): %s", exc,
+            )
+    return _OPENED
+
+
+def probe() -> Optional[str]:
+    """``None`` when the native kernels build and load, else why not."""
+    return _opened()[1]
 
 
 def _addr(array: Optional[np.ndarray]) -> Optional[int]:
@@ -278,12 +323,10 @@ class NativeKernels:
     """The compiled kernel set, opened with ctypes."""
 
     def __init__(self) -> None:
-        self._lib = ctypes.CDLL(_build_library())
-        for name, leading in _KERNELS.items():
-            for suffix in ("i64", "u32"):
-                function = getattr(self._lib, f"{name}_{suffix}")
-                function.restype = _I64
-                function.argtypes = leading + _BFS_TAIL
+        library, reason = _opened()
+        if library is None:
+            raise ValidationError(f"backend 'native' is not available: {reason}")
+        self._lib = library
 
     def _bfs(self, name, leading, count, view, csr, stop=None, size=0):
         """Run instantiation ``name`` over ``count`` items; ``(offsets, nodes)``.
@@ -387,7 +430,7 @@ class NativeKernels:
 
 
 def load() -> KernelBackend:
-    """Registry loader: compile (cached), dlopen, wire the kernels."""
+    """Registry loader: the probe's opened kernels as a backend."""
     kernels = NativeKernels()
     return KernelBackend(
         name="native",

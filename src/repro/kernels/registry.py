@@ -17,13 +17,16 @@ Contracts
   when its probe passes, else ``"vectorized"`` — therefore never
   perturbs results.
 * **Defaults** — ``backend=None`` resolves through the ``REPRO_BACKEND``
-  environment variable and falls back to ``"vectorized"``, for RR sets
-  and Monte-Carlo alike.
-* **Availability** — ``"native"`` needs a C compiler.  Without one it
-  stays in the table (so error messages can name it), an explicit
-  request raises the probe's reason as a
-  :class:`~repro.utils.exceptions.ValidationError`, and ``"auto"`` falls
-  back to ``"vectorized"`` silently.
+  environment variable, then ``"auto"``, for RR sets and Monte-Carlo
+  alike: the compiled kernels wherever they build.
+* **Availability** — ``"native"`` is available when its probe builds the
+  kernels (or finds them cached) and opens them; the probe runs at most
+  once per process, on the first resolution that needs it, never at
+  import.  When the build or the load fails ``"native"`` stays in the
+  table (so error messages can name it), an explicit request raises the
+  probe's reason as a :class:`~repro.utils.exceptions.ValidationError`,
+  and ``"auto"`` falls back to ``"vectorized"`` after one warning on the
+  ``repro.kernels`` logger.
 
 Every backend reads the ``uint32`` node arrays of mmap'd ``.rgx`` graphs
 in place; :meth:`PreparedCSR.gather` is the one place gathered node ids
@@ -44,7 +47,7 @@ from repro.utils.exceptions import ValidationError
 #: Environment variable consulted when a caller leaves ``backend`` unset.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: The resolve-time wildcard: ``"native"`` when it can build, else
+#: The resolve-time wildcard: ``"native"`` when it builds and loads, else
 #: ``"vectorized"``.
 AUTO = "auto"
 
@@ -73,8 +76,8 @@ class KernelBackend:
     replay_batch: Callable
 
 
-#: Backends loaded in this process (``"native"`` compiles or dlopens its
-#: kernels on first load; pool workers load once, not once per shard).
+#: Backends loaded in this process (``"native"`` wraps the kernels its
+#: probe opened; pool workers load once, not once per shard).
 _LOADED: Dict[str, KernelBackend] = {}
 
 
@@ -116,8 +119,8 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve a backend request to a concrete backend name.
 
     * an explicit value wins; ``None`` falls back to ``REPRO_BACKEND``,
-      then to ``"vectorized"``;
-    * ``"auto"`` picks ``"native"`` when it is available, else
+      then to ``"auto"``;
+    * ``"auto"`` picks ``"native"`` when its kernels build and load, else
       ``"vectorized"`` (both are bit-for-bit identical, so this is
       stream-safe);
     * an unknown name raises the shared error listing every backend; a
@@ -127,7 +130,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     if backend is None:
         backend = read_env(BACKEND_ENV_VAR)
         if backend is None:
-            backend = "vectorized"
+            backend = AUTO
         else:
             source = BACKEND_ENV_VAR
     name = str(backend).strip().lower()
@@ -157,9 +160,9 @@ def get_backend(backend: Optional[str] = None) -> KernelBackend:
 def warm_up(backend: str) -> None:
     """Load ``backend`` now, so its one-off cost lands outside timed work.
 
-    ``"native"`` compiles (or finds cached) and dlopens its kernels here;
-    pool workers call this per task, and every call after the first is a
-    dict lookup.
+    ``"native"`` compiles (or finds cached) and dlopens its kernels here
+    unless a resolution already probed them; pool workers call this per
+    task, and every call after the first is a dict lookup.
     """
     _load(resolve_backend(backend))
 

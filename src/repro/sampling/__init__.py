@@ -39,7 +39,9 @@ Generation entry points (``generate_rr_batch``, ``generate_rr_sets``,
 ``RRCollection.generate``, ``FlatRRCollection.generate``) take a
 ``backend`` argument:
 
-* ``"vectorized"`` (default) — the batched NumPy engine;
+* ``None`` (the default) — ``REPRO_BACKEND``, then ``"auto"``:
+  ``"native"`` where it builds and loads, else ``"vectorized"``;
+* ``"vectorized"`` — the batched NumPy engine;
 * ``"python"`` — a per-set loop over the *same* keyed stream, so a
   shared seed yields bit-for-bit identical batches — this is what the
   differential tests assert;

@@ -33,12 +33,12 @@ contain ``u`` and miss ``C`` is unchanged when each set stops at ``C``.
 Backends
 --------
 ``generate_rr_batch`` dispatches through the kernel registry
-(:mod:`repro.kernels`): ``backend=None`` honours ``REPRO_BACKEND`` and
-falls back to ``"vectorized"``; ``"auto"`` picks ``"native"`` when it
-can build.  ``"vectorized"`` grows all sets of a batch frontier-at-a-time
-with NumPy; ``"python"`` is a per-set scalar loop, the literal statement
-of the stream above; ``"native"`` is a compiled per-set reverse BFS.  All
-three return identical batches, truncated or not
+(:mod:`repro.kernels`): ``backend=None`` honours ``REPRO_BACKEND``, then
+``"auto"``, which picks ``"native"`` when it can build and
+``"vectorized"`` otherwise.  ``"vectorized"`` grows all sets of a batch
+frontier-at-a-time with NumPy; ``"python"`` is a per-set scalar loop, the
+literal statement of the stream above; ``"native"`` is a compiled per-set
+reverse BFS.  All three return identical batches, truncated or not
 (``tests/sampling/test_keyed_stream.py``).
 """
 
@@ -268,8 +268,8 @@ def generate_rr_batch(
     backend:
         Kernel backend name resolved through the registry
         (:func:`repro.kernels.resolve_backend`): ``None`` honours
-        ``REPRO_BACKEND`` and defaults to ``"vectorized"``; ``"auto"``
-        picks the fastest available backend.  Every backend samples the
+        ``REPRO_BACKEND``, then ``"auto"``, the fastest available backend
+        (``"native"`` where it builds).  Every backend samples the
         identical batch, so the choice never changes results.
     roots:
         Optional fixed roots, one per RR set (inactive roots yield empty

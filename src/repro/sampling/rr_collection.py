@@ -24,7 +24,7 @@ API, which is what the differential tests lean on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class RRCollection:
         graph: ProbabilisticGraph | ResidualGraph,
         count: int,
         random_state: RandomState = None,
-        backend: str = "vectorized",
+        backend: Optional[str] = None,
     ) -> "RRCollection":
         """Generate ``count`` RR sets on ``graph`` and index them.
 

@@ -83,23 +83,19 @@ def generate_rr_sets(
     graph: ProbabilisticGraph | ResidualGraph,
     count: int,
     random_state: RandomState = None,
-    backend: str = "vectorized",
+    backend: Optional[str] = None,
 ) -> List[Set[int]]:
     """Generate ``count`` independent random RR sets on ``graph``.
 
-    ``backend`` selects the sampling engine: ``"vectorized"`` (default) and
-    ``"python"`` route through the batched engine of
-    :mod:`repro.sampling.engine` and materialise its flat output as Python
-    sets; ``"legacy"`` runs the per-set BFS of :func:`generate_rr_set`
-    (one sequential RNG stream per batch, kept for reference and
-    differential testing).
+    ``backend`` selects the sampling engine: ``"legacy"`` runs the per-set
+    BFS of :func:`generate_rr_set` (one sequential RNG stream per batch,
+    kept for reference and differential testing); anything else —
+    ``None`` included — is a kernel backend of the batched engine of
+    :mod:`repro.sampling.engine`, resolved through the registry, whose
+    flat output is materialised as Python sets.
     """
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
-    if backend not in ("vectorized", "python", "legacy"):
-        raise ValidationError(
-            f"unknown backend {backend!r}; available: vectorized, python, legacy"
-        )
     view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
     if backend != "legacy":
         from repro.sampling.engine import generate_rr_batch

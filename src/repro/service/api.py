@@ -428,7 +428,10 @@ class SeedingServer:
             deadline = arm_deadline(request, self._deadline_ms)
         except (ValidationError, TypeError) as exc:
             return 400, {"error": str(exc), "code": "invalid"}
-        cached = self._state.try_cached(request)
+        try:
+            cached = self._state.try_cached(request)
+        except ValidationError as exc:
+            return 400, error_answer(exc)
         if cached is not None:
             self._cache_fast_hits += 1
             self._note_success()

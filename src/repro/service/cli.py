@@ -110,8 +110,9 @@ def _add_state_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default=None,
         help="kernel backend for RR generation and replay ('auto' picks "
-        "the fastest available; default REPRO_BACKEND, else 'vectorized'; "
-        "answers are identical across backends)",
+        "the fastest available: 'native' where it builds, else "
+        "'vectorized'; default REPRO_BACKEND, else 'auto'; answers are "
+        "identical across backends)",
     )
     parser.add_argument(
         "--cache-size",

@@ -154,9 +154,9 @@ class ServiceState:
     backend:
         Kernel backend for RR generation and live-edge replay, resolved
         through the registry at construction (``None`` honours
-        ``REPRO_BACKEND`` and defaults to ``"vectorized"``; ``"auto"``
-        picks the fastest available kernel).  Every backend is
-        bit-for-bit identical, so answers never depend on the choice.
+        ``REPRO_BACKEND``, then ``"auto"``, the fastest available kernel:
+        ``"native"`` where it builds).  Every backend is bit-for-bit
+        identical, so answers never depend on the choice.
     """
 
     def __init__(
@@ -398,13 +398,29 @@ class ServiceState:
         window; counts one hit or miss against the answer cache.
         """
         self._require_open()
-        entry = self.entry(request.get("version"))
+        _, entry = self._admit(request)
         _, mask, digest = self._residual_view(entry, request.get("removed") or ())
         key = answer_key(entry.version, mask, self._parameters(), _query_of(request))
         cached = self._answers.get(key)
         if cached is None:
             return None
         return dict(cached, cached=True)
+
+    def _admit(self, request: Mapping[str, Any]) -> Tuple[str, GraphEntry]:
+        """The request's op and graph entry, once its op and node ids check.
+
+        Both entry points — the cache fast path and the batch — call this
+        first, so a request that names a node outside ``[0, n)`` is
+        refused before any lookup, even one an older journal answered.
+        """
+        op = str(request.get("op", "spread"))
+        if op not in OPERATIONS:
+            raise ValidationError(
+                f"unknown op {op!r}; available: {', '.join(OPERATIONS)}"
+            )
+        entry = self.entry(request.get("version"))
+        _check_node_ids(request, op, entry.graph.n)
+        return op, entry
 
     def try_degraded(self, request: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
         """A cached answer served *degraded*, or ``None`` when there is none.
@@ -499,12 +515,7 @@ class ServiceState:
                     results[position] = shed
                     continue
             try:
-                op = str(request.get("op", "spread"))
-                if op not in OPERATIONS:
-                    raise ValidationError(
-                        f"unknown op {op!r}; available: {', '.join(OPERATIONS)}"
-                    )
-                entry = self.entry(request.get("version"))
+                op, entry = self._admit(request)
                 view, mask, digest = self._residual_view(
                     entry, request.get("removed") or ()
                 )
@@ -675,8 +686,6 @@ class ServiceState:
         else:
             candidates = np.asarray([int(v) for v in segment], dtype=np.int64)
         counter = CoverageCounter(collection)
-        n = entry.graph.n
-        valid = (candidates >= 0) & (candidates < n)
         costs = np.asarray(
             [entry.costs.get(int(v), 1.0) for v in candidates], dtype=np.float64
         )
@@ -687,8 +696,7 @@ class ServiceState:
         for _ in range(k):
             if candidates.size == 0:
                 break
-            gains = np.full(candidates.shape[0], -1, dtype=np.int64)
-            gains[valid] = counter.marginal_counts[candidates[valid]]
+            gains = counter.marginal_counts[candidates].astype(np.int64)
             gains[picked] = -1
             gains[costs > remaining] = -1
             best = int(np.argmax(gains))
@@ -920,6 +928,31 @@ class ServiceState:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+#: Request fields that list node ids (``marginal`` also names one in ``node``).
+_NODE_LIST_FIELDS = ("seeds", "conditioning", "segment")
+
+
+def _check_node_ids(request: Mapping[str, Any], op: str, n: int) -> None:
+    """Refuse a request that names a node id outside ``[0, n)``.
+
+    Checked where a request enters the batch, so a bad id gets its own
+    ``invalid`` answer: the estimators would otherwise drop it silently,
+    and ``mc_spread`` replay would fail the request's whole group.
+    """
+    named = [(name, request.get(name) or ()) for name in _NODE_LIST_FIELDS]
+    if op == "marginal":
+        named.append(("node", (request.get("node", -1),)))
+    for name, ids in named:
+        try:
+            bad = [v for v in ids if not 0 <= int(v) < n]
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"{name}: expected integer node ids, got {request.get(name)!r}"
+            ) from None
+        if bad:
+            raise ValidationError(f"{name}: node id {bad[0]!r} is outside [0, {n})")
 
 
 #: Fields whose empty spelling means the same as leaving them out, so the

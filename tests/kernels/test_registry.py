@@ -3,20 +3,28 @@
 The differential suites (``tests/sampling/test_engine_differential.py``,
 ``tests/diffusion/test_mc_engine.py``) prove every available backend is
 bit-for-bit identical; this file tests the registry itself: the fixed
-backend table, name resolution, env fallback, ``"auto"``, actionable
-errors for unknown / unavailable backends, load-once memoisation, and
-the centralized uint32→int64 CSR preparation.
+backend table, name resolution, env fallback, the ``"auto"`` default and
+its once-per-process build probe, actionable errors for unknown /
+unavailable backends, load-once memoisation, and the centralized
+uint32→int64 CSR preparation.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro import kernels
 from repro.diffusion.mc_engine import replay_live_edges, simulate_ic_batch
+from repro.experiments.config import SMOKE, EngineParameters
+from repro.experiments.profit_experiments import reproduce_figure2
 from repro.graphs import generators
 from repro.graphs.weighting import weighted_cascade
 from repro.kernels import native_backend, reference, registry
@@ -24,6 +32,8 @@ from repro.sampling.engine import generate_rr_batch
 from repro.utils.exceptions import ValidationError
 
 NO_COMPILER = "no C compiler found (test)"
+
+NATIVE_BUILDS = "native" in kernels.available_backends()
 
 
 @pytest.fixture()
@@ -38,6 +48,37 @@ def fresh_loads(monkeypatch):
 def native_unavailable(fresh_loads, monkeypatch):
     """Native's probe fails, as on a machine without a C compiler."""
     monkeypatch.setattr(native_backend, "probe", lambda: NO_COMPILER)
+
+
+@pytest.fixture()
+def fresh_build(fresh_loads, monkeypatch):
+    """An unprobed native build; returns the list of build attempts."""
+    monkeypatch.delenv(kernels.BACKEND_ENV_VAR, raising=False)
+    monkeypatch.setattr(native_backend, "_OPENED", None)
+    builds = []
+    real_build = native_backend._build_library
+
+    def build():
+        builds.append(os.environ.get("CC"))
+        return real_build()
+
+    monkeypatch.setattr(native_backend, "_build_library", build)
+    return builds
+
+
+@pytest.fixture()
+def broken_compiler(fresh_build, tmp_path, monkeypatch):
+    """A compiler that fails every build, over an empty kernel cache."""
+    monkeypatch.setenv("CC", "false")
+    monkeypatch.setenv(native_backend.CACHE_DIR_ENV_VAR, str(tmp_path))
+    return fresh_build
+
+
+def kernel_warnings(caplog):
+    return [
+        record for record in caplog.records
+        if record.name == "repro.kernels" and record.levelno == logging.WARNING
+    ]
 
 
 @pytest.fixture()
@@ -69,11 +110,123 @@ class TestRegistration:
         assert "python" in available
 
 
-class TestResolution:
-    def test_none_defaults_to_vectorized(self, monkeypatch):
+class TestDefaultResolution:
+    """``None`` → ``REPRO_BACKEND`` → ``"auto"``, whose probe builds once."""
+
+    def test_none_resolves_to_native_when_the_build_probe_passes(
+        self, fresh_loads, monkeypatch
+    ):
+        monkeypatch.delenv(kernels.BACKEND_ENV_VAR, raising=False)
+        monkeypatch.setattr(native_backend, "probe", lambda: None)
+        assert kernels.resolve_backend(None) == "native"
+        assert not fresh_loads  # resolution never loads a backend
+
+    def test_none_resolves_to_vectorized_when_the_build_probe_fails(
+        self, native_unavailable, monkeypatch
+    ):
         monkeypatch.delenv(kernels.BACKEND_ENV_VAR, raising=False)
         assert kernels.resolve_backend(None) == "vectorized"
+        assert kernels.get_backend(None).name == "vectorized"
 
+    def test_failed_build_falls_back_with_one_warning(self, broken_compiler, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.kernels")
+        assert kernels.resolve_backend(None) == "vectorized"
+        assert kernels.resolve_backend("auto") == "vectorized"
+        assert kernels.get_backend(None).name == "vectorized"
+        assert len(kernel_warnings(caplog)) == 1
+        assert "'vectorized'" in kernel_warnings(caplog)[0].getMessage()
+        with pytest.raises(ValidationError, match="failed to compile the kernels with 'false'"):
+            kernels.get_backend("native")
+        assert "native" not in kernels.available_backends()
+        assert len(kernel_warnings(caplog)) == 1
+        assert broken_compiler == ["false"]  # one build attempt, however many calls
+
+    def test_unloadable_library_falls_back_with_one_warning(
+        self, fresh_build, tmp_path, monkeypatch, caplog
+    ):
+        # A cached .so that will not dlopen (junk here; a noexec cache
+        # directory or another machine's build elsewhere) is a failed probe.
+        monkeypatch.setenv(native_backend.CACHE_DIR_ENV_VAR, str(tmp_path))
+        with open(native_backend._library_path(), "wb") as handle:
+            handle.write(b"not a shared object")
+        caplog.set_level(logging.WARNING, logger="repro.kernels")
+        assert kernels.resolve_backend(None) == "vectorized"
+        assert kernels.resolve_backend("auto") == "vectorized"
+        assert kernels.get_backend(None).name == "vectorized"
+        with pytest.raises(ValidationError, match="not available: .*repro_kernels_"):
+            kernels.get_backend("native")
+        assert len(kernel_warnings(caplog)) == 1
+        assert len(fresh_build) == 1  # the failed load is remembered too
+
+    @pytest.mark.skipif(not NATIVE_BUILDS, reason="no C compiler on this machine")
+    def test_build_runs_at_most_once_per_process(self, fresh_build, tmp_path, monkeypatch):
+        monkeypatch.setenv(native_backend.CACHE_DIR_ENV_VAR, str(tmp_path))
+        for _ in range(50):
+            assert kernels.resolve_backend(None) == "native"
+            assert kernels.resolve_backend("auto") == "native"
+        assert kernels.available_backends() == ("vectorized", "python", "native")
+        assert len(fresh_build) == 1
+        assert len(list(tmp_path.glob("*.so"))) == 1
+        assert kernels.get_backend(None).name == "native"
+        assert len(fresh_build) == 1  # the load reuses the probe's library
+
+    def test_env_var_and_explicit_names_win_without_probing(
+        self, broken_compiler, monkeypatch
+    ):
+        assert kernels.resolve_backend("python") == "python"
+        monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "vectorized")
+        assert kernels.resolve_backend(None) == "vectorized"
+        assert kernels.resolve_backend("python") == "python"
+        assert broken_compiler == []  # no name but native or auto builds
+
+    def test_nothing_resolves_at_import_or_graph_loading(self):
+        # A figure process imports the figure code and loads its graphs
+        # before any kernel runs: neither may probe, build or dlopen.
+        code = (
+            "import repro.experiments.profit_experiments\n"
+            "from repro.graphs.datasets import load_proxy\n"
+            "load_proxy('nethept', nodes=60, random_state=1)\n"
+            "from repro.kernels import native_backend, registry\n"
+            "assert registry._LOADED == {}, registry._LOADED\n"
+            "assert native_backend._OPENED is None, native_backend._OPENED\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not NATIVE_BUILDS, reason="no C compiler on this machine")
+    def test_figure_on_the_fallback_equals_the_native_figure(
+        self, fresh_loads, monkeypatch
+    ):
+        monkeypatch.delenv(kernels.BACKEND_ENV_VAR, raising=False)
+        scale = dataclasses.replace(
+            SMOKE,
+            dataset_nodes={"nethept": 120},
+            k_values=(3, 5),
+            num_realizations=2,
+            num_rr_sets_instance=300,
+            engine=EngineParameters(
+                max_rounds=3, max_samples_per_round=150,
+                addatp_max_rounds=3, addatp_max_samples_per_round=150,
+            ),
+            include_addatp_up_to_k=3,
+            datasets=("nethept",),
+        )
+        native = reproduce_figure2(scale, random_state=0)["nethept"]
+        assert "native" in fresh_loads and "vectorized" not in fresh_loads
+        fresh_loads.clear()
+        monkeypatch.setattr(native_backend, "probe", lambda: NO_COMPILER)
+        fallback = reproduce_figure2(scale, random_state=0)["nethept"]
+        assert list(fresh_loads) == ["vectorized"]
+        assert fallback.x_values == native.x_values
+        assert fallback.series == native.series
+
+
+class TestResolution:
     def test_env_var_fills_in(self, monkeypatch):
         monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "python")
         assert kernels.resolve_backend(None) == "python"
@@ -122,7 +275,7 @@ class TestResolution:
         assert not fresh_loads  # resolution never loads a backend
 
     def test_auto_skips_unavailable_backends(self, native_unavailable):
-        # Native cannot build: auto silently falls back.
+        # Native cannot build: auto falls back.
         assert kernels.resolve_backend("auto") == "vectorized"
         assert kernels.available_backends() == ("vectorized", "python")
         assert kernels.registered_backends() == ("vectorized", "python", "native")
@@ -241,10 +394,7 @@ class TestNativeBackend:
     """Loader-level checks for the compiled C backend (parity lives in
     the differential suites)."""
 
-    pytestmark = pytest.mark.skipif(
-        "native" not in kernels.available_backends(),
-        reason="no C compiler on this machine",
-    )
+    pytestmark = pytest.mark.skipif(not NATIVE_BUILDS, reason="no C compiler on this machine")
 
     def test_probe_reports_available(self):
         assert native_backend.probe() is None

@@ -19,6 +19,7 @@ import pytest
 from repro.graphs.toy import toy_costs, toy_graph
 from repro.service.api import SeedingServer
 from repro.service.loadgen import ServiceClient
+from repro.service import state as state_module
 from repro.service.state import ServiceState
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -151,6 +152,34 @@ class TestErrorSurface:
         status, payload = asyncio.run(with_server(scenario))
         assert status == 400
         assert "unknown op" in payload["error"]
+
+    def test_out_of_range_node_is_400(self):
+        async def scenario(server, client):
+            bad = await client.request("POST", "/query", {"op": "spread", "seeds": [0, 999]})
+            good = await client.request("POST", "/query", {"op": "spread", "seeds": [0]})
+            return bad, good
+
+        (bad_status, bad), (good_status, good) = asyncio.run(with_server(scenario))
+        assert bad_status == 400
+        assert bad["error"] == "seeds: node id 999 is outside [0, 7)"
+        assert good_status == 200 and good["seeds"] == [0]
+
+    def test_cached_answer_for_an_out_of_range_node_is_not_served(self, monkeypatch):
+        # An answer cached without the id check (as an older server's
+        # journal restores it) must not reach the cache fast path.
+        bad = {"op": "spread", "seeds": [0, 999]}
+
+        async def scenario(server, client):
+            with monkeypatch.context() as unchecked:
+                unchecked.setattr(state_module, "_check_node_ids", lambda *args: None)
+                assert "spread" in server.state.execute_batch([bad])[0]
+            assert len(server.state.answer_cache) == 1
+            return await client.request("POST", "/query", bad), server.metrics()
+
+        (status, answer), metrics = asyncio.run(with_server(scenario))
+        assert status == 400
+        assert answer == {"error": "seeds: node id 999 is outside [0, 7)", "code": "invalid"}
+        assert metrics["server"]["cache_fast_hits"] == 0
 
     def test_unknown_path_is_404_and_get_query_is_405(self):
         async def scenario(server, client):

@@ -192,6 +192,64 @@ class TestBatchingInvariance:
             assert s.entry().generations == 3
 
 
+class TestBadNodeIds:
+    """A request naming a node outside ``[0, n)`` gets its own ``invalid``
+    answer, and its batchmates get the answers they get alone."""
+
+    CASES = [
+        ({"op": "spread", "seeds": [0]}, {"op": "spread", "seeds": [0, 999]}),
+        ({"op": "spread", "seeds": [0]}, {"op": "spread", "seeds": [0, -1]}),
+        ({"op": "marginal", "node": 3}, {"op": "marginal", "node": 999}),
+        ({"op": "marginal", "node": 3}, {"op": "marginal"}),
+        (
+            {"op": "marginal", "node": 3, "conditioning": [0]},
+            {"op": "marginal", "node": 3, "conditioning": [0, 999]},
+        ),
+        (
+            {"op": "topk", "k": 2, "segment": [0, 3]},
+            {"op": "topk", "k": 2, "segment": [0, 999]},
+        ),
+        ({"op": "topk", "k": 2}, {"op": "topk", "k": 0}),
+        (
+            {"op": "mc_spread", "seeds": [0, 1], "simulations": 80},
+            {"op": "mc_spread", "seeds": [0, 999], "simulations": 80},
+        ),
+        ({"op": "spread", "seeds": [0]}, {"op": "spread", "seeds": ["x"]}),
+        ({"op": "spread", "seeds": [0]}, {"op": "spread", "seeds": [float("inf")]}),
+    ]
+
+    @staticmethod
+    def _fresh_state():
+        s = ServiceState(num_samples=300, mc_simulations=100, seed=5)
+        s.register_graph(toy_graph(), costs=toy_costs())
+        return s
+
+    @pytest.mark.parametrize("good, bad", CASES)
+    def test_bad_request_is_answered_in_place(self, good, bad):
+        with self._fresh_state() as s:
+            answers = s.execute_batch([good, bad])
+        with self._fresh_state() as s:
+            alone = s.execute_batch([good])[0]
+        assert answers[1]["code"] == "invalid"
+        assert answers[0] == alone
+
+    @pytest.mark.parametrize(
+        "request_, field",
+        [
+            ({"op": "spread", "seeds": [0, 999]}, "seeds"),
+            ({"op": "spread", "seeds": [0, -1]}, "seeds"),
+            ({"op": "marginal", "node": 999}, "node"),
+            ({"op": "marginal", "node": 2, "conditioning": [999]}, "conditioning"),
+            ({"op": "topk", "k": 1, "segment": [999]}, "segment"),
+            ({"op": "mc_spread", "seeds": [999], "simulations": 20}, "seeds"),
+        ],
+    )
+    def test_query_raises_naming_the_field(self, state, request_, field):
+        with pytest.raises(ValidationError, match=rf"^{field}: node id -?\d+ is outside \[0, 7\)"):
+            state.query(request_)
+        assert len(state.collection_cache) == 0  # refused before any sampling
+
+
 class TestDeterminismContract:
     def test_same_seed_same_answers_across_instances(self):
         def run():
