@@ -1,9 +1,11 @@
-"""Jobs-scaling benchmark of the parallel sampling subsystem.
+"""Jobs-scaling benchmark of the sampling thread pool.
 
-Measures one batch generation at ``n_jobs ∈ {1, 2, 4}`` on the
+Measures one batch generation at ``n_jobs ∈ {1, 2, 4}`` threads on the
 ``REPRO_BENCH_SCALE`` graph (same sizes as the engine benchmark), with the
-pool warmed up so worker start-up is excluded — the number a long-running
-driver actually experiences per round.  The measured curve is written to
+pool warmed up so thread start-up is excluded — the number a long-running
+driver actually experiences per round.  The batch is at least
+:data:`~repro.parallel.pool.MIN_SPLIT` sets, so every thread count above
+one splits it.  The measured curve is written to
 ``benchmarks/output/parallel_scaling.csv`` / ``.json`` so the perf
 trajectory stays diffable across PRs.
 
@@ -32,7 +34,7 @@ from benchmarks.test_bench_rr_engine import ENGINE_SCALES
 from repro.experiments.reporting import write_rows_csv, write_rows_json
 from repro.graphs import generators
 from repro.graphs.weighting import weighted_cascade
-from repro.parallel import SamplingPool, available_cpus
+from repro.parallel import MIN_SPLIT, SamplingPool, available_cpus
 
 #: Worker counts the scaling series sweeps.
 JOBS_SERIES = (1, 2, 4)
@@ -66,15 +68,15 @@ def _best_of(function, repeats=3):
 
 
 def test_bench_jobs_scaling(pool_graph, pool_params, bench_scale):
-    theta = pool_params["theta"]
+    theta = max(pool_params["theta"], MIN_SPLIT)
     rows = []
     baseline_seconds = None
     baseline_batch = None
     speedups = {}
 
     for jobs in JOBS_SERIES:
-        with SamplingPool(pool_graph, n_jobs=jobs) as pool:
-            pool.generate(pool_graph, theta, BENCH_SEED)  # warm up workers
+        with SamplingPool(n_jobs=jobs) as pool:
+            pool.generate(pool_graph, theta, BENCH_SEED)  # warm up the threads
             seconds, batch = _best_of(
                 lambda: pool.generate(pool_graph, theta, BENCH_SEED)
             )
@@ -104,6 +106,6 @@ def test_bench_jobs_scaling(pool_graph, pool_params, bench_scale):
 
     if os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP") == "1" and available_cpus() >= 4:
         assert speedups[4] >= REQUIRED_SPEEDUP_AT_4, (
-            f"4-worker pool only {speedups[4]:.2f}x faster than 1 job "
+            f"4-thread pool only {speedups[4]:.2f}x faster than 1 thread "
             f"(theta={theta}, n={pool_graph.n}, cpus={available_cpus()})"
         )

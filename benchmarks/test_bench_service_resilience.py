@@ -8,8 +8,8 @@ deterministic mixed workload against each:
   queries 504/degrade while warm cache hits keep answering;
 * ``shed`` — ``max_inflight=1`` under concurrency 8, forcing structured
   429s from admission control;
-* ``chaos`` — a service-tier fault plan injecting a delay, a reject and
-  a pool kill mid-run.
+* ``chaos`` — a service-tier fault plan injecting a delay and a reject
+  mid-run.
 
 The committed series is ``benchmarks/output/service_resilience.{csv,json}``.
 Assertions pin the chaos invariant, not host speed:
@@ -126,7 +126,7 @@ def test_bench_service_resilience():
             "chaos",
             num_queries,
             fault_plan=FaultPlan.from_spec(
-                "delay:service:3:0.05,reject:service:7,killpool:service:11"
+                "delay:service:3:0.05,reject:service:7"
             ),
         )
         return phases

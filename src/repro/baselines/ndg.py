@@ -36,8 +36,9 @@ class NDG:
     random_state:
         RNG for RR-set generation (and the randomized variant's coins).
     n_jobs:
-        Worker processes for generating the batch (``None`` honours
-        ``REPRO_JOBS``; ``-1`` uses all cores).
+        Threads for generating the batch (``None`` honours
+        ``REPRO_JOBS``, then uses every usable core; ``-1`` uses all
+        cores).
     backend:
         Kernel backend for RR generation (``None`` honours
         ``REPRO_BACKEND``; all backends sample identically).

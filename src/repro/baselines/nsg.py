@@ -40,8 +40,9 @@ class NSG:
     random_state:
         RNG for RR-set generation.
     n_jobs:
-        Worker processes for generating the batch (``None`` honours
-        ``REPRO_JOBS``; ``-1`` uses all cores).
+        Threads for generating the batch (``None`` honours
+        ``REPRO_JOBS``, then uses every usable core; ``-1`` uses all
+        cores).
     backend:
         Kernel backend for RR generation (``None`` honours
         ``REPRO_BACKEND``; all backends sample identically).

@@ -72,10 +72,10 @@ class ADDATP:
     random_state:
         RNG used for RR-set generation.
     n_jobs:
-        Worker processes for RR-set generation (``None`` honours the
-        ``REPRO_JOBS`` environment variable and otherwise samples
-        in-process; ``-1`` uses all cores).  The run does not depend on
-        the worker count.
+        Threads for RR-set generation, as for
+        :class:`~repro.core.hatp.HATP` (``None`` honours ``REPRO_JOBS``,
+        then uses every usable core).  The run does not depend on the
+        thread count.
     sample_reuse:
         Carry the front/rear coverage counts across refinement rounds,
         drawing only the newly required sets and adding their counts
@@ -132,19 +132,14 @@ class ADDATP:
 
     def run(self, session: AdaptiveSession) -> SeedingResult:
         """Execute Algorithm 3 against ``session``."""
-        pool = (
-            SamplingPool(session.graph, n_jobs=self._n_jobs, directions=("in",))
-            if self._n_jobs is not None
-            else None
-        )
+        pool = SamplingPool(self._n_jobs)
         try:
             return self._execute(session, pool)
         finally:
-            if pool is not None:
-                pool.close()
+            pool.close()
 
     def _execute(
-        self, session: AdaptiveSession, pool: Optional[SamplingPool]
+        self, session: AdaptiveSession, pool: SamplingPool
     ) -> SeedingResult:
         timer = Timer().start()
         n = max(session.graph.n, 2)

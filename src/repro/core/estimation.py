@@ -31,10 +31,13 @@ Two sampling policies share this counting:
   side, and each later round draws only the new sets
   ``θ_{i−1} … θ_i − 1`` of those keys and *adds* their counts.
 
-Both policies draw through
-:func:`~repro.sampling.flat_collection.dispatch_generate` (same pool,
-``REPRO_JOBS`` and backend routing as ``FlatRRCollection.generate``;
-front before rear).  The collection, its inverted index and
+Both policies draw each side's sets through a
+:class:`~repro.parallel.pool.SamplingPool`: the front key first, then the
+rear key (the order of drawing the two batches one after the other), and
+a round of at least :data:`~repro.parallel.pool.MIN_SPLIT` sets per side
+submits every shard of both sides to the pool at once.  Each task draws
+its shard and counts it, and the counts add up, so the round's counts do
+not depend on the thread count.  The collection, its inverted index and
 :class:`~repro.sampling.coverage.CoverageCounter` remain for the
 many-query callers: the seeding service, the NSG/NDG/IMM greedy and
 :class:`~repro.core.oracle.RISSpreadOracle`.
@@ -51,10 +54,10 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.graphs.residual import ResidualGraph
 from repro.parallel.pool import SamplingPool
-from repro.sampling.engine import RRBatch, draw_key, flat_slice_indices
-from repro.sampling.flat_collection import dispatch_generate
+from repro.sampling.engine import RRBatch, draw_key, flat_slice_indices, generate_rr_batch
 from repro.utils.rng import RandomState
 
 
@@ -121,13 +124,14 @@ class FrontRearEstimator:
     random_state:
         The algorithm's RNG; each batch key is one draw from it.
     pool:
-        Optional persistent :class:`SamplingPool` for generation.
+        The :class:`SamplingPool` whose threads draw the rounds that
+        split (``None`` draws every round in the calling thread).
     sample_reuse:
         Select the reuse policy described in the module docstring.
     backend:
-        Kernel backend name forwarded to every generation call (``None``
-        resolves through the registry's defaults; every registered
-        backend samples bit-for-bit identical batches).
+        Kernel backend name, resolved once through the registry (``None``
+        honours its defaults; every registered backend samples
+        bit-for-bit identical batches).
 
     ``thetas`` lists the sample size of every round run so far.
     """
@@ -168,27 +172,23 @@ class FrontRearEstimator:
         self._rear_mask = conditioning_mask(view.n, rear_conditioning, self._node)
         self._front_stop = stop_mask(self._front_mask, self._node)
         self._rear_stop = stop_mask(self._rear_mask, self._node)
-        self._keys: Tuple[Optional[int], Optional[int]] = (None, None)
+        self._keys: Optional[Tuple[int, int]] = None
         self._rng = random_state
-        self._pool = pool
+        self._pool = pool if pool is not None else SamplingPool(1)
         self._reuse = bool(sample_reuse)
-        self._backend = backend
+        self._backend = kernels.resolve_backend(backend)
         self._num_active = view.num_active
         self._theta = 0
         self._front_count = 0
         self._rear_count = 0
         self.thetas: List[int] = []
 
-    def _count(
-        self, count: int, mask: np.ndarray, stop: np.ndarray, key: Optional[int]
-    ) -> int:
-        """``Cov(u | C)`` of sets ``θ_prev … θ_prev + count − 1`` of one key.
-
-        ``key`` ``None`` draws a fresh key from the algorithm's RNG.
-        """
-        batch = dispatch_generate(
-            self._view, count, self._rng, self._backend, None, self._pool,
-            stop=stop, key=key, start=self._theta,
+    def _count(self, task) -> int:
+        """``Cov(u | C)`` of one side's sets ``θ_prev + a … θ_prev + b − 1``."""
+        (key, mask, stop), (lo, hi) = task
+        batch = generate_rr_batch(
+            self._view, hi - lo, backend=self._backend, stop=stop, key=key,
+            start=self._theta + lo,
         )
         return marginal_count(batch, self._node, mask)
 
@@ -205,16 +205,21 @@ class FrontRearEstimator:
         generated = 0
         if theta > self._theta:
             extra = theta - self._theta
-            if self._reuse and self._keys[0] is None:
+            if not self._reuse or self._keys is None:
                 front_key = draw_key(self._rng)
                 self._keys = (front_key, draw_key(self._rng))
-            front_key, rear_key = self._keys
-            self._front_count += self._count(
-                extra, self._front_mask, self._front_stop, front_key
+            sides = (
+                (self._keys[0], self._front_mask, self._front_stop),
+                (self._keys[1], self._rear_mask, self._rear_stop),
             )
-            self._rear_count += self._count(
-                extra, self._rear_mask, self._rear_stop, rear_key
-            )
+            shards = self._pool.shards(extra)
+            tasks = [(side, shard) for side in sides for shard in shards]
+            if len(shards) > 1:
+                counts = self._pool.map(self._count, tasks)
+            else:  # below the split floor both sides run here, in order
+                counts = [self._count(task) for task in tasks]
+            self._front_count += sum(counts[: len(shards)])
+            self._rear_count += sum(counts[len(shards) :])
             self._theta = theta
             generated = 2 * extra
         if self._theta == 0:

@@ -73,12 +73,14 @@ class HATP:
     random_state:
         RNG used for RR-set generation.
     n_jobs:
-        Worker processes for RR-set generation (``None`` honours the
-        ``REPRO_JOBS`` environment variable and otherwise samples
-        in-process; ``-1`` uses all cores).  When set, a persistent
-        :class:`~repro.parallel.pool.SamplingPool` is held open for the
-        whole run.  The sampled batches, and so the run, do not depend on
-        the worker count.
+        Threads for RR-set generation (``None`` honours the
+        ``REPRO_JOBS`` environment variable, then uses every usable core;
+        ``-1`` uses all cores).  One
+        :class:`~repro.parallel.pool.SamplingPool` is held for the whole
+        run, and a round of at least
+        :data:`~repro.parallel.pool.MIN_SPLIT` sets per side draws its
+        front and rear shards on its threads at once.  The sampled
+        batches, and so the run, do not depend on the thread count.
     sample_reuse:
         Carry the front/rear coverage counts across refinement rounds,
         drawing only the newly required sets and adding their counts
@@ -173,19 +175,14 @@ class HATP:
 
     def run(self, session: AdaptiveSession) -> SeedingResult:
         """Execute Algorithm 4 against ``session``."""
-        pool = (
-            SamplingPool(session.graph, n_jobs=self._n_jobs, directions=("in",))
-            if self._n_jobs is not None
-            else None
-        )
+        pool = SamplingPool(self._n_jobs)
         try:
             return self._execute(session, pool)
         finally:
-            if pool is not None:
-                pool.close()
+            pool.close()
 
     def _execute(
-        self, session: AdaptiveSession, pool: Optional[SamplingPool]
+        self, session: AdaptiveSession, pool: SamplingPool
     ) -> SeedingResult:
         timer = Timer().start()
         n = max(session.graph.n, 2)

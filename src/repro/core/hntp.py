@@ -37,7 +37,10 @@ from repro.utils.validation import require, require_positive, require_probabilit
 class HNTP:
     """Nonadaptive hybrid-error double greedy (HATP without feedback).
 
-    Parameters mirror :class:`repro.core.hatp.HATP`.
+    Parameters mirror :class:`repro.core.hatp.HATP`; ``n_jobs`` counts
+    the threads that draw its rounds' front and rear shards (``None``
+    honours ``REPRO_JOBS``, then uses every usable core), and the
+    selection does not depend on it.
     """
 
     name = "HNTP"
@@ -89,22 +92,17 @@ class HNTP:
         self, graph: ProbabilisticGraph, costs: Mapping[int, float]
     ) -> NonadaptiveSelection:
         """Choose the seed set nonadaptively on the full graph ``G``."""
-        pool = (
-            SamplingPool(graph, n_jobs=self._n_jobs, directions=("in",))
-            if self._n_jobs is not None
-            else None
-        )
+        pool = SamplingPool(self._n_jobs)
         try:
             return self._select(graph, costs, pool)
         finally:
-            if pool is not None:
-                pool.close()
+            pool.close()
 
     def _select(
         self,
         graph: ProbabilisticGraph,
         costs: Mapping[int, float],
-        pool: Optional[SamplingPool],
+        pool: SamplingPool,
     ) -> NonadaptiveSelection:
         timer = Timer().start()
         view = as_residual(graph)

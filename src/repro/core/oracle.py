@@ -124,31 +124,25 @@ class ExactSpreadOracle:
 
 
 class _PooledOracleMixin:
-    """Lazy pool-per-base-graph lifecycle shared by the sampling oracles.
+    """The held thread pool shared by the sampling oracles.
 
-    Repeated samplers hold one persistent
-    :class:`~repro.parallel.pool.SamplingPool` per base graph instead of
-    paying worker start-up per query; :meth:`close` (or context-manager
-    use) releases the workers and shared memory eagerly.  Subclasses call
-    :meth:`_pool_for` with the CSR direction their workload reads.
+    Repeated samplers hold one :class:`~repro.parallel.pool.SamplingPool`,
+    made on the first query, for every graph they are asked about;
+    :meth:`close` (or context-manager use) joins its threads.
     """
 
     _pool = None
     _n_jobs: Optional[int] = None
 
-    def _pool_for(self, view: ResidualGraph, directions: Tuple[str, ...]):
-        if self._pool is None or self._pool.base is not view.base:
+    def _query_pool(self):
+        if self._pool is None:
             from repro.parallel.pool import SamplingPool
 
-            if self._pool is not None:
-                self._pool.close()
-            self._pool = SamplingPool(
-                view, n_jobs=self._n_jobs, directions=directions
-            )
+            self._pool = SamplingPool(self._n_jobs)
         return self._pool
 
     def close(self) -> None:
-        """Release the held sampling pool, if any (idempotent)."""
+        """Join the held pool's threads, if any (idempotent)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -166,12 +160,12 @@ class MonteCarloSpreadOracle(_PooledOracleMixin):
     ``backend`` is the kernel backend of every query (resolved through
     :func:`repro.kernels.resolve_backend`; ``None`` honours
     ``REPRO_BACKEND``, then ``"auto"``).  Every spread
-    query runs as one batch of the keyed cascade stream, and ``n_jobs``
-    shards the :meth:`expected_spread` batches across a persistent
-    :class:`~repro.parallel.pool.SamplingPool` per base graph (call
-    :meth:`close` or use the oracle as a context manager to release the
-    workers eagerly; output is bit-for-bit independent of the worker
-    count).  Marginal queries stay in-process regardless of ``n_jobs``:
+    query runs as one batch of the keyed cascade stream, and the
+    :meth:`expected_spread` batches are drawn on one held
+    :class:`~repro.parallel.pool.SamplingPool` of ``n_jobs`` threads
+    (call :meth:`close` or use the oracle as a context manager to join
+    them; output is bit-for-bit independent of the thread count).
+    Marginal queries stay in-process regardless of ``n_jobs``:
     they replay realizations drawn from the oracle's generator in bulk
     rows, one ``rng.random(m)`` row per simulation.
 
@@ -211,11 +205,6 @@ class MonteCarloSpreadOracle(_PooledOracleMixin):
         """Resolved simulation backend (a registered kernel name)."""
         return self._backend
 
-    def _query_pool(self, view: ResidualGraph):
-        if self._n_jobs is None:
-            return None
-        return self._pool_for(view, ("out",))
-
     def expected_spread(
         self, graph: ProbabilisticGraph | ResidualGraph, seeds: Iterable[int]
     ) -> float:
@@ -226,7 +215,7 @@ class MonteCarloSpreadOracle(_PooledOracleMixin):
             self._num_simulations,
             self._rng,
             backend=self._backend,
-            pool=self._query_pool(view),
+            pool=self._query_pool(),
         )
 
     def marginal_spread(
@@ -344,13 +333,11 @@ class MonteCarloSpreadOracle(_PooledOracleMixin):
 class RISSpreadOracle(_PooledOracleMixin):
     """RIS-based oracle: a fresh RR batch per query (unbiased, cheap).
 
-    ``n_jobs`` routes every query's batch through the parallel sampling
-    subsystem (``None`` honours ``REPRO_JOBS``; ``-1`` uses all cores).
-    The oracle is a repeated sampler, so it holds one persistent
-    :class:`~repro.parallel.pool.SamplingPool` per base graph instead of
-    paying worker start-up per query; call :meth:`close` (or use the
-    oracle as a context manager) to release the pool's workers and shared
-    memory eagerly.
+    ``n_jobs`` counts the threads of the one
+    :class:`~repro.parallel.pool.SamplingPool` the oracle holds for every
+    query's batch (``None`` honours ``REPRO_JOBS``, then uses every
+    usable core; ``-1`` uses all cores); call :meth:`close` (or use the
+    oracle as a context manager) to join them.
 
     ``sample_reuse=True`` additionally caches the RR collection per
     residual *state* (base graph + activity mask): the double-greedy ADG
@@ -407,10 +394,8 @@ class RISSpreadOracle(_PooledOracleMixin):
         return collection
 
     def _generate(self, view: ResidualGraph) -> FlatRRCollection:
-        if self._n_jobs is None:
-            return FlatRRCollection.generate(view, self._num_samples, self._rng)
         return FlatRRCollection.generate(
-            view, self._num_samples, self._rng, pool=self._pool_for(view, ("in",))
+            view, self._num_samples, self._rng, pool=self._query_pool()
         )
 
     def expected_spread(

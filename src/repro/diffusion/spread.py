@@ -25,7 +25,7 @@ honours ``REPRO_BACKEND``, then ``"auto"``).  Every query
 runs as one batch of the keyed cascade stream of
 :mod:`repro.diffusion.mc_engine`, optionally sharded across a
 :class:`~repro.parallel.pool.SamplingPool` (``n_jobs`` / ``pool``); the
-estimate depends on neither the kernel nor the worker count.
+estimate depends on neither the kernel nor the thread count.
 :func:`monte_carlo_marginal_spread` replays common realizations instead
 (one ``rng.random(m)`` row per simulation), whatever the backend.
 """
@@ -41,7 +41,6 @@ from repro.diffusion.mc_engine import (
     live_chunk_rows,
     replay_live_edges,
     sample_live_chunks,
-    simulate_ic_batch,
 )
 from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import ResidualGraph, as_residual
@@ -132,9 +131,10 @@ def monte_carlo_spread(
 ) -> float:
     """Monte-Carlo estimate of ``E[I(S)]`` from ``num_simulations`` cascades.
 
-    The cascades are one batch of the keyed cascade stream, sharded
-    across ``n_jobs`` workers (or a held ``pool``) when requested; the
-    estimate depends on neither the worker count nor the kernel.
+    The cascades are one batch of the keyed cascade stream, drawn on a
+    held ``pool`` or a pool of ``n_jobs`` threads (which split only
+    batches of at least :data:`~repro.parallel.pool.MIN_SPLIT`); the
+    estimate depends on neither the thread count nor the kernel.
     """
     _require_simulations(num_simulations)
     seeds = list(seeds)
@@ -263,14 +263,10 @@ def _dispatch_simulate(
     pool: Optional["SamplingPool"],
     backend: Optional[str] = None,
 ) -> MCBatch:
-    """Route one batched MC query through the pool / sharded / plain engine."""
-    from repro.parallel.pool import parallel_simulate_ic_batch, resolve_jobs
+    """Run one batched MC query through ``pool``, or a pool of ``n_jobs`` threads."""
+    from repro.parallel.pool import SamplingPool
 
     if pool is not None:
         return pool.simulate(graph, seeds, count, random_state, backend=backend)
-    jobs = resolve_jobs(n_jobs)
-    if jobs is not None:
-        return parallel_simulate_ic_batch(
-            graph, seeds, count, random_state, backend=backend, n_jobs=jobs
-        )
-    return simulate_ic_batch(graph, seeds, count, random_state, backend=backend)
+    with SamplingPool(n_jobs) as pool:
+        return pool.simulate(graph, seeds, count, random_state, backend=backend)

@@ -85,8 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for RR-set generation (-1 = all cores; "
-        "default: the REPRO_JOBS environment variable, else 1)",
+        help="threads for RR-set generation (-1 = all cores; default: the "
+        "REPRO_JOBS environment variable, else all usable cores; results do "
+        "not depend on it)",
     )
     parser.add_argument(
         "--eval-jobs",

@@ -48,10 +48,11 @@ class EngineParameters:
     baseline_sample_size: Optional[int] = None
     """RR batch for NSG / NDG; ``None`` derives it from the HATP cap."""
     n_jobs: Optional[int] = None
-    """Worker processes for RR-set generation (``None`` honours the
-    ``REPRO_JOBS`` environment variable; ``-1`` uses all cores).  RR sets,
-    and so outcomes, are bit-for-bit independent of the value, unset
-    included."""
+    """Threads for RR-set generation (``None`` honours the ``REPRO_JOBS``
+    environment variable, then uses every usable core; ``-1`` uses all
+    cores).  Only batches of at least
+    :data:`~repro.parallel.pool.MIN_SPLIT` sets are split.  RR sets, and so
+    outcomes, are bit-for-bit independent of the value, unset included."""
     eval_jobs: Optional[int] = None
     """Worker processes for whole-session evaluation — the outermost
     parallel tier: complete adaptive runs fan out across realizations
@@ -74,17 +75,16 @@ class EngineParameters:
     def sampling_jobs(self) -> Optional[int]:
         """The sampling ``n_jobs`` algorithm factories should receive.
 
-        ``n_jobs`` itself, except under the no-nested-pool policy
-        (``docs/parallelism.md``): when ``eval_jobs > 1`` and a sampling
-        worker count is set (``n_jobs`` or ``REPRO_JOBS``), algorithms
-        run with ``n_jobs=1`` so worker counts never multiply.  That is
-        outcome-neutral, because every ``n_jobs`` samples the same RR
-        sets; an unset ``n_jobs`` is never forced.
+        ``n_jobs`` itself, except under the no-nested-pool rule
+        (``docs/parallelism.md``): when ``eval_jobs > 1`` every session
+        already has a worker process, so algorithms sample on one thread
+        and threads never multiply with processes.  That is
+        outcome-neutral, because every thread count samples the same RR
+        sets.
         """
         from repro.parallel.eval_pool import resolve_eval_jobs
-        from repro.parallel.pool import resolve_jobs
 
-        if resolve_eval_jobs(self.eval_jobs) > 1 and resolve_jobs(self.n_jobs) is not None:
+        if resolve_eval_jobs(self.eval_jobs) > 1:
             return 1
         return self.n_jobs
 

@@ -317,8 +317,8 @@ def evaluate_suite(
 # Factories are functools.partial over these module-level constructors —
 # never closures — so an AlgorithmSpec pickles cleanly into evaluation
 # workers.  Each takes the sampling n_jobs explicitly: the suite builder
-# passes `engine.sampling_jobs()`, which turns a set n_jobs into 1 when
-# eval_jobs > 1 (the no-nested-pool policy of docs/parallelism.md).
+# passes `engine.sampling_jobs()`, which is 1 whenever eval_jobs > 1 (the
+# no-nested-pool rule of docs/parallelism.md).
 
 
 def _make_hatp(engine: EngineParameters, n_jobs: Optional[int], inst, rng):

@@ -1,52 +1,45 @@
-"""Parallel sampling subsystem: shared-memory workers, deterministic shards.
+"""Parallel subsystem: sampling threads, evaluation processes.
 
 RR-set generation and forward Monte-Carlo are embarrassingly parallel —
 every RR set and every cascade is a pure function of the batch key and
-its index — so this package scales the engines of
-:mod:`repro.sampling.engine` and :mod:`repro.diffusion.mc_engine` across
-cores without changing their output:
+its index — and so are evaluation sessions, which share nothing but the
+immutable graph.  This package scales both across cores without changing
+their output:
 
-* :mod:`repro.parallel.broker` — publishes a graph's incoming *and*
-  outgoing CSR (and the residual view's active mask) into
-  ``multiprocessing.shared_memory`` once per graph; workers attach
-  zero-copy.  The incoming direction feeds reverse RR sampling, the
-  outgoing direction feeds batched forward Monte-Carlo simulation
-  (:meth:`~repro.parallel.pool.SamplingPool.simulate`).
-* :mod:`repro.parallel.seeds` — the deterministic shard layout (a pure
-  function of the batch size; shards share the batch key, so merged
-  batches are independent of the worker count) and the spawned streams
-  of evaluation sessions.
-* :mod:`repro.parallel.pool` — :class:`SamplingPool`, the persistent
-  worker pool, plus :func:`resolve_jobs` (the ``n_jobs`` / ``REPRO_JOBS``
-  knob) and :func:`parallel_generate_rr_batch` for one-shot batches.
+* :mod:`repro.parallel.pool` — :class:`SamplingPool`, a thread pool that
+  draws large RR and cascade batches in contiguous
+  ``(key, start, count)`` shards (and an estimator round's front and
+  rear batches at once), plus :func:`resolve_jobs` (the ``n_jobs`` /
+  ``REPRO_JOBS`` knob).
 * :mod:`repro.parallel.eval_pool` — :class:`EvaluationPool`, the
   session-level tier above the samplers: complete adaptive seeding
-  sessions fan out across workers (one task per evaluation realization,
-  realizations re-sampled in-process from spawned streams), resolved by
-  the ``eval_jobs`` / ``REPRO_EVAL_JOBS`` knob and bit-for-bit
+  sessions fan out across worker processes (one task per evaluation
+  realization, realizations re-sampled in-process from spawned streams),
+  resolved by the ``eval_jobs`` / ``REPRO_EVAL_JOBS`` knob and bit-for-bit
   independent of the worker count.
-* :mod:`repro.parallel.supervisor` — fault-tolerant dispatch shared by
-  both pools: per-task timeouts, bounded deterministic retries, a
+* :mod:`repro.parallel.broker` — publishes a graph's incoming and
+  outgoing CSR into ``multiprocessing.shared_memory`` once per graph, so
+  evaluation workers attach zero-copy.
+* :mod:`repro.parallel.seeds` — contiguous shard layouts and the spawned
+  streams of evaluation sessions.
+* :mod:`repro.parallel.supervisor` — fault-tolerant dispatch of the
+  evaluation pool: per-task timeouts, bounded deterministic retries, a
   one-shot pool rebuild on ``BrokenProcessPool``, and in-process
   degradation as the last resort (``docs/robustness.md``).
 * :mod:`repro.parallel.faults` — the deterministic fault-injection
   harness behind ``REPRO_FAULT_SPEC`` (chaos tests kill, delay, or
-  poison selected task submissions).
+  poison selected evaluation tasks, or shed service queries).
 * :mod:`repro.parallel.janitor` — shared-memory hygiene: pid-tagged
   segment names, exit/SIGTERM cleanup hooks, and the orphan sweep
   behind ``repro-experiments clean-shm``.
 
-Every sampler in the library reaches this package through the ``n_jobs``
-parameter of :meth:`repro.sampling.flat_collection.FlatRRCollection.generate`
-(or by passing a ``pool``); ``docs/parallelism.md`` documents the design
-and the determinism contract.
+``docs/parallelism.md`` documents the design and the determinism
+contract.
 """
 
 from repro.parallel.broker import (
-    SharedCSRGraph,
     SharedGraphBroker,
     SharedGraphSpec,
-    SharedResidualView,
     attach_shared_graph,
 )
 from repro.parallel.eval_pool import (
@@ -70,10 +63,9 @@ from repro.parallel.janitor import (
 )
 from repro.parallel.pool import (
     JOBS_ENV_VAR,
+    MIN_SPLIT,
     SamplingPool,
     available_cpus,
-    parallel_generate_rr_batch,
-    parallel_simulate_ic_batch,
     resolve_jobs,
 )
 from repro.parallel.seeds import (
@@ -97,14 +89,13 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "JOBS_ENV_VAR",
+    "MIN_SPLIT",
     "RealizationTicket",
     "SEGMENT_PREFIX",
     "SamplingPool",
     "SessionRecord",
-    "SharedCSRGraph",
     "SharedGraphBroker",
     "SharedGraphSpec",
-    "SharedResidualView",
     "SupervisedTask",
     "TASK_RETRIES_ENV_VAR",
     "TASK_TIMEOUT_ENV_VAR",
@@ -114,8 +105,6 @@ __all__ = [
     "default_shard_size",
     "list_library_segments",
     "parallel_evaluate_adaptive",
-    "parallel_generate_rr_batch",
-    "parallel_simulate_ic_batch",
     "parse_fault_spec",
     "resolve_eval_jobs",
     "resolve_jobs",

@@ -1,34 +1,26 @@
 """Shared-memory graph broker: publish a graph's CSR once, attach zero-copy.
 
-RR-set generation reads three immutable arrays — the incoming CSR
-``(offsets, sources, probabilities)`` of the base graph — and batched
-forward Monte-Carlo simulation reads the mirror-image outgoing CSR
-``(offsets, targets, probabilities)``; both share one small mutable array,
-the residual view's boolean ``active`` mask.  Shipping those through pickle
-on every task would copy the whole graph per shard;
-:class:`SharedGraphBroker` instead publishes them into POSIX shared memory
-*once per graph*:
+An evaluation worker (:mod:`repro.parallel.eval_pool`) runs whole
+adaptive sessions, so it needs the base graph's incoming CSR
+``(offsets, sources, probabilities)`` for reverse RR sampling and its
+outgoing CSR ``(offsets, targets, probabilities)`` for forward cascades.
+Pickling those six immutable arrays per task would copy the graph per
+session; :class:`SharedGraphBroker` instead publishes them into POSIX
+shared memory *once per graph*:
 
 * the parent creates one ``multiprocessing.shared_memory`` segment per
-  array and keeps writable views (the mask is rewritten in place before
-  each generation round; the CSR arrays are never touched again);
-* workers attach by segment name in their initializer and wrap the buffers
-  in NumPy arrays — no copy, no pickling, O(1) per worker regardless of
-  graph size;
-* :class:`SharedCSRGraph` / :class:`SharedResidualView` give the attached
-  buffers the exact interface slice of
-  :class:`~repro.graphs.graph.ProbabilisticGraph` /
-  :class:`~repro.graphs.residual.ResidualGraph` that the sampling engine
-  consumes (``in_csr``, ``active_mask``, ``num_active``, ...), so
-  :func:`repro.sampling.engine.generate_rr_batch` runs unmodified inside a
-  worker.
+  array;
+* workers attach by segment name in their initializer
+  (:func:`attach_shared_graph`) and resurrect a full
+  :class:`~repro.graphs.graph.ProbabilisticGraph` over the buffers — no
+  copy, no pickling, O(1) per worker regardless of graph size.
 
 Graphs opened from a memory-mapped ``.rgx`` file
 (:func:`repro.graphs.binary.load_rgx`) skip the per-publish copy entirely:
 their CSR already lives in a file, so the broker publishes those arrays as
 ``(path, offset)`` specs and workers attach with read-only ``np.memmap``
-views — one file on disk serves every sampling/eval/service worker on the
-host, and only the small mutable active mask goes through ``/dev/shm``.
+views — one file on disk serves every evaluation worker on the host, and
+nothing goes through ``/dev/shm``.
 
 Cleanup is belt-and-braces: ``close()`` is idempotent, and a
 ``weakref.finalize`` hook unlinks the segments even if the owner is
@@ -60,11 +52,8 @@ from repro.utils.exceptions import ValidationError, WorkerError
 
 logger = logging.getLogger("repro.parallel")
 
-#: All array keys a broker may publish, in publication order.  The
-#: incoming CSR feeds reverse RR-set sampling, the outgoing CSR feeds the
-#: batched forward Monte-Carlo engine; a broker publishes only the
-#: requested directions (plus the mask), so RR-only pools never publish
-#: the outgoing CSR.
+#: The array keys a broker publishes, in publication order: the incoming
+#: CSR (reverse RR sampling), then the outgoing CSR (forward cascades).
 SHARED_ARRAY_KEYS = (
     "in_offsets",
     "in_sources",
@@ -72,14 +61,7 @@ SHARED_ARRAY_KEYS = (
     "out_offsets",
     "out_targets",
     "out_probs",
-    "active_mask",
 )
-
-#: CSR array keys per direction.
-DIRECTION_KEYS = {
-    "in": ("in_offsets", "in_sources", "in_probs"),
-    "out": ("out_offsets", "out_targets", "out_probs"),
-}
 
 
 @dataclass(frozen=True)
@@ -107,6 +89,7 @@ class SharedGraphSpec:
     n: int
     m: int
     arrays: Dict[str, SharedArraySpec]
+    name: str = ""
 
 
 def _create_segment(size: int) -> shared_memory.SharedMemory:
@@ -141,60 +124,35 @@ def _unlink_segments(segments: List[shared_memory.SharedMemory]) -> None:
 
 
 class SharedGraphBroker:
-    """Owns the shared-memory publication of one graph's sampling arrays.
+    """Owns the shared-memory publication of one graph's CSR arrays.
 
     Parameters
     ----------
     base:
-        The immutable base graph whose CSR indexes are published.  The
-        active mask segment starts all-active; callers update it through
-        :meth:`set_mask` before dispatching work.
-    directions:
-        Which CSR directions to publish: ``"in"`` (reverse RR sampling),
-        ``"out"`` (forward Monte-Carlo simulation), or both.  Publishing
-        only the direction a pool actually uses keeps RR-only workloads at
-        their pre-forward-engine shared-memory footprint.
+        The immutable base graph whose incoming and outgoing CSR indexes
+        are published.
     """
 
-    def __init__(
-        self,
-        base: ProbabilisticGraph,
-        directions: Tuple[str, ...] = ("in", "out"),
-    ) -> None:
-        for direction in directions:
-            if direction not in DIRECTION_KEYS:
-                raise ValidationError(
-                    f"unknown CSR direction {direction!r}; available: in, out"
-                )
-        if not directions:
-            raise ValidationError("at least one CSR direction must be published")
+    def __init__(self, base: ProbabilisticGraph) -> None:
         self._base = base
         self._segments: List[shared_memory.SharedMemory] = []
-        self._views: Dict[str, np.ndarray] = {}
-        specs: Dict[str, SharedArraySpec] = {}
-        arrays: Dict[str, np.ndarray] = {}
-        if "in" in directions:
-            in_offsets, in_sources, in_probs = base.in_csr()
-            arrays.update(
-                in_offsets=in_offsets, in_sources=in_sources, in_probs=in_probs
-            )
-        if "out" in directions:
-            out_offsets, out_targets, out_probs = base.out_csr()
-            arrays.update(
-                out_offsets=out_offsets, out_targets=out_targets, out_probs=out_probs
-            )
-        arrays["active_mask"] = np.ones(base.n, dtype=bool)
+        self._closed = False
+        in_offsets, in_sources, in_probs = base.in_csr()
+        out_offsets, out_targets, out_probs = base.out_csr()
+        arrays = dict(
+            in_offsets=in_offsets, in_sources=in_sources, in_probs=in_probs,
+            out_offsets=out_offsets, out_targets=out_targets, out_probs=out_probs,
+        )
         # A graph opened from an .rgx file already has its CSR on disk:
         # publish those arrays by (path, offset) instead of copying them
-        # into segments.  Only the mutable active mask still needs one.
+        # into segments.
         mapping = getattr(base, "mmap_info", None)
         file_arrays = getattr(mapping, "arrays", None) or {}
+        specs: Dict[str, SharedArraySpec] = {}
         key = "(none)"
         try:
             for key in SHARED_ARRAY_KEYS:
-                if key not in arrays:
-                    continue
-                if key != "active_mask" and key in file_arrays:
+                if key in file_arrays:
                     offset, shape, dtype = file_arrays[key]
                     specs[key] = SharedArraySpec(
                         name="",
@@ -207,9 +165,7 @@ class SharedGraphBroker:
                 array = np.ascontiguousarray(arrays[key])
                 segment = _create_segment(max(array.nbytes, 1))
                 self._segments.append(segment)
-                view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
-                view[...] = array
-                self._views[key] = view
+                np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)[...] = array
                 specs[key] = SharedArraySpec(
                     name=segment.name, shape=array.shape, dtype=array.dtype.str
                 )
@@ -230,7 +186,7 @@ class SharedGraphBroker:
         except BaseException:  # interrupts: release, do not re-wrap
             _unlink_segments(self._segments)
             raise
-        self._spec = SharedGraphSpec(n=base.n, m=base.m, arrays=specs)
+        self._spec = SharedGraphSpec(n=base.n, m=base.m, arrays=specs, name=base.name)
         # Unlinks survive lost references (error/interrupt paths) — the
         # finalizer must not capture `self`, only the segment list.  The
         # janitor additionally unlinks on interpreter exit and SIGTERM.
@@ -250,24 +206,11 @@ class SharedGraphBroker:
     @property
     def closed(self) -> bool:
         """Whether the segments have been released."""
-        return not self._segments
-
-    def set_mask(self, active_mask: np.ndarray) -> None:
-        """Overwrite the published active mask in place (parent side)."""
-        if self.closed:
-            raise ValidationError("broker is closed")
-        mask = np.asarray(active_mask, dtype=bool)
-        if mask.shape != (self._base.n,):
-            raise ValidationError(
-                f"active_mask must have shape ({self._base.n},), got {mask.shape}"
-            )
-        np.copyto(self._views["active_mask"], mask)
+        return self._closed
 
     def close(self) -> None:
         """Release all segments (idempotent; safe while workers are gone)."""
-        # Views alias the segment buffers; drop them before closing or the
-        # exported-pointer check in SharedMemory.close() fails.
-        self._views = {}
+        self._closed = True
         self._finalizer.detach()
         _unlink_segments(self._segments)
 
@@ -278,172 +221,18 @@ class SharedGraphBroker:
         self.close()
 
 
-# --------------------------------------------------------------------- #
-# worker-side attachment
-# --------------------------------------------------------------------- #
-
-
-class SharedCSRGraph:
-    """The base-graph interface slice the sampling and MC engines need.
-
-    Duck-types :class:`~repro.graphs.graph.ProbabilisticGraph` for RR-set
-    generation (``in_csr()`` / ``in_neighbors()``) and for batched forward
-    simulation (``out_csr()`` / ``out_neighbors()``) over arrays that live
-    in attached shared memory.
-    """
-
-    __slots__ = (
-        "_n",
-        "_m",
-        "_in_offsets",
-        "_in_sources",
-        "_in_probs",
-        "_out_offsets",
-        "_out_targets",
-        "_out_probs",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        in_offsets: Optional[np.ndarray] = None,
-        in_sources: Optional[np.ndarray] = None,
-        in_probs: Optional[np.ndarray] = None,
-        out_offsets: Optional[np.ndarray] = None,
-        out_targets: Optional[np.ndarray] = None,
-        out_probs: Optional[np.ndarray] = None,
-    ) -> None:
-        self._n = int(n)
-        self._m = int(m)
-        self._in_offsets = in_offsets
-        self._in_sources = in_sources
-        self._in_probs = in_probs
-        self._out_offsets = out_offsets
-        self._out_targets = out_targets
-        self._out_probs = out_probs
-
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return self._n
-
-    @property
-    def m(self) -> int:
-        """Number of directed edges."""
-        return self._m
-
-    def in_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw incoming CSR ``(offsets, sources, probabilities)`` (shared; do not mutate)."""
-        if self._in_offsets is None:
-            raise ValidationError(
-                "the incoming CSR was not published for this graph "
-                "(broker directions did not include 'in')"
-            )
-        return self._in_offsets, self._in_sources, self._in_probs
-
-    def out_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw outgoing CSR ``(offsets, targets, probabilities)`` (shared; do not mutate)."""
-        if self._out_offsets is None:
-            raise ValidationError(
-                "the outgoing CSR was not published for this graph "
-                "(broker directions did not include 'out')"
-            )
-        return self._out_offsets, self._out_targets, self._out_probs
-
-    def in_neighbors(self, node: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(sources, probabilities, csr_positions)`` of ``node``'s in-edges."""
-        self.in_csr()
-        start, end = self._in_offsets[node], self._in_offsets[node + 1]
-        return (
-            self._in_sources[start:end],
-            self._in_probs[start:end],
-            np.arange(start, end, dtype=np.int64),
-        )
-
-    def out_neighbors(self, node: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(targets, probabilities, edge_ids)`` of ``node``'s out-edges."""
-        self.out_csr()
-        start, end = self._out_offsets[node], self._out_offsets[node + 1]
-        return (
-            self._out_targets[start:end],
-            self._out_probs[start:end],
-            np.arange(start, end, dtype=np.int64),
-        )
-
-
-class SharedResidualView:
-    """The residual-view interface slice the sampling engine needs.
-
-    Mirrors :class:`~repro.graphs.residual.ResidualGraph` over a
-    :class:`SharedCSRGraph` plus the shared active mask.  Instantiated per
-    task so the lazily cached aggregates always reflect the mask contents
-    at dispatch time.
-    """
-
-    __slots__ = ("_base", "_active", "_num_active", "_active_nodes")
-
-    def __init__(self, base: SharedCSRGraph, active_mask: np.ndarray) -> None:
-        self._base = base
-        self._active = active_mask
-        self._num_active: Optional[int] = None
-        self._active_nodes: Optional[np.ndarray] = None
-
-    @property
-    def base(self) -> SharedCSRGraph:
-        """The shared base graph."""
-        return self._base
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        """Boolean activity mask (aliases shared memory; do not mutate)."""
-        return self._active
-
-    @property
-    def n(self) -> int:
-        """Number of nodes of the base graph."""
-        return self._base.n
-
-    @property
-    def num_active(self) -> int:
-        """Number of active nodes (cached per task)."""
-        if self._num_active is None:
-            self._num_active = int(np.count_nonzero(self._active))
-        return self._num_active
-
-    def active_nodes(self) -> np.ndarray:
-        """Ids of active nodes (cached per task)."""
-        if self._active_nodes is None:
-            self._active_nodes = np.nonzero(self._active)[0]
-        return self._active_nodes
-
-    def is_active(self, node: int) -> bool:
-        """Whether ``node`` is active."""
-        return bool(self._active[node])
-
-    def in_neighbors(self, node: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Active in-neighbours of ``node`` as ``(sources, probs, positions)``."""
-        sources, probs, positions = self._base.in_neighbors(node)
-        keep = self._active[sources]
-        return sources[keep], probs[keep], positions[keep]
-
-    def out_neighbors(self, node: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Active out-neighbours of ``node`` as ``(targets, probs, edge_ids)``."""
-        targets, probs, edge_ids = self._base.out_neighbors(node)
-        keep = self._active[targets]
-        return targets[keep], probs[keep], edge_ids[keep]
-
-
 def attach_shared_graph(
     spec: SharedGraphSpec,
-) -> Tuple[SharedCSRGraph, np.ndarray, List[shared_memory.SharedMemory]]:
-    """Attach to a published graph; returns ``(graph, mask, handles)``.
+) -> Tuple[ProbabilisticGraph, List[shared_memory.SharedMemory]]:
+    """Attach to a published graph; returns ``(graph, handles)``.
 
-    The returned segment handles must be kept alive as long as the arrays
-    are used (the arrays alias their buffers).  Attaching re-registers the
-    names with the (shared) ``resource_tracker``; that is an idempotent
-    no-op, and the publishing broker's single unlink deregisters them, so
-    workers must not unregister themselves.
+    ``graph`` is a full :class:`~repro.graphs.graph.ProbabilisticGraph`
+    over the published buffers (zero-copy).  The returned segment handles
+    must be kept alive as long as the graph is used (its arrays alias their
+    buffers).  Attaching re-registers the names with the (shared)
+    ``resource_tracker``; that is an idempotent no-op, and the publishing
+    broker's single unlink deregisters them, so workers must not
+    unregister themselves.
     """
     handles: List[shared_memory.SharedMemory] = []
     arrays: Dict[str, np.ndarray] = {}
@@ -477,6 +266,16 @@ def attach_shared_graph(
             arrays[key] = np.ndarray(
                 array_spec.shape, dtype=np.dtype(array_spec.dtype), buffer=segment.buf
             )
+        graph = ProbabilisticGraph.from_csr_arrays(
+            spec.n,
+            arrays["out_offsets"],
+            arrays["out_targets"],
+            arrays["out_probs"],
+            arrays["in_offsets"],
+            arrays["in_sources"],
+            arrays["in_probs"],
+            name=spec.name,
+        )
     except FileNotFoundError as exc:
         _release_handles()
         if array_spec is not None and array_spec.path is not None:
@@ -508,14 +307,4 @@ def attach_shared_graph(
     except BaseException:  # interrupts: release, do not re-wrap
         _release_handles()
         raise
-    graph = SharedCSRGraph(
-        spec.n,
-        spec.m,
-        in_offsets=arrays.get("in_offsets"),
-        in_sources=arrays.get("in_sources"),
-        in_probs=arrays.get("in_probs"),
-        out_offsets=arrays.get("out_offsets"),
-        out_targets=arrays.get("out_targets"),
-        out_probs=arrays.get("out_probs"),
-    )
-    return graph, arrays["active_mask"], handles
+    return graph, handles

@@ -8,12 +8,12 @@ nothing but the (immutable) graph and the (tiny) instance description is
 shared — so this module fans them out across processes, forming the
 outermost tier of the parallelism hierarchy::
 
-    eval workers  ×  sampling shards  ×  vectorized batches
+    eval workers  ×  sampling threads  ×  kernel batches
     (this module)    (parallel.pool)     (sampling.engine / mc_engine)
 
-Design, mirroring :class:`~repro.parallel.pool.SamplingPool`:
+Design:
 
-* the graph ships **once per graph** through the existing
+* the graph ships **once per graph** through the
   :class:`~repro.parallel.broker.SharedGraphBroker` (both CSR
   directions); each worker attaches zero-copy and resurrects a full
   :class:`~repro.graphs.graph.ProbabilisticGraph` over the shared
@@ -28,12 +28,11 @@ Design, mirroring :class:`~repro.parallel.pool.SamplingPool`:
   records merged in realization order), so the outcome is **bit-for-bit
   independent of** ``eval_jobs``; ``eval_jobs=1`` runs the identical
   spawned-stream loop in-process and starts no process;
-* **no nested pools**: when ``eval_jobs > 1`` and a sampling worker
-  count is set, the suite builders pass sampling ``n_jobs=1`` to every
-  algorithm factory (:meth:`EngineParameters.sampling_jobs`), so the
-  machine never runs ``eval_jobs × n_jobs`` processes.  Forcing 1 is
-  outcome-neutral because every ``n_jobs``, unset included, samples the
-  same RR sets; an unset ``n_jobs`` stays unset.  Workers inherit the
+* **no nested pools**: when ``eval_jobs > 1`` the suite builders pass
+  sampling ``n_jobs=1`` to every algorithm factory
+  (:meth:`EngineParameters.sampling_jobs`), so the machine never runs
+  ``eval_jobs × n_jobs`` threads.  Forcing 1 is outcome-neutral because
+  every thread count samples the same RR sets.  Workers inherit the
   parent's environment knobs *unchanged*, so a session resolves its
   sampling ``n_jobs`` in a worker exactly as in-process.
 
@@ -253,30 +252,17 @@ def _run_one_session(
 _EVAL_WORKER: dict = {}
 
 
-def _eval_worker_init(spec: SharedGraphSpec, graph_name: str) -> None:
+def _eval_worker_init(spec: SharedGraphSpec) -> None:
     """Executor initializer: attach to the published graph.
 
     The worker deliberately inherits the parent's environment knobs
     untouched: a session must resolve its sampling ``n_jobs`` exactly as
-    the in-process ``eval_jobs=1`` loop would, or the 1-vs-N worker
-    outcomes could diverge.  The no-nested-pool policy is enforced where
-    it is outcome-neutral instead: with ``eval_jobs > 1`` the suite
-    builders turn a set sampling worker count into ``n_jobs=1``
-    (:meth:`EngineParameters.sampling_jobs`).
+    the in-process ``eval_jobs=1`` loop would.  The no-nested-pool rule
+    is applied by the suite builders instead: with ``eval_jobs > 1`` they
+    pass sampling ``n_jobs=1`` (:meth:`EngineParameters.sampling_jobs`),
+    which is outcome-neutral.
     """
-    shared, _mask, handles = attach_shared_graph(spec)
-    in_offsets, in_sources, in_probs = shared.in_csr()
-    out_offsets, out_targets, out_probs = shared.out_csr()
-    graph = ProbabilisticGraph.from_csr_arrays(
-        shared.n,
-        out_offsets,
-        out_targets,
-        out_probs,
-        in_offsets,
-        in_sources,
-        in_probs,
-        name=graph_name,
-    )
+    graph, handles = attach_shared_graph(spec)
     _EVAL_WORKER["graph"] = graph
     _EVAL_WORKER["handles"] = handles  # keep segments alive for the worker's life
 
@@ -316,9 +302,7 @@ class EvaluationPool:
     One pool serves one base graph, published once through the shared
     :class:`~repro.parallel.broker.SharedGraphBroker` (both CSR
     directions: workers reverse-sample RR sets *and* replay forward
-    live-edge cascades).  Lifecycle mirrors
-    :class:`~repro.parallel.pool.SamplingPool`: processes start lazily on
-    first parallel use, ``close()`` is idempotent, and an
+    live-edge cascades).  Processes start lazily on first parallel use, ``close()`` is idempotent, and an
     ``eval_jobs=1`` pool never starts processes or shared memory — it
     runs the identical per-realization loop in-process, which is the
     subsystem's determinism contract.
@@ -401,13 +385,13 @@ class EvaluationPool:
             method = "fork" if "fork" in methods else "spawn"
         fresh_broker = self._broker is None
         if fresh_broker:
-            self._broker = SharedGraphBroker(self._base, directions=("in", "out"))
+            self._broker = SharedGraphBroker(self._base)
         try:
             self._executor = ProcessPoolExecutor(
                 max_workers=self._jobs,
                 mp_context=multiprocessing.get_context(method),
                 initializer=_eval_worker_init,
-                initargs=(self._broker.spec, self._base.name),
+                initargs=(self._broker.spec,),
             )
         except BaseException:
             if fresh_broker:

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the parallel tiers.
+"""Deterministic fault injection for the evaluation and service tiers.
 
 The supervised dispatch layer (:mod:`repro.parallel.supervisor`) claims
 that a worker crash, a poisoned task, or a stalled future never changes
@@ -6,56 +6,51 @@ results — only wall-clock.  This module is how that claim is *tested*:
 the ``REPRO_FAULT_SPEC`` environment variable (or an explicit
 :class:`FaultPlan`) describes artificial failures that fire at exact,
 reproducible points of a run, so the chaos tests in
-``tests/parallel/test_faults.py`` can kill a worker mid-generation and
-then assert the merged output is bit-for-bit what a failure-free
-``n_jobs=1`` run produces.
+``tests/parallel/test_faults.py`` can kill an evaluation worker
+mid-session and then assert the merged output is bit-for-bit what a
+failure-free ``eval_jobs=1`` run produces.
 
 Spec grammar (comma-separated rules)::
 
     REPRO_FAULT_SPEC = rule[,rule...]
     rule             = kind:tier:nth[:seconds]
-    kind             = kill | poison | delay | reject | killpool
-    tier             = sampling | eval | service
+    kind             = kill | poison | delay | reject
+    tier             = eval | service
     nth              = 0-based task-submission ordinal within the tier
     seconds          = float, required for delay rules
 
-``kill`` and ``poison`` target the worker tiers (``sampling``/``eval``);
-``reject`` and ``killpool`` target the ``service`` tier, where the unit
-of submission is one query reaching
-:meth:`repro.service.state.ServiceState.execute_batch`:
-
-* ``reject`` answers that query with a structured shed error (the chaos
-  stand-in for admission control firing) without touching the rest of
-  its fused batch;
-* ``killpool`` SIGKILLs the worker processes of the queried graph's
-  sampling pool *mid-batch*, so the generation underneath the answer has
-  to ride the PR-6 rebuild/degrade ladder;
-* ``delay`` works at every tier (at the service tier it stalls batch
-  execution, creating deadline pressure).
+``kill`` and ``poison`` target the ``eval`` worker tier; ``reject``
+targets the ``service`` tier, where the unit of submission is one query
+reaching :meth:`repro.service.state.ServiceState.execute_batch`, and
+answers that query with a structured shed error (the chaos stand-in for
+admission control firing) without touching the rest of its fused batch.
+``delay`` works at both tiers (at the service tier it stalls batch
+execution, creating deadline pressure).
 
 Examples::
 
-    REPRO_FAULT_SPEC=kill:sampling:2        # SIGKILL-equivalent on the 3rd sampling shard
+    REPRO_FAULT_SPEC=kill:eval:2            # SIGKILL-equivalent on the 3rd session task
     REPRO_FAULT_SPEC=poison:eval:0          # raise InjectedFault in the 1st session task
-    REPRO_FAULT_SPEC=delay:sampling:1:0.5   # sleep 0.5 s before running the 2nd shard
+    REPRO_FAULT_SPEC=delay:eval:1:0.5       # sleep 0.5 s before running the 2nd task
     REPRO_FAULT_SPEC=reject:service:4       # shed the 5th query with a structured 429
-    REPRO_FAULT_SPEC=killpool:service:2     # kill the pool under the 3rd query mid-batch
 
 Determinism: rules are matched **parent-side, at submission time**,
 against a per-pool submission counter — task submission order is itself
-deterministic (shard order / realization order), so a given spec always
-hits the same logical task regardless of which worker picks it up.  The
-matched action travels to the worker inside the task payload and is
-performed there (:func:`perform_fault`).  Each rule fires exactly once;
-a retried task re-submits with a fresh ordinal and therefore runs clean,
-which is precisely what lets a chaos run complete with unchanged bytes.
-Retries count as submissions, so ordinals are "submission number", not
-"task number" — keep ``nth`` below the first-round task count to target
-the initial dispatch.
+deterministic (realization order), so a given spec always hits the same
+logical task regardless of which worker picks it up.  The matched action
+travels to the worker inside the task payload and is performed there
+(:func:`perform_fault`).  Each rule fires exactly once; a retried task
+re-submits with a fresh ordinal and therefore runs clean, which is
+precisely what lets a chaos run complete with unchanged bytes.  Retries
+count as submissions, so ordinals are "submission number", not "task
+number" — keep ``nth`` below the first-round task count to target the
+initial dispatch.
 
-Faults are **never** injected on the in-process (``n_jobs=1`` /
+Faults are **never** injected on the in-process (``eval_jobs=1`` /
 degradation) paths: killing the driver itself would prove nothing, and
-the in-process run of a shard is the recovery mechanism of last resort.
+the in-process run of a task is the recovery mechanism of last resort.
+RR and cascade sampling runs on threads of the calling process
+(:mod:`repro.parallel.pool`), so it has no worker tier to inject into.
 """
 
 from __future__ import annotations
@@ -72,20 +67,19 @@ from repro.utils.exceptions import InjectedFault, ValidationError
 FAULT_SPEC_ENV_VAR = "REPRO_FAULT_SPEC"
 
 #: Recognised fault kinds.
-FAULT_KINDS = ("kill", "poison", "delay", "reject", "killpool")
+FAULT_KINDS = ("kill", "poison", "delay", "reject")
 
-#: Recognised tiers (two worker tiers plus the serving tier above them).
-FAULT_TIERS = ("sampling", "eval", "service")
+#: Recognised tiers (the evaluation worker tier and the serving tier).
+FAULT_TIERS = ("eval", "service")
 
 #: Which kinds make sense at which tier: ``kill``/``poison`` fire inside
-#: worker processes, ``reject``/``killpool`` are service-level actions,
-#: ``delay`` stalls anything.
+#: worker processes, ``reject`` is a service-level action, ``delay``
+#: stalls anything.
 KIND_TIERS = {
-    "kill": ("sampling", "eval"),
-    "poison": ("sampling", "eval"),
-    "delay": ("sampling", "eval", "service"),
+    "kill": ("eval",),
+    "poison": ("eval",),
+    "delay": ("eval", "service"),
     "reject": ("service",),
-    "killpool": ("service",),
 }
 
 #: Exit code used by ``kill`` faults (distinctive in worker post-mortems).
@@ -119,7 +113,7 @@ def parse_fault_spec(spec: Optional[str]) -> List[FaultRule]:
         if len(parts) not in (3, 4):
             raise ValidationError(
                 f"malformed fault rule {chunk!r}: expected "
-                f"kind:tier:nth[:seconds] (e.g. kill:sampling:2)"
+                f"kind:tier:nth[:seconds] (e.g. kill:eval:2)"
             )
         kind, tier, nth_raw = parts[0].strip().lower(), parts[1].strip().lower(), parts[2]
         if kind not in FAULT_KINDS:
@@ -234,7 +228,7 @@ def perform_fault(rule: Optional[FaultRule]) -> None:
         raise InjectedFault(
             f"injected fault: poisoned {rule.tier} submission #{rule.nth}"
         )
-    else:  # pragma: no cover - reject/killpool are consumed service-side
+    else:  # pragma: no cover - reject is consumed service-side
         raise ValidationError(
             f"fault kind {rule.kind!r} cannot be performed inside a worker"
         )

@@ -1,73 +1,46 @@
-"""Persistent worker pool running the RR engine on batch shards.
+"""Thread pool drawing keyed RR and cascade batches in contiguous shards.
 
-:class:`SamplingPool` is the runtime of the parallel sampling subsystem.
-One pool serves one base graph:
+Every RR set and every forward cascade is a pure function of its batch
+key and its index (:mod:`repro.sampling.engine`,
+:mod:`repro.diffusion.mc_engine`).  So :class:`SamplingPool` splits a
+batch of ``count`` items into one contiguous shard ``[a, b)`` per
+thread, draws each shard as ``(key, start + a, b − a)`` on a thread of
+this process, and concatenates the shards in order
+(:func:`~repro.sampling.engine.merge_rr_batches`,
+:func:`~repro.diffusion.mc_engine.merge_mc_batches`).  The merged batch is
+the one a single call draws, whatever the thread count.  The threads read
+the caller's own graph arrays: nothing is copied, pickled or published.
+They run in parallel because the C kernels are called through
+``ctypes.CDLL``, which releases the GIL, as NumPy does in large array
+operations.
 
-* on first parallel use it publishes the graph through a
-  :class:`~repro.parallel.broker.SharedGraphBroker` and starts a
-  ``ProcessPoolExecutor`` whose workers attach to the shared segments in
-  their initializer (zero-copy, once per worker);
-* :meth:`SamplingPool.generate` draws the batch key once, splits the
-  batch into the contiguous shard layout of :mod:`repro.parallel.seeds`,
-  writes the residual view's active mask into shared memory, and hands
-  shard ``[a, b)`` to a worker as ``(key, start + a, b − a)``.  Every RR
-  set is a pure function of the key and its index
-  (:mod:`repro.sampling.engine`), so the merged shards — stitched with
-  :func:`~repro.sampling.engine.merge_rr_batches`, never re-walked — are
-  exactly the batch one process would draw;
-* with ``n_jobs=1`` (or a single-shard batch) the pool runs the batch as
-  one in-process call — no processes, no shared memory.  RR output is
-  therefore bit-for-bit independent of the worker count, and the same as
-  :func:`~repro.sampling.engine.generate_rr_batch` on the same seed.
+A batch below :data:`MIN_SPLIT` items, and every batch of a one-thread
+pool, runs as one call in the calling thread; the threads start lazily,
+with the first batch that splits.
 
-Forward Monte-Carlo (:meth:`SamplingPool.simulate`) runs the same way:
-one key per batch, shard ``[a, b)`` as ``(key, a, b − a)`` of the keyed
-cascade stream (:mod:`repro.diffusion.mc_engine`), merged with
-:func:`~repro.diffusion.mc_engine.merge_mc_batches`.
-
-Extensions (``FlatRRCollection.extend_generate`` with ``pool=``) go
-through the same :meth:`SamplingPool.generate` entry point under a key of
-their own; the estimator's ``sample_reuse`` rounds pass one key per side
-and the ``start`` of the new sets.  See "Extend-through-pool semantics"
-in ``docs/parallelism.md``.
+:class:`~repro.core.estimation.FrontRearEstimator` submits the shards of
+both sides of a refinement round — the front batch ``R1`` and the rear
+batch ``R2`` — to one pool through :meth:`SamplingPool.map`, so the two
+batches are drawn concurrently.
 
 ``resolve_jobs`` is the single knob-resolution point: explicit ``n_jobs``
 arguments win, the ``REPRO_JOBS`` environment variable fills in when the
-caller passed ``None``, and ``-1`` means "all usable cores".
+caller passed ``None``, and then every usable core is used.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from typing import List, Optional, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import kernels
+from repro.diffusion.mc_engine import MCBatch, merge_mc_batches, simulate_ic_batch
 from repro.graphs.graph import ProbabilisticGraph
-from repro.graphs.residual import ResidualGraph, as_residual
-from repro.parallel.broker import (
-    SharedGraphBroker,
-    SharedGraphSpec,
-    SharedResidualView,
-    attach_shared_graph,
-)
-from repro.diffusion.mc_engine import (
-    MCBatch,
-    merge_mc_batches,
-    simulate_ic_batch,
-)
-from repro.parallel.faults import FaultPlan, FaultRule, perform_fault
+from repro.graphs.residual import ResidualGraph
 from repro.parallel.seeds import shard_layout, shard_roots
-from repro.parallel.supervisor import (
-    LadderStats,
-    SupervisedTask,
-    resolve_max_retries,
-    resolve_task_timeout,
-    supervised_collect,
-)
 from repro.sampling.engine import (
     RRBatch,
     draw_key,
@@ -81,6 +54,14 @@ from repro.utils.rng import RandomState
 #: Environment variable consulted when a caller leaves ``n_jobs`` unset.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
+#: Smallest batch the pool splits over its threads; smaller ones run as
+#: one call.  Measured on 2 idle CPUs with the native kernels (600-node
+#: NetHEPT proxy, a two-thread estimator round against one call): break
+#: even at about 4k sets per side, 1.3× faster at 8k, 1.5× at 16k.  Every
+#: batch of the SMOKE figures (at most 2,500 sets) and of the service
+#: (2,000-set collections, 200-cascade queries) stays below it.
+MIN_SPLIT = 8192
+
 
 def available_cpus() -> int:
     """Number of CPU cores usable by this process (affinity-aware)."""
@@ -90,20 +71,21 @@ def available_cpus() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def resolve_jobs(n_jobs: Optional[int] = None) -> Optional[int]:
-    """Resolve a worker-count request to a concrete value (or ``None``).
+def resolve_jobs(n_jobs: Optional[int] = None) -> int:
+    """Resolve a thread-count request to a concrete count.
 
     * an explicit integer wins: ``-1`` means all usable cores, values
       ``>= 1`` are taken as-is, anything else is rejected;
     * ``None`` falls back to the ``REPRO_JOBS`` environment variable with
-      the same semantics;
-    * ``None`` with no environment override resolves to ``None``: one
-      process, which samples the same RR sets as any worker count.
+      the same semantics, and then to all usable cores.
+
+    Every count samples the same RR sets and cascades, so the default
+    changes speed only.
     """
     if n_jobs is None:
         n_jobs = read_env_int(JOBS_ENV_VAR)
         if n_jobs is None:
-            return None
+            return available_cpus()
     n_jobs = int(n_jobs)
     if n_jobs == -1:
         return available_cpus()
@@ -112,229 +94,44 @@ def resolve_jobs(n_jobs: Optional[int] = None) -> Optional[int]:
     return n_jobs
 
 
-# --------------------------------------------------------------------- #
-# worker-process side
-# --------------------------------------------------------------------- #
-
-#: Per-worker attachment state, populated once by the pool initializer.
-_WORKER: dict = {}
-
-
-def _worker_init(spec: SharedGraphSpec) -> None:
-    """Executor initializer: attach to the published graph (zero-copy)."""
-    graph, mask, handles = attach_shared_graph(spec)
-    _WORKER["graph"] = graph
-    _WORKER["mask"] = mask
-    _WORKER["handles"] = handles  # keep segments alive for the worker's life
-
-
-def _worker_generate(fault, key, start, count, backend, roots, stop):
-    """Run one shard through the standard engine against shared arrays."""
-    perform_fault(fault)
-    kernels.warm_up(backend)  # compile once per worker, memoized thereafter
-    view = SharedResidualView(_WORKER["graph"], _WORKER["mask"])
-    batch = generate_rr_batch(
-        view, count, backend=backend, roots=roots, stop=stop, key=key, start=start
-    )
-    return batch.offsets, batch.nodes, batch.num_active_nodes, batch.n
-
-
-def _worker_simulate(fault, key, start, count, backend, seeds):
-    """Run one forward-MC shard against the shared outgoing CSR."""
-    perform_fault(fault)
-    kernels.warm_up(backend)  # compile once per worker, memoized thereafter
-    view = SharedResidualView(_WORKER["graph"], _WORKER["mask"])
-    batch = simulate_ic_batch(
-        view, seeds, count, backend=backend, key=key, start=start
-    )
-    return batch.offsets, batch.nodes, batch.n
-
-
-# --------------------------------------------------------------------- #
-# parent side
-# --------------------------------------------------------------------- #
-
-
 class SamplingPool:
-    """A persistent, shared-memory worker pool for one base graph.
+    """Threads that draw the shards of keyed RR and cascade batches.
 
     Parameters
     ----------
-    graph:
-        Base graph (or any residual view of it) the pool will sample on.
     n_jobs:
-        Worker count request, resolved through :func:`resolve_jobs`
-        (``None`` honours ``REPRO_JOBS``, defaulting to 1; ``-1`` uses all
-        cores).  With one job the pool never starts processes or shared
-        memory — :meth:`generate` and :meth:`simulate` run the batch
-        in-process.
-    start_method:
-        Multiprocessing start method; defaults to ``"fork"`` where
-        available (cheap on Linux), else ``"spawn"``.
-    directions:
-        Which CSR directions the pool publishes to its workers: ``"in"``
-        enables :meth:`generate` (reverse RR sampling), ``"out"`` enables
-        :meth:`simulate` (forward Monte-Carlo).  Defaults to ``("in",)`` —
-        the RR-only footprint, so RR pools never pay for the outgoing
-        CSR; forward-MC callers pass ``("out",)`` (or both for a
-        dual-workload pool).
-    task_timeout:
-        Per-shard timeout in seconds for supervised dispatch (``None``
-        honours ``REPRO_TASK_TIMEOUT``, defaulting to no timeout).  A
-        timed-out shard is re-run in-process — identical bytes, see
-        ``docs/robustness.md``.
-    max_retries:
-        Re-submissions granted to a failing shard before it degrades to
-        in-process execution (``None`` honours ``REPRO_TASK_RETRIES``,
-        defaulting to 2).
-    fault_plan:
-        Fault-injection plan for chaos testing (``None`` reads
-        ``REPRO_FAULT_SPEC``; an empty plan injects nothing).
+        Thread count, resolved through :func:`resolve_jobs` (``None``
+        honours ``REPRO_JOBS``, then uses every usable core; ``-1`` uses
+        all cores).  A one-thread pool never starts a thread.
+
+    The pool is bound to no graph: each call names the graph or residual
+    view it samples, and the threads read its arrays in place.
+    :meth:`close` (or leaving a ``with`` block) joins the threads, so no
+    pool thread is alive when the caller forks later
+    (:class:`~repro.parallel.eval_pool.EvaluationPool`).
     """
 
-    def __init__(
-        self,
-        graph: ProbabilisticGraph | ResidualGraph,
-        n_jobs: Optional[int] = None,
-        start_method: Optional[str] = None,
-        directions: tuple = ("in",),
-        task_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-    ) -> None:
-        view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
-        self._base = view.base
-        self._jobs = resolve_jobs(n_jobs) or 1
-        self._start_method = start_method
-        self._directions = tuple(directions)
-        self._task_timeout = resolve_task_timeout(task_timeout)
-        self._max_retries = resolve_max_retries(max_retries)
-        self._faults = fault_plan if fault_plan is not None else FaultPlan.from_env()
-        self._broker: Optional[SharedGraphBroker] = None
-        self._executor: Optional[ProcessPoolExecutor] = None
+    def __init__(self, n_jobs: Optional[int] = None) -> None:
+        self._jobs = resolve_jobs(n_jobs)
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
-        #: Cumulative recovery-ladder counters across this pool's rounds.
-        self.supervision_stats = LadderStats()
-
-    def _require_direction(self, direction: str, method: str) -> None:
-        if direction not in self._directions:
-            raise ValidationError(
-                f"this SamplingPool publishes directions {self._directions}; "
-                f"{method}() needs the {direction!r} CSR — construct the pool "
-                f"with directions including {direction!r}"
-            )
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    @property
-    def base(self) -> ProbabilisticGraph:
-        """The base graph this pool samples on."""
-        return self._base
 
     @property
     def n_jobs(self) -> int:
-        """Resolved worker count."""
+        """Resolved thread count."""
         return self._jobs
 
     @property
     def running(self) -> bool:
-        """Whether worker processes are currently alive."""
+        """Whether the pool's threads have started."""
         return self._executor is not None
 
-    @property
-    def healthy(self) -> bool:
-        """Whether the pool can serve work without a rebuild first.
-
-        ``True`` for an idle pool (workers start lazily) and for a running
-        executor that has not broken; ``False`` once the pool is closed or
-        its executor is flagged broken (a worker died and the next round
-        will pay a rebuild).  The service layer reads this to report pool
-        liveness on ``/healthz`` and to decide degraded answering.
-        """
-        if self._closed:
-            return False
-        if self._executor is None:
-            return True
-        return not getattr(self._executor, "_broken", False)
-
-    def _ensure_workers(self) -> None:
-        if self._closed:
-            raise ValidationError("SamplingPool is closed")
-        if self._executor is not None:
-            if getattr(self._executor, "_broken", False):
-                # A previous round ended with the executor broken (e.g.
-                # its second break degraded the tail in-process).  Pay
-                # the rebuild at round entry instead of raising
-                # BrokenProcessPool out of the initial submission.
-                self._executor.shutdown(wait=False)
-                self._executor = None
-            else:
-                return
-        import multiprocessing
-
-        method = self._start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-        fresh_broker = self._broker is None
-        if fresh_broker:
-            self._broker = SharedGraphBroker(self._base, directions=self._directions)
-        try:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._jobs,
-                mp_context=multiprocessing.get_context(method),
-                initializer=_worker_init,
-                initargs=(self._broker.spec,),
-            )
-        except BaseException:
-            if fresh_broker:
-                self._broker.close()
-                self._broker = None
-            raise
-
-    def _rebuild_workers(self) -> None:
-        """Replace a broken executor; the published segments stay up."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
-        self._ensure_workers()
-
-    def kill_workers(self) -> int:
-        """SIGKILL every live worker process; return how many were hit.
-
-        The chaos-harness stand-in for an OOM killer sweeping the pool
-        mid-batch (the ``killpool:service:N`` fault of
-        :mod:`repro.parallel.faults`).  The executor breaks exactly as it
-        would for a real crash, and the next supervised round rides the
-        rebuild/degrade ladder.  A pool with no running workers is a
-        no-op returning 0.
-        """
-        import signal
-
-        if self._executor is None:
-            return 0
-        processes = list(getattr(self._executor, "_processes", {}).values())
-        killed = 0
-        for process in processes:
-            if process.is_alive():
-                try:
-                    os.kill(process.pid, signal.SIGKILL)
-                    killed += 1
-                except (ProcessLookupError, PermissionError):  # pragma: no cover
-                    pass
-        return killed
-
     def close(self) -> None:
-        """Stop workers and unlink shared memory (idempotent)."""
+        """Join the threads (idempotent); the pool refuses work afterwards."""
         self._closed = True
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._broker is not None:
-            self._broker.close()
-            self._broker = None
 
     def __enter__(self) -> "SamplingPool":
         return self
@@ -342,9 +139,36 @@ class SamplingPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # generation
-    # ------------------------------------------------------------------ #
+    def shards(self, count: int) -> List[Tuple[int, int]]:
+        """The contiguous ``[a, b)`` shards a batch of ``count`` items splits into.
+
+        One shard below :data:`MIN_SPLIT` or on one thread, else one per
+        thread.  Raises :class:`~repro.utils.exceptions.ValidationError`
+        once the pool is closed.
+        """
+        if self._closed:
+            raise ValidationError("SamplingPool is closed")
+        if self._jobs == 1 or count < MIN_SPLIT:
+            return [(0, count)]
+        return shard_layout(count, -(-count // self._jobs))
+
+    def map(self, function: Callable, items: Sequence) -> list:
+        """``[function(item) for item in items]``, on the pool's threads.
+
+        Results come back in item order.  A single item, or a one-thread
+        pool, runs in the calling thread.  If an item raises, the items
+        not yet started are cancelled and the first failure in item order
+        is raised.
+        """
+        if self._closed:
+            raise ValidationError("SamplingPool is closed")
+        if len(items) <= 1 or self._jobs == 1:
+            return [function(item) for item in items]
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                self._jobs, thread_name_prefix="repro-sampling"
+            )
+        return list(self._executor.map(function, items))
 
     def generate(
         self,
@@ -353,123 +177,37 @@ class SamplingPool:
         random_state: RandomState = None,
         backend: Optional[str] = None,
         roots: Optional[Sequence[int]] = None,
-        task_timeout: Optional[float] = None,
         stop: Optional[np.ndarray] = None,
         key: Optional[int] = None,
         start: int = 0,
     ) -> RRBatch:
-        """Generate ``count`` RR sets on ``graph`` across the pool's workers.
+        """Draw ``count`` RR sets on ``graph``, split over the threads.
 
-        ``graph`` must be the pool's base graph or a residual view of it;
-        the view's active mask is republished to the workers before the
-        round is dispatched (rounds are synchronous, so the mask is never
-        rewritten while tasks are in flight).  ``roots``, ``stop``, ``key``
-        and ``start`` mean what they mean for
-        :func:`~repro.sampling.engine.generate_rr_batch`, and the batch is
-        the one that function returns, whatever ``n_jobs`` is.
-
-        ``task_timeout`` tightens (or sets) the per-shard supervision
-        timeout for this call only — how a service-level deadline reaches
-        the recovery ladder without reconfiguring the pool.  ``None``
-        keeps the pool-wide setting.
+        The arguments mean what they mean for
+        :func:`~repro.sampling.engine.generate_rr_batch`, and the batch
+        is the one that function returns, whatever ``n_jobs`` is.
         """
-        if self._closed:
-            raise ValidationError("SamplingPool is closed")
-        self._require_direction("in", "generate")
-        # Resolve once at pool entry so every shard payload carries a
-        # concrete registered backend name ("auto"/None never reaches a
-        # worker, whose environment may resolve them differently).
-        backend = kernels.resolve_backend(backend)
-        view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
-        if view.base is not self._base:
-            raise ValidationError(
-                "this SamplingPool was built for a different base graph"
-            )
-        if count < 0:
-            raise ValidationError(f"count must be >= 0, got {count}")
-        if count > 0 and key is None:
-            key = draw_key(random_state)
-        layout = shard_layout(count)
-        if self._jobs == 1 or len(layout) <= 1:
+        shards = self.shards(count)
+        if len(shards) == 1:
             return generate_rr_batch(
-                view, count, backend=backend, roots=roots, stop=stop, key=key,
-                start=start,
+                graph, count, random_state, backend, roots=roots, stop=stop,
+                key=key, start=start,
+            )
+        # Resolve the backend and draw the key here, so the threads share
+        # both and the kernels are probed once, in the calling thread.
+        backend = kernels.resolve_backend(backend)
+        if key is None:
+            key = draw_key(random_state)
+
+        def draw(part):
+            (lo, hi), part_roots = part
+            return generate_rr_batch(
+                graph, hi - lo, backend=backend, roots=part_roots, stop=stop,
+                key=key, start=start + lo,
             )
 
-        self._ensure_workers()
-        self._broker.set_mask(view.active_mask)
-        tasks = [
-            SupervisedTask(
-                index=shard,
-                label=f"sampling shard {shard + 1}/{len(layout)} "
-                f"({hi - lo} RR sets)",
-                submit=partial(
-                    self._submit_generate, key, start + lo, hi - lo,
-                    backend, shard_root, stop,
-                ),
-                run_local=partial(
-                    generate_rr_batch,
-                    view,
-                    hi - lo,
-                    backend=backend,
-                    roots=shard_root,
-                    stop=stop,
-                    key=key,
-                    start=start + lo,
-                ),
-            )
-            for shard, ((lo, hi), shard_root) in enumerate(
-                zip(layout, shard_roots(roots, layout))
-            )
-        ]
-        raw = supervised_collect(
-            tasks,
-            rebuild=self._rebuild_workers,
-            tier="sampling",
-            timeout=self._round_timeout(task_timeout),
-            max_retries=self._max_retries,
-            stats=self.supervision_stats,
-        )
-        batches: List[RRBatch] = []
-        for item in raw:
-            if isinstance(item, RRBatch):  # degraded shard ran in-process
-                batches.append(item)
-            else:
-                offsets, nodes, num_active, n = item
-                batches.append(
-                    RRBatch(
-                        offsets=offsets,
-                        nodes=nodes,
-                        num_active_nodes=num_active,
-                        n=n,
-                    )
-                )
-        return merge_rr_batches(batches)
-
-    def _round_timeout(self, task_timeout: Optional[float]) -> Optional[float]:
-        """Effective per-shard timeout for one round (call override wins)."""
-        if task_timeout is None:
-            return self._task_timeout
-        timeout = float(task_timeout)
-        if timeout <= 0:
-            raise ValidationError(f"task_timeout must be > 0 seconds, got {timeout}")
-        if self._task_timeout is not None:
-            return min(timeout, self._task_timeout)
-        return timeout
-
-    def _submit_generate(self, key, start, count, backend, roots, stop):
-        """Submit one generation shard to the current executor."""
-        return self._executor.submit(
-            _worker_generate, self._faults.take("sampling"), key, start, count,
-            backend, roots, stop,
-        )
-
-    def _submit_simulate(self, key, start, count, backend, seeds):
-        """Submit one forward-MC shard to the current executor."""
-        return self._executor.submit(
-            _worker_simulate, self._faults.take("sampling"), key, start, count,
-            backend, seeds,
-        )
+        parts = list(zip(shards, shard_roots(roots, shards)))
+        return merge_rr_batches(self.map(draw, parts))
 
     def simulate(
         self,
@@ -478,120 +216,28 @@ class SamplingPool:
         count: int,
         random_state: RandomState = None,
         backend: Optional[str] = None,
-        task_timeout: Optional[float] = None,
     ) -> MCBatch:
-        """Run ``count`` forward IC cascades from ``seeds`` across the pool.
+        """Run ``count`` forward IC cascades from ``seeds``, split over the threads.
 
-        The forward twin of :meth:`generate`: one key per batch, shard
-        ``[a, b)`` draws cascades ``a … b − 1`` of that key, and shards
-        merge in order, so the batch is the one
+        The forward twin of :meth:`generate`: the batch is the one
         :func:`~repro.diffusion.mc_engine.simulate_ic_batch` returns,
         whatever ``n_jobs`` is.
         """
-        if self._closed:
-            raise ValidationError("SamplingPool is closed")
-        self._require_direction("out", "simulate")
+        shards = self.shards(count)
+        if len(shards) == 1:
+            return simulate_ic_batch(graph, seeds, count, random_state, backend=backend)
         backend = kernels.resolve_backend(backend)
-        view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
-        if view.base is not self._base:
-            raise ValidationError(
-                "this SamplingPool was built for a different base graph"
-            )
-        if count < 0:
-            raise ValidationError(f"count must be >= 0, got {count}")
-        seed_tuple = tuple(int(s) for s in seeds)
-        layout = shard_layout(count)
-        if self._jobs == 1 or len(layout) <= 1:
-            return simulate_ic_batch(
-                view, seed_tuple, count, random_state, backend=backend
-            )
         key = draw_key(random_state)
+        seeds = tuple(seeds)
 
-        self._ensure_workers()
-        self._broker.set_mask(view.active_mask)
-        tasks = [
-            SupervisedTask(
-                index=shard,
-                label=f"simulation shard {shard + 1}/{len(layout)} "
-                f"({hi - lo} cascades)",
-                submit=partial(
-                    self._submit_simulate, key, lo, hi - lo, backend, seed_tuple
-                ),
-                run_local=partial(
-                    simulate_ic_batch,
-                    view,
-                    seed_tuple,
-                    hi - lo,
-                    backend=backend,
-                    key=key,
-                    start=lo,
-                ),
+        def draw(shard):
+            lo, hi = shard
+            return simulate_ic_batch(
+                graph, seeds, hi - lo, backend=backend, key=key, start=lo
             )
-            for shard, (lo, hi) in enumerate(layout)
-        ]
-        raw = supervised_collect(
-            tasks,
-            rebuild=self._rebuild_workers,
-            tier="sampling",
-            timeout=self._round_timeout(task_timeout),
-            max_retries=self._max_retries,
-            stats=self.supervision_stats,
-        )
-        batches: List[MCBatch] = []
-        for item in raw:
-            if isinstance(item, MCBatch):  # degraded shard ran in-process
-                batches.append(item)
-            else:
-                offsets, nodes, n = item
-                batches.append(MCBatch(offsets=offsets, nodes=nodes, n=n))
-        return merge_mc_batches(batches)
+
+        return merge_mc_batches(self.map(draw, shards))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "running" if self.running else ("closed" if self._closed else "idle")
-        return f"<SamplingPool jobs={self._jobs} {state} on {self._base!r}>"
-
-
-def parallel_generate_rr_batch(
-    graph: ProbabilisticGraph | ResidualGraph,
-    count: int,
-    random_state: RandomState = None,
-    backend: Optional[str] = None,
-    n_jobs: Optional[int] = None,
-    roots: Optional[Sequence[int]] = None,
-    stop: Optional[np.ndarray] = None,
-    key: Optional[int] = None,
-    start: int = 0,
-) -> RRBatch:
-    """One-shot sharded generation (ephemeral pool when ``n_jobs > 1``).
-
-    Convenience wrapper over :class:`SamplingPool` for callers that sample
-    a single large batch (NSG/NDG, the IMM target builder).  Repeated
-    samplers (the adaptive algorithms) should hold a pool open instead of
-    paying worker start-up per call.
-    """
-    jobs = resolve_jobs(n_jobs) or 1
-    with SamplingPool(graph, n_jobs=jobs, directions=("in",)) as pool:
-        return pool.generate(
-            graph, count, random_state, backend=backend, roots=roots, stop=stop,
-            key=key, start=start,
-        )
-
-
-def parallel_simulate_ic_batch(
-    graph: ProbabilisticGraph | ResidualGraph,
-    seeds: Sequence[int],
-    count: int,
-    random_state: RandomState = None,
-    backend: Optional[str] = None,
-    n_jobs: Optional[int] = None,
-) -> MCBatch:
-    """One-shot sharded forward simulation (ephemeral pool when ``n_jobs > 1``).
-
-    Convenience wrapper over :meth:`SamplingPool.simulate` for callers that
-    run a single Monte-Carlo batch.  Repeated samplers (spread oracles, the
-    experiment drivers) should hold a pool open instead of paying worker
-    start-up per query.
-    """
-    jobs = resolve_jobs(n_jobs) or 1
-    with SamplingPool(graph, n_jobs=jobs, directions=("out",)) as pool:
-        return pool.simulate(graph, seeds, count, random_state, backend=backend)
+        state = "closed" if self._closed else ("running" if self.running else "idle")
+        return f"<SamplingPool threads={self._jobs} {state}>"

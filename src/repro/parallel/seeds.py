@@ -1,9 +1,9 @@
 """Deterministic shard layouts, and spawned per-item streams.
 
-1. **The shard layout is a pure function of the batch size** (never of the
-   worker count).  ``shard_layout(count)`` slices ``range(count)`` into
-   contiguous shards of :func:`default_shard_size` items; how many
-   workers later pick those shards up cannot change what the shards are.
+1. **Shards are contiguous.**  ``shard_layout(count, size)`` slices
+   ``range(count)`` into shards of ``size`` items (by default
+   :func:`default_shard_size`, a pure function of ``count``); the sampling
+   pool asks for one shard per thread (:mod:`repro.parallel.pool`).
 2. **Sampling shards need no streams of their own.**  Every RR set and
    every forward cascade is a pure function of the batch key and its
    index (:mod:`repro.sampling.engine`, :mod:`repro.diffusion.mc_engine`),
@@ -15,8 +15,9 @@
    live generator): item ``i`` always receives child stream ``i``,
    whichever worker runs it (:mod:`repro.parallel.eval_pool`).
 
-Running with ``n_jobs=1`` or ``n_jobs=8`` therefore produces bit-for-bit
-identical output (see ``docs/parallelism.md`` for the full contract).
+Running with ``n_jobs=1`` or ``n_jobs=8`` (threads, or ``eval_jobs``
+processes) therefore produces bit-for-bit identical output (see
+``docs/parallelism.md`` for the full contract).
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Supervised task dispatch: timeouts, deterministic retries, degradation.
 
-Both worker pools (:class:`~repro.parallel.pool.SamplingPool`,
-:class:`~repro.parallel.eval_pool.EvaluationPool`) used to collect their
-futures with a bare ``for future in futures: future.result()`` — one
-crashed worker aborted the whole sweep and left the caller with a raw
-``BrokenProcessPool``.  :func:`supervised_collect` replaces that loop with
+The evaluation pool (:class:`~repro.parallel.eval_pool.EvaluationPool`)
+used to collect its futures with a bare ``for future in futures:
+future.result()`` — one crashed worker aborted the whole sweep and left
+the caller with a raw ``BrokenProcessPool``.  :func:`supervised_collect` replaces that loop with
 a recovery ladder that the determinism contract makes safe: every task is
 keyed by an immutable ``(spawned RNG state, payload)`` pair, so running it
 again — in another worker or in the parent — produces identical bytes.
@@ -93,12 +92,12 @@ def resolve_max_retries(max_retries: Optional[int] = None) -> int:
 
 @dataclass
 class LadderStats:
-    """Cumulative recovery-ladder counters of one pool (mutated in place).
+    """Cumulative recovery-ladder counters (mutated in place).
 
     Every recovery step of :func:`supervised_collect` already logs a
-    WARNING; these counters make the same evidence machine-readable so a
-    serving layer can export it (``/healthz`` pool liveness,
-    ``docs/robustness.md`` "Service resilience") instead of parsing logs.
+    WARNING; these counters make the same evidence machine-readable, so
+    a caller or a test can tell which rungs a collection took without
+    parsing logs.
     """
 
     retries: int = 0
@@ -173,9 +172,8 @@ def supervised_collect(
     caller's merge order — regardless of completion order, retries, or
     degradations, which is what keeps recovery bit-for-bit invisible.
 
-    ``stats`` (optional) accumulates the recovery steps taken — one
-    :class:`LadderStats` per pool makes crash survival observable to
-    monitoring endpoints without changing any result.
+    ``stats`` (optional) accumulates the recovery steps taken, which
+    makes crash survival observable without changing any result.
     """
     if stats is None:
         stats = LadderStats()  # throwaway accumulator, keeps the body branch-free

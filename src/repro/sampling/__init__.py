@@ -52,13 +52,12 @@ Generation entry points (``generate_rr_batch``, ``generate_rr_sets``,
 
 Parallelism
 -----------
-:mod:`repro.parallel` scales the engine across cores: a shared-memory
-broker publishes the graph's CSR once, a persistent
-:class:`~repro.parallel.pool.SamplingPool` runs the engine on batch
-shards of one key, so the merged batch is bit-for-bit the single-call
-batch whatever the worker count.  Every generation entry
-point accepts ``n_jobs`` (or the ``REPRO_JOBS`` environment variable);
-see ``docs/parallelism.md``.
+:mod:`repro.parallel` scales the engine across cores: a
+:class:`~repro.parallel.pool.SamplingPool` runs the engine on contiguous
+shards of one key on threads of the calling process, so the merged batch
+is bit-for-bit the single-call batch whatever the thread count.  Every
+generation entry point accepts ``n_jobs`` (or the ``REPRO_JOBS``
+environment variable); see ``docs/parallelism.md``.
 
 See ``docs/performance.md`` for measured speedups and benchmark
 regeneration instructions (``benchmarks/test_bench_rr_engine.py``).

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import ResidualGraph, as_residual
-from repro.sampling.engine import RRBatch, flat_slice_indices, generate_rr_batch
+from repro.sampling.engine import RRBatch, flat_slice_indices
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import RandomState
 
@@ -97,12 +97,13 @@ class FlatRRCollection:
     ) -> "FlatRRCollection":
         """Generate ``count`` RR sets on ``graph`` with the batched engine.
 
-        ``pool`` routes generation through a persistent
-        :class:`~repro.parallel.pool.SamplingPool`; ``n_jobs`` (or the
-        ``REPRO_JOBS`` environment variable when ``n_jobs`` is ``None``)
-        above one runs a one-shot sharded generation instead.  Every path
-        samples the same keyed stream, so the sets are bit-for-bit
-        independent of the worker count.
+        ``pool`` draws the batch on a held
+        :class:`~repro.parallel.pool.SamplingPool`; otherwise a pool of
+        ``n_jobs`` threads does (``None`` honours ``REPRO_JOBS``, then
+        uses every usable core), which splits only batches of at least
+        :data:`~repro.parallel.pool.MIN_SPLIT` sets.  Every path samples
+        the same keyed stream, so the sets are bit-for-bit independent of
+        the thread count.
         """
         view = as_residual(graph) if isinstance(graph, ProbabilisticGraph) else graph
         return cls(dispatch_generate(view, count, random_state, backend, n_jobs, pool))
@@ -144,8 +145,7 @@ class FlatRRCollection:
         The extension must be sampled on the *same* residual state as the
         existing sets (checked through ``num_active_nodes``) — mixing
         scaling factors would silently bias the RIS estimator.  ``pool`` /
-        ``n_jobs`` route the new batch through the parallel subsystem
-        exactly as in :meth:`generate`; the extension is a stand-alone
+        ``n_jobs`` route the new batch exactly as in :meth:`generate`; the extension is a stand-alone
         batch of ``count`` sets under its own key (see
         ``docs/parallelism.md``).
         """
@@ -464,34 +464,20 @@ def dispatch_generate(
     backend: Optional[str],
     n_jobs: Optional[int],
     pool: Optional["SamplingPool"],
-    stop: Optional[np.ndarray] = None,
-    key: Optional[int] = None,
-    start: int = 0,
 ) -> RRBatch:
-    """Route one batch generation through the pool / sharded / plain engine.
+    """Generate one batch through ``pool``, or a pool of ``n_jobs`` threads.
 
     The one routing rule behind :meth:`FlatRRCollection.generate` and
-    ``extend_generate``; :class:`repro.core.estimation.FrontRearEstimator`
-    calls it directly with a ``stop`` mask, counting each batch without
-    building a collection.  ``stop``, ``key`` and ``start`` mean what they
-    mean for :func:`~repro.sampling.engine.generate_rr_batch`, and every
-    route returns the identical batch.
+    ``extend_generate``; the batch is the one
+    :func:`~repro.sampling.engine.generate_rr_batch` returns, whatever the
+    thread count.
     """
-    from repro.parallel.pool import parallel_generate_rr_batch, resolve_jobs
+    from repro.parallel.pool import SamplingPool
 
     if pool is not None:
-        return pool.generate(
-            view, count, random_state, backend=backend, stop=stop, key=key, start=start
-        )
-    jobs = resolve_jobs(n_jobs)
-    if jobs is not None and jobs > 1:
-        return parallel_generate_rr_batch(
-            view, count, random_state, backend=backend, n_jobs=jobs, stop=stop,
-            key=key, start=start,
-        )
-    return generate_rr_batch(
-        view, count, random_state, backend=backend, stop=stop, key=key, start=start
-    )
+        return pool.generate(view, count, random_state, backend=backend)
+    with SamplingPool(n_jobs) as pool:
+        return pool.generate(view, count, random_state, backend=backend)
 
 
 def _batch_from_sets(

@@ -22,9 +22,8 @@ Endpoints
 
 Shutdown discipline (the PR-6 ladder, applied to serving): stop
 accepting, await the in-flight batch, drain the pending tail in-process,
-then close pools/brokers — :meth:`SeedingServer.close` is idempotent and
-safe under a SIGTERM that lands mid-batch, and the shared-memory janitor
-backstops the segments if the process dies uncleanly anyway.
+then join the sampling threads — :meth:`SeedingServer.close` is
+idempotent and safe under a SIGTERM that lands mid-batch.
 """
 
 from __future__ import annotations
@@ -253,7 +252,8 @@ class SeedingServer:
         Every stage tolerates being re-entered: a second close (SIGTERM
         racing ``POST /shutdown``, or an ``atexit``-style finally block
         after ``serve_forever``) finds the socket gone, the batcher
-        already drained and the pools already released, and returns.
+        already drained and the sampling threads already joined, and
+        returns.
         """
         if self._closed:
             return
@@ -349,17 +349,14 @@ class SeedingServer:
             return 500, {"error": f"internal error: {exc}"}
 
     def _healthz(self) -> Tuple[int, Dict[str, Any]]:
-        """Liveness *and* health: a wedged server answers 503, not "ok".
+        """Liveness *and* health: a closed server answers 503, not "ok".
 
-        ``pools`` distinguishes a broken worker pool from a running one,
         ``pending_queries``/``inflight`` expose queue depth, and
         ``last_success_age_s`` ages the most recent successful query —
         together enough for an orchestrator to restart a server that is
         alive but no longer answering.
         """
-        pools = self._state.pool_health()
-        wedged = any(not health["healthy"] for health in pools.values())
-        healthy = not self._closed and not self._state.closed and not wedged
+        healthy = not self._closed and not self._state.closed
         age = (
             None
             if self._last_success is None
@@ -369,7 +366,6 @@ class SeedingServer:
             "status": "ok" if healthy else "degraded",
             "versions": list(self._state.versions),
             "closed": self._state.closed,
-            "pools": pools,
             "pending_queries": self._batcher.pending,
             "inflight": self._inflight,
             "last_success_age_s": age,

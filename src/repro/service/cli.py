@@ -9,8 +9,8 @@ Both run through the ``repro-experiments`` console script::
 
 ``serve`` builds a :class:`~repro.service.state.ServiceState` (loading
 the graph exactly once), binds the asyncio HTTP API and serves until
-SIGTERM/SIGINT or ``POST /shutdown`` — then tears down batcher, pools
-and shared-memory segments gracefully.  ``loadgen`` drives a running
+SIGTERM/SIGINT or ``POST /shutdown`` — then tears down the batcher and
+the sampling threads gracefully.  ``loadgen`` drives a running
 server (or ``--self-serve`` boots an in-process one on an ephemeral
 port), reports p50/p99 latency, queries/sec, cache hit rate and
 coalescing evidence, and optionally writes the measured series next to
@@ -104,7 +104,8 @@ def _add_state_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="RR-generation worker processes (-1 = all cores; default REPRO_JOBS)",
+        help="RR-generation threads (-1 = all cores; default: REPRO_JOBS, "
+        "else all usable cores; answers do not depend on it)",
     )
     parser.add_argument(
         "--backend",

@@ -7,10 +7,10 @@ rebuild per run:
   each under an immutable **version** string (the first component of
   every cache key, so re-registering an updated graph under a new version
   never serves stale answers);
-* one persistent :class:`~repro.parallel.pool.SamplingPool` per graph
-  (started lazily when ``n_jobs > 1``), which publishes the graph's CSR
-  through the :class:`~repro.parallel.broker.SharedGraphBroker` exactly
-  once — workers stay attached across queries;
+* one :class:`~repro.parallel.pool.SamplingPool` of ``n_jobs`` threads
+  shared by every graph, which splits a collection of at least
+  :data:`~repro.parallel.pool.MIN_SPLIT` sets over its threads (smaller
+  ones are drawn in the batch's own thread);
 * a bounded LRU of **warm RR collections** keyed on
   ``(version, residual-mask digest)`` — the generalisation of the
   ``sample_reuse`` cache of :class:`~repro.core.oracle.RISSpreadOracle`
@@ -30,10 +30,9 @@ the answers sequential unbatched execution returns, and a restarted
 service with the same seed reproduces its streams bit-for-bit (the same
 property journal-mode sweeps rely on; see ``docs/service.md``).
 
-Shutdown is graceful and idempotent: :meth:`close` drains per-graph pools
-(whose shared-memory segments the PR-6 janitor also unlinks on SIGTERM /
-interpreter exit) and may be called repeatedly, including from signal
-handlers racing an in-flight batch.
+Shutdown is graceful and idempotent: :meth:`close` joins the sampling
+threads and may be called repeatedly, including from signal handlers
+racing an in-flight batch.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro.diffusion.mc_engine import replay_live_edges, sample_live_chunks
 from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import ResidualGraph
 from repro.parallel.faults import FaultPlan, FaultRule
-from repro.parallel.pool import SamplingPool, resolve_jobs
+from repro.parallel.pool import SamplingPool
 from repro.sampling.coverage import CoverageCounter
 from repro.sampling.flat_collection import FlatRRCollection
 from repro.service.cache import LRUCache, answer_key, mask_digest
@@ -60,7 +59,6 @@ from repro.service.resilience import (
     expired,
     is_error_answer,
     raise_error_answer,
-    time_left,
 )
 from repro.utils.env import read_env_int
 from repro.utils.exceptions import (
@@ -116,13 +114,12 @@ def resolve_collection_capacity(capacity: Optional[int] = None) -> int:
 
 @dataclass
 class GraphEntry:
-    """One registered graph: version, costs, lazy pool, per-graph counters."""
+    """One registered graph: version, costs, per-graph counters."""
 
     version: str
     index: int
     graph: ProbabilisticGraph
     costs: Dict[int, float]
-    pool: Optional[SamplingPool] = None
     queries: int = 0
     generations: int = 0
     metadata: Dict[str, Any] = field(default_factory=dict)
@@ -141,9 +138,9 @@ class ServiceState:
     seed:
         Master seed every per-state RNG stream is derived from.
     n_jobs:
-        Worker processes for RR generation (``None`` honours
-        ``REPRO_JOBS``; ``-1`` = all cores).  With more than one job each
-        registered graph holds a persistent :class:`SamplingPool`.
+        Threads for RR generation (``None`` honours ``REPRO_JOBS``, then
+        uses every usable core; ``-1`` = all cores).  Answers do not
+        depend on it.
     cache_size / collection_capacity:
         Capacities of the answer / warm-collection LRUs (``None`` honours
         ``REPRO_SERVICE_CACHE_SIZE`` / ``REPRO_SERVICE_COLLECTIONS``).
@@ -175,7 +172,7 @@ class ServiceState:
         self._num_samples = int(num_samples)
         self._mc_simulations = int(mc_simulations)
         self._seed = int(seed)
-        self._n_jobs = resolve_jobs(n_jobs)
+        self._pool = SamplingPool(n_jobs)
         # Resolve now: an unknown/unavailable backend fails at service
         # start-up, not on the first query.
         self._backend = kernels.resolve_backend(backend)
@@ -282,15 +279,7 @@ class ServiceState:
         if not removed:
             return ResidualGraph(graph), None, "full"
         mask = np.ones(graph.n, dtype=bool)
-        removed_ids = np.asarray([int(v) for v in removed], dtype=np.int64)
-        if removed_ids.size and (
-            removed_ids.min() < 0 or removed_ids.max() >= graph.n
-        ):
-            raise ValidationError(
-                f"removed node ids must lie in [0, {graph.n}), got "
-                f"{int(removed_ids.min())}..{int(removed_ids.max())}"
-            )
-        mask[removed_ids] = False
+        mask[_removed_ids(removed, graph.n)] = False
         return ResidualGraph(graph, active_mask=mask), mask, mask_digest(mask)
 
     def _stream(self, entry: GraphEntry, digest: str, *extra: int) -> np.random.Generator:
@@ -298,20 +287,12 @@ class ServiceState:
         words = [self._seed, entry.index, _digest_entropy(digest), *extra]
         return np.random.default_rng(np.random.SeedSequence(words))
 
-    def _pool(self, entry: GraphEntry) -> Optional[SamplingPool]:
-        if self._n_jobs is None or self._n_jobs <= 1:
-            return None
-        if entry.pool is None:
-            entry.pool = SamplingPool(entry.graph, n_jobs=self._n_jobs)
-        return entry.pool
-
     def collection_for(
         self,
         entry: GraphEntry,
         view: ResidualGraph,
         digest: str,
         num_samples: Optional[int] = None,
-        task_timeout: Optional[float] = None,
     ) -> FlatRRCollection:
         """The warm RR collection of one residual state (generate on miss).
 
@@ -319,11 +300,7 @@ class ServiceState:
         index, digest)`` — plus the sample count when a query overrides
         θ — so an evicted-and-regenerated collection is bit-for-bit the
         one that was dropped: cache pressure can change latency but never
-        answers.  ``task_timeout`` bounds each supervised shard for this
-        generation only (a deadline reaching the PR-6 ladder; a slow
-        shard degrades in-process to the identical bytes).  A pool whose
-        executor broke is bypassed the same way — generation falls back
-        to the in-process ``n_jobs=1`` path while the next round rebuilds.
+        answers, and neither can the thread count.
         """
         num = self._num_samples if num_samples is None else int(num_samples)
         key = (entry.version, digest, num)
@@ -337,30 +314,9 @@ class ServiceState:
             # disjoint from both the default-count collection stream and
             # the mc_spread streams, which use a single extra word.
             rng = self._stream(entry, digest, 1, num)
-        pool = self._pool(entry)
-        if pool is not None and pool.healthy:
-            if task_timeout is not None:
-                collection = FlatRRCollection(
-                    pool.generate(
-                        view, num, rng,
-                        backend=self._backend,
-                        task_timeout=task_timeout,
-                    )
-                )
-            else:
-                collection = FlatRRCollection.generate(
-                    view, num, rng, backend=self._backend, pool=pool
-                )
-        else:
-            # In-process generation samples exactly the batch the pool
-            # would (RR sets do not depend on the worker count), so
-            # answers are independent of the configured worker count.
-            # An unhealthy pool lands here too: degrade now, rebuild later.
-            if pool is not None:
-                self._degraded_answers += 1
-            collection = FlatRRCollection.generate(
-                view, num, rng, backend=self._backend, n_jobs=1
-            )
+        collection = FlatRRCollection.generate(
+            view, num, rng, backend=self._backend, pool=self._pool
+        )
         entry.generations += 1
         self._collections.put(key, collection)
         if self._journal is not None:
@@ -381,16 +337,6 @@ class ServiceState:
         """The frozen-parameter component of every answer-cache key."""
         return (self._seed, self._num_samples, self._mc_simulations)
 
-    def _effective_samples(self, request: Mapping[str, Any]) -> Optional[int]:
-        """A query's θ override (``None`` = the service default)."""
-        samples = request.get("samples")
-        if samples is None:
-            return None
-        samples = int(samples)
-        if samples < 1:
-            raise ValidationError(f"samples must be >= 1, got {samples}")
-        return samples
-
     def try_cached(self, request: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
         """Answer ``request`` from the cache, or ``None`` on a miss.
 
@@ -407,11 +353,12 @@ class ServiceState:
         return dict(cached, cached=True)
 
     def _admit(self, request: Mapping[str, Any]) -> Tuple[str, GraphEntry]:
-        """The request's op and graph entry, once its op and node ids check.
+        """The request's op and graph entry, once its op and fields check.
 
         Both entry points — the cache fast path and the batch — call this
-        first, so a request that names a node outside ``[0, n)`` is
-        refused before any lookup, even one an older journal answered.
+        first, so a request that names a node outside ``[0, n)``, or whose
+        ``k``, ``simulations``, ``budget`` or ``samples`` does not parse,
+        is refused before any lookup, even one an older journal answered.
         """
         op = str(request.get("op", "spread"))
         if op not in OPERATIONS:
@@ -420,6 +367,13 @@ class ServiceState:
             )
         entry = self.entry(request.get("version"))
         _check_node_ids(request, op, entry.graph.n)
+        _removed_ids(request.get("removed") or (), entry.graph.n)
+        _count_field(request, "samples")
+        if op == "topk":
+            _count_field(request, "k", 1)
+            _budget_field(request)
+        elif op == "mc_spread":
+            _count_field(request, "simulations", self._mc_simulations)
         return op, entry
 
     def try_degraded(self, request: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
@@ -468,14 +422,6 @@ class ServiceState:
                     retry_after_ms=10.0,
                 )
             )
-        if rule.kind == "killpool":
-            try:
-                entry = self.entry(request.get("version"))
-            except ValidationError:
-                return None
-            if entry.pool is not None:
-                entry.pool.kill_workers()
-            return None
         return None  # pragma: no cover - parser rejects other kinds
 
     def execute_batch(
@@ -519,7 +465,7 @@ class ServiceState:
                 view, mask, digest = self._residual_view(
                     entry, request.get("removed") or ()
                 )
-                samples = self._effective_samples(request)
+                samples = _count_field(request, "samples")
                 key = answer_key(
                     entry.version, mask, self._parameters(), _query_of(request)
                 )
@@ -603,21 +549,6 @@ class ServiceState:
     # group evaluators
     # ------------------------------------------------------------------ #
 
-    def _group_task_timeout(
-        self, requests: Sequence[Mapping[str, Any]]
-    ) -> Optional[float]:
-        """The supervision timeout one group's deadlines imply (or ``None``).
-
-        The tightest live deadline in the group bounds every generation
-        shard, floored at 50 ms so the ladder has room to degrade a shard
-        in-process (same bytes, never a poisoned batch).
-        """
-        lefts = [time_left(r) for r in requests]
-        live = [left for left in lefts if left is not None]
-        if not live:
-            return None
-        return max(min(live), 0.05)
-
     def _answer_ris_group(
         self,
         entry: GraphEntry,
@@ -626,13 +557,7 @@ class ServiceState:
         requests: Sequence[Mapping[str, Any]],
         num_samples: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        collection = self.collection_for(
-            entry,
-            view,
-            digest,
-            num_samples=num_samples,
-            task_timeout=self._group_task_timeout(requests),
-        )
+        collection = self.collection_for(entry, view, digest, num_samples=num_samples)
         spread_positions = [
             i for i, r in enumerate(requests) if str(r.get("op", "spread")) == "spread"
         ]
@@ -675,11 +600,8 @@ class ServiceState:
         request: Mapping[str, Any],
     ) -> Dict[str, Any]:
         """Budgeted, segment-restricted greedy max-coverage seed selection."""
-        k = int(request.get("k", 1))
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
-        budget = request.get("budget")
-        budget = None if budget is None else float(budget)
+        k = _count_field(request, "k", 1)
+        budget = _budget_field(request)
         segment = request.get("segment")
         if segment is None:
             candidates = collection.nodes_appearing().astype(np.int64)
@@ -737,13 +659,7 @@ class ServiceState:
         by_sims: Dict[int, List[int]] = {}
         answers: List[Optional[Dict[str, Any]]] = [None] * len(requests)
         for i, request in enumerate(requests):
-            try:
-                sims = int(request.get("simulations") or self._mc_simulations)
-                if sims < 1:
-                    raise ValidationError(f"simulations must be >= 1, got {sims}")
-            except (ValidationError, ReproError) as exc:
-                answers[i] = error_answer(exc)
-                continue
+            sims = _count_field(request, "simulations", self._mc_simulations)
             by_sims.setdefault(sims, []).append(i)
         probs = entry.graph.out_csr()[2]
         for sims, positions in by_sims.items():
@@ -802,28 +718,9 @@ class ServiceState:
                     "edges": entry.graph.m,
                     "queries": entry.queries,
                     "generations": entry.generations,
-                    "pool_running": bool(entry.pool is not None and entry.pool.running),
-                    "pool_healthy": entry.pool.healthy if entry.pool else True,
-                    "supervision": entry.pool.supervision_stats.as_dict()
-                    if entry.pool
-                    else None,
                 }
                 for version, entry in self._graphs.items()
             },
-        }
-
-    def pool_health(self) -> Dict[str, Dict[str, bool]]:
-        """Per-graph pool liveness (what ``/healthz`` distinguishes).
-
-        A graph without a pool (``n_jobs<=1``) reports healthy: the
-        in-process path cannot wedge the way worker processes can.
-        """
-        return {
-            version: {
-                "running": bool(entry.pool is not None and entry.pool.running),
-                "healthy": entry.pool.healthy if entry.pool else True,
-            }
-            for version, entry in self._graphs.items()
         }
 
     # ------------------------------------------------------------------ #
@@ -900,11 +797,11 @@ class ServiceState:
         )
 
     def close(self) -> None:
-        """Release pools, brokers and warm state (idempotent).
+        """Join the sampling threads and drop warm state (idempotent).
 
         Safe to call repeatedly and concurrently with an in-flight batch:
         the state lock is taken so a batch mid-execution finishes before
-        the pools it may be using are shut down, and a second close finds
+        the pool it may be using is shut down, and a second close finds
         everything already released.
         """
         if self._closed:
@@ -916,10 +813,7 @@ class ServiceState:
             if self._journal is not None:
                 self._journal.close()
                 self._journal = None
-            for entry in self._graphs.values():
-                if entry.pool is not None:
-                    entry.pool.close()
-                    entry.pool = None
+            self._pool.close()
             self._collections.clear()
             self._answers.clear()
 
@@ -953,6 +847,53 @@ def _check_node_ids(request: Mapping[str, Any], op: str, n: int) -> None:
             ) from None
         if bad:
             raise ValidationError(f"{name}: node id {bad[0]!r} is outside [0, {n})")
+
+
+def _removed_ids(removed: Iterable[Any], n: int) -> np.ndarray:
+    """A request's ``removed`` node ids as an int64 array, each in ``[0, n)``."""
+    try:
+        ids = np.asarray([int(v) for v in removed], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"removed node ids must be integers, got {removed!r}"
+        ) from None
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValidationError(
+            f"removed node ids must lie in [0, {n}), got "
+            f"{int(ids.min())}..{int(ids.max())}"
+        )
+    return ids
+
+
+def _count_field(
+    request: Mapping[str, Any], name: str, default: Optional[int] = None
+) -> Optional[int]:
+    """``request[name]`` as an integer ``>= 1`` (``default`` when absent or null).
+
+    ``simulations`` keeps its older spelling of "default": any falsy
+    value, ``0`` included.
+    """
+    value = request.get(name)
+    if value is None or (name == "simulations" and not value):
+        return default
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name}: expected an integer, got {value!r}") from None
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1, got {count}")
+    return count
+
+
+def _budget_field(request: Mapping[str, Any]) -> Optional[float]:
+    """A ``topk`` query's cost budget (``None`` when absent: no budget)."""
+    budget = request.get("budget")
+    if budget is None:
+        return None
+    try:
+        return float(budget)
+    except (TypeError, ValueError):
+        raise ValidationError(f"budget: expected a number, got {budget!r}") from None
 
 
 #: Fields whose empty spelling means the same as leaving them out, so the

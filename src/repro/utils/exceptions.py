@@ -34,7 +34,7 @@ class WorkerError(ReproError, RuntimeError):
     bare re-raise used to drop:
 
     ``tier``
-        Which parallel tier failed (``"sampling"`` or ``"eval"``).
+        Which parallel tier failed (``"eval"``).
     ``task``
         A human-readable task label (shard index, session index, ...).
     ``segments``

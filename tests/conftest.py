@@ -64,3 +64,15 @@ def small_instance(small_proxy):
     return build_spread_calibrated_instance(
         small_proxy, k=6, cost_setting="degree", num_rr_sets=500, random_state=11
     )
+
+
+@pytest.fixture
+def low_split_floor(monkeypatch):
+    """Split every sampling batch of 64 or more items over the pool's threads.
+
+    The shipped :data:`~repro.parallel.pool.MIN_SPLIT` keeps test-sized
+    batches in one call; lowering it runs the threaded path on them.
+    """
+    from repro.parallel import pool
+
+    monkeypatch.setattr(pool, "MIN_SPLIT", 64)

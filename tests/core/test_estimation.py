@@ -23,7 +23,7 @@ from repro.graphs.residual import as_residual
 from repro.graphs.weighting import weighted_cascade
 from repro.parallel import SamplingPool
 from repro.sampling.engine import draw_key, generate_rr_batch
-from repro.sampling.flat_collection import FlatRRCollection, dispatch_generate
+from repro.sampling.flat_collection import FlatRRCollection
 
 AVAILABLE_BACKENDS = kernels.available_backends()
 
@@ -42,9 +42,9 @@ class ReferenceEstimator:
 
     def _draw(self, count, key, start):
         view, rng = self.args
-        return dispatch_generate(
-            view, count, rng, self.kwargs["backend"], None, self.kwargs["pool"],
-            key=key, start=start,
+        pool = self.kwargs["pool"] or SamplingPool(1)
+        return pool.generate(
+            view, count, rng, backend=self.kwargs["backend"], key=key, start=start
         )
 
     def estimates(self, theta):
@@ -142,10 +142,37 @@ def test_repro_jobs_routing_matches(reuse, graph, monkeypatch):
     _compare(_cases(graph)["empty-front"], None, reuse)
 
 
-def test_pool_routing_matches(graph):
-    with SamplingPool(graph, n_jobs=2, directions=("in",)) as pool:
+def test_pool_routing_matches(graph, low_split_floor):
+    with SamplingPool(n_jobs=2) as pool:
         for reuse in (False, True):
             _compare(_cases(graph)["conditioning-holds-node"], None, reuse, pool)
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["regenerate", "reuse"])
+@pytest.mark.parametrize("thetas", [THETAS, (9000, 20000)], ids=["low-floor", "shipped-floor"])
+def test_thread_count_does_not_change_rounds(graph, monkeypatch, reuse, thetas):
+    """One and two threads: equal counts, ``thetas`` and post-round RNG state.
+
+    The low-floor case splits every round over the threads (front and
+    rear shards at once); the other draws rounds above the shipped floor.
+    """
+    from repro.parallel import pool as pool_module
+
+    if thetas == THETAS:
+        monkeypatch.setattr(pool_module, "MIN_SPLIT", 32)
+    view, node, front, rear = _cases(graph)["conditioning-holds-node"]
+    runs = []
+    for n_jobs in (1, 2):
+        rng = np.random.default_rng(2020)
+        with SamplingPool(n_jobs) as pool:
+            estimator = FrontRearEstimator(
+                view, node, front, rear, rng, pool=pool, sample_reuse=reuse
+            )
+            rounds = [estimator.estimates(theta) for theta in thetas]
+            assert pool.running == (n_jobs == 2)
+        runs.append((rounds, estimator.thetas, rng.random()))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == list(thetas)
 
 
 def test_marginal_count_excludes_the_node(graph):

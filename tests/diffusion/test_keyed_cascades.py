@@ -8,9 +8,8 @@ the stream's contract rather than any one implementation:
    ``vectorized`` and ``native`` return identical batches on full and
    residual views, mmap'd ``.rgx`` graphs and seed lists with duplicate
    and inactive seeds; cascades ``[0, a)`` and ``[a, B)`` under one key
-   are the batch of ``B`` cascades; the pool's shards at any ``n_jobs``,
-   a shard that degrades in-process included, are one
-   ``simulate_ic_batch`` call.
+   are the batch of ``B`` cascades; the pool's shards at any ``n_jobs``
+   are one ``simulate_ic_batch`` call.
 2. **The stream is the spec** — cascade ``j`` is the replay of the world
    whose live row is cascade ``j``'s keyed coins.
 3. **The stream is the right distribution** — the mean spread is within
@@ -158,32 +157,16 @@ class TestOneBatchPerKey:
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     @pytest.mark.parametrize("backend", ["vectorized", "native"])
-    def test_pool_equals_one_call(self, graph, views, seeds, n_jobs, backend):
+    def test_pool_equals_one_call(self, views, seeds, n_jobs, backend, low_split_floor):
         if backend not in BACKENDS:
             pytest.skip("no C compiler on this machine")
         view = views["residual"]
         rng, twin = np.random.default_rng(42), np.random.default_rng(42)
         plain = simulate_ic_batch(view, seeds, 300, twin, backend="python")
-        with SamplingPool(graph, n_jobs=n_jobs, directions=("out",)) as pool:
+        with SamplingPool(n_jobs=n_jobs) as pool:
             sharded = pool.simulate(view, seeds, 300, rng, backend=backend)
         assert_same_batch(sharded, plain)
         assert rng.random() == twin.random()
-
-
-    def test_degraded_pool_shard_equals_one_call(self, graph, views, seeds):
-        # Shard 1 (cascades 64 … 127) outlives its timeout and re-runs
-        # in-process: it must still draw its own slice of the stream.
-        from repro.parallel.faults import FaultPlan
-
-        view = views["residual"]
-        plain = simulate_ic_batch(view, seeds, 130, 5)
-        plan = FaultPlan.from_spec("delay:sampling:1:1.5")
-        with SamplingPool(
-            graph, n_jobs=2, directions=("out",), fault_plan=plan, task_timeout=0.2
-        ) as pool:
-            degraded = pool.simulate(view, seeds, 130, 5)
-            assert pool.supervision_stats.degraded >= 1
-        assert_same_batch(degraded, plain)
 
 
 class TestStreamIsTheSpec:

@@ -133,10 +133,10 @@ class TestBackendSelection:
 
 
 class TestParallelDeterminism:
-    def test_simulate_independent_of_n_jobs(self, generated_view, seed_set):
-        with SamplingPool(generated_view, n_jobs=1, directions=("out",)) as pool_one:
+    def test_simulate_independent_of_n_jobs(self, generated_view, seed_set, low_split_floor):
+        with SamplingPool(n_jobs=1) as pool_one:
             one = pool_one.simulate(generated_view, seed_set, 500, 42)
-        with SamplingPool(generated_view, n_jobs=2, directions=("out",)) as pool_two:
+        with SamplingPool(n_jobs=2) as pool_two:
             two = pool_two.simulate(generated_view, seed_set, 500, 42)
         assert np.array_equal(one.offsets, two.offsets)
         assert np.array_equal(one.nodes, two.nodes)
@@ -224,14 +224,16 @@ class TestRegisteredBackendParity:
         assert np.array_equal(fast.nodes, in_ram.nodes)
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-    def test_through_sampling_pool_multiworker(self, generated_view, seed_set, backend):
-        # The backend name travels in the shard payload; two workers must
-        # reproduce the single-process vectorized batch bit-for-bit.
-        with SamplingPool(generated_view, n_jobs=2, directions=("out",)) as pool:
+    def test_through_sampling_pool_multiworker(
+        self, generated_view, seed_set, backend, low_split_floor
+    ):
+        # Every shard runs the named backend; two threads must reproduce
+        # the single-call vectorized batch bit-for-bit.
+        with SamplingPool(n_jobs=2) as pool:
             sharded = pool.simulate(
                 generated_view, seed_set, 300, 42, backend=backend
             )
-        with SamplingPool(generated_view, n_jobs=1, directions=("out",)) as pool:
+        with SamplingPool(n_jobs=1) as pool:
             local = pool.simulate(
                 generated_view, seed_set, 300, 42, backend="vectorized"
             )

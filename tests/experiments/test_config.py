@@ -74,11 +74,12 @@ class TestEngineParameters:
 class TestSamplingJobs:
     """The no-nested-pool policy never changes which RR stream sessions sample."""
 
-    def test_unset_n_jobs_is_never_forced(self, monkeypatch):
+    def test_eval_workers_force_one_thread_even_unset(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_EVAL_JOBS", raising=False)
-        for eval_jobs in (None, 1, 2):
+        for eval_jobs in (None, 1):
             assert EngineParameters(eval_jobs=eval_jobs).sampling_jobs() is None
+        assert EngineParameters(eval_jobs=2).sampling_jobs() == 1
 
     def test_set_n_jobs_becomes_one_only_under_eval_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)

@@ -34,7 +34,6 @@ from repro.experiments.ablations import (
 from repro.experiments.config import EngineParameters
 from repro.experiments.journal import ResultJournal
 from repro.parallel.eval_pool import EvaluationPool
-from repro.parallel.pool import SamplingPool
 
 
 #: A deliberately tiny scale so every driver runs in a couple of seconds.
@@ -251,6 +250,5 @@ class TestOneEvaluationStream:
             raise AssertionError("the default evaluation path started a worker pool")
 
         monkeypatch.setattr(EvaluationPool, "_ensure_workers", refuse)
-        monkeypatch.setattr(SamplingPool, "_ensure_workers", refuse)
         sweep = sweep_target_sizes("nethept", "degree", TINY, random_state=0)
         assert sorted(sweep) == [3, 5]

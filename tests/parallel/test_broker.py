@@ -1,4 +1,4 @@
-"""Shared-memory broker: publish/attach round-trips, view parity, cleanup."""
+"""Shared-memory broker: publish/attach round-trips, engine parity, cleanup."""
 
 from __future__ import annotations
 
@@ -10,13 +10,8 @@ import pytest
 from repro.graphs import generators
 from repro.graphs.residual import ResidualGraph
 from repro.graphs.weighting import weighted_cascade
-from repro.parallel.broker import (
-    SharedGraphBroker,
-    SharedResidualView,
-    attach_shared_graph,
-)
+from repro.parallel.broker import SharedGraphBroker, attach_shared_graph
 from repro.sampling.engine import generate_rr_batch
-from repro.utils.exceptions import ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -28,68 +23,39 @@ def published_graph():
 class TestPublishAttach:
     def test_attached_arrays_match_source(self, published_graph):
         with SharedGraphBroker(published_graph) as broker:
-            graph, mask, handles = attach_shared_graph(broker.spec)
+            graph, handles = attach_shared_graph(broker.spec)
             try:
-                in_offsets, in_sources, in_probs = published_graph.in_csr()
-                att_offsets, att_sources, att_probs = graph.in_csr()
-                assert np.array_equal(att_offsets, in_offsets)
-                assert np.array_equal(att_sources, in_sources)
-                assert np.array_equal(att_probs, in_probs)
+                for attached, source in (
+                    (graph.in_csr(), published_graph.in_csr()),
+                    (graph.out_csr(), published_graph.out_csr()),
+                ):
+                    for a, b in zip(attached, source):
+                        assert np.array_equal(a, b)
                 assert graph.n == published_graph.n
                 assert graph.m == published_graph.m
-                assert mask.dtype == bool and mask.all()
+                assert graph.name == published_graph.name
             finally:
-                del graph, mask
+                del graph
                 for handle in handles:
                     handle.close()
 
-    def test_mask_updates_visible_to_attachment(self, published_graph):
+    def test_attached_graph_samples_like_the_source(self, published_graph):
+        """The resurrected graph is indistinguishable to the engine."""
+        real_view = ResidualGraph(published_graph).without(range(30))
         with SharedGraphBroker(published_graph) as broker:
-            graph, mask, handles = attach_shared_graph(broker.spec)
+            graph, handles = attach_shared_graph(broker.spec)
             try:
-                new_mask = np.ones(published_graph.n, dtype=bool)
-                new_mask[:40] = False
-                broker.set_mask(new_mask)
-                assert not mask[:40].any() and mask[40:].all()
+                shared_view = ResidualGraph(graph).without(range(30))
+                for backend in ("vectorized", "python"):
+                    expected = generate_rr_batch(real_view, 150, 13, backend=backend)
+                    actual = generate_rr_batch(shared_view, 150, 13, backend=backend)
+                    assert np.array_equal(expected.offsets, actual.offsets)
+                    assert np.array_equal(expected.nodes, actual.nodes)
+                    assert expected.num_active_nodes == actual.num_active_nodes
             finally:
-                del graph, mask
+                del graph, shared_view
                 for handle in handles:
                     handle.close()
-
-    def test_direction_aware_publication(self, published_graph):
-        from repro.utils.exceptions import ValidationError as VE
-
-        with SharedGraphBroker(published_graph, directions=("in",)) as broker:
-            assert "out_offsets" not in broker.spec.arrays
-            graph, mask, handles = attach_shared_graph(broker.spec)
-            try:
-                graph.in_csr()  # available
-                with pytest.raises(VE):
-                    graph.out_csr()
-                with pytest.raises(VE):
-                    graph.out_neighbors(0)
-            finally:
-                del graph, mask
-                for handle in handles:
-                    handle.close()
-        with SharedGraphBroker(published_graph, directions=("out",)) as broker:
-            assert "in_offsets" not in broker.spec.arrays
-            graph, mask, handles = attach_shared_graph(broker.spec)
-            try:
-                graph.out_csr()
-                with pytest.raises(VE):
-                    graph.in_csr()
-            finally:
-                del graph, mask
-                for handle in handles:
-                    handle.close()
-        with pytest.raises(VE):
-            SharedGraphBroker(published_graph, directions=("sideways",))
-
-    def test_set_mask_validates_shape(self, published_graph):
-        with SharedGraphBroker(published_graph) as broker:
-            with pytest.raises(ValidationError):
-                broker.set_mask(np.ones(3, dtype=bool))
 
     def test_close_unlinks_segments(self, published_graph):
         broker = SharedGraphBroker(published_graph)
@@ -100,60 +66,14 @@ class TestPublishAttach:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
         broker.close()  # idempotent
-        with pytest.raises(ValidationError):
-            broker.set_mask(np.ones(published_graph.n, dtype=bool))
+        assert broker.closed
 
     def test_finalizer_unlinks_on_gc(self, published_graph):
         broker = SharedGraphBroker(published_graph)
         name = broker.spec.arrays["in_offsets"].name
-        broker._views = {}
         del broker
         import gc
 
         gc.collect()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
-
-
-class TestSharedResidualView:
-    def test_engine_parity_with_real_residual_graph(self, published_graph):
-        """The duck-typed view must be indistinguishable to the engine."""
-        real_view = ResidualGraph(published_graph).without(range(30))
-        with SharedGraphBroker(published_graph) as broker:
-            broker.set_mask(real_view.active_mask)
-            graph, mask, handles = attach_shared_graph(broker.spec)
-            try:
-                shared_view = SharedResidualView(graph, mask)
-                assert shared_view.num_active == real_view.num_active
-                assert np.array_equal(
-                    shared_view.active_nodes(), real_view.active_nodes()
-                )
-                assert not shared_view.is_active(0)
-                assert shared_view.is_active(40)
-                for backend in ("vectorized", "python"):
-                    expected = generate_rr_batch(real_view, 150, 13, backend=backend)
-                    actual = generate_rr_batch(shared_view, 150, 13, backend=backend)
-                    assert np.array_equal(expected.offsets, actual.offsets)
-                    assert np.array_equal(expected.nodes, actual.nodes)
-                    assert expected.num_active_nodes == actual.num_active_nodes
-            finally:
-                del graph, mask, shared_view
-                for handle in handles:
-                    handle.close()
-
-    def test_in_neighbors_filters_by_mask(self, published_graph):
-        real_view = ResidualGraph(published_graph).without(range(30))
-        with SharedGraphBroker(published_graph) as broker:
-            broker.set_mask(real_view.active_mask)
-            graph, mask, handles = attach_shared_graph(broker.spec)
-            try:
-                shared_view = SharedResidualView(graph, mask)
-                for node in (35, 100, 249):
-                    expected_sources, expected_probs, _ = real_view.in_neighbors(node)
-                    sources, probs, _ = shared_view.in_neighbors(node)
-                    assert np.array_equal(sources, expected_sources)
-                    assert np.array_equal(probs, expected_probs)
-            finally:
-                del graph, mask, shared_view
-                for handle in handles:
-                    handle.close()

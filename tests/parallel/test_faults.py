@@ -1,7 +1,8 @@
 """Chaos tests: injected faults must change wall-clock only, never bytes.
 
 This is the fault-injection harness exercising the full supervision
-ladder of :mod:`repro.parallel.supervisor` end to end:
+ladder of :mod:`repro.parallel.supervisor` end to end on the evaluation
+pool:
 
 * a **killed** worker breaks the executor → pool rebuild + replay of the
   incomplete tasks;
@@ -11,7 +12,7 @@ ladder of :mod:`repro.parallel.supervisor` end to end:
 
 In every case the assertion is the same one the determinism contract
 makes possible: the chaos run's output is bit-for-bit what a
-failure-free ``n_jobs=1`` run produces.  The janitor tests pin the
+failure-free ``eval_jobs=1`` run produces.  The janitor tests pin the
 shared-memory hygiene the ladder depends on (tagged names, exit hooks,
 orphan sweeps), and the resume tests interrupt a journaled sweep and
 check ``--resume`` reproduces the uninterrupted artifacts exactly.
@@ -41,7 +42,8 @@ from repro.experiments.sensitivity import epsilon_sensitivity
 from repro.graphs import generators
 from repro.graphs.datasets import load_proxy
 from repro.graphs.weighting import weighted_cascade
-from repro.parallel import SamplingPool, janitor, parallel_generate_rr_batch
+from repro.parallel import janitor
+from repro.parallel.broker import SharedGraphBroker
 from repro.parallel.eval_pool import (
     EvaluationPool,
     RealizationTicket,
@@ -98,34 +100,36 @@ class TestParseFaultSpec:
         assert parse_fault_spec("  ,  ") == []
 
     def test_single_rules(self):
-        assert parse_fault_spec("kill:sampling:2") == [
-            FaultRule(kind="kill", tier="sampling", nth=2)
+        assert parse_fault_spec("kill:eval:2") == [
+            FaultRule(kind="kill", tier="eval", nth=2)
         ]
         assert parse_fault_spec("poison:eval:0") == [
             FaultRule(kind="poison", tier="eval", nth=0)
         ]
-        assert parse_fault_spec("delay:sampling:1:0.5") == [
-            FaultRule(kind="delay", tier="sampling", nth=1, seconds=0.5)
+        assert parse_fault_spec("delay:eval:1:0.5") == [
+            FaultRule(kind="delay", tier="eval", nth=1, seconds=0.5)
         ]
 
     def test_comma_separated_rules_and_case(self):
-        rules = parse_fault_spec("KILL:Sampling:0, poison:eval:3")
-        assert [r.kind for r in rules] == ["kill", "poison"]
-        assert [r.tier for r in rules] == ["sampling", "eval"]
+        rules = parse_fault_spec("KILL:Eval:0, reject:service:3")
+        assert [r.kind for r in rules] == ["kill", "reject"]
+        assert [r.tier for r in rules] == ["eval", "service"]
 
     @pytest.mark.parametrize(
         "spec",
         [
-            "kill:sampling",  # too few fields
-            "kill:sampling:1:2:3",  # too many fields
-            "explode:sampling:0",  # unknown kind
+            "kill:eval",  # too few fields
+            "kill:eval:1:2:3",  # too many fields
+            "explode:eval:0",  # unknown kind
             "kill:gpu:0",  # unknown tier
-            "kill:sampling:two",  # non-integer ordinal
-            "kill:sampling:-1",  # negative ordinal
-            "delay:sampling:0",  # delay without a duration
-            "delay:sampling:0:soon",  # non-numeric duration
-            "delay:sampling:0:-1",  # negative duration
-            "kill:sampling:0:1.0",  # only delay takes a 4th field
+            "kill:sampling:0",  # sampling runs on threads: no worker tier
+            "killpool:service:0",  # no worker pool under the service
+            "kill:eval:two",  # non-integer ordinal
+            "kill:eval:-1",  # negative ordinal
+            "delay:eval:0",  # delay without a duration
+            "delay:eval:0:soon",  # non-numeric duration
+            "delay:eval:0:-1",  # negative duration
+            "kill:eval:0:1.0",  # only delay takes a 4th field
         ],
     )
     def test_malformed_specs_rejected(self, spec):
@@ -135,19 +139,19 @@ class TestParseFaultSpec:
 
 class TestFaultPlan:
     def test_take_matches_submission_ordinal(self):
-        plan = FaultPlan.from_spec("kill:sampling:1")
+        plan = FaultPlan.from_spec("kill:eval:1")
         assert plan.armed
-        assert plan.take("sampling") is None  # submission #0
-        rule = plan.take("sampling")  # submission #1
-        assert rule == FaultRule(kind="kill", tier="sampling", nth=1)
+        assert plan.take("eval") is None  # submission #0
+        rule = plan.take("eval")  # submission #1
+        assert rule == FaultRule(kind="kill", tier="eval", nth=1)
         assert not plan.armed
-        assert plan.take("sampling") is None  # rules fire exactly once
+        assert plan.take("eval") is None  # rules fire exactly once
 
     def test_counters_are_per_tier(self):
         plan = FaultPlan.from_spec("poison:eval:0")
-        # Sampling submissions must not advance the eval counter.
-        assert plan.take("sampling") is None
-        assert plan.take("sampling") is None
+        # Service submissions must not advance the eval counter.
+        assert plan.take("service") is None
+        assert plan.take("service") is None
         assert plan.take("eval") == FaultRule(kind="poison", tier="eval", nth=0)
 
     def test_from_env(self, monkeypatch):
@@ -165,102 +169,7 @@ class TestFaultPlan:
             perform_fault(FaultRule(kind="poison", tier="eval", nth=0))
 
     def test_perform_fault_delay_returns(self):
-        perform_fault(FaultRule(kind="delay", tier="sampling", nth=0, seconds=0.0))
-
-
-# --------------------------------------------------------------------- #
-# sampling tier chaos
-# --------------------------------------------------------------------- #
-
-
-def _assert_batches_equal(serial, chaotic):
-    assert np.array_equal(serial.offsets, chaotic.offsets)
-    assert np.array_equal(serial.nodes, chaotic.nodes)
-    assert serial.num_active_nodes == chaotic.num_active_nodes
-
-
-class TestSamplingChaos:
-    def test_killed_shard_worker_rebuilds_and_matches(self, graph):
-        serial = parallel_generate_rr_batch(graph, 200, 7, n_jobs=1)
-        plan = FaultPlan.from_spec("kill:sampling:1")
-        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
-            chaotic = pool.generate(graph, 200, 7)
-            _assert_batches_equal(serial, chaotic)
-            assert not plan.armed
-            # The rebuilt pool keeps working (and stays deterministic).
-            again = pool.generate(graph, 200, 7)
-            _assert_batches_equal(serial, again)
-
-    def test_two_kills_in_one_wave_rebuild_and_match(self, graph):
-        # Both workers die in the same round (every worker gone at once):
-        # one rebuild must replay every incomplete shard, in order.
-        serial = parallel_generate_rr_batch(graph, 200, 13, n_jobs=1)
-        plan = FaultPlan.from_spec("kill:sampling:0,kill:sampling:1")
-        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
-            chaotic = pool.generate(graph, 200, 13)
-            _assert_batches_equal(serial, chaotic)
-            assert pool.supervision_stats.rebuilds >= 1
-            # The rebuilt pool keeps working deterministically.
-            _assert_batches_equal(serial, pool.generate(graph, 200, 13))
-        assert not plan.armed
-
-    def test_kill_during_rebuild_degrades_and_matches(self, graph):
-        # The second kill lands on a *replayed* submission — the pool
-        # breaks again mid-recovery, and the ladder's last rung (degrade
-        # everything incomplete in-process) still produces exact bytes.
-        serial = parallel_generate_rr_batch(graph, 200, 17, n_jobs=1)
-        plan = FaultPlan.from_spec("kill:sampling:0,kill:sampling:4")
-        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
-            chaotic = pool.generate(graph, 200, 17)
-            _assert_batches_equal(serial, chaotic)
-            stats = pool.supervision_stats
-            assert stats.rebuilds >= 1
-        assert not plan.armed
-
-    def test_supervision_stats_accumulate_across_rounds(self, graph):
-        plan = FaultPlan.from_spec("kill:sampling:0,kill:sampling:6")
-        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
-            pool.generate(graph, 200, 19)
-            first = dataclasses.replace(pool.supervision_stats)
-            pool.generate(graph, 200, 23)
-            second = pool.supervision_stats
-            assert second.rebuilds >= first.rebuilds
-            assert second.as_dict()["rebuilds"] == second.rebuilds
-
-    def test_poisoned_shard_retries_clean_and_matches(self, graph):
-        serial = parallel_generate_rr_batch(graph, 200, 3, n_jobs=1)
-        plan = FaultPlan.from_spec("poison:sampling:0")
-        with SamplingPool(graph, n_jobs=2, fault_plan=plan) as pool:
-            chaotic = pool.generate(graph, 200, 3)
-        _assert_batches_equal(serial, chaotic)
-        assert not plan.armed
-
-    def test_delayed_shard_degrades_on_timeout_and_matches(self, graph):
-        serial = parallel_generate_rr_batch(graph, 130, 5, n_jobs=1)
-        plan = FaultPlan.from_spec("delay:sampling:0:1.5")
-        with SamplingPool(
-            graph, n_jobs=2, fault_plan=plan, task_timeout=0.2
-        ) as pool:
-            chaotic = pool.generate(graph, 130, 5)
-        _assert_batches_equal(serial, chaotic)
-
-    def test_env_spec_reaches_the_pool(self, graph, monkeypatch):
-        # The CI chaos matrix sets REPRO_FAULT_SPEC ambiently; the default
-        # FaultPlan.from_env() wiring must pick it up with no explicit plan.
-        serial = parallel_generate_rr_batch(graph, 200, 11, n_jobs=1)
-        monkeypatch.setenv(FAULT_SPEC_ENV_VAR, "poison:sampling:1")
-        with SamplingPool(graph, n_jobs=2) as pool:
-            chaotic = pool.generate(graph, 200, 11)
-        _assert_batches_equal(serial, chaotic)
-
-    def test_faults_never_fire_in_process(self, graph):
-        # n_jobs=1 never submits, so the plan stays armed and results are
-        # the plain sequential ones — fault injection cannot kill the driver.
-        plan = FaultPlan.from_spec("kill:sampling:0")
-        with SamplingPool(graph, n_jobs=1, fault_plan=plan) as pool:
-            batch = pool.generate(graph, 100, 0)
-        assert len(batch) == 100
-        assert plan.armed
+        perform_fault(FaultRule(kind="delay", tier="eval", nth=0, seconds=0.0))
 
 
 # --------------------------------------------------------------------- #
@@ -357,12 +266,11 @@ _POOL_SCRIPT = textwrap.dedent(
     import time
     from repro.graphs import generators
     from repro.graphs.weighting import weighted_cascade
-    from repro.parallel import SamplingPool
+    from repro.parallel import SharedGraphBroker
 
     graph = weighted_cascade(generators.barabasi_albert(120, 2, random_state=0))
-    pool = SamplingPool(graph, n_jobs=2)
-    pool.generate(graph, 128, 0)
-    for spec in pool._broker.spec.arrays.values():
+    broker = SharedGraphBroker(graph)
+    for spec in broker.spec.arrays.values():
         print(spec.name, flush=True)
     print("READY", flush=True)
     time.sleep(120)
@@ -421,9 +329,8 @@ class TestJanitor:
         assert not janitor.pid_alive(_spawn_and_reap_pid())
 
     def test_broker_segments_carry_owner_tag(self, graph):
-        with SamplingPool(graph, n_jobs=2) as pool:
-            pool.generate(graph, 100, 0)
-            names = [spec.name for spec in pool._broker.spec.arrays.values()]
+        with SharedGraphBroker(graph) as broker:
+            names = [spec.name for spec in broker.spec.arrays.values()]
         assert names
         for name in names:
             assert janitor.owner_pid(name) == os.getpid()

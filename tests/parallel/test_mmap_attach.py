@@ -4,10 +4,9 @@ When the base graph is file-backed, the broker publishes file specs
 (path + offset) instead of copying the CSR arrays into ``/dev/shm``
 segments; workers ``np.memmap`` the same file.  The contracts under test:
 
-* the only shared-memory segment a pool over an mmap graph creates is
-  the mutable active mask;
-* pool output stays bit-for-bit invariant to the worker count, and an
-  mmap-backed pool matches a RAM-backed pool exactly;
+* a broker over an mmap graph creates no shared-memory segment;
+* sampling stays bit-for-bit invariant to the thread count, and a batch
+  drawn on an mmap-backed graph matches a RAM-backed one exactly;
 * the evaluation pool and the seeding service answer identically over
   either backing.
 """
@@ -23,7 +22,7 @@ from repro.core.targets import build_spread_calibrated_instance
 from repro.graphs.binary import load_rgx, write_rgx
 from repro.graphs.datasets import load_proxy
 from repro.parallel import janitor
-from repro.parallel.broker import SharedArraySpec, attach_shared_graph
+from repro.parallel.broker import SharedArraySpec, SharedGraphBroker, attach_shared_graph
 from repro.parallel.eval_pool import (
     EvaluationPool,
     RealizationTicket,
@@ -62,24 +61,15 @@ def _batch_equal(a, b):
 
 
 class TestSamplingPool:
-    def test_mask_is_the_only_segment(self, mmap_graph):
+    def test_no_segment_for_an_mmap_graph(self, mmap_graph):
         before = set(janitor.list_library_segments())
-        with SamplingPool(mmap_graph, n_jobs=2) as pool:
-            pool.generate(mmap_graph, 100, 0)
-            specs = pool._broker.spec.arrays
-            created = set(janitor.list_library_segments()) - before
-            # every CSR array rides the .rgx file; only the mask is shm
-            file_backed = [k for k, s in specs.items() if s.path is not None]
-            segment_backed = [k for k, s in specs.items() if s.path is None]
-            assert segment_backed == ["active_mask"]
-            assert set(file_backed) == set(specs) - {"active_mask"}
-            assert len(created) == 1
-        assert set(janitor.list_library_segments()) == before
+        with SharedGraphBroker(mmap_graph) as broker:
+            # every CSR array rides the .rgx file
+            assert all(s.path is not None for s in broker.spec.arrays.values())
+            assert set(janitor.list_library_segments()) == before
 
-    def test_one_vs_many_workers_bit_for_bit(self, ram_graph, mmap_graph):
-        with SamplingPool(ram_graph, n_jobs=1) as one, SamplingPool(
-            mmap_graph, n_jobs=3
-        ) as many:
+    def test_one_vs_many_workers_bit_for_bit(self, ram_graph, mmap_graph, low_split_floor):
+        with SamplingPool(n_jobs=1) as one, SamplingPool(n_jobs=3) as many:
             for seed in (0, 17):
                 assert _batch_equal(
                     one.generate(ram_graph, 300, seed),
@@ -87,12 +77,10 @@ class TestSamplingPool:
                 )
 
     def test_file_specs_point_at_the_rgx(self, mmap_graph, rgx_path):
-        with SamplingPool(mmap_graph, n_jobs=2) as pool:
-            pool.generate(mmap_graph, 200, 0)
-            for key, spec in pool._broker.spec.arrays.items():
-                if spec.path is not None:
-                    assert spec.path == str(rgx_path.resolve()), key
-                    assert spec.offset >= 64
+        with SharedGraphBroker(mmap_graph) as broker:
+            for key, spec in broker.spec.arrays.items():
+                assert spec.path == str(rgx_path.resolve()), key
+                assert spec.offset >= 64
 
     def test_attach_of_deleted_backing_file(self, mmap_graph, tmp_path):
         copy = tmp_path / "gone.rgx"

@@ -1,33 +1,46 @@
-"""SamplingPool: n_jobs invariance, lifecycle, knob resolution, wiring.
+"""SamplingPool: thread-count invariance, lifecycle, knob resolution, wiring.
 
-The central assertion is that for a shared seed the pool produces
-bit-for-bit the same RR batches at ``n_jobs=2+`` as the in-process
-``n_jobs=1`` path, and both the batch a plain ``generate_rr_batch`` call
-draws: RR sampling does not depend on ``n_jobs`` (None ≡ 1 ≡ N).
+The central assertion is that the pool returns bit-for-bit the batch a
+plain ``generate_rr_batch`` / ``simulate_ic_batch`` call draws, at every
+thread count: RR and cascade sampling does not depend on ``n_jobs``.
+Test-sized batches sit below :data:`~repro.parallel.pool.MIN_SPLIT`, so
+the ``low_split_floor`` fixture lowers it to run the threaded path.
 """
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
+import sys
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro.graphs import generators
-from repro.graphs.residual import ResidualGraph
-from repro.graphs.weighting import weighted_cascade
-from repro.parallel import (
-    SamplingPool,
-    parallel_generate_rr_batch,
-    resolve_jobs,
-)
+from repro import kernels
+from repro.core.estimation import FrontRearEstimator
 from repro.core.hatp import HATP
 from repro.core.session import AdaptiveSession
+from repro.core.targets import build_spread_calibrated_instance
+from repro.diffusion.mc_engine import simulate_ic_batch
 from repro.diffusion.realization import Realization
-from repro.parallel.pool import JOBS_ENV_VAR, available_cpus
+from repro.experiments.config import EngineParameters
+from repro.experiments.runner import _make_hatp
+from repro.graphs import generators
+from repro.graphs.datasets import load_proxy
+from repro.graphs.residual import ResidualGraph
+from repro.graphs.weighting import weighted_cascade
+from repro.parallel import SamplingPool, resolve_jobs
+from repro.parallel.eval_pool import (
+    EvaluationPool,
+    RealizationTicket,
+    parallel_evaluate_adaptive,
+)
+from repro.parallel.pool import JOBS_ENV_VAR, MIN_SPLIT, available_cpus
 from repro.sampling.engine import generate_rr_batch
 from repro.sampling.flat_collection import FlatRRCollection
 from repro.utils.exceptions import ValidationError
+
+BACKENDS = kernels.available_backends()
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +55,20 @@ def view(graph):
     return ResidualGraph(graph).without(range(60))
 
 
-@pytest.fixture(scope="module")
-def worker_pool(graph):
-    """One persistent dual-workload 2-worker pool shared by the
-    differential tests (worker start-up is the expensive part on CI
-    machines); publishes both CSR directions so the forward-simulate
-    tests can reuse it."""
-    with SamplingPool(graph, n_jobs=2, directions=("in", "out")) as pool:
+@pytest.fixture
+def worker_pool(low_split_floor):
+    """A two-thread pool that splits every batch of 64+ items."""
+    with SamplingPool(n_jobs=2) as pool:
         yield pool
+
+
+def _same_batch(a, b):
+    assert a.offsets.tobytes() == b.offsets.tobytes()
+    assert a.nodes.tobytes() == b.nodes.tobytes()
+
+
+def _sampling_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-sampling")]
 
 
 class TestResolveJobs:
@@ -58,9 +77,9 @@ class TestResolveJobs:
         assert resolve_jobs(4) == 4
         assert resolve_jobs(-1) == available_cpus()
 
-    def test_none_without_env_is_none(self, monkeypatch):
+    def test_none_without_env_is_all_cores(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-        assert resolve_jobs(None) is None
+        assert resolve_jobs(None) == available_cpus()
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "3")
@@ -78,34 +97,69 @@ class TestResolveJobs:
             resolve_jobs(None)
 
 
+class TestShards:
+    def test_below_the_floor_or_on_one_thread_one_shard(self):
+        assert SamplingPool(4).shards(MIN_SPLIT - 1) == [(0, MIN_SPLIT - 1)]
+        assert SamplingPool(1).shards(10 * MIN_SPLIT) == [(0, 10 * MIN_SPLIT)]
+
+    @pytest.mark.parametrize("n_jobs", [2, 3, 4])
+    def test_one_contiguous_shard_per_thread(self, n_jobs):
+        count = MIN_SPLIT + 5
+        shards = SamplingPool(n_jobs).shards(count)
+        assert len(shards) == n_jobs
+        assert shards[0][0] == 0 and shards[-1][1] == count
+        assert all(a[1] == b[0] for a, b in zip(shards, shards[1:]))
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("seed", [0, 7, 2020])
     def test_pool_matches_in_process_bit_for_bit(self, view, worker_pool, seed):
-        serial = parallel_generate_rr_batch(view, 250, seed, n_jobs=1)
-        parallel = worker_pool.generate(view, 250, seed)
-        assert np.array_equal(serial.offsets, parallel.offsets)
-        assert np.array_equal(serial.nodes, parallel.nodes)
-        assert serial.num_active_nodes == parallel.num_active_nodes
+        _same_batch(generate_rr_batch(view, 250, seed), worker_pool.generate(view, 250, seed))
 
-    @pytest.mark.parametrize("seed", [0, 2020])
-    def test_batches_do_not_depend_on_the_worker_count(self, view, worker_pool, seed):
-        plain = generate_rr_batch(view, 300, seed)
-        with SamplingPool(view, n_jobs=1) as single:
-            one = single.generate(view, 300, seed)
-        two = worker_pool.generate(view, 300, seed)
-        for batch in (one, two):
-            assert batch.offsets.tobytes() == plain.offsets.tobytes()
-            assert batch.nodes.tobytes() == plain.nodes.tobytes()
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_generate_is_independent_of_the_thread_count(
+        self, view, low_split_floor, backend, n_jobs
+    ):
+        stop = np.zeros(view.n, dtype=bool)
+        stop[view.active_nodes()[::9]] = True
+        roots = view.active_nodes()[:260]
+        plain = generate_rr_batch(
+            view, 260, key=2**63 + 5, start=40, stop=stop, roots=roots, backend="python"
+        )
+        with SamplingPool(n_jobs) as pool:
+            sharded = pool.generate(
+                view, 260, key=2**63 + 5, start=40, stop=stop, roots=roots, backend=backend
+            )
+            assert pool.running == (n_jobs > 1)
+        _same_batch(sharded, plain)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_simulate_is_independent_of_the_thread_count(
+        self, view, low_split_floor, backend, n_jobs
+    ):
+        rng, twin = np.random.default_rng(42), np.random.default_rng(42)
+        plain = simulate_ic_batch(view, [100, 200, 300], 260, twin, backend="python")
+        with SamplingPool(n_jobs) as pool:
+            sharded = pool.simulate(view, [100, 200, 300], 260, rng, backend=backend)
+        _same_batch(sharded, plain)
+        assert rng.random() == twin.random()
+
+    def test_batches_at_the_shipped_floor_split_identically(self, view):
+        with SamplingPool(2) as pool:
+            sharded = pool.generate(view, MIN_SPLIT, 3)
+            assert pool.running
+        _same_batch(sharded, generate_rr_batch(view, MIN_SPLIT, 3))
 
     def test_stop_truncated_keyed_shards_match_one_call(self, view, worker_pool):
         stop = np.zeros(view.n, dtype=bool)
         stop[view.active_nodes()[::9]] = True
         plain = generate_rr_batch(view, 260, key=2**63 + 5, start=40, stop=stop)
         sharded = worker_pool.generate(view, 260, key=2**63 + 5, start=40, stop=stop)
-        assert plain.offsets.tobytes() == sharded.offsets.tobytes()
-        assert plain.nodes.tobytes() == sharded.nodes.tobytes()
+        _same_batch(sharded, plain)
 
-    def test_hatp_outcome_does_not_depend_on_n_jobs(self, graph, monkeypatch):
+    def test_hatp_outcome_does_not_depend_on_n_jobs(self, graph, monkeypatch, low_split_floor):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
         target = [int(v) for v in np.argsort(-graph.out_degrees)[:6]]
         costs = {node: 2.0 for node in target}
@@ -121,36 +175,30 @@ class TestDeterminism:
             ]
             return result.seeds, result.rr_sets_generated, records
 
-        assert outcome(None) == outcome(1) == outcome(2)
+        assert outcome(None) == outcome(1) == outcome(2) == outcome(3)
 
     def test_python_backend_through_pool(self, view, worker_pool):
-        serial = parallel_generate_rr_batch(
-            view, 120, 5, n_jobs=1, backend="python"
+        _same_batch(
+            worker_pool.generate(view, 120, 5, backend="python"),
+            generate_rr_batch(view, 120, 5, backend="vectorized"),
         )
-        parallel = worker_pool.generate(view, 120, 5, backend="python")
-        assert np.array_equal(serial.offsets, parallel.offsets)
-        assert np.array_equal(serial.nodes, parallel.nodes)
 
     def test_mask_changes_between_rounds(self, graph, view, worker_pool):
-        # The pool must republish the active mask per round: sample on the
-        # full graph, then on a shrunk view, then on the full graph again.
+        # One pool samples whatever view each call names: the full graph,
+        # a shrunk view, then the full graph again.
         full = worker_pool.generate(graph, 130, 3)
         shrunk_view = view.without(range(60, 150))
         shrunk = worker_pool.generate(shrunk_view, 130, 3)
         full_again = worker_pool.generate(graph, 130, 3)
         assert full.num_active_nodes == graph.n
         assert shrunk.num_active_nodes == shrunk_view.num_active
-        removed = set(range(150))
-        assert not removed.intersection(shrunk.nodes.tolist())
+        assert not set(range(150)).intersection(shrunk.nodes.tolist())
         assert np.array_equal(full.nodes, full_again.nodes)
 
     def test_explicit_roots_are_sharded(self, view, worker_pool):
         roots = view.active_nodes()[:130]
-        serial = parallel_generate_rr_batch(
-            view, 130, 1, n_jobs=1, roots=roots
-        )
         parallel = worker_pool.generate(view, 130, 1, roots=roots)
-        assert np.array_equal(serial.nodes, parallel.nodes)
+        _same_batch(parallel, generate_rr_batch(view, 130, 1, roots=roots))
         for i in range(130):
             assert int(parallel.set_at(i)[0]) == int(roots[i])
 
@@ -168,55 +216,51 @@ class TestDeterminism:
         rng_serial = np.random.default_rng(33)
         rng_pool = np.random.default_rng(33)
         for count in (100, 70):
-            serial = parallel_generate_rr_batch(
-                view, count, rng_serial, n_jobs=1
-            )
+            serial = generate_rr_batch(view, count, rng_serial)
             parallel = worker_pool.generate(view, count, rng_pool)
             assert np.array_equal(serial.nodes, parallel.nodes)
 
 
 class TestLifecycle:
-    def test_single_job_pool_never_starts_workers(self, view):
-        with SamplingPool(view, n_jobs=1) as pool:
+    def test_single_job_pool_never_starts_workers(self, view, low_split_floor):
+        with SamplingPool(n_jobs=1) as pool:
             batch = pool.generate(view, 100, 0)
             assert len(batch) == 100
             assert not pool.running
 
     def test_small_batch_runs_in_process_even_with_workers(self, graph):
-        # One-shard batches skip dispatch entirely (count <= the shard size).
-        with SamplingPool(graph, n_jobs=2) as pool:
-            batch = pool.generate(graph, 10, 0)
-            assert len(batch) == 10
+        # Batches below the floor are one call in the calling thread.
+        with SamplingPool(n_jobs=2) as pool:
+            batch = pool.generate(graph, MIN_SPLIT - 1, 0)
+            assert len(batch) == MIN_SPLIT - 1
             assert not pool.running
 
-    def test_close_is_idempotent_and_unlinks(self, graph):
-        pool = SamplingPool(graph, n_jobs=2)
+    def test_close_is_idempotent_and_joins_threads(self, graph, low_split_floor):
+        before = threading.active_count()
+        pool = SamplingPool(n_jobs=2)
         pool.generate(graph, 80, 0)
-        assert pool.running
-        names = [spec.name for spec in pool._broker.spec.arrays.values()]
+        assert pool.running and _sampling_threads()
         pool.close()
         pool.close()
         assert not pool.running
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        with pytest.raises(ValidationError):
+        assert not _sampling_threads()
+        assert threading.active_count() == before
+        with pytest.raises(ValidationError, match="closed"):
             pool.generate(graph, 10, 0)
 
     def test_count_zero_and_negative(self, graph):
-        with SamplingPool(graph, n_jobs=1) as pool:
+        with SamplingPool(n_jobs=1) as pool:
             assert len(pool.generate(graph, 0, 0)) == 0
             with pytest.raises(ValidationError):
                 pool.generate(graph, -1, 0)
 
-    def test_foreign_graph_rejected(self, graph):
+    def test_one_pool_serves_any_graph(self, graph, worker_pool):
         other = weighted_cascade(generators.barabasi_albert(50, 2, random_state=1))
-        with SamplingPool(graph, n_jobs=1) as pool:
-            with pytest.raises(ValidationError):
-                pool.generate(other, 10, 0)
+        for g in (graph, other, graph):
+            _same_batch(worker_pool.generate(g, 100, 4), generate_rr_batch(g, 100, 4))
 
     def test_worker_error_propagates(self, view, worker_pool):
-        # Invalid explicit roots fail inside the worker; the pool must
+        # Invalid explicit roots fail on a pool thread; the pool must
         # surface the ValidationError and stay usable afterwards.
         bad_roots = np.full(130, view.n + 5, dtype=np.int64)
         with pytest.raises(ValidationError):
@@ -233,53 +277,32 @@ class TestLifecycle:
 
 
 class TestForwardSimulate:
-    """The forward-MC twin of generate: same shard/seed determinism contract."""
+    """The forward-MC twin of generate: the same thread-count contract."""
 
     def test_pool_matches_in_process_bit_for_bit(self, view, worker_pool):
         seeds = [100, 200, 300]
-        with SamplingPool(
-            view, n_jobs=1, directions=("out",)
-        ) as serial:
-            expected = serial.simulate(view, seeds, 400, 7)
+        expected = simulate_ic_batch(view, seeds, 400, 7)
         actual = worker_pool.simulate(view, seeds, 400, 7)
-        assert np.array_equal(expected.offsets, actual.offsets)
-        assert np.array_equal(expected.nodes, actual.nodes)
+        _same_batch(expected, actual)
 
     def test_python_backend_through_pool(self, view, worker_pool):
         seeds = [100, 200]
         fast = worker_pool.simulate(view, seeds, 150, 5, backend="vectorized")
         reference = worker_pool.simulate(view, seeds, 150, 5, backend="python")
-        assert np.array_equal(fast.offsets, reference.offsets)
-        assert np.array_equal(fast.nodes, reference.nodes)
+        _same_batch(fast, reference)
 
     def test_residual_mask_respected_in_workers(self, graph, worker_pool):
-        # Seeds inactive in the view must activate nothing, even when the
-        # simulation runs against the shared-memory mask in a worker.
+        # Seeds inactive in the view must activate nothing, on any thread.
         view = ResidualGraph(graph).without(range(200))
         batch = worker_pool.simulate(view, [10, 50], 130, 3)
         assert batch.total_spread() == 0
 
-    def test_count_zero_and_foreign_graph(self, graph, view, worker_pool):
+    def test_count_zero(self, view, worker_pool):
         assert len(worker_pool.simulate(view, [100], 0, 0)) == 0
-        other = weighted_cascade(generators.barabasi_albert(50, 2, random_state=1))
-        with pytest.raises(ValidationError):
-            worker_pool.simulate(other, [0], 10, 0)
-
-    def test_single_direction_pools_reject_other_workload(self, graph):
-        # RR-only pools never publish (or pay for) the outgoing CSR, and
-        # the direction mismatch is a loud error rather than a worker crash.
-        with SamplingPool(graph, n_jobs=1, directions=("in",)) as rr_only:
-            rr_only.generate(graph, 10, 0)
-            with pytest.raises(ValidationError):
-                rr_only.simulate(graph, [0], 10, 0)
-        with SamplingPool(graph, n_jobs=1, directions=("out",)) as mc_only:
-            mc_only.simulate(graph, [0], 10, 0)
-            with pytest.raises(ValidationError):
-                mc_only.generate(graph, 10, 0)
 
 
 class TestOracleIntegration:
-    def test_ris_oracle_holds_one_pool_per_graph(self, graph):
+    def test_ris_oracle_holds_one_pool(self, graph):
         from repro.core.oracle import RISSpreadOracle
 
         other = weighted_cascade(generators.barabasi_albert(80, 2, random_state=3))
@@ -287,8 +310,99 @@ class TestOracleIntegration:
             spread = oracle.expected_spread(graph, [100])
             first_pool = oracle._pool
             oracle.marginal_spread(graph, 101, [100])
-            assert oracle._pool is first_pool  # reused, not rebuilt per query
             oracle.expected_spread(other, [0])
-            assert oracle._pool is not first_pool  # new base graph, new pool
+            assert oracle._pool is first_pool  # one pool, whatever the graph
             assert spread >= 0.0
         assert oracle._pool is None
+
+
+class TestThreadStress:
+    def test_many_threads_and_a_short_switch_interval(self, low_split_floor):
+        """Eight threads on fresh graphs: every lazily cached array (coin
+        thresholds, active-node lists) is first built by racing shards,
+        and every batch and round still equals the one-thread result."""
+
+        def fresh_view():
+            graph = weighted_cascade(generators.barabasi_albert(300, 3, random_state=5))
+            return ResidualGraph(graph).without(range(20))
+
+        def rounds(view, pool):
+            estimator = FrontRearEstimator(
+                view, 25, [25, 30], range(20, 60), np.random.default_rng(8), pool=pool
+            )
+            return [estimator.estimates(theta) for theta in (300, 700)]
+
+        reference_view = fresh_view()
+        expected_batch = generate_rr_batch(reference_view, 900, key=99, start=3)
+        with SamplingPool(1) as one:
+            expected_rounds = rounds(reference_view, one)
+        results = []
+
+        def work():
+            with SamplingPool(8) as pool:
+                for _ in range(4):
+                    view = fresh_view()
+                    results.append(
+                        (pool.generate(view, 900, key=99, start=3), rounds(fresh_view(), pool))
+                    )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=work, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert len(results) == 4
+        for batch, got_rounds in results:
+            _same_batch(batch, expected_batch)
+            assert got_rounds == expected_rounds
+        assert not _sampling_threads()
+
+
+class TestForkSafety:
+    def test_threaded_session_then_forked_evaluation(self, low_split_floor):
+        """No sampling thread outlives a run, so a fork inherits none."""
+        graph = load_proxy("nethept", nodes=100, random_state=7)
+        instance = build_spread_calibrated_instance(
+            graph, k=4, cost_setting="degree", num_rr_sets=300, random_state=11
+        )
+        before = threading.active_count()
+        session = AdaptiveSession(graph, Realization.sample(graph, 3), instance.costs)
+        pool_threads = []
+        original = SamplingPool.map
+
+        def watched(pool, function, items):
+            pool_threads.append(pool.n_jobs)
+            return original(pool, function, items)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SamplingPool, "map", watched)
+            HATP(instance.target, random_state=1, n_jobs=2).run(session)
+        assert pool_threads, "the session never drew a round on the threads"
+        assert threading.active_count() == before
+        assert not _sampling_threads()
+
+        engine = EngineParameters(
+            max_rounds=3, max_samples_per_round=300,
+            addatp_max_rounds=2, addatp_max_samples_per_round=100,
+        )
+        factory = partial(_make_hatp, engine, 2)
+        tickets = [
+            RealizationTicket.from_state(s) for s in np.random.default_rng(3).spawn(3)
+        ]
+        with EvaluationPool(graph, eval_jobs=2, start_method="fork") as pool:
+            forked = parallel_evaluate_adaptive(
+                factory, instance, tickets, random_state=5, pool=pool
+            )
+        alone = parallel_evaluate_adaptive(
+            factory, instance, tickets, random_state=5, eval_jobs=1
+        )
+
+        def key(records):
+            return [(r.index, r.profit, r.spread, r.num_seeds, r.rr_sets) for r in records]
+
+        assert key(forked) == key(alone)
+        assert threading.active_count() == before

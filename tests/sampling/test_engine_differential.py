@@ -172,14 +172,14 @@ class TestRegisteredBackendParity:
             )
 
     @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-    def test_through_sampling_pool_multiworker(self, generated_view, backend):
-        # The backend name travels in the shard payload; two workers must
-        # reproduce the single-process vectorized batch bit-for-bit.
+    def test_through_sampling_pool_multiworker(self, generated_view, backend, low_split_floor):
+        # Every shard runs the named backend; two threads must reproduce
+        # the single-call vectorized batch bit-for-bit.
         from repro.parallel.pool import SamplingPool
 
-        with SamplingPool(generated_view, n_jobs=2) as pool:
+        with SamplingPool(n_jobs=2) as pool:
             sharded = pool.generate(generated_view, 256, 31, backend=backend)
-        with SamplingPool(generated_view, n_jobs=1) as pool:
+        with SamplingPool(n_jobs=1) as pool:
             local = pool.generate(generated_view, 256, 31, backend="vectorized")
         assert np.array_equal(sharded.offsets, local.offsets)
         assert np.array_equal(sharded.nodes, local.nodes)

@@ -186,10 +186,10 @@ class TestConstruction:
         assert collection.sets_containing(0).size == 0
         assert collection.estimate_spread([1]) == pytest.approx(3.0)
 
-    def test_generation_routes_agree(self, graph):
+    def test_generation_routes_agree(self, graph, low_split_floor):
         plain = FlatRRCollection.generate(graph, 300, random_state=8, n_jobs=1)
         sharded = FlatRRCollection.generate(graph, 300, random_state=8, n_jobs=2)
-        with SamplingPool(graph, n_jobs=2) as pool:
+        with SamplingPool(n_jobs=2) as pool:
             pooled = FlatRRCollection.generate(graph, 300, random_state=8, pool=pool)
         for other in (sharded, pooled):
             assert np.array_equal(other.flat()[0], plain.flat()[0])

@@ -38,8 +38,8 @@ class TestStorageDtype:
         collection.extend([{1, 2}, {3}])
         assert collection.flat()[1].dtype == np.uint32
 
-    def test_dtype_stable_through_pool_merge_path(self, dtype_graph):
-        with SamplingPool(dtype_graph, n_jobs=2) as pool:
+    def test_dtype_stable_through_pool_merge_path(self, dtype_graph, low_split_floor):
+        with SamplingPool(n_jobs=2) as pool:
             collection = FlatRRCollection.generate(dtype_graph, 400, 0, pool=pool)
             assert collection.flat()[1].dtype == np.uint32
             collection.extend_generate(dtype_graph, 200, 1, pool=pool)

@@ -52,11 +52,11 @@ class TestExtensionPrefixIdentity:
                 extended.set_at(300 + index), tail.set_at(index)
             )
 
-    def test_extension_through_pool_matches_in_process(self, graph):
+    def test_extension_through_pool_matches_in_process(self, graph, low_split_floor):
         rng_pool = np.random.default_rng(5)
         rng_serial = np.random.default_rng(5)
         pooled = FlatRRCollection.generate(graph, 200, rng_pool)
-        with SamplingPool(graph, n_jobs=2) as pool:
+        with SamplingPool(n_jobs=2) as pool:
             pooled.extend_generate(graph, 150, rng_pool, pool=pool)
         serial = FlatRRCollection.generate(graph, 200, rng_serial)
         serial.extend_generate(graph, 150, rng_serial, n_jobs=1)

@@ -164,6 +164,40 @@ class TestErrorSurface:
         assert bad["error"] == "seeds: node id 999 is outside [0, 7)"
         assert good_status == 200 and good["seeds"] == [0]
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"op": "topk", "k": "x"}, "k"),
+            ({"op": "topk", "k": 2, "budget": "x"}, "budget"),
+            ({"op": "mc_spread", "seeds": [1], "simulations": "x"}, "simulations"),
+            ({"op": "spread", "seeds": [1], "samples": "x"}, "samples"),
+            ({"op": "spread", "seeds": [1], "removed": [None]}, "removed"),
+        ],
+    )
+    def test_bad_field_is_400_and_spares_its_batchmates(self, bad, field):
+        good = {"op": "spread", "seeds": [1]}
+
+        async def scenario(server, client):
+            other = ServiceClient("127.0.0.1", server.port)
+            try:
+                return await asyncio.gather(
+                    client.request("POST", "/query", bad),
+                    other.request("POST", "/query", good),
+                )
+            finally:
+                await other.aclose()
+
+        async def alone(server, client):
+            return await client.request("POST", "/query", good)
+
+        (bad_status, bad_answer), (good_status, good_answer) = asyncio.run(
+            with_server(scenario, window_ms=50.0)
+        )
+        assert bad_status == 400
+        assert bad_answer["code"] == "invalid"
+        assert bad_answer["error"].startswith(field)
+        assert (good_status, good_answer) == asyncio.run(with_server(alone))
+
     def test_cached_answer_for_an_out_of_range_node_is_not_served(self, monkeypatch):
         # An answer cached without the id check (as an older server's
         # journal restores it) must not reach the cache fast path.

@@ -250,6 +250,52 @@ class TestBadNodeIds:
         assert len(state.collection_cache) == 0  # refused before any sampling
 
 
+class TestBadFields:
+    """A ``k``, ``simulations``, ``budget``, ``samples`` or ``removed`` that
+    does not parse gets its own ``invalid`` answer, and its batchmates get
+    the answers they get alone."""
+
+    GOOD = (
+        {"op": "spread", "seeds": [1]},
+        {"op": "topk", "k": 2},
+        {"op": "mc_spread", "seeds": [0, 1], "simulations": 80},
+    )
+    BAD = [
+        ({"op": "topk", "k": "x"}, "k"),
+        ({"op": "topk", "k": [2]}, "k"),
+        ({"op": "topk", "k": 2, "budget": "x"}, "budget"),
+        ({"op": "mc_spread", "seeds": [1], "simulations": "x"}, "simulations"),
+        ({"op": "mc_spread", "seeds": [1], "simulations": float("inf")}, "simulations"),
+        ({"op": "spread", "seeds": [1], "samples": "x"}, "samples"),
+        ({"op": "spread", "seeds": [1], "samples": float("inf")}, "samples"),
+        ({"op": "spread", "seeds": [1], "removed": [None]}, "removed"),
+        ({"op": "spread", "seeds": [1], "removed": [float("inf")]}, "removed"),
+        ({"op": "marginal", "node": 2, "removed": ["x"]}, "removed"),
+    ]
+
+    @staticmethod
+    def _fresh_state():
+        s = ServiceState(num_samples=300, mc_simulations=100, seed=5)
+        s.register_graph(toy_graph(), costs=toy_costs())
+        return s
+
+    @pytest.mark.parametrize("bad, field", BAD)
+    def test_bad_field_is_answered_in_place(self, bad, field):
+        with self._fresh_state() as s:
+            answers = s.execute_batch([bad, *self.GOOD])
+        with self._fresh_state() as s:
+            alone = [s.execute_batch([good])[0] for good in self.GOOD]
+        assert answers[0]["code"] == "invalid"
+        assert answers[0]["error"].startswith(field)
+        assert answers[1:] == alone
+
+    @pytest.mark.parametrize("bad, field", BAD)
+    def test_query_raises_naming_the_field(self, state, bad, field):
+        with pytest.raises(ValidationError, match=rf"^{field}"):
+            state.query(bad)
+        assert len(state.collection_cache) == 0  # refused before any sampling
+
+
 class TestDeterminismContract:
     def test_same_seed_same_answers_across_instances(self):
         def run():
@@ -315,15 +361,14 @@ class TestMetricsAndLifecycle:
         with pytest.raises(ValidationError, match="closed"):
             s.register_graph(toy_graph())
 
-    def test_close_releases_pools(self):
+    def test_close_releases_pools(self, low_split_floor):
         graph = erdos_renyi(50, 0.08, random_state=1)
         s = ServiceState(num_samples=300, n_jobs=2)
         s.register_graph(graph)
         s.query({"op": "spread", "seeds": [0]})
-        entry = s.entry()
-        assert entry.pool is not None
+        assert s._pool.running  # the collection was split over the threads
         s.close()
-        assert entry.pool is None
+        assert not s._pool.running
 
     def test_try_cached_fast_path(self, state):
         request = {"op": "spread", "seeds": [2, 3]}
