@@ -1,51 +1,35 @@
-"""Benchmarks of the incremental sampling & coverage subsystem.
+"""Benchmark of the counter-based greedy over one RR collection.
 
-Two series, both written to ``benchmarks/output/incremental_coverage.csv``
-/ ``.json`` (machine-readable, diffable across PRs):
-
-* **HATP sample reuse** — one HATP run with ``sample_reuse=False``
-  (regenerate every refinement round, the historical path) against one
-  with ``sample_reuse=True`` (collections carried across rounds and
-  extended by only the new sets), recording total RR sets generated and
-  wall-clock.  Per-node costs are calibrated to the decision boundary
-  ``(f̂ + r̂)/2`` so iterations genuinely take multiple refinement rounds —
-  the regime the geometric-series saving is about.  Asserts the ISSUE bar:
-  the reuse path generates ≥ 1.8x fewer RR sets.
-* **Greedy selection** — counter-based ``greedy_max_coverage`` (whole-array
-  argmax over live marginal counts) against the historical per-candidate
-  rescan on the same collection, identical outputs asserted, ≥ 5x faster.
+Counter-based ``greedy_max_coverage`` (whole-array argmax over live
+marginal counts) against the historical per-candidate rescan on the same
+collection: identical picks asserted, at least 5x faster.  The series is
+written to ``benchmarks/output/incremental_coverage.csv`` / ``.json``
+(machine-readable, diffable across changes).
 
 Sizes follow ``REPRO_BENCH_SCALE`` (``smoke``: 10k nodes / θ=2k —
-CI-friendly; ``small``: 50k / 8k — the ISSUE's acceptance configuration;
-``paper``: 200k / 20k).
+CI-friendly; ``small``: 50k / 8k; ``paper``: 200k / 20k).
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, OUTPUT_DIR
 from benchmarks.test_bench_rr_engine import ENGINE_SCALES
 from tests.baselines.test_imm import rescan_greedy_reference
 from repro.baselines.imm import greedy_max_coverage
-from repro.core.hatp import HATP
-from repro.core.session import AdaptiveSession
-from repro.diffusion.realization import Realization
 from repro.experiments.reporting import write_rows_csv, write_rows_json
 from repro.graphs import generators
 from repro.graphs.weighting import weighted_cascade
 from repro.sampling.flat_collection import FlatRRCollection
 
-#: Acceptance bars (deterministic RR-set count ratio; wall-clock speedup).
-REQUIRED_RR_RATIO = 1.8
+#: Acceptance bar: wall-clock speedup over the rescan.
 REQUIRED_GREEDY_SPEEDUP = 5.0
 
-#: Target-set size / greedy picks per scale (kept modest so the rescan
-#: reference stays affordable at the larger scales).
-TARGET_SIZE = 6
+#: Greedy picks per scale (kept modest so the rescan reference stays
+#: affordable at the larger scales).
 GREEDY_K = 25
 
 _ROWS = []
@@ -62,67 +46,6 @@ def bench_graph(scale_params):
         scale_params["nodes"], 4, random_state=BENCH_SEED
     )
     return weighted_cascade(graph)
-
-
-def test_bench_hatp_sample_reuse(bench_graph, bench_scale):
-    target = [int(v) for v in np.argsort(-bench_graph.out_degrees)[:TARGET_SIZE]]
-    probe = FlatRRCollection.generate(bench_graph, 4_000, BENCH_SEED)
-    costs = {}
-    for node in target:
-        front = probe.estimate_marginal_spread(node, [])
-        rear = probe.estimate_marginal_spread(
-            node, [other for other in target if other != node]
-        )
-        costs[node] = max((front + rear) / 2.0, 0.1)
-
-    measured = {}
-    for reuse in (False, True):
-        session = AdaptiveSession(
-            bench_graph, Realization.sample(bench_graph, BENCH_SEED), costs
-        )
-        start = time.perf_counter()
-        # initial_scaled_error=256 starts the schedule coarse enough that
-        # every scale gets several geometric refinement rounds before the
-        # per-round cap — the regime the reuse saving is about (a nearly
-        # capped first round would leave nothing to amortize).
-        result = HATP(
-            target,
-            random_state=BENCH_SEED,
-            initial_scaled_error=256.0,
-            max_samples_per_round=20_000,
-            max_rounds=12,
-            sample_reuse=reuse,
-        ).run(session)
-        seconds = time.perf_counter() - start
-        measured[reuse] = (result.rr_sets_generated, seconds)
-        _ROWS.append(
-            {
-                "scale": bench_scale.name,
-                "nodes": bench_graph.n,
-                "edges": bench_graph.m,
-                "metric": "hatp_run",
-                "sample_reuse": reuse,
-                "target_size": TARGET_SIZE,
-                "rr_sets_generated": result.rr_sets_generated,
-                "seconds": seconds,
-            }
-        )
-
-    rr_ratio = measured[False][0] / max(measured[True][0], 1)
-    _ROWS.append(
-        {
-            "scale": bench_scale.name,
-            "nodes": bench_graph.n,
-            "edges": bench_graph.m,
-            "metric": "hatp_reuse_ratio",
-            "rr_sets_ratio": rr_ratio,
-            "wallclock_speedup": measured[False][1] / max(measured[True][1], 1e-12),
-        }
-    )
-    assert rr_ratio >= REQUIRED_RR_RATIO, (
-        f"sample reuse only cut RR generation {rr_ratio:.2f}x "
-        f"(regenerate={measured[False][0]}, reuse={measured[True][0]})"
-    )
 
 
 def test_bench_greedy_selection(bench_graph, scale_params, bench_scale):
@@ -163,10 +86,5 @@ def test_bench_greedy_selection(bench_graph, scale_params, bench_scale):
 def _write_series():
     yield
     if _ROWS:
-        # Metric rows carry different columns; pad to one schema for CSV.
-        fields = []
-        for row in _ROWS:
-            fields.extend(key for key in row if key not in fields)
-        padded = [{key: row.get(key, "") for key in fields} for row in _ROWS]
-        write_rows_csv(padded, OUTPUT_DIR / "incremental_coverage.csv")
-        write_rows_json(padded, OUTPUT_DIR / "incremental_coverage.json")
+        write_rows_csv(_ROWS, OUTPUT_DIR / "incremental_coverage.csv")
+        write_rows_json(_ROWS, OUTPUT_DIR / "incremental_coverage.json")

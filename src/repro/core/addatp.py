@@ -21,6 +21,13 @@ Otherwise ``ζ_i`` shrinks by ``√2`` (quadrupling... precisely doubling the
 sample size) and a new round begins.  Theorem 2 shows the expected profit is
 at least ``(Λ(π^opt) − (2k + 2)) / 3``.
 
+Every ``θ_i`` is fixed before any RR set is drawn, so a node's rounds carry
+their sets: each round draws only the ``θ_i − θ_{i−1}`` new sets per side
+and adds their counts (:func:`~repro.core.estimation.refine_until_decided`
+lets the schedule decide).  The residual graph is frozen within a
+node-iteration, so every round samples the same distribution, and the
+round-``i`` estimate is still a mean of ``θ_i`` i.i.d. sets.
+
 The pure-Python engine adds two practical budgets (``max_rounds`` and
 ``max_samples_per_round``); hitting a budget forces a best-effort decision
 (or raises, if configured), mirroring how the original C++ implementation
@@ -31,14 +38,19 @@ exactly that for ADDATP).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from repro.core.errors import AdditiveErrorSchedule, DynamicThresholdState
-from repro.core.estimation import FrontRearEstimator
-from repro.core.results import CAP_REASONS, IterationRecord, SeedingResult, stop_reason
+from repro.core.estimation import (
+    FrontRearEstimator,
+    NodeRounds,
+    RoundCaps,
+    refine_until_decided,
+)
+from repro.core.results import IterationRecord, SeedingResult, stop_counts
 from repro.core.session import AdaptiveSession
+from repro.graphs.residual import ResidualGraph
 from repro.parallel.pool import SamplingPool, resolve_jobs
-from repro.utils.exceptions import SamplingBudgetExceeded
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.timer import Timer
 from repro.utils.validation import require, require_positive
@@ -76,12 +88,6 @@ class ADDATP:
         :class:`~repro.core.hatp.HATP` (``None`` honours ``REPRO_JOBS``,
         then uses every usable core).  The run does not depend on the
         thread count.
-    sample_reuse:
-        Carry the front/rear coverage counts across refinement rounds,
-        drawing only the newly required sets and adding their counts
-        instead of regenerating (the residual graph is frozen within a
-        node-iteration, so all rounds sample the same distribution).
-        ``False`` (default) regenerates per round.
     """
 
     name = "ADDATP"
@@ -98,7 +104,6 @@ class ADDATP:
         on_budget: str = "decide",
         random_state: RandomState = None,
         n_jobs: Optional[int] = None,
-        sample_reuse: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         require(len(target) > 0, "target set must not be empty")
@@ -106,19 +111,13 @@ class ADDATP:
         require(len(set(self._target)) == len(self._target), "target set contains duplicates")
         require_positive(initial_scaled_error, "initial_scaled_error")
         require_positive(c2_threshold, "c2_threshold")
-        require_positive(max_rounds, "max_rounds")
-        require_positive(max_samples_per_round, "max_samples_per_round")
-        require(on_budget in {"decide", "raise"}, "on_budget must be 'decide' or 'raise'")
+        self._caps = RoundCaps(int(max_rounds), int(max_samples_per_round), on_budget)
         self._initial_scaled_error = float(initial_scaled_error)
         self._c2_threshold = float(c2_threshold)
         self._dynamic_threshold = bool(dynamic_threshold)
         self._dynamic_epsilon = float(dynamic_epsilon)
-        self._max_rounds = int(max_rounds)
-        self._max_samples_per_round = int(max_samples_per_round)
-        self._on_budget = on_budget
         self._rng = ensure_rng(random_state)
         self._n_jobs = resolve_jobs(n_jobs)
-        self._sample_reuse = bool(sample_reuse)
         self._backend = backend
 
     @property
@@ -132,126 +131,42 @@ class ADDATP:
 
     def run(self, session: AdaptiveSession) -> SeedingResult:
         """Execute Algorithm 3 against ``session``."""
-        pool = SamplingPool(self._n_jobs)
-        try:
-            return self._execute(session, pool)
-        finally:
-            pool.close()
-
-    def _execute(
-        self, session: AdaptiveSession, pool: SamplingPool
-    ) -> SeedingResult:
         timer = Timer().start()
-        n = max(session.graph.n, 2)
-        k = len(self._target)
-        costs = session.costs
-
         selected: List[int] = []
         candidates = set(self._target)
         iterations: List[IterationRecord] = []
-        total_rr_sets = 0
-        budget_hits = 0
         dynamic_state = DynamicThresholdState(
             epsilon=self._dynamic_epsilon, default_threshold=self._c2_threshold
         )
-
-        for node in self._target:
-            if session.is_activated(node):
-                candidates.discard(node)
-                iterations.append(IterationRecord(node=node, action="skipped-activated"))
-                continue
-
-            residual = session.residual
-            num_active = max(residual.num_active, 1)
-            cost_u = costs.get(node, 0.0)
-            threshold = (
-                dynamic_state.next_threshold()
-                if self._dynamic_threshold
-                else self._c2_threshold
-            )
-
-            zeta0 = min(max(self._initial_scaled_error / num_active, 1.0 / n), 0.999)
-            schedule = AdditiveErrorSchedule(zeta0=zeta0, delta0=1.0 / (k * n))
-            state = schedule.initial()
-
-            front_estimate = rear_estimate = 0.0
-            rounds = 0
-            rr_this_iteration = 0
-            estimator = FrontRearEstimator(
-                residual,
-                node,
-                selected,
-                candidates - {node},
-                self._rng,
-                pool=pool,
-                sample_reuse=self._sample_reuse,
-                backend=self._backend,
-            )
-            while True:
-                rounds += 1
-                requested = schedule.sample_size(state)
-                theta = min(requested, self._max_samples_per_round)
-                sample_budget_hit = requested > self._max_samples_per_round
-
-                front_spread, rear_spread, generated = estimator.estimates(theta)
-                rr_this_iteration += generated
-                front_estimate = front_spread - cost_u
-                rear_estimate = -rear_spread + cost_u
-
-                scaled_error = state.scaled_error(num_active)
-                condition_one = (
-                    abs(front_estimate - rear_estimate) >= 2.0 * scaled_error
-                    or front_estimate <= -scaled_error
-                    or rear_estimate <= -scaled_error
+        with SamplingPool(self._n_jobs) as pool:
+            for node in self._target:
+                if session.is_activated(node):
+                    candidates.discard(node)
+                    iterations.append(IterationRecord(node=node, action="skipped-activated"))
+                    continue
+                cost = session.costs.get(node, 0.0)
+                threshold = (
+                    dynamic_state.next_threshold()
+                    if self._dynamic_threshold
+                    else self._c2_threshold
                 )
-                condition_two = scaled_error <= threshold
-                round_budget_hit = rounds >= self._max_rounds
-
-                reason = stop_reason(
-                    condition_one, condition_two, sample_budget_hit, round_budget_hit
+                rounds = self._decide(
+                    session.residual, node, selected, candidates, cost, threshold, pool
                 )
-                if reason is not None:
-                    if reason in CAP_REASONS:
-                        budget_hits += 1
-                        if self._on_budget == "raise":
-                            raise SamplingBudgetExceeded(
-                                f"ADDATP hit its sampling budget on node {node} "
-                                f"(requested {requested} RR sets per collection)"
-                            )
-                    break
-                state = schedule.refine(state)
-
-            total_rr_sets += rr_this_iteration
-            profit_before = session.realized_profit
-            if front_estimate >= rear_estimate:
-                newly_activated = session.commit_seed(node)
-                selected.append(node)
-                action = "selected"
-                newly = len(newly_activated)
-            else:
-                candidates.discard(node)
-                action = "rejected"
-                newly = 0
-            iterations.append(
-                IterationRecord(
-                    node=node,
-                    action=action,
-                    front_estimate=front_estimate,
-                    rear_estimate=rear_estimate,
-                    rounds=rounds,
-                    thetas=tuple(estimator.thetas),
-                    rr_sets_generated=rr_this_iteration,
-                    newly_activated=newly,
-                    stop_reason=reason,
-                )
-            )
-            if self._dynamic_threshold:
-                dynamic_state = dynamic_state.after_iteration(
-                    profit_gained=session.realized_profit - profit_before,
-                    stopped_by_c2=reason == "C2",
-                    threshold_used=threshold,
-                )
-
+                profit_before = session.realized_profit
+                if rounds.front_spread - cost >= -rounds.rear_spread + cost:
+                    newly = len(session.commit_seed(node))
+                    selected.append(node)
+                    iterations.append(rounds.record(node, "selected", cost, newly))
+                else:
+                    candidates.discard(node)
+                    iterations.append(rounds.record(node, "rejected", cost))
+                if self._dynamic_threshold:
+                    dynamic_state = dynamic_state.after_iteration(
+                        profit_gained=session.realized_profit - profit_before,
+                        stopped_by_c2=rounds.stop_reason == "C2",
+                        threshold_used=threshold,
+                    )
         timer.stop()
         return SeedingResult(
             algorithm=self.name,
@@ -259,15 +174,50 @@ class ADDATP:
             realized_spread=session.realized_spread,
             realized_profit=session.realized_profit,
             seed_cost=session.seed_cost,
-            rr_sets_generated=total_rr_sets,
+            rr_sets_generated=sum(record.rr_sets_generated for record in iterations),
             runtime_seconds=timer.elapsed,
             iterations=iterations,
             extra={
-                "budget_hits": budget_hits,
+                "budget_hits": stop_counts(iterations)[0],
                 "dynamic_threshold": self._dynamic_threshold,
                 "initial_scaled_error": self._initial_scaled_error,
-                "sample_reuse": self._sample_reuse,
             },
+        )
+
+    def _decide(
+        self,
+        view: ResidualGraph,
+        node: int,
+        selected: List[int],
+        candidates: Set[int],
+        cost: float,
+        threshold: float,
+        pool: SamplingPool,
+    ) -> NodeRounds:
+        """Algorithm 3's rounds for ``node``, until C1, C2 (``n_i ζ_i ≤ threshold``) or a cap."""
+        n = max(view.n, 2)
+        num_active = max(view.num_active, 1)
+        schedule = AdditiveErrorSchedule(
+            zeta0=min(max(self._initial_scaled_error / num_active, 1.0 / n), 0.999),
+            delta0=1.0 / (len(self._target) * n),
+        )
+
+        def conditions(state, front_spread, rear_spread):
+            scaled_error = state.scaled_error(num_active)
+            front_estimate = front_spread - cost
+            rear_estimate = -rear_spread + cost
+            return (
+                abs(front_estimate - rear_estimate) >= 2.0 * scaled_error
+                or front_estimate <= -scaled_error
+                or rear_estimate <= -scaled_error,
+                scaled_error <= threshold,
+            )
+
+        estimator = FrontRearEstimator(
+            view, node, selected, candidates - {node}, self._rng, pool=pool, backend=self._backend
+        )
+        return refine_until_decided(
+            estimator, schedule, conditions, num_active, self._caps, self.name
         )
 
     # ------------------------------------------------------------------ #

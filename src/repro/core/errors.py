@@ -15,7 +15,10 @@ binding constraint and is halved; when the estimate is small the additive
 error is halved; otherwise both shrink by ``√2``.
 
 Both schedules are factored out here so they can be unit-tested and ablated
-independently of the seeding loops.
+independently of the seeding loops.  Each states in ``fixed_thetas``
+whether its θ sequence is fixed before any RR set is drawn: only then may
+a node's rounds carry sets from one round to the next
+(:func:`repro.core.estimation.refine_until_decided`).
 """
 
 from __future__ import annotations
@@ -53,6 +56,10 @@ class AdditiveErrorSchedule:
         ``1/(k n)``).
     """
 
+    #: ``θ_i`` depends on ``i`` alone, so the round-``i`` estimate is a mean
+    #: of ``θ_i`` i.i.d. sets even when earlier rounds' sets are kept.
+    fixed_thetas = True
+
     def __init__(self, zeta0: float, delta0: float) -> None:
         require_probability(zeta0, "zeta0")
         require_positive(delta0, "delta0")
@@ -64,8 +71,17 @@ class AdditiveErrorSchedule:
         """State of the first estimation round."""
         return AdditiveErrorState(zeta=self._zeta0, delta=self._delta0, round_index=0)
 
-    def refine(self, state: AdditiveErrorState) -> AdditiveErrorState:
-        """Tighten the error for the next round (line 19 of Algorithm 3)."""
+    def refine(
+        self,
+        state: AdditiveErrorState,
+        num_active_nodes: int = 0,
+        front_estimate: float = 0.0,
+    ) -> AdditiveErrorState:
+        """Tighten the error for the next round (line 19 of Algorithm 3).
+
+        The estimates play no part: the arguments after ``state`` exist so
+        that both schedules refine through one call.
+        """
         return AdditiveErrorState(
             zeta=state.zeta / math.sqrt(2.0),
             delta=state.delta / 2.0,
@@ -112,6 +128,12 @@ class HybridErrorSchedule:
         at least ``magnitude_ratio × n_i ζ_i`` the relative error is the
         binding one and gets halved.
     """
+
+    #: :meth:`refine` picks the next ``(ε_i, ζ_i)`` from the front estimate,
+    #: so a kept set would help choose the size of the sample it sits in
+    #: (the flaw Chen found in IMM's reuse, arXiv:1808.09363): every round
+    #: draws afresh, as Algorithm 4 does.
+    fixed_thetas = False
 
     def __init__(
         self,

@@ -23,15 +23,18 @@ does, and it holds ``u`` whenever that matters — the count is exactly the
 full batch's (``tests/sampling/test_keyed_stream.py``), at a fraction of
 the traversal.
 
-Two sampling policies share this counting:
+The schedule decides whether a node's rounds keep their sets
+(:func:`refine_until_decided`, the round loop the three algorithms share):
 
-* **regenerate** (``sample_reuse=False``, the default): each round draws
-  both batches under fresh keys;
-* **reuse** (``sample_reuse=True``): the first round draws one key per
+* **carry**, when every ``θ_i`` is fixed before any set is drawn
+  (``schedule.fixed_thetas``, ADDATP): the first round draws one key per
   side, and each later round draws only the new sets
-  ``θ_{i−1} … θ_i − 1`` of those keys and *adds* their counts.
+  ``θ_{i−1} … θ_i − 1`` of those keys and *adds* their counts;
+* **regenerate** otherwise (HATP and HNTP, whose next ``(ε_i, ζ_i)``
+  follow from the front estimate): each round draws both batches under
+  fresh keys.
 
-Both policies draw each side's sets through a
+Either way each side's sets are drawn through a
 :class:`~repro.parallel.pool.SamplingPool`: the front key first, then the
 rear key (the order of drawing the two batches one after the other), and
 a round of at least :data:`~repro.parallel.pool.MIN_SPLIT` sets per side
@@ -50,15 +53,19 @@ only after the iteration decides).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro import kernels
+from repro.core.results import CAP_REASONS, IterationRecord, stop_reason
 from repro.graphs.residual import ResidualGraph
 from repro.parallel.pool import SamplingPool
 from repro.sampling.engine import RRBatch, draw_key, flat_slice_indices, generate_rr_batch
+from repro.utils.exceptions import SamplingBudgetExceeded
 from repro.utils.rng import RandomState
+from repro.utils.validation import require, require_positive
 
 
 def conditioning_mask(n: int, conditioning: Iterable[int], node: int) -> np.ndarray:
@@ -126,14 +133,15 @@ class FrontRearEstimator:
     pool:
         The :class:`SamplingPool` whose threads draw the rounds that
         split (``None`` draws every round in the calling thread).
-    sample_reuse:
-        Select the reuse policy described in the module docstring.
     backend:
         Kernel backend name, resolved once through the registry (``None``
         honours its defaults; every registered backend samples
         bit-for-bit identical batches).
 
-    ``thetas`` lists the sample size of every round run so far.
+    ``thetas`` lists the sample size of every round run so far.  Rounds
+    regenerate unless ``_carry`` is set, which
+    :func:`refine_until_decided` does for a schedule whose θ sequence is
+    fixed before sampling (see the module docstring).
     """
 
     __slots__ = (
@@ -146,7 +154,7 @@ class FrontRearEstimator:
         "_keys",
         "_rng",
         "_pool",
-        "_reuse",
+        "_carry",
         "_backend",
         "_num_active",
         "_theta",
@@ -163,7 +171,6 @@ class FrontRearEstimator:
         rear_conditioning: Iterable[int],
         random_state: RandomState,
         pool: Optional[SamplingPool] = None,
-        sample_reuse: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         self._view = view
@@ -175,7 +182,7 @@ class FrontRearEstimator:
         self._keys: Optional[Tuple[int, int]] = None
         self._rng = random_state
         self._pool = pool if pool is not None else SamplingPool(1)
-        self._reuse = bool(sample_reuse)
+        self._carry = False
         self._backend = kernels.resolve_backend(backend)
         self._num_active = view.num_active
         self._theta = 0
@@ -197,15 +204,15 @@ class FrontRearEstimator:
 
         Returns ``(front_spread, rear_spread, rr_sets_generated)`` where
         the last entry counts only the RR sets *newly drawn* this round
-        (``2·θ`` when regenerating, ``2·(θ − θ_prev)`` when reusing).
+        (``2·θ`` when regenerating, ``2·(θ − θ_prev)`` when carrying).
         """
         self.thetas.append(int(theta))
-        if not self._reuse:
+        if not self._carry:
             self._theta = self._front_count = self._rear_count = 0
         generated = 0
         if theta > self._theta:
             extra = theta - self._theta
-            if not self._reuse or self._keys is None:
+            if not self._carry or self._keys is None:
                 front_key = draw_key(self._rng)
                 self._keys = (front_key, draw_key(self._rng))
             sides = (
@@ -227,3 +234,92 @@ class FrontRearEstimator:
         front_spread = self._front_count * self._num_active / self._theta
         rear_spread = self._rear_count * self._num_active / self._theta
         return front_spread, rear_spread, generated
+
+
+@dataclass(frozen=True)
+class RoundCaps:
+    """The engine caps on one node's rounds, and what hitting one does.
+
+    ``on_budget="decide"`` decides with the last round's estimates;
+    ``"raise"`` raises :class:`~repro.utils.exceptions.SamplingBudgetExceeded`.
+    """
+
+    max_rounds: int
+    max_samples_per_round: int
+    on_budget: str = "decide"
+
+    def __post_init__(self) -> None:
+        require_positive(self.max_rounds, "max_rounds")
+        require_positive(self.max_samples_per_round, "max_samples_per_round")
+        require(self.on_budget in {"decide", "raise"}, "on_budget must be 'decide' or 'raise'")
+
+
+#: An algorithm's stopping test: ``(state, front_spread, rear_spread) -> (C1, C2)``.
+Conditions = Callable[[Any, float, float], Tuple[bool, bool]]
+
+
+class NodeRounds(NamedTuple):
+    """How one node's refinement rounds ended (:func:`refine_until_decided`)."""
+
+    front_spread: float
+    rear_spread: float
+    thetas: Tuple[int, ...]
+    rr_sets_generated: int
+    stop_reason: str
+
+    def record(
+        self, node: int, action: str, cost: float, newly_activated: int = 0
+    ) -> IterationRecord:
+        """The node's :class:`IterationRecord`, its spreads net of ``cost``."""
+        return IterationRecord(
+            node=node,
+            action=action,
+            front_estimate=self.front_spread - cost,
+            rear_estimate=cost - self.rear_spread,
+            rounds=len(self.thetas),
+            thetas=self.thetas,
+            rr_sets_generated=self.rr_sets_generated,
+            newly_activated=newly_activated,
+            stop_reason=self.stop_reason,
+        )
+
+
+def refine_until_decided(
+    estimator: FrontRearEstimator,
+    schedule: Any,
+    conditions: Conditions,
+    num_active: int,
+    caps: RoundCaps,
+    algorithm: str,
+) -> NodeRounds:
+    """Run ``estimator``'s rounds at ``schedule``'s sizes until one stops them.
+
+    Each round takes ``θ`` from the schedule and caps it at
+    ``caps.max_samples_per_round``, estimates, and stops at the first
+    :data:`~repro.core.results.STOP_REASONS` entry that holds: the
+    algorithm's ``conditions`` (C1/C'1, C2/C'2), then the caps.  Otherwise
+    the schedule refines on the front estimate.  The estimator carries its
+    sets across rounds exactly when ``schedule.fixed_thetas``.  A cap that
+    stops the rounds raises under ``caps.on_budget == "raise"``.
+    """
+    estimator._carry = schedule.fixed_thetas
+    state = schedule.initial()
+    generated = 0
+    while True:
+        requested = schedule.sample_size(state)
+        front, rear, drawn = estimator.estimates(min(requested, caps.max_samples_per_round))
+        generated += drawn
+        reason = stop_reason(
+            *conditions(state, front, rear),
+            requested > caps.max_samples_per_round,
+            len(estimator.thetas) >= caps.max_rounds,
+        )
+        if reason is not None:
+            break
+        state = schedule.refine(state, num_active, front)
+    if reason in CAP_REASONS and caps.on_budget == "raise":
+        raise SamplingBudgetExceeded(
+            f"{algorithm} hit its sampling budget on node {estimator._node} "
+            f"(requested {requested} RR sets per collection)"
+        )
+    return NodeRounds(front, rear, tuple(estimator.thetas), generated, reason)

@@ -25,13 +25,12 @@ HATP roughly ``O(ε n)`` cheaper than ADDATP (Theorem 5 vs Theorem 3).
 
 A round keeps no collection: :class:`~repro.core.estimation.FrontRearEstimator`
 counts ``Cov_{R1}`` and ``Cov_{R2}`` straight from each freshly drawn,
-stop-truncated RR batch and drops it.  With ``sample_reuse=True`` the two
-counts and ``θ`` are kept across a node-iteration's refinement rounds,
-and each round draws only the ``θ_i − θ_{i−1}`` *new* RR sets per side
-and adds their counts (IMM-style sample carrying — the residual graph is
-frozen within a node-iteration, so all rounds sample the same
-distribution).  The default ``False`` path redraws both batches under
-fresh keys each round, as Algorithm 4 does.
+stop-truncated RR batch and drops it.  Every round redraws both batches
+under fresh keys, as Algorithm 4 does: the schedule picks the next
+``(ε_i, ζ_i)`` from the front estimate, so carrying sets into the next
+round would let them help choose the size of the sample they sit in
+(:func:`~repro.core.estimation.refine_until_decided` lets the schedule
+decide).
 
 The decision rule ``f_est + r_est ≥ 2 c(u_i)`` is algebraically the same
 test as ADG's ``ρ_f ≥ ρ_r`` written in terms of the raw spread estimates.
@@ -39,14 +38,19 @@ test as ADG's ``ρ_f ≥ ρ_r`` written in terms of the raw spread estimates.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Set
 
 from repro.core.errors import HybridErrorSchedule
-from repro.core.estimation import FrontRearEstimator
-from repro.core.results import CAP_REASONS, IterationRecord, SeedingResult, stop_reason
+from repro.core.estimation import (
+    FrontRearEstimator,
+    NodeRounds,
+    RoundCaps,
+    refine_until_decided,
+)
+from repro.core.results import IterationRecord, SeedingResult, stop_counts
 from repro.core.session import AdaptiveSession
+from repro.graphs.residual import ResidualGraph
 from repro.parallel.pool import SamplingPool, resolve_jobs
-from repro.utils.exceptions import SamplingBudgetExceeded
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.timer import Timer
 from repro.utils.validation import require, require_positive, require_probability
@@ -81,11 +85,6 @@ class HATP:
         :data:`~repro.parallel.pool.MIN_SPLIT` sets per side draws its
         front and rear shards on its threads at once.  The sampled
         batches, and so the run, do not depend on the thread count.
-    sample_reuse:
-        Carry the front/rear coverage counts across refinement rounds,
-        drawing only the newly required sets and adding their counts
-        (roughly halves the RR sets generated per iteration at a
-        geometric schedule).  ``False`` (default) regenerates per round.
     backend:
         Kernel backend for RR generation, resolved through the registry
         (``None`` honours ``REPRO_BACKEND``; all backends are
@@ -106,7 +105,6 @@ class HATP:
         on_budget: str = "decide",
         random_state: RandomState = None,
         n_jobs: Optional[int] = None,
-        sample_reuse: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         require(len(target) > 0, "target set must not be empty")
@@ -117,19 +115,13 @@ class HATP:
         require(epsilon0 >= epsilon, "epsilon0 must be >= epsilon")
         require_positive(initial_scaled_error, "initial_scaled_error")
         require_positive(additive_floor, "additive_floor")
-        require_positive(max_rounds, "max_rounds")
-        require_positive(max_samples_per_round, "max_samples_per_round")
-        require(on_budget in {"decide", "raise"}, "on_budget must be 'decide' or 'raise'")
+        self._caps = RoundCaps(int(max_rounds), int(max_samples_per_round), on_budget)
         self._epsilon = float(epsilon)
         self._epsilon0 = float(epsilon0)
         self._initial_scaled_error = float(initial_scaled_error)
         self._additive_floor = float(additive_floor)
-        self._max_rounds = int(max_rounds)
-        self._max_samples_per_round = int(max_samples_per_round)
-        self._on_budget = on_budget
         self._rng = ensure_rng(random_state)
         self._n_jobs = resolve_jobs(n_jobs)
-        self._sample_reuse = bool(sample_reuse)
         self._backend = backend
 
     # ------------------------------------------------------------------ #
@@ -145,6 +137,11 @@ class HATP:
     def epsilon(self) -> float:
         """The relative-error threshold ``ε``."""
         return self._epsilon
+
+    @property
+    def n_jobs(self) -> int:
+        """Threads of the :class:`SamplingPool` a run draws its rounds on."""
+        return self._n_jobs
 
     # ------------------------------------------------------------------ #
     # stopping condition C'1
@@ -175,113 +172,27 @@ class HATP:
 
     def run(self, session: AdaptiveSession) -> SeedingResult:
         """Execute Algorithm 4 against ``session``."""
-        pool = SamplingPool(self._n_jobs)
-        try:
-            return self._execute(session, pool)
-        finally:
-            pool.close()
-
-    def _execute(
-        self, session: AdaptiveSession, pool: SamplingPool
-    ) -> SeedingResult:
         timer = Timer().start()
-        n = max(session.graph.n, 2)
-        k = len(self._target)
-        costs = session.costs
-
         selected: List[int] = []
         candidates = set(self._target)
         iterations: List[IterationRecord] = []
-        total_rr_sets = 0
-        budget_hits = 0
-
-        for node in self._target:
-            if session.is_activated(node):
-                candidates.discard(node)
-                iterations.append(IterationRecord(node=node, action="skipped-activated"))
-                continue
-
-            residual = session.residual
-            num_active = max(residual.num_active, 1)
-            cost_u = costs.get(node, 0.0)
-
-            zeta0 = min(max(self._initial_scaled_error / num_active, 1.0 / n), 0.999)
-            schedule = HybridErrorSchedule(
-                epsilon0=self._epsilon0,
-                zeta0=zeta0,
-                delta0=1.0 / (k * n),
-                epsilon_threshold=self._epsilon,
-                additive_floor=self._additive_floor,
-            )
-            state = schedule.initial()
-
-            front_spread = rear_spread = 0.0
-            rounds = 0
-            rr_this_iteration = 0
-            estimator = FrontRearEstimator(
-                residual,
-                node,
-                selected,
-                candidates - {node},
-                self._rng,
-                pool=pool,
-                sample_reuse=self._sample_reuse,
-                backend=self._backend,
-            )
-            while True:
-                rounds += 1
-                requested = schedule.sample_size(state)
-                theta = min(requested, self._max_samples_per_round)
-                sample_budget_hit = requested > self._max_samples_per_round
-
-                front_spread, rear_spread, generated = estimator.estimates(theta)
-                rr_this_iteration += generated
-
-                scaled_error = state.scaled_error(num_active)
-                condition_one = self._condition_one(
-                    front_spread, rear_spread, scaled_error, state.epsilon, cost_u
+        with SamplingPool(self._n_jobs) as pool:
+            for node in self._target:
+                if session.is_activated(node):
+                    candidates.discard(node)
+                    iterations.append(IterationRecord(node=node, action="skipped-activated"))
+                    continue
+                cost = session.costs.get(node, 0.0)
+                rounds = self.decide(
+                    session.residual, node, selected, candidates, cost, pool, self.name
                 )
-                condition_two = schedule.is_exhausted(state, num_active)
-                round_budget_hit = rounds >= self._max_rounds
-
-                reason = stop_reason(
-                    condition_one, condition_two, sample_budget_hit, round_budget_hit
-                )
-                if reason is not None:
-                    if reason in CAP_REASONS:
-                        budget_hits += 1
-                        if self._on_budget == "raise":
-                            raise SamplingBudgetExceeded(
-                                f"HATP hit its sampling budget on node {node} "
-                                f"(requested {requested} RR sets per collection)"
-                            )
-                    break
-                state = schedule.refine(state, num_active, front_spread)
-
-            total_rr_sets += rr_this_iteration
-            if front_spread + rear_spread >= 2.0 * cost_u:
-                newly_activated = session.commit_seed(node)
-                selected.append(node)
-                action = "selected"
-                newly = len(newly_activated)
-            else:
-                candidates.discard(node)
-                action = "rejected"
-                newly = 0
-            iterations.append(
-                IterationRecord(
-                    node=node,
-                    action=action,
-                    front_estimate=front_spread - cost_u,
-                    rear_estimate=cost_u - rear_spread,
-                    rounds=rounds,
-                    thetas=tuple(estimator.thetas),
-                    rr_sets_generated=rr_this_iteration,
-                    newly_activated=newly,
-                    stop_reason=reason,
-                )
-            )
-
+                if rounds.front_spread + rounds.rear_spread >= 2.0 * cost:
+                    newly = len(session.commit_seed(node))
+                    selected.append(node)
+                    iterations.append(rounds.record(node, "selected", cost, newly))
+                else:
+                    candidates.discard(node)
+                    iterations.append(rounds.record(node, "rejected", cost))
         timer.stop()
         return SeedingResult(
             algorithm=self.name,
@@ -289,14 +200,55 @@ class HATP:
             realized_spread=session.realized_spread,
             realized_profit=session.realized_profit,
             seed_cost=session.seed_cost,
-            rr_sets_generated=total_rr_sets,
+            rr_sets_generated=sum(record.rr_sets_generated for record in iterations),
             runtime_seconds=timer.elapsed,
             iterations=iterations,
             extra={
                 "epsilon": self._epsilon,
                 "epsilon0": self._epsilon0,
-                "budget_hits": budget_hits,
+                "budget_hits": stop_counts(iterations)[0],
                 "initial_scaled_error": self._initial_scaled_error,
-                "sample_reuse": self._sample_reuse,
             },
+        )
+
+    def decide(
+        self,
+        view: ResidualGraph,
+        node: int,
+        selected: List[int],
+        candidates: Set[int],
+        cost: float,
+        pool: SamplingPool,
+        algorithm: str,
+    ) -> NodeRounds:
+        """Algorithm 4's rounds for ``node`` on ``view``, until C'1, C'2 or a cap.
+
+        ``selected`` is ``S_{i−1}`` and ``candidates`` is ``T_{i−1}``;
+        ``algorithm`` names the caller in a budget error.  HNTP calls this
+        on the unreduced graph.
+        """
+        n = max(view.n, 2)
+        num_active = max(view.num_active, 1)
+        schedule = HybridErrorSchedule(
+            epsilon0=self._epsilon0,
+            zeta0=min(max(self._initial_scaled_error / num_active, 1.0 / n), 0.999),
+            delta0=1.0 / (len(self._target) * n),
+            epsilon_threshold=self._epsilon,
+            additive_floor=self._additive_floor,
+        )
+
+        def conditions(state, front_spread, rear_spread):
+            scaled_error = state.scaled_error(num_active)
+            return (
+                self._condition_one(
+                    front_spread, rear_spread, scaled_error, state.epsilon, cost
+                ),
+                schedule.is_exhausted(state, num_active),
+            )
+
+        estimator = FrontRearEstimator(
+            view, node, selected, candidates - {node}, self._rng, pool=pool, backend=self._backend
+        )
+        return refine_until_decided(
+            estimator, schedule, conditions, num_active, self._caps, algorithm
         )

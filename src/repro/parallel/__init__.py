@@ -68,11 +68,7 @@ from repro.parallel.pool import (
     available_cpus,
     resolve_jobs,
 )
-from repro.parallel.seeds import (
-    default_shard_size,
-    shard_layout,
-    spawn_shard_states,
-)
+from repro.parallel.seeds import shard_layout, spawn_shard_states
 from repro.parallel.supervisor import (
     TASK_RETRIES_ENV_VAR,
     TASK_TIMEOUT_ENV_VAR,
@@ -102,7 +98,6 @@ __all__ = [
     "attach_shared_graph",
     "available_cpus",
     "clean_orphan_segments",
-    "default_shard_size",
     "list_library_segments",
     "parallel_evaluate_adaptive",
     "parse_fault_spec",

@@ -1,9 +1,8 @@
 """Deterministic shard layouts, and spawned per-item streams.
 
 1. **Shards are contiguous.**  ``shard_layout(count, size)`` slices
-   ``range(count)`` into shards of ``size`` items (by default
-   :func:`default_shard_size`, a pure function of ``count``); the sampling
-   pool asks for one shard per thread (:mod:`repro.parallel.pool`).
+   ``range(count)`` into shards of ``size`` items; the sampling pool asks
+   for one shard per thread (:mod:`repro.parallel.pool`).
 2. **Sampling shards need no streams of their own.**  Every RR set and
    every forward cascade is a pure function of the batch key and its
    index (:mod:`repro.sampling.engine`, :mod:`repro.diffusion.mc_engine`),
@@ -29,43 +28,14 @@ import numpy as np
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import RandomState
 
-#: Smallest shard the default heuristic will produce (keeps per-task
-#: dispatch overhead negligible next to the sampling work itself).
-MIN_SHARD_SIZE = 64
-
-#: Largest shard the default heuristic will produce (bounds the latency of
-#: the slowest straggler and keeps result messages reasonably sized).
-MAX_SHARD_SIZE = 4096
-
-#: Target number of shards per batch: enough to load-balance a handful of
-#: workers without over-fragmenting small batches.
-TARGET_SHARDS = 16
-
 #: A per-shard RNG state: whatever ``ensure_rng`` accepts and pickles.
 ShardState = Union[np.random.SeedSequence, np.random.Generator]
 
 
-def default_shard_size(count: int) -> int:
-    """The default shard size for a batch of ``count`` RR sets.
-
-    A pure function of ``count`` (clamped ``ceil(count / TARGET_SHARDS)``)
-    so the shard layout — and therefore the sampled output — does not
-    depend on how many workers are available.
-    """
-    if count <= 0:
-        return MIN_SHARD_SIZE
-    return max(MIN_SHARD_SIZE, min(MAX_SHARD_SIZE, -(-count // TARGET_SHARDS)))
-
-
-def shard_layout(count: int, shard_size: int = None) -> List[Tuple[int, int]]:
-    """Contiguous ``(start, stop)`` shards covering ``range(count)``.
-
-    ``shard_size`` defaults to :func:`default_shard_size`.
-    """
+def shard_layout(count: int, shard_size: int) -> List[Tuple[int, int]]:
+    """Contiguous ``(start, stop)`` shards of ``shard_size`` items covering ``range(count)``."""
     if count < 0:
         raise ValidationError(f"count must be >= 0, got {count}")
-    if shard_size is None:
-        shard_size = default_shard_size(count)
     shard_size = int(shard_size)
     if shard_size < 1:
         raise ValidationError(f"shard_size must be >= 1, got {shard_size}")

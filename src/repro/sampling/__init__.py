@@ -17,16 +17,17 @@ The sampling layer is organised around a batched, NumPy-vectorized engine:
   with a CSR inverted index ``node -> rr_ids``; ``coverage`` /
   ``marginal_coverage`` / ``covered_mask`` are bincount/boolean-mask
   operations, ``extend`` is O(1) amortized, and the inverted index is
-  extend-aware (append-merge, never a full rebuild).  Every algorithm in
-  the repo (ADDATP, HATP, HNTP, the RIS oracle behind ADG, and the
-  IMM/NSG/NDG baselines) samples through this path.
+  extend-aware (append-merge, never a full rebuild).  The RIS oracle
+  behind ADG, the IMM/NSG/NDG baselines and the seeding service sample
+  through this path.
 * :mod:`repro.sampling.coverage` —
   :class:`~repro.sampling.coverage.CoverageCounter` keeps ``CovR(S)`` and
   all per-node marginals as live counters, updated incrementally when the
   conditioning set grows/shrinks or the collection extends.  It powers the
-  vectorized lazy greedy in the baselines and the ``sample_reuse`` paths
-  of HATP/HNTP/ADDATP (samples carried across refinement rounds instead of
-  regenerated).
+  vectorized lazy greedy in the baselines.  The refinement rounds of
+  HATP/HNTP/ADDATP keep no collection: they count each batch and drop it
+  (:mod:`repro.core.estimation`), and only ADDATP's rounds carry sets
+  across rounds, because only its schedule fixes every θ before sampling.
 * :mod:`repro.sampling.rr_sets` / :mod:`repro.sampling.rr_collection` — the
   ``legacy`` per-set BFS and the dict-indexed
   :class:`~repro.sampling.rr_collection.RRCollection`.  They are the tests'

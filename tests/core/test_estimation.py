@@ -4,11 +4,13 @@
 batch.  The reference below is the collection-based estimator it
 replaced: it draws full (never stop-truncated) batches into
 :class:`~repro.sampling.flat_collection.FlatRRCollection` objects
-(``generate`` every round, or, when reusing, one key per side whose next
+(``generate`` every round, or, when carrying, one key per side whose next
 sets ``extend`` the collections) and asks the collection's inverted
 index for ``estimate_marginal_spread``.  Both start from the same seed,
 so every round's ``(front, rear, generated)`` and the RNG state after
-the last round must agree exactly.
+the last round must agree exactly.  The estimator's internal ``_carry``
+flag, which the shared round loop sets from the schedule, selects the
+mode here.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ THETAS = (40, 90, 90, 200)
 class ReferenceEstimator:
     """The collection + inverted-index estimator, round by round."""
 
-    def __init__(self, view, node, front, rear, rng, pool, reuse, backend):
+    def __init__(self, view, node, front, rear, rng, pool, backend):
         self.args = (view, rng)
         self.kwargs = dict(backend=backend, pool=pool)
-        self.node, self.front, self.rear, self.reuse = node, front, rear, reuse
+        self.node, self.front, self.rear = node, front, rear
+        self._carry = False
         self.collections = None
 
     def _draw(self, count, key, start):
@@ -49,14 +52,14 @@ class ReferenceEstimator:
 
     def estimates(self, theta):
         view, rng = self.args
-        if self.reuse and self.collections is not None:
+        if self._carry and self.collections is not None:
             extra = theta - self.collections[0].num_sets
             generated = 0
             if extra > 0:
                 for collection, key in zip(self.collections, self.keys):
                     collection.extend(self._draw(extra, key, collection.num_sets))
                 generated = 2 * extra
-        elif self.reuse:
+        elif self._carry:
             self.keys = [draw_key(rng), draw_key(rng)]
             self.collections = [
                 FlatRRCollection(self._draw(theta, key, 0)) for key in self.keys
@@ -111,7 +114,8 @@ def _compare(case, backend, reuse, pool=None):
     rounds, rngs = [], []
     for cls in (FrontRearEstimator, ReferenceEstimator):
         rng = np.random.default_rng(2020)
-        estimator = cls(view, node, front, rear, rng, pool, reuse, backend)
+        estimator = cls(view, node, front, rear, rng, pool, backend)
+        estimator._carry = reuse
         rounds.append([estimator.estimates(theta) for theta in THETAS])
         rngs.append(rng.random())
     assert rounds[0] == rounds[1]
@@ -165,9 +169,8 @@ def test_thread_count_does_not_change_rounds(graph, monkeypatch, reuse, thetas):
     for n_jobs in (1, 2):
         rng = np.random.default_rng(2020)
         with SamplingPool(n_jobs) as pool:
-            estimator = FrontRearEstimator(
-                view, node, front, rear, rng, pool=pool, sample_reuse=reuse
-            )
+            estimator = FrontRearEstimator(view, node, front, rear, rng, pool=pool)
+            estimator._carry = reuse
             rounds = [estimator.estimates(theta) for theta in thetas]
             assert pool.running == (n_jobs == 2)
         runs.append((rounds, estimator.thetas, rng.random()))

@@ -136,25 +136,24 @@ class TestBudgets:
 
 class TestEfficiencyVersusADDATP:
     def test_hatp_uses_fewer_rr_sets_than_addatp(self, small_proxy, small_instance):
-        """The headline claim: hybrid error needs far fewer samples."""
+        """The headline claim (Theorem 5 against Theorem 3): hybrid error
+        needs fewer samples.  The caps sit far above both runs, so C1/C2
+        and C'1/C'2 decide every node, not the engine."""
         from repro.core.addatp import ADDATP
 
         target = small_instance.target[:3]
 
-        def run(algorithm_class, **kwargs):
+        def run(algorithm_class):
             session = AdaptiveSession(
                 small_proxy, Realization.sample(small_proxy, 3), small_instance.costs
             )
             return algorithm_class(
-                target,
-                random_state=7,
-                max_samples_per_round=1000,
-                max_rounds=10,
-                **kwargs,
+                target, random_state=7, max_samples_per_round=10**7, max_rounds=30
             ).run(session)
 
         hatp = run(HATP)
         addatp = run(ADDATP)
+        assert hatp.extra["budget_hits"] == addatp.extra["budget_hits"] == 0
         assert hatp.rr_sets_generated < addatp.rr_sets_generated
 
     def test_reproducible_decisions(self, small_proxy, small_instance):

@@ -1,16 +1,13 @@
-"""Sample-reuse contract of the adaptive/nonadaptive noise-model algorithms.
+"""Sample reuse: pinned streams of the noise-model algorithms, and the oracle's cache.
 
-Three guarantees:
-
-* ``sample_reuse=False`` (the default) is the exact historical path — same
-  decisions, same RR-set counts, same RNG stream as a default-constructed
-  algorithm, pinned against recorded snapshots so a refactor cannot
-  silently shift the stream;
-* ``sample_reuse=True`` is a valid run (every decision recorded, counters
-  consistent) that generates *fewer* RR sets whenever iterations take
-  multiple refinement rounds;
-* the reuse estimates come from the same estimator (counter state equals
-  stateless queries), so on decisive instances both paths agree.
+HATP and HNTP regenerate every round and ADDATP carries its sets across
+rounds (the schedule decides; ``tests/core/test_round_loop.py``).  The
+streams are pinned against recorded snapshots, so a refactor cannot
+silently shift them.  Turning ADDATP's carrying off (its schedule's
+``fixed_thetas``) must give back its historical regenerating stream, and
+carrying must draw fewer sets and agree on clearly decided instances.
+:class:`RISSpreadOracle`'s ``sample_reuse`` is a different feature: a
+collection cache per residual state.
 """
 
 from __future__ import annotations
@@ -19,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.addatp import ADDATP
+from repro.core.errors import AdditiveErrorSchedule
 from repro.core.hatp import HATP
 from repro.core.hntp import HNTP
 from repro.core.oracle import RISSpreadOracle
@@ -43,29 +41,39 @@ def costs(target):
     return {node: 2.0 for node in target}
 
 
-def run_hatp(graph, target, costs, **kwargs):
+def run_hatp(graph, target, costs):
     session = AdaptiveSession(graph, Realization.sample(graph, 5), costs)
-    return HATP(target, random_state=7, max_samples_per_round=4000, **kwargs).run(
-        session
-    )
+    return HATP(target, random_state=7, max_samples_per_round=4000).run(session)
 
 
-def run_addatp(graph, target, costs, **kwargs):
+def run_addatp(graph, target, costs):
     session = AdaptiveSession(graph, Realization.sample(graph, 5), costs)
-    return ADDATP(target, random_state=7, max_samples_per_round=4000, **kwargs).run(
-        session
-    )
+    return ADDATP(target, random_state=7, max_samples_per_round=4000).run(session)
+
+
+def regenerate(monkeypatch):
+    """Make ADDATP's schedule claim data-dependent θs, so its rounds regenerate."""
+    monkeypatch.setattr(AdditiveErrorSchedule, "fixed_thetas", False)
+
+
+def examined(result):
+    return [r for r in result.iterations if r.action != "skipped-activated"]
 
 
 class TestHistoricalStreamPinned:
-    def test_reuse_off_equals_default(self, graph, target, costs):
-        default = run_hatp(graph, target, costs)
-        explicit = run_hatp(graph, target, costs, sample_reuse=False)
-        assert default.seeds == explicit.seeds
-        assert default.rr_sets_generated == explicit.rr_sets_generated
-        assert [record.action for record in default.iterations] == [
-            record.action for record in explicit.iterations
+    def test_reuse_off_equals_default(self, graph, target, costs, monkeypatch):
+        # Carrying is ADDATP's only change: with it off, ADDATP draws the
+        # stream it drew before it carried, set for set.
+        carried = run_addatp(graph, target, costs)
+        regenerate(monkeypatch)
+        regenerated = run_addatp(graph, target, costs)
+        assert regenerated.seeds == carried.seeds == [19, 6, 2, 3, 8, 17]
+        assert regenerated.rr_sets_generated == 103310
+        assert [record.action for record in regenerated.iterations] == [
+            record.action for record in carried.iterations
         ]
+        for record in examined(regenerated):
+            assert record.rr_sets_generated == 2 * sum(record.thetas)
 
     def test_hatp_default_snapshot(self, graph, target, costs):
         # Recorded on the keyed RR stream: the default path must keep
@@ -73,72 +81,57 @@ class TestHistoricalStreamPinned:
         result = run_hatp(graph, target, costs)
         assert result.seeds == [19, 6, 2, 3, 8, 17]
         assert result.rr_sets_generated == 14394
-        assert result.extra["sample_reuse"] is False
 
     def test_addatp_default_snapshot(self, graph, target, costs):
         result = run_addatp(graph, target, costs)
         assert result.seeds == [19, 6, 2, 3, 8, 17]
-        assert result.rr_sets_generated == 103310
+        assert result.rr_sets_generated == 44444
 
     def test_hntp_reuse_off_equals_default(self, graph, target, costs):
-        default = HNTP(target, random_state=7, max_samples_per_round=4000).select(
+        # HNTP's schedule is HATP's, so it never carries: its stream is the
+        # one it drew when carrying was an option left off.
+        result = HNTP(target, random_state=7, max_samples_per_round=4000).select(
             graph, costs
         )
-        explicit = HNTP(
-            target, random_state=7, max_samples_per_round=4000, sample_reuse=False
-        ).select(graph, costs)
-        assert default.seeds == explicit.seeds
-        assert default.rr_sets_generated == explicit.rr_sets_generated
+        assert result.seeds == [19, 6, 2, 3, 4, 8, 17, 28]
+        assert result.rr_sets_generated == 35686
+        for record in examined(result):
+            assert record.rr_sets_generated == 2 * sum(record.thetas)
 
 
 class TestReuseSavesSamples:
-    def test_hatp_reuse_generates_fewer_sets(self, graph, target, costs):
-        regenerate = run_hatp(graph, target, costs, sample_reuse=False)
-        reuse = run_hatp(graph, target, costs, sample_reuse=True)
-        assert reuse.rr_sets_generated < regenerate.rr_sets_generated
-        assert reuse.extra["sample_reuse"] is True
-        assert len(reuse.iterations) == len(target)
-
-    def test_addatp_reuse_generates_fewer_sets(self, graph, target, costs):
-        regenerate = run_addatp(graph, target, costs, sample_reuse=False)
-        reuse = run_addatp(graph, target, costs, sample_reuse=True)
-        assert reuse.rr_sets_generated < regenerate.rr_sets_generated
-
-    def test_hntp_reuse_generates_fewer_sets(self, graph, target, costs):
-        regenerate = HNTP(
-            target, random_state=7, max_samples_per_round=4000, sample_reuse=False
-        ).select(graph, costs)
-        reuse = HNTP(
-            target, random_state=7, max_samples_per_round=4000, sample_reuse=True
-        ).select(graph, costs)
-        assert reuse.rr_sets_generated < regenerate.rr_sets_generated
+    def test_addatp_reuse_generates_fewer_sets(self, graph, target, costs, monkeypatch):
+        carried = run_addatp(graph, target, costs)
+        regenerate(monkeypatch)
+        regenerated = run_addatp(graph, target, costs)
+        assert carried.rr_sets_generated < regenerated.rr_sets_generated
+        assert len(carried.iterations) == len(target)
 
     def test_reuse_counts_only_new_sets_per_iteration(self, graph, target, costs):
-        reuse = run_hatp(graph, target, costs, sample_reuse=True)
-        for record in reuse.iterations:
-            if record.action == "skipped-activated":
-                continue
-            # Every examined node pays 2θ_first in round one, then only
-            # extensions — never more than the regenerate path would.
-            assert record.rr_sets_generated > 0
-        assert reuse.rr_sets_generated == sum(
-            record.rr_sets_generated for record in reuse.iterations
+        carried = run_addatp(graph, target, costs)
+        assert any(record.rounds > 1 for record in examined(carried))
+        for record in examined(carried):
+            # Every examined node pays 2θ_first in round one, then only the
+            # new sets of each later round: 2θ_last in all, never more than
+            # regenerating its rounds (2Σθ) would cost.
+            assert 0 < record.rr_sets_generated == 2 * record.thetas[-1]
+            assert record.rr_sets_generated <= 2 * sum(record.thetas)
+        assert carried.rr_sets_generated == sum(
+            record.rr_sets_generated for record in carried.iterations
         )
 
 
 class TestReuseDecisionQuality:
-    def test_reuse_agrees_on_clearly_decided_instances(self, star6):
+    def test_reuse_agrees_on_clearly_decided_instances(self, star6, monkeypatch):
         # The hub of a deterministic star is unambiguously profitable and
-        # the leaf unambiguously not; both paths must agree.
+        # the leaf unambiguously not; carrying and regenerating must agree.
         costs = {0: 1.0, 1: 4.0}
-        for reuse in (False, True):
+        for fixed_thetas in (True, False):
+            monkeypatch.setattr(AdditiveErrorSchedule, "fixed_thetas", fixed_thetas)
             session = AdaptiveSession(star6, Realization.sample(star6, 0), costs)
-            result = HATP(
-                [0, 1],
-                random_state=0,
-                max_samples_per_round=400,
-                sample_reuse=reuse,
-            ).run(session)
+            result = ADDATP([0, 1], random_state=0, max_samples_per_round=400).run(
+                session
+            )
             assert result.seeds == [0]
 
 

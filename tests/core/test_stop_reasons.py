@@ -84,17 +84,29 @@ def test_uncapped_instance_is_decided_by_the_conditions(cls, graph, target):
     assert result.extra["budget_hits"] == 0
 
 
+#: RR sets a node's rounds draw, from its θs: HATP and HNTP regenerate two
+#: batches of θ_i sets every round; ADDATP carries its sets, so its two
+#: keys end at θ_last sets each (its θs never shrink).
+DRAWN = {
+    "HATP": lambda thetas: 2 * sum(thetas),
+    "ADDATP": lambda thetas: 2 * thetas[-1],
+    "HNTP": lambda thetas: 2 * sum(thetas),
+}
+
+
 @pytest.mark.parametrize("cls", ALGORITHMS, ids=lambda cls: cls.name)
 def test_every_round_records_its_theta(cls, graph, target):
-    # Regenerating rounds draw two fresh batches of θ sets each, so the
-    # recorded θs account for every RR set the node cost.
+    # The recorded θs account for every RR set the node cost.
     result = run(cls, graph, target, max_samples_per_round=3000, max_rounds=30)
+    drawn = DRAWN[cls.name]
     examined = [r for r in result.iterations if r.action != "skipped-activated"]
     assert examined
+    assert any(record.rounds > 1 for record in examined)
     for record in examined:
         assert len(record.thetas) == record.rounds >= 1
-        assert record.rr_sets_generated == 2 * sum(record.thetas)
+        assert list(record.thetas) == sorted(record.thetas)
+        assert record.rr_sets_generated == drawn(record.thetas)
         assert all(0 < theta <= 3000 for theta in record.thetas)
     skipped = [r for r in result.iterations if r.action == "skipped-activated"]
     assert all(r.thetas == () for r in skipped)
-    assert result.rr_sets_generated == sum(2 * sum(r.thetas) for r in examined)
+    assert result.rr_sets_generated == sum(drawn(r.thetas) for r in examined)

@@ -134,8 +134,8 @@ SUITE_SNAPSHOT = {
         "rr_sets": 4654,
     },
     "ADDATP": {
-        "profits": [-16.13271571266518, -1.7210499083533044, 17.241756746093806],
-        "rr_sets": 3236,
+        "profits": [-16.169909058218074, 3.8393892781701453, 17.306845100811366],
+        "rr_sets": 1706,
     },
     "HNTP": {
         "profits": [-4.281489094876754, -0.2814890948767541, 21.718510905123246],

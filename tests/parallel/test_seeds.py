@@ -5,14 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel.seeds import (
-    MAX_SHARD_SIZE,
-    MIN_SHARD_SIZE,
-    default_shard_size,
-    shard_layout,
-    shard_roots,
-    spawn_shard_states,
-)
+from repro.parallel.seeds import shard_layout, shard_roots, spawn_shard_states
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import ensure_rng
 
@@ -20,7 +13,7 @@ from repro.utils.rng import ensure_rng
 class TestShardLayout:
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1000, 2048, 100_000])
     def test_layout_partitions_range(self, count):
-        layout = shard_layout(count)
+        layout = shard_layout(count, 64)
         assert sum(stop - start for start, stop in layout) == count
         position = 0
         for start, stop in layout:
@@ -29,15 +22,9 @@ class TestShardLayout:
         assert position == count
 
     def test_layout_is_pure_function_of_count(self):
-        # The determinism contract: the same count always yields the same
-        # shards, with no dependence on worker count or environment.
-        assert shard_layout(5000) == shard_layout(5000)
-
-    def test_default_size_clamps(self):
-        assert default_shard_size(1) == MIN_SHARD_SIZE
-        assert default_shard_size(10**9) == MAX_SHARD_SIZE
-        # Mid-range: ceil(count / TARGET_SHARDS).
-        assert default_shard_size(1600) == 100
+        # The determinism contract: the same count and size always yield
+        # the same shards, with no dependence on the environment.
+        assert shard_layout(5000, 1250) == shard_layout(5000, 1250)
 
     def test_explicit_shard_size(self):
         layout = shard_layout(10, shard_size=4)
@@ -45,7 +32,7 @@ class TestShardLayout:
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValidationError):
-            shard_layout(-1)
+            shard_layout(-1, 4)
         with pytest.raises(ValidationError):
             shard_layout(10, shard_size=0)
 
