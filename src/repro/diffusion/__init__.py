@@ -15,7 +15,6 @@ from repro.diffusion.mc_engine import (
 )
 from repro.diffusion.realization import (
     BaseRealization,
-    LazyRealization,
     Realization,
     batch_realization_spreads,
     sample_realizations,
@@ -32,7 +31,6 @@ from repro.diffusion.spread import (
 
 __all__ = [
     "BaseRealization",
-    "LazyRealization",
     "MAX_EXACT_EDGES",
     "MCBatch",
     "Realization",

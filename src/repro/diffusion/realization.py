@@ -6,17 +6,10 @@ A *realization* ``φ`` fixes the outcome of every edge's coin flip: each edge
 set ``S`` is simply the set of nodes reachable from ``S`` through live
 edges.
 
-Two implementations are provided:
-
-* :class:`Realization` — eagerly samples the state of all ``m`` edges.  This
-  is simple and fast for the proxy graph sizes used in the benchmarks.
-* :class:`LazyRealization` — samples edge states on first use and memoises
-  them.  Adaptive seeding only ever inspects edges reachable from the chosen
-  seeds, so laziness saves a lot of work on large graphs while remaining
-  *consistent*: once flipped, an edge's state never changes.
-
-Both classes expose the same interface and both are deterministic functions
-of the provided random generator, so experiments are reproducible.
+:class:`Realization` samples the state of all ``m`` edges at once, as a
+deterministic function of the provided random generator, so experiments are
+reproducible.  :class:`BaseRealization` holds the interface (and the
+reference traversal) that any possible world provides.
 """
 
 from __future__ import annotations
@@ -34,7 +27,7 @@ from repro.utils.rng import RandomState, ensure_rng
 
 
 class BaseRealization:
-    """Interface shared by eager and lazy realizations."""
+    """Interface of a possible world: edge states and spread under them."""
 
     #: The graph this realization belongs to.
     graph: ProbabilisticGraph
@@ -167,86 +160,6 @@ class Realization(BaseRealization):
         return f"<Realization live={self.num_live_edges}/{self.graph.m}>"
 
 
-class LazyRealization(BaseRealization):
-    """Possible world whose edge flips are sampled on first inspection.
-
-    The sampled states are memoised, so repeated queries are consistent —
-    the defining property a realization needs for adaptive seeding, where
-    the same edge may be examined in several iterations.
-
-    Two sampling granularities:
-
-    * ``batch_flip=False`` (default) — one Python-level Bernoulli draw per
-      edge on first inspection, in the order edges are inspected.
-    * ``batch_flip=True`` — on the first touch of any edge, the whole
-      out-neighbour slice of its source node is flipped with a single
-      vectorized draw and memoised.  Diffusion inspects edges source by
-      source (a BFS pops a node, then examines all its out-edges), so
-      batching converts ``out_degree`` generator calls into one array
-      call while keeping per-edge memoized consistency.  Every edge is
-      still an independent ``p(e)`` Bernoulli — the distribution over
-      worlds is identical — but randomness is consumed in a different
-      order, so the sampled world for a given seed differs from the
-      per-edge mode (which is why the knob defaults to off).
-    """
-
-    __slots__ = ("graph", "_rng", "_states", "_batch_flip", "_live", "_flipped", "_num_sampled")
-
-    def __init__(
-        self,
-        graph: ProbabilisticGraph,
-        random_state: RandomState = None,
-        batch_flip: bool = False,
-    ) -> None:
-        self.graph = graph
-        self._rng = ensure_rng(random_state)
-        self._batch_flip = bool(batch_flip)
-        self._states: dict[int, bool] = {}
-        self._live: Optional[np.ndarray] = None
-        self._flipped: Optional[np.ndarray] = None
-        self._num_sampled = 0
-
-    def is_live(self, edge_id: int) -> bool:
-        if self._batch_flip:
-            return self._is_live_batched(edge_id)
-        state = self._states.get(edge_id)
-        if state is None:
-            state = self._flip(edge_id)
-            self._states[edge_id] = state
-        return state
-
-    def _is_live_batched(self, edge_id: int) -> bool:
-        if self._live is None:
-            self._live = np.zeros(self.graph.m, dtype=bool)
-            self._flipped = np.zeros(self.graph.n, dtype=bool)
-        source = int(self.graph.edge_sources[edge_id])
-        if not self._flipped[source]:
-            offsets, _, probs = self.graph.out_csr()
-            start, end = int(offsets[source]), int(offsets[source + 1])
-            self._live[start:end] = self._rng.random(end - start) < probs[start:end]
-            self._flipped[source] = True
-            self._num_sampled += end - start
-        return bool(self._live[edge_id])
-
-    def _flip(self, edge_id: int) -> bool:
-        probability = self._edge_probability(edge_id)
-        return bool(self._rng.random() < probability)
-
-    def _edge_probability(self, edge_id: int) -> float:
-        # Edge ids index the outgoing CSR directly.
-        return float(self.graph.edge_probabilities[edge_id])
-
-    @property
-    def num_sampled_edges(self) -> int:
-        """How many edge states have been materialised so far."""
-        if self._batch_flip:
-            return self._num_sampled
-        return len(self._states)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<LazyRealization sampled={self.num_sampled_edges}/{self.graph.m}>"
-
-
 def batch_realization_spreads(
     realizations: Sequence[Realization],
     seeds: Iterable[int],
@@ -259,8 +172,8 @@ def batch_realization_spreads(
     runner uses to score a nonadaptively chosen seed set against all
     evaluation realizations at once.  The result is element-for-element
     identical to calling :meth:`BaseRealization.spread` per realization
-    (replay is deterministic).  Requires *eager* :class:`Realization`
-    objects (a :class:`LazyRealization` has no materialised live mask).
+    (replay is deterministic).  Requires :class:`Realization` objects,
+    whose live masks are materialised.
     """
     realizations = list(realizations)
     if not realizations:
@@ -292,18 +205,12 @@ def sample_realizations(
     graph: ProbabilisticGraph,
     count: int,
     random_state: RandomState = None,
-    lazy: bool = False,
-    batch_flip: bool = False,
-) -> list[BaseRealization]:
+) -> list[Realization]:
     """Sample ``count`` independent realizations of ``graph``.
 
     The paper's experiments average every algorithm over 20 sampled
     realizations (Section VI-A); this helper builds that family
-    reproducibly.  ``batch_flip`` selects the vectorized flip granularity
-    of :class:`LazyRealization` (ignored for eager realizations).
+    reproducibly.
     """
     rng = ensure_rng(random_state)
-    children = rng.spawn(count)
-    if lazy:
-        return [LazyRealization(graph, child, batch_flip=batch_flip) for child in children]
-    return [Realization.sample(graph, child) for child in children]
+    return [Realization.sample(graph, child) for child in rng.spawn(count)]

@@ -8,7 +8,6 @@ Usage examples::
     python -m repro.experiments fig7 --scale small
     python -m repro.experiments fig2 --journal results/fig2.journal.jsonl
     python -m repro.experiments fig2 --resume     # continue an interrupted run
-    python -m repro.experiments clean-shm         # sweep orphaned /dev/shm segments
     python -m repro.experiments convert-graph soc-LiveJournal1.txt.gz lj.rgx
     python -m repro.experiments serve --dataset nethept --port 8321
     python -m repro.experiments loadgen --self-serve --queries 200
@@ -57,11 +56,10 @@ EXPERIMENTS = (
     "fig7",
     "fig8",
     "fig9",
-    "clean-shm",
 )
 
 #: Subcommands that support --journal / --resume checkpointing.
-JOURNALED_EXPERIMENTS = frozenset(EXPERIMENTS) - {"table2", "clean-shm"}
+JOURNALED_EXPERIMENTS = frozenset(EXPERIMENTS) - {"table2"}
 
 
 def _backend_choices() -> list:
@@ -206,23 +204,6 @@ def run_experiment(args: argparse.Namespace, journal: Optional[ResultJournal] = 
     raise ValueError(f"unhandled experiment {args.experiment!r}")  # pragma: no cover
 
 
-def clean_shm() -> int:
-    """``clean-shm``: sweep segments whose owner is dead."""
-    from repro.parallel import janitor
-
-    removed = janitor.clean_orphan_segments()
-    remaining = janitor.list_library_segments()
-    if removed:
-        print(f"removed {len(removed)} orphaned segment(s):")
-        for name in removed:
-            print(f"  {name}")
-    else:
-        print("no orphaned segments found")
-    if remaining:
-        print(f"{len(remaining)} segment(s) belong to live processes and were kept")
-    return 0
-
-
 def run_convert_graph(argv: Sequence[str]) -> int:
     """``convert-graph``: stream a SNAP edge list into a binary ``.rgx`` file."""
     parser = argparse.ArgumentParser(
@@ -297,10 +278,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] == "convert-graph":
         return run_convert_graph(argv[1:])
     args = _build_parser().parse_args(argv)
-    if args.experiment == "clean-shm":
-        if args.journal is not None or args.resume:
-            raise ConfigurationError("--journal/--resume make no sense with clean-shm")
-        return clean_shm()
     journal = resolve_journal(args)
     try:
         result = run_experiment(args, journal=journal)

@@ -21,9 +21,9 @@ straight to :meth:`ProbabilisticGraph.from_csr_arrays` — no re-sorting, no
 validation pass over ``m`` elements.  With ``mmap=True`` (the default) the
 arrays are ``np.memmap`` views, so opening LiveJournal is O(header) and the
 graph page-faults in lazily; the loaded graph carries an
-:class:`RgxMapping` so the shared-memory broker can let every worker on the
-host attach to the same file by path instead of copying the CSR through
-``/dev/shm`` (:mod:`repro.parallel.broker`).
+:class:`RgxMapping`, the picklable recipe for re-opening the same arrays by
+path (the service journal records a graph this way).  Evaluation workers
+forked from the process that opened the file inherit its mapping.
 
 The results produced on an ``.rgx``-backed graph are bit-for-bit identical
 to the in-RAM path: the stored arrays hold the exact same values (uint32 vs
@@ -90,10 +90,10 @@ _CHECKSUM_ENTRY = 4
 class RgxMapping:
     """How a graph's CSR arrays map onto a backing ``.rgx`` file.
 
-    ``arrays`` maps the broker's array keys (``out_offsets`` …
-    ``in_probs``) to ``(byte_offset, shape, dtype_str)`` triples.  A
-    worker process can rebuild the exact arrays with one ``np.memmap``
-    per entry — this is the picklable "attach by path" recipe.
+    ``arrays`` maps the CSR array names (``out_offsets`` …
+    ``in_probs``) to ``(byte_offset, shape, dtype_str)`` triples.  Any
+    process can rebuild the exact arrays with one ``np.memmap`` per entry
+    — this is the picklable "attach by path" recipe.
     """
 
     path: str
@@ -314,14 +314,14 @@ def _mapping_for(path: Path, n: int, m: int, name_len: int) -> RgxMapping:
 def map_rgx_arrays(mapping: RgxMapping) -> Dict[str, np.ndarray]:
     """Memory-map every CSR array described by ``mapping`` (read-only).
 
-    This is the attach-by-path primitive the shared-memory broker hands to
-    worker processes: one ``np.memmap`` per array, no copies, no segments.
+    This is the attach-by-path primitive behind :func:`load_rgx`: one
+    ``np.memmap`` per array, no copies.
     """
     path = Path(mapping.path)
     if not path.exists():
         raise GraphFormatError(
             f"backing graph file {path} does not exist; it was moved or "
-            f"deleted while workers were attached — reconvert or restore it"
+            f"deleted after the graph was opened — reconvert or restore it"
         )
     arrays: Dict[str, np.ndarray] = {}
     for key, (offset, shape, dtype) in mapping.arrays.items():
@@ -338,9 +338,10 @@ def load_rgx(
 
     With ``mmap=True`` (default) the CSR arrays are read-only
     ``np.memmap`` views: the open is O(header), pages fault in on first
-    touch, and one file serves every process on the host (the graph's
-    :attr:`~repro.graphs.graph.ProbabilisticGraph.mmap_info` lets pool
-    workers attach by path).  With ``mmap=False`` the arrays are read
+    touch, and one file serves every process on the host (forked
+    evaluation workers inherit the mapping, and the graph's
+    :attr:`~repro.graphs.graph.ProbabilisticGraph.mmap_info` lets any
+    other process open it by path).  With ``mmap=False`` the arrays are read
     fully into RAM — the layout the in-memory constructors produce.
 
     ``verify=True`` runs :func:`verify_rgx` first — a full sequential

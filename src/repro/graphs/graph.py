@@ -156,9 +156,7 @@ class ProbabilisticGraph:
         an existing graph return (the canonical lexicographic edge order);
         no validation or re-sorting is performed and the big arrays are
         *referenced, not copied*, so the result is a zero-copy view over the
-        caller's buffers — this is how evaluation workers resurrect a full
-        :class:`ProbabilisticGraph` on top of shared-memory segments
-        (:mod:`repro.parallel.eval_pool`) and how
+        caller's buffers — this is how
         :func:`repro.graphs.binary.load_rgx` wraps memory-mapped ``.rgx``
         files.  The two derived indexes that are not part of the canonical
         six arrays — the per-edge source array (an ``O(m)`` repeat) and the
@@ -169,9 +167,8 @@ class ProbabilisticGraph:
         those indexes.
 
         ``mmap_info`` records how the CSR arrays map onto a backing file
-        (see :class:`repro.graphs.binary.RgxMapping`); the shared-memory
-        broker uses it to let workers attach by path instead of copying
-        the graph through shared-memory segments.
+        (see :class:`repro.graphs.binary.RgxMapping`), so the graph can be
+        re-opened by path.
         """
         graph = cls.__new__(cls)
         graph._n = int(n)
@@ -271,8 +268,8 @@ class ProbabilisticGraph:
         :func:`repro.graphs.binary.load_rgx` this is an
         :class:`~repro.graphs.binary.RgxMapping` recording the byte offset,
         shape and dtype of every CSR array inside the ``.rgx`` file —
-        enough for any other process on the host to attach to the same
-        graph by path (:mod:`repro.parallel.broker`).
+        enough for any other process on the host to open the same graph
+        by path (the service journal records it this way).
         """
         return self._mmap
 
@@ -313,10 +310,10 @@ class ProbabilisticGraph:
     def in_edge_ids(self) -> np.ndarray:
         """Edge id of every in-CSR entry (lazily derived; do not mutate).
 
-        For graphs resurrected with :meth:`from_csr_arrays` (shared-memory
-        workers, memory-mapped ``.rgx`` files) the array is computed on
-        first access — a stable argsort of the out-CSR targets, bit-for-bit
-        what :meth:`_build_csr` produces eagerly.
+        For graphs built through :meth:`from_csr_arrays` (memory-mapped
+        ``.rgx`` files) the array is computed on first access — a stable
+        argsort of the out-CSR targets, bit-for-bit what
+        :meth:`_build_csr` produces eagerly.
         """
         if self._in_edge_ids is None:
             self._in_edge_ids = np.ascontiguousarray(

@@ -16,10 +16,8 @@ their output:
   sessions fan out across worker processes (one task per evaluation
   realization, realizations re-sampled in-process from spawned streams),
   resolved by the ``eval_jobs`` / ``REPRO_EVAL_JOBS`` knob and bit-for-bit
-  independent of the worker count.
-* :mod:`repro.parallel.broker` — publishes a graph's incoming and
-  outgoing CSR into ``multiprocessing.shared_memory`` once per graph, so
-  evaluation workers attach zero-copy.
+  independent of the worker count.  Workers inherit the graph when they
+  are forked (or unpickle it once each under ``spawn``).
 * :mod:`repro.parallel.seeds` — contiguous shard layouts and the spawned
   streams of evaluation sessions.
 * :mod:`repro.parallel.supervisor` — fault-tolerant dispatch of the
@@ -29,19 +27,11 @@ their output:
 * :mod:`repro.parallel.faults` — the deterministic fault-injection
   harness behind ``REPRO_FAULT_SPEC`` (chaos tests kill, delay, or
   poison selected evaluation tasks, or shed service queries).
-* :mod:`repro.parallel.janitor` — shared-memory hygiene: pid-tagged
-  segment names, exit/SIGTERM cleanup hooks, and the orphan sweep
-  behind ``repro-experiments clean-shm``.
 
 ``docs/parallelism.md`` documents the design and the determinism
 contract.
 """
 
-from repro.parallel.broker import (
-    SharedGraphBroker,
-    SharedGraphSpec,
-    attach_shared_graph,
-)
 from repro.parallel.eval_pool import (
     EVAL_JOBS_ENV_VAR,
     EvaluationPool,
@@ -55,11 +45,6 @@ from repro.parallel.faults import (
     FaultPlan,
     FaultRule,
     parse_fault_spec,
-)
-from repro.parallel.janitor import (
-    SEGMENT_PREFIX,
-    clean_orphan_segments,
-    list_library_segments,
 )
 from repro.parallel.pool import (
     JOBS_ENV_VAR,
@@ -87,18 +72,12 @@ __all__ = [
     "JOBS_ENV_VAR",
     "MIN_SPLIT",
     "RealizationTicket",
-    "SEGMENT_PREFIX",
     "SamplingPool",
     "SessionRecord",
-    "SharedGraphBroker",
-    "SharedGraphSpec",
     "SupervisedTask",
     "TASK_RETRIES_ENV_VAR",
     "TASK_TIMEOUT_ENV_VAR",
-    "attach_shared_graph",
     "available_cpus",
-    "clean_orphan_segments",
-    "list_library_segments",
     "parallel_evaluate_adaptive",
     "parse_fault_spec",
     "resolve_eval_jobs",

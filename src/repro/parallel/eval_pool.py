@@ -13,12 +13,11 @@ outermost tier of the parallelism hierarchy::
 
 Design:
 
-* the graph ships **once per graph** through the
-  :class:`~repro.parallel.broker.SharedGraphBroker` (both CSR
-  directions); each worker attaches zero-copy and resurrects a full
-  :class:`~repro.graphs.graph.ProbabilisticGraph` over the shared
-  buffers via :meth:`ProbabilisticGraph.from_csr_arrays`, so the entire
-  algorithm stack runs unmodified inside the worker;
+* the graph reaches each worker **once**, as the pool initializer's
+  argument: a forked worker inherits the parent's arrays without a copy
+  (an ``.rgx`` graph keeps its file mapping), and where only ``spawn``
+  exists each worker unpickles it once — so the entire algorithm stack
+  runs unmodified inside the worker;
 * realizations are **sampled in-process** from a per-realization
   spawned RNG stream carried by a :class:`RealizationTicket` — nothing
   ``O(m)`` is pickled per task (a ticket is a picklable RNG state, or a
@@ -56,11 +55,11 @@ import numpy as np
 
 from repro.diffusion.realization import BaseRealization, Realization
 from repro.graphs.graph import ProbabilisticGraph
-from repro.parallel.broker import SharedGraphBroker, SharedGraphSpec, attach_shared_graph
 from repro.parallel.faults import FaultPlan, perform_fault
 from repro.parallel.pool import resolve_jobs
 from repro.parallel.seeds import ShardState, spawn_shard_states
 from repro.parallel.supervisor import (
+    LadderStats,
     SupervisedTask,
     resolve_max_retries,
     resolve_task_timeout,
@@ -154,10 +153,9 @@ def as_tickets(
 ) -> List[RealizationTicket]:
     """Coerce a mixed sequence of realizations/tickets into tickets.
 
-    Eager :class:`Realization` objects become packed-mask tickets;
-    :class:`LazyRealization` objects are rejected — a lazy world's
-    partially consumed RNG cannot be replayed in another process, and no
-    experiment driver evaluates on lazy realizations.
+    Eager :class:`Realization` objects become packed-mask tickets; any
+    other world is rejected, since only a full live mask (or the stream
+    it was drawn from) can be replayed in another process.
     """
     tickets: List[RealizationTicket] = []
     for item in realizations:
@@ -248,12 +246,12 @@ def _run_one_session(
 # worker-process side
 # --------------------------------------------------------------------- #
 
-#: Per-worker attachment state, populated once by the pool initializer.
+#: Per-worker state, populated once by the pool initializer.
 _EVAL_WORKER: dict = {}
 
 
-def _eval_worker_init(spec: SharedGraphSpec) -> None:
-    """Executor initializer: attach to the published graph.
+def _eval_worker_init(graph: ProbabilisticGraph) -> None:
+    """Executor initializer: keep the base graph the pool handed over.
 
     The worker deliberately inherits the parent's environment knobs
     untouched: a session must resolve its sampling ``n_jobs`` exactly as
@@ -262,15 +260,13 @@ def _eval_worker_init(spec: SharedGraphSpec) -> None:
     pass sampling ``n_jobs=1`` (:meth:`EngineParameters.sampling_jobs`),
     which is outcome-neutral.
     """
-    graph, handles = attach_shared_graph(spec)
     _EVAL_WORKER["graph"] = graph
-    _EVAL_WORKER["handles"] = handles  # keep segments alive for the worker's life
 
 
 def _eval_worker_run(
     fault, index, factory, target, cost_assignment, metadata, ticket, algorithm_state
 ) -> SessionRecord:
-    """Run one session against the worker's resurrected graph."""
+    """Run one session against the worker's copy of the base graph."""
     perform_fault(fault)
     return _run_one_session(
         _EVAL_WORKER["graph"],
@@ -299,13 +295,13 @@ def _eval_worker_score(fault, seeds, ticket: RealizationTicket) -> float:
 class EvaluationPool:
     """A persistent worker pool running complete adaptive sessions.
 
-    One pool serves one base graph, published once through the shared
-    :class:`~repro.parallel.broker.SharedGraphBroker` (both CSR
-    directions: workers reverse-sample RR sets *and* replay forward
-    live-edge cascades).  Processes start lazily on first parallel use, ``close()`` is idempotent, and an
-    ``eval_jobs=1`` pool never starts processes or shared memory — it
-    runs the identical per-realization loop in-process, which is the
-    subsystem's determinism contract.
+    One pool serves one base graph, handed to every worker as its
+    initializer's argument: workers are forked where the platform can
+    (they inherit the graph without a copy) and spawned elsewhere (each
+    unpickles it once).  Processes start lazily on first parallel use,
+    ``close()`` is idempotent, and an ``eval_jobs=1`` pool never starts
+    a process — it runs the identical per-realization loop in-process,
+    which is the subsystem's determinism contract.
 
     Parameters
     ----------
@@ -315,9 +311,6 @@ class EvaluationPool:
         Worker-count request, resolved through :func:`resolve_eval_jobs`
         (``None`` honours ``REPRO_EVAL_JOBS``, defaulting to 1; ``-1``
         uses all cores).
-    start_method:
-        Multiprocessing start method; defaults to ``"fork"`` where
-        available, else ``"spawn"``.
     task_timeout:
         Per-session timeout in seconds for supervised dispatch (``None``
         honours ``REPRO_TASK_TIMEOUT``; unset means wait forever).
@@ -333,7 +326,6 @@ class EvaluationPool:
         self,
         graph: ProbabilisticGraph,
         eval_jobs: Optional[int] = None,
-        start_method: Optional[str] = None,
         task_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -345,11 +337,10 @@ class EvaluationPool:
             )
         self._base = graph
         self._jobs = resolve_eval_jobs(eval_jobs)
-        self._start_method = start_method
         self._task_timeout = resolve_task_timeout(task_timeout)
         self._max_retries = resolve_max_retries(max_retries)
         self._faults = fault_plan if fault_plan is not None else FaultPlan.from_env()
-        self._broker: Optional[SharedGraphBroker] = None
+        self._ladder = LadderStats()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
@@ -379,42 +370,38 @@ class EvaluationPool:
             return
         import multiprocessing
 
-        method = self._start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else "spawn"
-        fresh_broker = self._broker is None
-        if fresh_broker:
-            self._broker = SharedGraphBroker(self._base)
-        try:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._jobs,
-                mp_context=multiprocessing.get_context(method),
-                initializer=_eval_worker_init,
-                initargs=(self._broker.spec,),
-            )
-        except BaseException:
-            if fresh_broker:
-                self._broker.close()
-                self._broker = None
-            raise
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        self._executor = ProcessPoolExecutor(
+            max_workers=self._jobs,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_eval_worker_init,
+            initargs=(self._base,),
+        )
 
     def _rebuild_workers(self) -> None:
-        """Replace a broken executor; the published graph segments survive."""
+        """Replace a broken executor with freshly started workers."""
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
         self._ensure_workers()
 
     def close(self) -> None:
-        """Stop workers and unlink shared memory (idempotent)."""
+        """Stop the workers (idempotent); a closed pool refuses work.
+
+        A session abandoned after ``task_timeout`` may still be running in
+        its worker, and ``shutdown(wait=True)`` would wait for it to end.
+        So once any task has timed out, the workers are killed first;
+        ``ProcessPoolExecutor`` has no public way to stop a busy worker
+        before Python 3.14.
+        """
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._broker is not None:
-            self._broker.close()
-            self._broker = None
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        if self._ladder.timeouts:
+            for worker in list(executor._processes.values()):
+                worker.kill()
+        executor.shutdown(wait=True)
 
     def __enter__(self) -> "EvaluationPool":
         return self
@@ -535,6 +522,7 @@ class EvaluationPool:
             tier="eval",
             timeout=self._task_timeout,
             max_retries=self._max_retries,
+            stats=self._ladder,
         )
 
     def score_selection(
@@ -580,6 +568,7 @@ class EvaluationPool:
             tier="eval",
             timeout=self._task_timeout,
             max_retries=self._max_retries,
+            stats=self._ladder,
         )
 
     def _score_local(self, seeds, ticket: RealizationTicket) -> float:

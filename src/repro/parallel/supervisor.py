@@ -16,12 +16,13 @@ The ladder, per task:
    OOM-killed libc allocation — runs clean on the next attempt);
 3. **rebuild** once per collection round when the executor itself breaks
    (``BrokenProcessPool``): tear the worker processes down, start fresh
-   ones against the *same* shared-memory segments, and re-submit only the
-   tasks that never completed;
+   ones from the same parent, and re-submit only the tasks that never
+   completed;
 4. **degrade** as the last resort — run the task in-process via its
    ``run_local`` callable.  A timed-out future degrades immediately
    (``ProcessPoolExecutor`` cannot cancel a running task, and re-submitting
-   a possibly-still-running task would double-execute it); a task whose
+   a possibly-still-running task would double-execute it; the pool kills
+   such a worker when it closes); a task whose
    retries are exhausted, or one stranded by a second pool break, degrades
    too.  The run completes — slower, never wrong.
 
@@ -163,10 +164,10 @@ def supervised_collect(
 ) -> List[Any]:
     """Run every task to completion; return results in task order.
 
-    ``rebuild`` must tear down and restart the pool's executor (workers
-    re-attach to the still-published shared-memory segments in their
-    initializer); it is invoked at most once per call — a second executor
-    break degrades all incomplete tasks in-process instead.
+    ``rebuild`` must tear down and restart the pool's executor (the
+    fresh workers get the graph from their initializer again); it is
+    invoked at most once per call — a second executor break degrades all
+    incomplete tasks in-process instead.
 
     Results are ordered by ``task.index`` position in ``tasks`` — the
     caller's merge order — regardless of completion order, retries, or

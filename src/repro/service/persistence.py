@@ -12,8 +12,8 @@ any computation, only the *identities* that derive it.  The journal under
 ``graphs.jsonl``
     One line per registered graph: version, costs, metadata, and where
     the CSR bytes live.  A graph loaded from an ``.rgx`` file is recorded
-    **by path** (attach-by-path — the same trick the shared-memory broker
-    uses, so journaling LiveJournal costs one line, not 1 GB); an in-RAM
+    **by path** (its :class:`~repro.graphs.binary.RgxMapping`, so
+    journaling LiveJournal costs one line, not 1 GB); an in-RAM
     graph is snapshotted once to ``<state-dir>/graphs/<version>.rgx``.
 ``answers.jsonl``
     One line per cached answer (key + value), appended and flushed as

@@ -28,30 +28,20 @@ class WorkerError(ReproError, RuntimeError):
     """A parallel worker task failed beyond recovery.
 
     Raised by the supervised dispatch layer (:mod:`repro.parallel.supervisor`)
-    when a shard or session task has exhausted its retries *and* its
-    in-process fallback also failed, or by the shared-memory broker when a
-    publication step fails.  The attributes attach the task context that a
-    bare re-raise used to drop:
+    when a session or scoring task has exhausted its retries *and* its
+    in-process fallback also failed.  The attributes attach the task
+    context that a bare re-raise used to drop:
 
     ``tier``
         Which parallel tier failed (``"eval"``).
     ``task``
-        A human-readable task label (shard index, session index, ...).
-    ``segments``
-        The shared-memory segment names involved, if any.
+        A human-readable task label (session index, scoring task, ...).
     """
 
-    def __init__(
-        self,
-        message: str,
-        tier: str = None,
-        task: str = None,
-        segments=(),
-    ) -> None:
+    def __init__(self, message: str, tier: str = None, task: str = None) -> None:
         super().__init__(message)
         self.tier = tier
         self.task = task
-        self.segments = tuple(segments)
 
 
 class DeadlineExceeded(ReproError, TimeoutError):

@@ -6,13 +6,28 @@ import numpy as np
 import pytest
 
 from repro.diffusion.realization import (
-    LazyRealization,
+    BaseRealization,
     Realization,
+    batch_realization_spreads,
     sample_realizations,
 )
 from repro.graphs.generators import path_graph, star_graph
 from repro.graphs.graph import ProbabilisticGraph
 from repro.graphs.residual import ResidualGraph
+from repro.utils.exceptions import ValidationError
+
+
+class MaskWorld(BaseRealization):
+    """A world that answers edge queries one at a time, logging each."""
+
+    def __init__(self, graph, live):
+        self.graph = graph
+        self._live = np.asarray(live, dtype=bool)
+        self.queried = []
+
+    def is_live(self, edge_id):
+        self.queried.append(int(edge_id))
+        return bool(self._live[edge_id])
 
 
 class TestEagerRealization:
@@ -60,85 +75,62 @@ class TestEagerRealization:
         assert np.array_equal(world_a.live_mask, world_b.live_mask)
 
 
-class TestLazyRealization:
-    def test_consistent_queries(self):
-        graph = path_graph(5).with_uniform_probability(0.5)
-        world = LazyRealization(graph, 0)
-        first = [world.is_live(e) for e in range(graph.m)]
-        second = [world.is_live(e) for e in range(graph.m)]
-        assert first == second
+class TestBaseRealization:
+    """The reference traversal every possible world inherits."""
 
-    def test_spread_matches_eager_for_deterministic_graph(self, path4):
-        lazy = LazyRealization(path4, 0)
-        assert lazy.spread([0]) == 4
+    def test_traverses_live_edges(self, path4):
+        world = MaskWorld(path4, np.ones(path4.m))
+        assert world.spread([0]) == 4
+        assert world.activated_by([1]) == {1, 2, 3}
 
-    def test_laziness_only_samples_reachable_edges(self):
-        graph = path_graph(10).with_uniform_probability(1.0)
-        world = LazyRealization(graph, 0)
-        world.activated_by([8])
-        assert world.num_sampled_edges <= 2
+    def test_queries_only_edges_out_of_activated_nodes(self):
+        graph = path_graph(10)
+        world = MaskWorld(graph, np.ones(graph.m))
+        assert world.activated_by([8]) == {8, 9}
+        _, _, out_of_8 = graph.out_neighbors(8)
+        assert world.queried == out_of_8.tolist()
 
-    def test_num_sampled_starts_at_zero(self, path4):
-        assert LazyRealization(path4, 0).num_sampled_edges == 0
+    @pytest.mark.parametrize("world_seed", [0, 1, 2])
+    def test_matches_the_eager_sweep(self, small_proxy, world_seed):
+        eager = Realization.sample(small_proxy, world_seed)
+        reference = MaskWorld(small_proxy, eager.live_mask)
+        residual = ResidualGraph(small_proxy).without(range(10, 20))
+        for seeds in ([0], [3, 40, 77], list(range(25))):
+            assert reference.activated_by(seeds) == eager.activated_by(seeds)
+            assert reference.spread(seeds, residual) == eager.spread(seeds, residual)
 
-    def test_per_edge_stream_unchanged_by_default(self):
-        # The default mode must keep flipping one edge per draw in the
-        # historical order; pin it against a hand-rolled replay.
-        graph = star_graph(8).with_uniform_probability(0.5)
-        world = LazyRealization(graph, 7)
-        states = [world.is_live(e) for e in range(graph.m)]
-        rng = np.random.default_rng(7)
-        expected = [bool(rng.random() < 0.5) for _ in range(graph.m)]
-        assert states == expected
+    def test_residual_stops_propagation_and_drops_inactive_seeds(self, path4):
+        world = MaskWorld(path4, np.ones(path4.m))
+        assert world.activated_by([0], ResidualGraph(path4).without([2])) == {0, 1}
+        assert world.activated_by([0], ResidualGraph(path4).without([0])) == set()
+
+    def test_edge_states_are_left_to_subclasses(self):
+        with pytest.raises(NotImplementedError):
+            BaseRealization().is_live(0)
 
 
-class TestLazyRealizationBatchFlip:
-    def test_consistent_queries(self):
-        graph = star_graph(12).with_uniform_probability(0.5)
-        world = LazyRealization(graph, 0, batch_flip=True)
-        first = [world.is_live(e) for e in range(graph.m)]
-        second = [world.is_live(e) for e in range(graph.m)]
-        assert first == second
+class TestBatchRealizationSpreads:
+    def test_empty_family(self):
+        spreads = batch_realization_spreads([], [0])
+        assert spreads.shape == (0,) and spreads.dtype == np.int64
 
-    def test_whole_slice_flipped_on_first_touch(self):
-        graph = star_graph(10).with_uniform_probability(0.5)
-        world = LazyRealization(graph, 0, batch_flip=True)
-        world.is_live(0)  # any edge of the center flips all of them
-        assert world.num_sampled_edges == graph.out_degree(0)
-        # Touching a sibling edge afterwards consumes no new randomness.
-        before = world.num_sampled_edges
-        world.is_live(graph.out_degree(0) - 1)
-        assert world.num_sampled_edges == before
+    def test_matches_per_world_spread_under_a_residual(self, small_proxy):
+        worlds = sample_realizations(small_proxy, 6, random_state=21)
+        residual = ResidualGraph(small_proxy).without([1, 2, 3])
+        seeds = [0, 4, 60]
+        batched = batch_realization_spreads(worlds, seeds, residual)
+        assert batched.tolist() == [world.spread(seeds, residual) for world in worlds]
 
-    def test_untouched_sources_stay_unsampled(self):
-        graph = path_graph(10).with_uniform_probability(1.0)
-        world = LazyRealization(graph, 0, batch_flip=True)
-        world.activated_by([8])
-        assert world.num_sampled_edges <= 2
+    def test_world_without_a_live_mask_rejected(self, path4):
+        worlds = [Realization.sample(path4, 0), MaskWorld(path4, np.ones(path4.m))]
+        with pytest.raises(ValidationError, match="eager Realization"):
+            batch_realization_spreads(worlds, [0])
 
-    def test_deterministic_edges_agree_with_per_edge_mode(self, path4):
-        batched = LazyRealization(path4, 0, batch_flip=True)
-        assert batched.spread([0]) == 4
-
-    def test_same_marginal_distribution(self):
-        # Statistically identical: over many worlds the live-edge rate of
-        # both modes converges to p.  (The streams differ per world — the
-        # knob is documented as changing the draw order.)
-        graph = star_graph(40).with_uniform_probability(0.3)
-        trials = 200
-        per_edge = sum(
-            LazyRealization(graph, seed).is_live(0) for seed in range(trials)
-        )
-        batched = sum(
-            LazyRealization(graph, seed, batch_flip=True).is_live(0)
-            for seed in range(trials)
-        )
-        assert abs(per_edge / trials - 0.3) < 0.1
-        assert abs(batched / trials - 0.3) < 0.1
-
-    def test_sample_realizations_forwards_the_knob(self, path4):
-        worlds = sample_realizations(path4, 2, random_state=0, lazy=True, batch_flip=True)
-        assert all(world._batch_flip for world in worlds)
+    def test_worlds_of_another_graph_object_rejected(self, path4):
+        twin = path_graph(4)  # equal edges, different object
+        worlds = [Realization.sample(path4, 0), Realization.sample(twin, 0)]
+        with pytest.raises(ValidationError, match="same graph object"):
+            batch_realization_spreads(worlds, [0])
 
 
 class TestSampleRealizations:
@@ -146,10 +138,6 @@ class TestSampleRealizations:
         worlds = sample_realizations(path4, 5, random_state=0)
         assert len(worlds) == 5
         assert all(isinstance(world, Realization) for world in worlds)
-
-    def test_lazy_flag(self, path4):
-        worlds = sample_realizations(path4, 3, random_state=0, lazy=True)
-        assert all(isinstance(world, LazyRealization) for world in worlds)
 
     def test_reproducible_family(self):
         graph = star_graph(6).with_uniform_probability(0.5)
@@ -161,3 +149,13 @@ class TestSampleRealizations:
         graph = star_graph(30).with_uniform_probability(0.5)
         worlds = sample_realizations(graph, 2, random_state=1)
         assert not np.array_equal(worlds[0].live_mask, worlds[1].live_mask)
+
+    def test_zero_count(self, path4):
+        assert sample_realizations(path4, 0, random_state=0) == []
+
+    @pytest.mark.parametrize("knob", ["lazy", "batch_flip"])
+    def test_only_eager_worlds_are_sampled(self, path4, knob):
+        # Evaluation workers replay a world from its full live mask or its
+        # stream, so there is no lazily flipped variant to ask for.
+        with pytest.raises(TypeError):
+            sample_realizations(path4, 2, random_state=0, **{knob: True})

@@ -44,8 +44,14 @@ class TestArgumentParsing:
     def test_known_experiments_listed(self):
         assert "fig2" in cli.EXPERIMENTS
         assert "table2" in cli.EXPERIMENTS
-        assert "clean-shm" in cli.EXPERIMENTS
-        assert len(cli.EXPERIMENTS) == 11
+        assert len(cli.EXPERIMENTS) == 10
+
+    def test_clean_shm_is_not_a_subcommand(self, capsys):
+        # No code creates shared-memory segments, so nothing sweeps them.
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["clean-shm"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'clean-shm'" in capsys.readouterr().err
 
 
 class TestExecution:

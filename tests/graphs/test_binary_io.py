@@ -3,6 +3,7 @@ loading, converter, and malformed-file validation."""
 
 from __future__ import annotations
 
+import pickle
 import struct
 from types import SimpleNamespace
 
@@ -87,6 +88,17 @@ class TestRoundTrip:
         assert np.array_equal(sources, ref_sources)
         assert np.array_equal(probs, ref_probs)
         assert np.array_equal(edge_ids, ref_ids)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_pickled_graph_is_equal(self, graph, tmp_path, mmap):
+        # How a spawned evaluation worker receives its base graph.
+        reloaded = load_rgx(write_rgx(graph, tmp_path / "g.rgx"), mmap=mmap)
+        copy = pickle.loads(pickle.dumps(reloaded))
+        assert _csr_equal(copy, graph)
+        assert (copy.name, copy.undirected_input) == ("er", graph.undirected_input)
+        assert copy.mmap_info == reloaded.mmap_info
+        assert np.array_equal(copy.in_edge_ids, graph.in_edge_ids)
+        assert np.array_equal(copy.edge_sources, graph.edge_sources)
 
     def test_empty_graph(self, tmp_path):
         graph = ProbabilisticGraph(0, [])

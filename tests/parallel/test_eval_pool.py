@@ -9,15 +9,15 @@ the snapshot tests in ``tests/experiments/test_runner.py``.
 
 from __future__ import annotations
 
+import multiprocessing
 from functools import partial
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.core.targets import build_spread_calibrated_instance
 from repro.diffusion.realization import (
-    LazyRealization,
+    BaseRealization,
     Realization,
     sample_realizations,
 )
@@ -143,8 +143,30 @@ class TestRealizationTicket:
                 ticket.realize(graph)
 
     def test_lazy_realizations_rejected(self, graph):
+        # Only a materialized live mask (or its stream) can travel.
+        class MemoizedWorld(BaseRealization):
+            def __init__(self, graph):
+                self.graph = graph
+
         with pytest.raises(ValidationError):
-            as_tickets([LazyRealization(graph, 0)])
+            as_tickets([MemoizedWorld(graph)])
+
+    @pytest.mark.parametrize(
+        "item",
+        [None, np.ones(8, dtype=bool), [0, 3, 5]],
+        ids=["none", "bare-live-mask", "live-edge-ids"],
+    )
+    def test_non_worlds_rejected(self, item):
+        with pytest.raises(ValidationError, match="eager Realization"):
+            as_tickets([item])
+
+    def test_mixed_sequence_keeps_order(self, graph):
+        worlds = sample_realizations(graph, 3, random_state=12)
+        streamed = RealizationTicket.from_state(np.random.SeedSequence(4))
+        tickets = as_tickets([worlds[0], streamed, worlds[1], worlds[2]])
+        assert tickets[1] is streamed
+        for ticket, world in zip(tickets[:1] + tickets[2:], worlds):
+            assert np.array_equal(ticket.realize(graph).live_mask, world.live_mask)
 
     def test_empty_ticket_rejected(self, graph):
         with pytest.raises(ValidationError):
@@ -269,7 +291,7 @@ class TestLifecycle:
             assert len(records) == 2
             assert not pool.running
 
-    def test_close_is_idempotent_and_unlinks(self, graph, instance, fast_engine):
+    def test_close_is_idempotent_and_stops_workers(self, graph, instance, fast_engine):
         pool = EvaluationPool(graph, eval_jobs=2)
         pool.run_sessions(
             partial(_make_hatp, fast_engine, 1),
@@ -278,17 +300,49 @@ class TestLifecycle:
             np.random.default_rng(0).spawn(2),
         )
         assert pool.running
-        names = [spec.name for spec in pool._broker.spec.arrays.values()]
+        workers = list(pool._executor._processes.values())
+        assert workers
         pool.close()
         pool.close()
         assert not pool.running
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert not any(worker.is_alive() for worker in workers)
         with pytest.raises(ValidationError):
             pool.run_sessions(_make_ars, instance, [], [])
         with pytest.raises(ValidationError):
             pool.score_selection([0], [])
+
+    def test_clean_close_lets_workers_exit(self, graph):
+        # No task ever timed out, so close() joins the workers instead of
+        # killing them.
+        pool = EvaluationPool(graph, eval_jobs=2)
+        pool.score_selection([0, 1], as_tickets(sample_realizations(graph, 2, 0)))
+        workers = list(pool._executor._processes.values())
+        pool.close()
+        assert workers and [worker.exitcode for worker in workers] == [0] * len(workers)
+
+    def test_with_block_closes_the_pool_on_error(self, graph):
+        with pytest.raises(RuntimeError, match="caller failed"):
+            with EvaluationPool(graph, eval_jobs=2) as pool:
+                pool.score_selection([0], as_tickets(sample_realizations(graph, 2, 0)))
+                workers = list(pool._executor._processes.values())
+                raise RuntimeError("caller failed")
+        assert not pool.running
+        assert not any(worker.is_alive() for worker in workers)
+        with pytest.raises(ValidationError):
+            pool.score_selection([0], [])
+
+    def test_unused_pool_closes_without_starting_workers(self, graph):
+        pool = EvaluationPool(graph, eval_jobs=2)
+        pool.close()
+        assert not pool.running
+        with pytest.raises(ValidationError):
+            pool.score_selection([0], as_tickets(sample_realizations(graph, 2, 0)))
+        assert not pool.running
+
+    def test_start_method_is_not_a_parameter(self, graph):
+        # The pool picks fork wherever the platform has it, spawn elsewhere.
+        with pytest.raises(TypeError):
+            EvaluationPool(graph, eval_jobs=2, start_method="fork")
 
     def test_worker_error_propagates_and_pool_survives(
         self, graph, instance, worker_pool
@@ -324,6 +378,38 @@ class TestLifecycle:
 
 def _raising_factory(inst, rng):
     raise ValidationError("factory exploded (on purpose)")
+
+
+class TestSpawnedWorkers:
+    def test_spawned_workers_match_in_process(
+        self, graph, instance, fast_engine, monkeypatch
+    ):
+        # Without fork, each worker unpickles the graph it was handed.
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+        factory = partial(_make_hatp, fast_engine, 1)
+        tickets = [
+            RealizationTicket.from_state(s) for s in np.random.default_rng(3).spawn(3)
+        ]
+        with EvaluationPool(graph, eval_jobs=2) as pool:
+            spawned = parallel_evaluate_adaptive(
+                factory, instance, tickets, random_state=5, pool=pool
+            )
+            workers = list(pool._executor._processes.values())
+            assert workers and all(
+                type(worker).__name__ == "SpawnProcess" for worker in workers
+            )
+        alone = parallel_evaluate_adaptive(
+            factory, instance, tickets, random_state=5, eval_jobs=1
+        )
+        assert [
+            (r.index, r.profit, r.spread, r.num_seeds, r.seed_cost, r.rr_sets)
+            for r in spawned
+        ] == [
+            (r.index, r.profit, r.spread, r.num_seeds, r.seed_cost, r.rr_sets)
+            for r in alone
+        ]
 
 
 class TestWorkerGraphReconstruction:

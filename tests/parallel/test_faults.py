@@ -12,20 +12,17 @@ pool:
 
 In every case the assertion is the same one the determinism contract
 makes possible: the chaos run's output is bit-for-bit what a
-failure-free ``eval_jobs=1`` run produces.  The janitor tests pin the
-shared-memory hygiene the ladder depends on (tagged names, exit hooks,
-orphan sweeps), and the resume tests interrupt a journaled sweep and
-check ``--resume`` reproduces the uninterrupted artifacts exactly.
+failure-free ``eval_jobs=1`` run produces, and a session abandoned after
+its timeout does not hold up the pool's ``close()``.  The resume tests
+interrupt a journaled sweep and check ``--resume`` reproduces the
+uninterrupted artifacts exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import signal
-import subprocess
-import sys
-import textwrap
+import time
 from functools import partial
 
 import numpy as np
@@ -39,11 +36,7 @@ from repro.experiments.journal import ResultJournal
 from repro.experiments.reporting import collect_figure_rows, write_rows_csv
 from repro.experiments.runner import _make_hatp
 from repro.experiments.sensitivity import epsilon_sensitivity
-from repro.graphs import generators
 from repro.graphs.datasets import load_proxy
-from repro.graphs.weighting import weighted_cascade
-from repro.parallel import janitor
-from repro.parallel.broker import SharedGraphBroker
 from repro.parallel.eval_pool import (
     EvaluationPool,
     RealizationTicket,
@@ -58,12 +51,6 @@ from repro.parallel.faults import (
     perform_fault,
 )
 from repro.utils.exceptions import InjectedFault, ValidationError
-
-
-@pytest.fixture(scope="module")
-def graph():
-    """A ~200-node heavy-tailed graph under weighted cascade."""
-    return weighted_cascade(generators.barabasi_albert(200, 3, random_state=21))
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +225,49 @@ class TestEvalChaos:
         )
         assert chaotic == serial_records
 
+    def test_timed_out_session_does_not_hold_close(
+        self, eval_graph, instance, fast_engine, serial_records
+    ):
+        # The abandoned worker would sleep for 30 s; closing the pool
+        # kills it instead of waiting for it.
+        started = time.perf_counter()
+        chaotic = self._chaotic_records(
+            eval_graph, instance, fast_engine, "delay:eval:0:30", task_timeout=0.2
+        )
+        assert time.perf_counter() - started < 10.0
+        assert chaotic == serial_records
+
+    def test_timed_out_scoring_task_does_not_hold_close(self, eval_graph, instance):
+        realizations = sample_realizations(eval_graph, 3, random_state=6)
+        seeds = instance.target[:3]
+        expected = [float(r.spread(seeds)) for r in realizations]
+        plan = FaultPlan.from_spec("delay:eval:0:30")
+        started = time.perf_counter()
+        with EvaluationPool(
+            eval_graph, eval_jobs=2, fault_plan=plan, task_timeout=0.2
+        ) as pool:
+            scored = pool.score_selection(seeds, as_tickets(realizations))
+            workers = list(pool._executor._processes.values())
+        assert time.perf_counter() - started < 10.0
+        assert scored == expected
+        # The worker still sleeping on the abandoned task was killed.
+        assert -signal.SIGKILL in [worker.exitcode for worker in workers]
+
+    def test_pool_keeps_serving_after_a_timeout(self, eval_graph, instance):
+        realizations = sample_realizations(eval_graph, 4, random_state=6)
+        seeds = instance.target[:3]
+        expected = [float(r.spread(seeds)) for r in realizations]
+        plan = FaultPlan.from_spec("delay:eval:0:30")
+        with EvaluationPool(
+            eval_graph, eval_jobs=2, fault_plan=plan, task_timeout=0.2
+        ) as pool:
+            first = pool.score_selection(seeds, as_tickets(realizations))
+            assert pool._ladder.timeouts >= 1
+            # One worker still sleeps; the other serves the next call.
+            second = pool.score_selection(seeds, as_tickets(realizations))
+        assert first == expected
+        assert second == expected
+
     def test_killed_scoring_worker_matches(self, eval_graph, instance):
         realizations = sample_realizations(eval_graph, 4, random_state=6)
         seeds = instance.target[:3]
@@ -247,145 +277,6 @@ class TestEvalChaos:
             scored = pool.score_selection(seeds, as_tickets(realizations))
         assert scored == expected
         assert not plan.armed
-
-
-# --------------------------------------------------------------------- #
-# janitor: tagged names, orphan sweeps, exit hooks
-# --------------------------------------------------------------------- #
-
-
-def _spawn_and_reap_pid() -> int:
-    """Pid of an already-finished (and reaped) subprocess — guaranteed dead."""
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    return proc.pid
-
-
-_POOL_SCRIPT = textwrap.dedent(
-    """
-    import time
-    from repro.graphs import generators
-    from repro.graphs.weighting import weighted_cascade
-    from repro.parallel import SharedGraphBroker
-
-    graph = weighted_cascade(generators.barabasi_albert(120, 2, random_state=0))
-    broker = SharedGraphBroker(graph)
-    for spec in broker.spec.arrays.values():
-        print(spec.name, flush=True)
-    print("READY", flush=True)
-    time.sleep(120)
-    """
-)
-
-
-def _spawn_pool_subprocess():
-    """Start a driver subprocess with live shared memory; return (proc, names)."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _POOL_SCRIPT],
-        stdout=subprocess.PIPE,
-        text=True,
-        env=env,
-        start_new_session=True,
-    )
-    names = []
-    for line in proc.stdout:
-        line = line.strip()
-        if line == "READY":
-            break
-        if line:
-            names.append(line)
-    assert names, "subprocess reported no shared-memory segments"
-    return proc, names
-
-
-def _kill_group(proc) -> None:
-    """SIGKILL the subprocess's whole session (driver and pool workers).
-
-    ``start_new_session=True`` makes the child a session leader, so its
-    pid doubles as the process-group id even after the leader itself dies.
-    """
-    try:
-        os.killpg(proc.pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
-
-
-class TestJanitor:
-    def test_tagged_name_round_trip(self):
-        name = janitor.tagged_segment_name()
-        assert name.startswith(f"{janitor.SEGMENT_PREFIX}-{os.getpid()}-")
-        assert janitor.owner_pid(name) == os.getpid()
-        assert janitor.owner_pid("/" + name) == os.getpid()
-
-    def test_owner_pid_of_foreign_names(self):
-        assert janitor.owner_pid("psm_4f2a91c3") is None
-        assert janitor.owner_pid("repro-shm-notapid-aa") is None
-
-    def test_pid_alive(self):
-        assert janitor.pid_alive(os.getpid())
-        assert not janitor.pid_alive(_spawn_and_reap_pid())
-
-    def test_broker_segments_carry_owner_tag(self, graph):
-        with SharedGraphBroker(graph) as broker:
-            names = [spec.name for spec in broker.spec.arrays.values()]
-        assert names
-        for name in names:
-            assert janitor.owner_pid(name) == os.getpid()
-
-    def test_orphan_sweep_removes_only_dead_owners(self, tmp_path):
-        dead = _spawn_and_reap_pid()
-        dead_file = tmp_path / f"{janitor.SEGMENT_PREFIX}-{dead}-aabb"
-        live_file = tmp_path / f"{janitor.SEGMENT_PREFIX}-{os.getpid()}-ccdd"
-        foreign_file = tmp_path / "psm_unrelated"
-        for f in (dead_file, live_file, foreign_file):
-            f.write_bytes(b"x")
-        listed = janitor.list_library_segments(str(tmp_path))
-        assert dead_file.name in listed and live_file.name in listed
-        assert foreign_file.name not in listed
-
-        removed = janitor.clean_orphan_segments(str(tmp_path))
-        assert removed == [dead_file.name]
-        assert not dead_file.exists()
-        assert live_file.exists()
-        assert foreign_file.exists()
-
-    def test_sweep_of_missing_directory(self, tmp_path):
-        assert janitor.clean_orphan_segments(str(tmp_path / "nope")) == []
-        assert janitor.list_library_segments(str(tmp_path / "nope")) == []
-
-    def test_sigterm_unlinks_segments(self):
-        # A SIGTERM'd driver must leave no segments behind: the chained
-        # handler unlinks before re-delivering the signal.
-        proc, names = _spawn_pool_subprocess()
-        try:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=30)
-        finally:
-            _kill_group(proc)
-        assert proc.returncode == -signal.SIGTERM
-        for name in names:
-            assert not os.path.exists(os.path.join(janitor.DEFAULT_SHM_DIR, name))
-
-    def test_sigkill_orphans_are_swept(self):
-        # SIGKILL cannot be caught — the segments leak by design, and the
-        # clean-shm sweep (layer 3) is what reclaims them.
-        proc, names = _spawn_pool_subprocess()
-        try:
-            _kill_group(proc)
-            proc.wait(timeout=30)
-        finally:
-            _kill_group(proc)
-        leaked = [
-            n for n in names if os.path.exists(os.path.join(janitor.DEFAULT_SHM_DIR, n))
-        ]
-        assert leaked, "SIGKILL should have leaked the segments for the sweep to find"
-        removed = janitor.clean_orphan_segments()
-        for name in leaked:
-            assert name in removed
-            assert not os.path.exists(os.path.join(janitor.DEFAULT_SHM_DIR, name))
 
 
 # --------------------------------------------------------------------- #

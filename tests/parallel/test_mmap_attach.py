@@ -1,10 +1,10 @@
-"""Worker attach-by-path over mmap-backed (``.rgx``) graphs.
+"""Sampling, evaluation workers and the service over mmap-backed (``.rgx``) graphs.
 
-When the base graph is file-backed, the broker publishes file specs
-(path + offset) instead of copying the CSR arrays into ``/dev/shm``
-segments; workers ``np.memmap`` the same file.  The contracts under test:
+A graph opened with ``load_rgx(mmap=True)`` holds ``np.memmap`` views of
+the file; evaluation workers forked from the process that opened it
+inherit the same mapping, and spawned workers unpickle the arrays.  The
+contracts under test:
 
-* a broker over an mmap graph creates no shared-memory segment;
 * sampling stays bit-for-bit invariant to the thread count, and a batch
   drawn on an mmap-backed graph matches a RAM-backed one exactly;
 * the evaluation pool and the seeding service answer identically over
@@ -12,6 +12,8 @@ segments; workers ``np.memmap`` the same file.  The contracts under test:
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -21,8 +23,6 @@ from repro.experiments.runner import _make_hatp
 from repro.core.targets import build_spread_calibrated_instance
 from repro.graphs.binary import load_rgx, write_rgx
 from repro.graphs.datasets import load_proxy
-from repro.parallel import janitor
-from repro.parallel.broker import SharedArraySpec, SharedGraphBroker, attach_shared_graph
 from repro.parallel.eval_pool import (
     EvaluationPool,
     RealizationTicket,
@@ -30,7 +30,6 @@ from repro.parallel.eval_pool import (
 )
 from repro.parallel.pool import SamplingPool
 from repro.service.state import ServiceState
-from repro.utils.exceptions import ValidationError
 
 from functools import partial
 
@@ -61,13 +60,6 @@ def _batch_equal(a, b):
 
 
 class TestSamplingPool:
-    def test_no_segment_for_an_mmap_graph(self, mmap_graph):
-        before = set(janitor.list_library_segments())
-        with SharedGraphBroker(mmap_graph) as broker:
-            # every CSR array rides the .rgx file
-            assert all(s.path is not None for s in broker.spec.arrays.values())
-            assert set(janitor.list_library_segments()) == before
-
     def test_one_vs_many_workers_bit_for_bit(self, ram_graph, mmap_graph, low_split_floor):
         with SamplingPool(n_jobs=1) as one, SamplingPool(n_jobs=3) as many:
             for seed in (0, 17):
@@ -76,66 +68,43 @@ class TestSamplingPool:
                     many.generate(mmap_graph, 300, seed),
                 )
 
-    def test_file_specs_point_at_the_rgx(self, mmap_graph, rgx_path):
-        with SharedGraphBroker(mmap_graph) as broker:
-            for key, spec in broker.spec.arrays.items():
-                assert spec.path == str(rgx_path.resolve()), key
-                assert spec.offset >= 64
 
-    def test_attach_of_deleted_backing_file(self, mmap_graph, tmp_path):
-        copy = tmp_path / "gone.rgx"
-        mapping = mmap_graph.mmap_info
-        spec_arrays = {
-            "out_offsets": SharedArraySpec(
-                name="",
-                shape=mapping.arrays["out_offsets"][1],
-                dtype=mapping.arrays["out_offsets"][2],
-                path=str(copy),
-                offset=mapping.arrays["out_offsets"][0],
-            )
-        }
-        from repro.parallel.broker import SharedGraphSpec
-
-        spec = SharedGraphSpec(
-            n=mmap_graph.n, m=mmap_graph.m, arrays=spec_arrays
+def _session_records(graph, eval_jobs):
+    """Three HATP sessions on ``graph``, minus their measured runtimes."""
+    engine = EngineParameters(
+        max_rounds=2,
+        max_samples_per_round=100,
+        addatp_max_rounds=2,
+        addatp_max_samples_per_round=100,
+    )
+    factory = partial(_make_hatp, engine, 1)
+    tickets = [
+        RealizationTicket.from_state(s)
+        for s in np.random.default_rng(3).spawn(3)
+    ]
+    instance = build_spread_calibrated_instance(
+        graph, k=4, cost_setting="degree", num_rr_sets=300, random_state=11
+    )
+    with EvaluationPool(graph, eval_jobs=eval_jobs) as pool:
+        records = parallel_evaluate_adaptive(
+            factory, instance, tickets, random_state=5, pool=pool
         )
-        with pytest.raises(ValidationError, match="does not exist"):
-            attach_shared_graph(spec)
+    return [
+        (r.index, r.profit, r.spread, r.num_seeds, r.seed_cost, r.rr_sets)
+        for r in records
+    ]
 
 
 class TestEvaluationPool:
     def test_sessions_match_ram_backing(self, ram_graph, mmap_graph):
-        engine = EngineParameters(
-            max_rounds=2,
-            max_samples_per_round=100,
-            addatp_max_rounds=2,
-            addatp_max_samples_per_round=100,
+        assert _session_records(mmap_graph, 2) == _session_records(ram_graph, 1)
+
+    def test_spawned_sessions_match_ram_backing(self, ram_graph, mmap_graph, monkeypatch):
+        # Spawned workers unpickle the mmap'd graph instead of inheriting it.
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
         )
-        factory = partial(_make_hatp, engine, 1)
-        tickets = [
-            RealizationTicket.from_state(s)
-            for s in np.random.default_rng(3).spawn(3)
-        ]
-        instance_ram = build_spread_calibrated_instance(
-            ram_graph, k=4, cost_setting="degree", num_rr_sets=300, random_state=11
-        )
-        instance_mmap = build_spread_calibrated_instance(
-            mmap_graph, k=4, cost_setting="degree", num_rr_sets=300, random_state=11
-        )
-        with EvaluationPool(mmap_graph, eval_jobs=2) as pool:
-            over_mmap = parallel_evaluate_adaptive(
-                factory, instance_mmap, tickets, random_state=5, pool=pool
-            )
-        over_ram = parallel_evaluate_adaptive(
-            factory, instance_ram, tickets, random_state=5, eval_jobs=1
-        )
-        assert [
-            (r.index, r.profit, r.spread, r.num_seeds, r.seed_cost, r.rr_sets)
-            for r in over_mmap
-        ] == [
-            (r.index, r.profit, r.spread, r.num_seeds, r.seed_cost, r.rr_sets)
-            for r in over_ram
-        ]
+        assert _session_records(mmap_graph, 2) == _session_records(ram_graph, 1)
 
 
 class TestServiceState:

@@ -393,7 +393,7 @@ class TestForkSafety:
         tickets = [
             RealizationTicket.from_state(s) for s in np.random.default_rng(3).spawn(3)
         ]
-        with EvaluationPool(graph, eval_jobs=2, start_method="fork") as pool:
+        with EvaluationPool(graph, eval_jobs=2) as pool:
             forked = parallel_evaluate_adaptive(
                 factory, instance, tickets, random_state=5, pool=pool
             )

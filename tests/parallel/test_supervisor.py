@@ -18,6 +18,7 @@ from typing import List, Set
 import pytest
 
 from repro.parallel.supervisor import LadderStats, SupervisedTask, supervised_collect
+from repro.utils.exceptions import ValidationError, WorkerError
 
 
 class ScriptedPool:
@@ -37,12 +38,14 @@ class ScriptedPool:
         self.submits = 0
         self.rebuilds = 0
         self.local_runs: List[int] = []
+        self.futures: List[Future] = []
 
     def submit(self, index: int) -> Future:
         self.submits += 1
         if self.submits in self.break_on_submit:
             raise BrokenProcessPool("executor died during submit")
         future: Future = Future()
+        self.futures.append(future)
         if self.submits in self.break_on_result:
             future.set_exception(BrokenProcessPool("worker died"))
         elif self.submits in self.fail_on_result:
@@ -133,3 +136,62 @@ def test_any_fanout_submit_break_rebuilds_once(ordinal):
     assert results == _expected(3)
     assert pool.local_runs == []
     assert stats == LadderStats(rebuilds=1)
+
+
+class TestDegradation:
+    def test_timed_out_future_runs_in_process(self):
+        pool = ScriptedPool(pending={1})
+        stats = LadderStats()
+        results = supervised_collect(
+            pool.tasks(3), pool.rebuild, "test", timeout=0.01, stats=stats
+        )
+        assert results == _expected(3)
+        assert pool.local_runs == [0]
+        assert pool.submits == 3  # a timed-out task is never re-submitted
+        assert stats == LadderStats(timeouts=1, degraded=1)
+
+    def test_exhausted_retries_run_in_process(self):
+        pool = ScriptedPool(fail_on_result={1, 3, 4})
+        stats = LadderStats()
+        results = supervised_collect(
+            pool.tasks(2), pool.rebuild, "test", max_retries=2, stats=stats
+        )
+        # Task 0 fails on submissions 1, 3 and 4: two retries, then local.
+        assert results == _expected(2)
+        assert pool.local_runs == [0]
+        assert stats == LadderStats(retries=2, degraded=1)
+
+    def test_failed_fallback_raises_worker_error_with_context(self):
+        pool = ScriptedPool(pending={1})
+        task = SupervisedTask(
+            index=0,
+            label="scoring task 1/1",
+            submit=lambda: pool.submit(0),
+            run_local=lambda: 1 / 0,
+        )
+        with pytest.raises(WorkerError, match="scoring task 1/1") as raised:
+            supervised_collect([task], pool.rebuild, "eval", timeout=0.01)
+        assert raised.value.tier == "eval"
+        assert raised.value.task == "scoring task 1/1"
+        assert isinstance(raised.value.__cause__, ZeroDivisionError)
+
+    def test_typed_error_of_the_fallback_keeps_its_type(self):
+        def reject():
+            raise ValidationError("bad roots")
+
+        pool = ScriptedPool(pending={1})
+        task = SupervisedTask(
+            index=0, label="task 0", submit=lambda: pool.submit(0), run_local=reject
+        )
+        with pytest.raises(ValidationError, match="bad roots"):
+            supervised_collect([task], pool.rebuild, "eval", timeout=0.01)
+
+    def test_failure_cancels_the_queued_futures(self):
+        pool = ScriptedPool(pending={1, 2, 3})
+        tasks = pool.tasks(3)
+        tasks[0].run_local = lambda: 1 / 0
+        with pytest.raises(WorkerError):
+            supervised_collect(tasks, pool.rebuild, "eval", timeout=0.01)
+        # Task 0 degraded and failed; its abandoned future and the still
+        # queued ones of tasks 1 and 2 are all released.
+        assert [future.cancelled() for future in pool.futures] == [True] * 3
