@@ -12,7 +12,7 @@ Assertions pin the *mechanisms*, not host-dependent wall-clock:
 
 * the answer cache serves a non-zero share of the hot-pool repeats;
 * coalescing is observable (at least one executed batch bundled > 1
-  request — the whole point of the batching window);
+  request — queries that arrive while a batch runs pile up behind it);
 * no query errors, and p99 stays under a deliberately generous bound
   that only a hung batch or a leaked future would breach.
 """
@@ -60,7 +60,7 @@ def test_bench_service_latency():
             mc_simulations=100,
             seed=BENCH_SEED,
         )
-        server = SeedingServer(state, port=0, window_ms=5.0)
+        server = SeedingServer(state, port=0)
         try:
             await server.start()
             closed = await _drive_mode(
@@ -86,7 +86,7 @@ def test_bench_service_latency():
         assert result.errors == 0, row
         assert result.completed == num_queries, row
         assert result.percentile(99) < P99_BOUND_MS, row
-    # The hot pool must have produced answer-cache hits, and the window
-    # must have observably coalesced concurrent queries.
+    # The hot pool must have produced answer-cache hits, and concurrent
+    # queries must have observably coalesced.
     assert rows[0]["cache_hits"] + rows[1]["cache_hits"] > 0, rows
     assert max(rows[0]["max_batch_size"], rows[1]["max_batch_size"]) > 1, rows

@@ -61,7 +61,7 @@ def _make_state(fault_plan=None):
 
 async def _run_phase(phase, num_queries, *, fault_plan=None, **server_kwargs):
     state = _make_state(fault_plan)
-    server = SeedingServer(state, port=0, window_ms=5.0, **server_kwargs)
+    server = SeedingServer(state, port=0, **server_kwargs)
     hot_answers = {}
     try:
         await server.start()

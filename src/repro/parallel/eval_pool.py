@@ -386,22 +386,40 @@ class EvaluationPool:
         self._ensure_workers()
 
     def close(self) -> None:
-        """Stop the workers (idempotent); a closed pool refuses work.
+        """Stop the workers (idempotent); a closed pool refuses work."""
+        self._closed = True
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
-        A session abandoned after ``task_timeout`` may still be running in
-        its worker, and ``shutdown(wait=True)`` would wait for it to end.
-        So once any task has timed out, the workers are killed first;
+    def _collect(self, tasks: List[SupervisedTask]) -> list:
+        """Run ``tasks`` under supervision on this pool's workers.
+
+        A task abandoned after ``task_timeout`` may still be running in
+        its worker, which would serve every later call one worker short
+        (and hold ``close()`` until the task ended).  So once a collection
+        in which a task timed out has finished, its workers are killed and
+        the executor dropped; the next call starts fresh ones.
         ``ProcessPoolExecutor`` has no public way to stop a busy worker
         before Python 3.14.
         """
-        self._closed = True
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        if self._ladder.timeouts:
-            for worker in list(executor._processes.values()):
-                worker.kill()
-        executor.shutdown(wait=True)
+        timeouts = self._ladder.timeouts
+        try:
+            return supervised_collect(
+                tasks,
+                rebuild=self._rebuild_workers,
+                tier="eval",
+                timeout=self._task_timeout,
+                max_retries=self._max_retries,
+                stats=self._ladder,
+            )
+        finally:
+            executor = self._executor
+            if self._ladder.timeouts > timeouts and executor is not None:
+                self._executor = None
+                for worker in list(executor._processes.values()):
+                    worker.kill()
+                executor.shutdown(wait=True)
 
     def __enter__(self) -> "EvaluationPool":
         return self
@@ -516,14 +534,7 @@ class EvaluationPool:
             )
             for index, (ticket, state) in enumerate(zip(tickets, states))
         ]
-        return supervised_collect(
-            tasks,
-            rebuild=self._rebuild_workers,
-            tier="eval",
-            timeout=self._task_timeout,
-            max_retries=self._max_retries,
-            stats=self._ladder,
-        )
+        return self._collect(tasks)
 
     def score_selection(
         self,
@@ -562,14 +573,7 @@ class EvaluationPool:
             )
             for index, ticket in enumerate(tickets)
         ]
-        return supervised_collect(
-            tasks,
-            rebuild=self._rebuild_workers,
-            tier="eval",
-            timeout=self._task_timeout,
-            max_retries=self._max_retries,
-            stats=self._ladder,
-        )
+        return self._collect(tasks)
 
     def _score_local(self, seeds, ticket: RealizationTicket) -> float:
         """In-process scoring fallback for a degraded task."""

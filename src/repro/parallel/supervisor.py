@@ -22,7 +22,7 @@ The ladder, per task:
    ``run_local`` callable.  A timed-out future degrades immediately
    (``ProcessPoolExecutor`` cannot cancel a running task, and re-submitting
    a possibly-still-running task would double-execute it; the pool kills
-   such a worker when it closes); a task whose
+   such a worker once the collection has finished); a task whose
    retries are exhausted, or one stranded by a second pool break, degrades
    too.  The run completes — slower, never wrong.
 

@@ -21,9 +21,10 @@ Endpoints
 * ``POST /shutdown`` — request graceful shutdown (what SIGTERM does).
 
 Shutdown discipline (the PR-6 ladder, applied to serving): stop
-accepting, await the in-flight batch, drain the pending tail in-process,
-then join the sampling threads — :meth:`SeedingServer.close` is
-idempotent and safe under a SIGTERM that lands mid-batch.
+accepting, await the in-flight batch, run the pending tail on the batch
+thread and stop it, then join the sampling threads —
+:meth:`SeedingServer.close` is idempotent and safe under a SIGTERM that
+lands mid-batch.
 """
 
 from __future__ import annotations
@@ -128,9 +129,8 @@ class SeedingServer:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (tests, the
         self-serving load generator).
-    window_ms / max_batch:
-        Coalescing knobs forwarded to :class:`RequestBatcher` (``None``
-        honours ``REPRO_SERVICE_BATCH_MS``).
+    max_batch:
+        Batch-size cap forwarded to :class:`RequestBatcher`.
     max_pending:
         Pending-queue bound forwarded to :class:`RequestBatcher`
         (``None`` honours ``REPRO_SERVICE_MAX_PENDING``).
@@ -150,7 +150,6 @@ class SeedingServer:
         state: ServiceState,
         host: str = "127.0.0.1",
         port: int = 8321,
-        window_ms: Optional[float] = None,
         max_batch: Optional[int] = None,
         max_pending: Optional[int] = None,
         max_inflight: Optional[int] = None,
@@ -161,7 +160,6 @@ class SeedingServer:
         self._port = int(port)
         self._batcher = RequestBatcher(
             state.execute_batch,
-            window_ms=window_ms,
             max_batch=max_batch,
             max_pending=max_pending,
         )

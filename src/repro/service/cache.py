@@ -22,6 +22,7 @@ cache keys out of query payloads and residual activity masks.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
@@ -75,9 +76,12 @@ class LRUCache:
     disables caching entirely: every lookup misses, every insert is
     dropped — callers never need a separate "cache off" branch.
 
-    The implementation is a plain ``OrderedDict`` move-to-end scheme; it
-    is not thread-safe on its own (the service serialises access through
-    its batcher, and the oracles are single-threaded objects).
+    The implementation is a plain ``OrderedDict`` move-to-end scheme
+    under one lock per cache, so every operation is atomic: the service
+    reads its answer cache on the event-loop thread (the cache fast path)
+    while the batch thread reads and fills it, and an eviction landing
+    between a lookup and its recency refresh would otherwise raise
+    ``KeyError``.
     """
 
     capacity: int
@@ -90,6 +94,7 @@ class LRUCache:
                 f"cache capacity must be >= 0, got {self.capacity}"
             )
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -99,46 +104,51 @@ class LRUCache:
         return key in self._entries
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._entries)
+        return iter(self.keys())
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Counted lookup: a hit refreshes recency, a miss returns ``default``."""
-        value = self._entries.get(key, _MISSING)
-        if value is _MISSING:
-            self.stats.misses += 1
-            return default
-        self.stats.hits += 1
-        self._entries.move_to_end(key)
-        return value
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
+                self.stats.misses += 1
+                return default
+            self.stats.hits += 1
+            self._entries.move_to_end(key)
+            return value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Uncounted lookup that leaves recency untouched (introspection)."""
-        value = self._entries.get(key, _MISSING)
-        return default if value is _MISSING else value
+        with self._lock:
+            return self._entries.get(key, default)
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/overwrite ``key``, evicting the LRU entry when over capacity."""
         if self.capacity == 0:
             return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        self.stats.inserts += 1
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = value
+            self.stats.inserts += 1
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove and return ``key`` (uncounted; ``default`` when absent)."""
-        return self._entries.pop(key, default)
+        with self._lock:
+            return self._entries.pop(key, default)
 
     def clear(self) -> None:
         """Drop every entry (counters keep accumulating)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def keys(self) -> Tuple[Hashable, ...]:
         """Current keys, least recently used first."""
-        return tuple(self._entries.keys())
+        with self._lock:
+            return tuple(self._entries.keys())
 
 
 # --------------------------------------------------------------------- #

@@ -128,12 +128,6 @@ def _add_state_arguments(parser: argparse.ArgumentParser) -> None:
         help="warm RR collections kept (default REPRO_SERVICE_COLLECTIONS, else 8)",
     )
     parser.add_argument(
-        "--batch-ms",
-        type=float,
-        default=None,
-        help="request-coalescing window in ms (default REPRO_SERVICE_BATCH_MS, else 5)",
-    )
-    parser.add_argument(
         "--max-batch", type=int, default=None, help="hard cap on coalesced batch size"
     )
 
@@ -221,7 +215,6 @@ def run_serve(argv: Optional[Sequence[str]] = None) -> int:
         state,
         host=args.host,
         port=args.port,
-        window_ms=args.batch_ms,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         max_inflight=args.max_inflight,
@@ -352,7 +345,6 @@ def run_loadgen(argv: Optional[Sequence[str]] = None) -> int:
             state,
             host=args.host,
             port=0,
-            window_ms=args.batch_ms,
             max_batch=args.max_batch,
         )
         try:

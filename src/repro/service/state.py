@@ -340,8 +340,8 @@ class ServiceState:
     def try_cached(self, request: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
         """Answer ``request`` from the cache, or ``None`` on a miss.
 
-        The fast path the API server takes before paying the batching
-        window; counts one hit or miss against the answer cache.
+        The fast path the API server takes before it submits to the
+        batcher; counts one hit or miss against the answer cache.
         """
         self._require_open()
         _, entry = self._admit(request)
@@ -385,8 +385,8 @@ class ServiceState:
         when the query asked for a larger θ via ``samples`` — the same
         query at the default θ.  Lookups use recency-neutral, uncounted
         peeks, so degraded serving never perturbs cache statistics or
-        eviction order, and no lock is taken (reads race an in-flight
-        batch benignly: worst case is a miss).
+        eviction order, and the state lock is not taken (reads race an
+        in-flight batch benignly: worst case is a miss).
         """
         self._require_open()
         entry = self.entry(request.get("version"))

@@ -247,13 +247,13 @@ class TestEvalChaos:
             eval_graph, eval_jobs=2, fault_plan=plan, task_timeout=0.2
         ) as pool:
             scored = pool.score_selection(seeds, as_tickets(realizations))
-            workers = list(pool._executor._processes.values())
+            assert not pool.running  # the timed-out call dropped its workers
         assert time.perf_counter() - started < 10.0
         assert scored == expected
-        # The worker still sleeping on the abandoned task was killed.
-        assert -signal.SIGKILL in [worker.exitcode for worker in workers]
 
-    def test_pool_keeps_serving_after_a_timeout(self, eval_graph, instance):
+    def test_stalled_worker_is_killed_when_its_call_returns(
+        self, eval_graph, instance, monkeypatch
+    ):
         realizations = sample_realizations(eval_graph, 4, random_state=6)
         seeds = instance.target[:3]
         expected = [float(r.spread(seeds)) for r in realizations]
@@ -261,9 +261,22 @@ class TestEvalChaos:
         with EvaluationPool(
             eval_graph, eval_jobs=2, fault_plan=plan, task_timeout=0.2
         ) as pool:
+            workers = []
+            score_local = pool._score_local
+
+            def degrade(seeds, ticket):
+                # The timed-out task degrades while its worker still sleeps.
+                workers.extend(pool._executor._processes.values())
+                return score_local(seeds, ticket)
+
+            monkeypatch.setattr(pool, "_score_local", degrade)
             first = pool.score_selection(seeds, as_tickets(realizations))
-            assert pool._ladder.timeouts >= 1
-            # One worker still sleeps; the other serves the next call.
+            assert pool._ladder.timeouts == 1
+            # Before close(): the stalled worker is gone, so it cannot hold
+            # a slot of the next call.
+            for worker in workers:
+                worker.join(timeout=5.0)
+            assert -signal.SIGKILL in [worker.exitcode for worker in workers]
             second = pool.score_selection(seeds, as_tickets(realizations))
         assert first == expected
         assert second == expected

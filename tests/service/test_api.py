@@ -25,9 +25,15 @@ from repro.service.state import ServiceState
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def make_server(**kwargs):
+def make_state():
     state = ServiceState(num_samples=300, mc_simulations=100, seed=7)
     state.register_graph(toy_graph(), costs=toy_costs())
+    return state
+
+
+def make_server(state=None, **kwargs):
+    if state is None:
+        state = make_state()
     return SeedingServer(state, port=0, **kwargs)
 
 
@@ -91,24 +97,28 @@ class TestRoundTrips:
         assert answers["topk"]["cost"] <= 4.0
         assert answers["mc_spread"]["simulations"] == 50
 
-    def test_concurrent_clients_coalesce(self):
+    def test_concurrent_clients_coalesce(self, hold):
         async def scenario(server, client):
             clients = [ServiceClient("127.0.0.1", server.port) for _ in range(6)]
             try:
                 payloads = [{"op": "spread", "seeds": [i]} for i in range(6)]
-                results = await asyncio.gather(
-                    *(
-                        c.request("POST", "/query", p)
-                        for c, p in zip(clients, payloads)
-                    )
-                )
+                requests = [
+                    asyncio.ensure_future(c.request("POST", "/query", p))
+                    for c, p in zip(clients, payloads)
+                ]
+                # The first batch holds the batch thread until all six
+                # queries have been submitted behind it.
+                await hold.release_when_submitted(server.batcher, 6)
+                results = await asyncio.gather(*requests)
             finally:
                 for c in clients:
                     await c.aclose()
             assert all(status == 200 for status, _ in results)
             return server.metrics()
 
-        metrics = asyncio.run(with_server(scenario, window_ms=50.0))
+        state = make_state()
+        state.execute_batch = hold.wrap(state.execute_batch)
+        metrics = asyncio.run(with_server(scenario, state=state))
         # Observable coalescing: six concurrent queries, > 1 per batch.
         assert metrics["batcher"]["max_batch_size"] > 1
 
@@ -191,7 +201,7 @@ class TestErrorSurface:
             return await client.request("POST", "/query", good)
 
         (bad_status, bad_answer), (good_status, good_answer) = asyncio.run(
-            with_server(scenario, window_ms=50.0)
+            with_server(scenario)
         )
         assert bad_status == 400
         assert bad_answer["code"] == "invalid"
@@ -242,6 +252,25 @@ class TestErrorSurface:
 
         status_line = asyncio.run(with_server(scenario))
         assert b"400" in status_line
+
+
+class TestNoBatchWindow:
+    def test_server_takes_no_window(self):
+        with make_state() as state:
+            with pytest.raises(TypeError):
+                SeedingServer(state, port=0, window_ms=5.0)
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_batch_ms_is_not_an_option(self, command, capsys):
+        from repro.service import cli
+
+        parser = {
+            "serve": cli._build_serve_parser,
+            "loadgen": cli._build_loadgen_parser,
+        }[command]()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--batch-ms", "5"])
+        assert "unrecognized arguments: --batch-ms" in capsys.readouterr().err
 
 
 class TestShutdown:
@@ -310,8 +339,6 @@ class TestSigtermSubprocess:
                 "0",
                 "--samples",
                 "400",
-                "--batch-ms",
-                "20",
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -336,7 +363,7 @@ class TestSigtermSubprocess:
                         )
                         for i, c in enumerate(clients)
                     ]
-                    await asyncio.sleep(0.05)  # let the batch window arm
+                    await asyncio.sleep(0.05)  # let the queries reach the batcher
                     proc.send_signal(signal.SIGTERM)  # lands mid-batch
                     done = await asyncio.gather(*tasks, return_exceptions=True)
                 finally:

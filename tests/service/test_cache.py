@@ -1,5 +1,10 @@
 """Unit tests of the bounded LRU answer cache and its key helpers."""
 
+import sys
+import threading
+import time
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -88,6 +93,68 @@ class TestLRUCache:
         cache.put("a", None)
         assert cache.get("a", "default") is None
         assert cache.stats.hits == 1
+
+
+    def test_eviction_cannot_land_inside_a_lookup(self):
+        # The service reads its answer cache on the event-loop thread
+        # while the batch thread fills it.  Here the lookup itself lets a
+        # second thread put a key that evicts the one being looked up.
+        cache = LRUCache(1)
+        cache.put("a", 1)
+        racers = []
+
+        class RacingEntries(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if not racers:
+                    racer = threading.Thread(target=cache.put, args=("b", 2))
+                    racers.append(racer)
+                    racer.start()
+                    racer.join(timeout=0.1)  # the put waits for the lookup
+                return value
+
+        cache._entries = RacingEntries(cache._entries)
+        assert cache.get("a") == 1
+        racers[0].join(timeout=5.0)
+        assert not racers[0].is_alive()
+        assert cache.keys() == ("b",)
+        assert cache.stats.hits == 1 and cache.stats.evictions == 1
+
+    def test_concurrent_use_keeps_counters_exact(self):
+        # More threads than cores on a 1 µs switch interval: a lookup torn
+        # by an eviction raises, and a lost counter update breaks a sum.
+        cache = LRUCache(2)
+        keys = ("a", "b", "c")
+        lookups = [0] * 4
+        errors = []
+        stop = time.monotonic() + 0.3
+
+        def worker(slot):
+            step = slot
+            try:
+                while time.monotonic() < stop:
+                    cache.get(keys[step % 3])
+                    cache.put(keys[(step + 1) % 3], step)
+                    lookups[slot] += 1
+                    step += 1
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.stats.hits + cache.stats.misses == sum(lookups)
+        assert cache.stats.inserts == sum(lookups)
+        assert len(cache) == 2
 
 
 class TestCacheStats:

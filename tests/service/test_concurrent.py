@@ -53,9 +53,7 @@ class TestInterleavedClientsThroughBatcher:
 
         async def scenario():
             with fresh_state() as state:
-                batcher = RequestBatcher(
-                    state.execute_batch, window_ms=10.0, max_batch=16
-                )
+                batcher = RequestBatcher(state.execute_batch, max_batch=16)
                 answers = await asyncio.gather(
                     *(batcher.submit(dict(q)) for q in queries)
                 )
@@ -74,7 +72,7 @@ class TestInterleavedClientsThroughBatcher:
 
         async def scenario():
             with fresh_state() as state:
-                batcher = RequestBatcher(state.execute_batch, window_ms=2.0)
+                batcher = RequestBatcher(state.execute_batch)
 
                 async def client(indices):
                     out = {}
@@ -97,11 +95,13 @@ class TestInterleavedClientsThroughBatcher:
 
 
 class TestInterleavedClientsOverHTTP:
-    def test_http_fanout_matches_sequential(self, workload):
+    def test_http_fanout_matches_sequential(self, workload, hold):
         queries, reference = workload
 
         async def scenario():
-            server = SeedingServer(fresh_state(), port=0, window_ms=10.0)
+            state = fresh_state()
+            state.execute_batch = hold.wrap(state.execute_batch)
+            server = SeedingServer(state, port=0)
             await server.start()
             clients = [ServiceClient("127.0.0.1", server.port) for _ in range(8)]
             try:
@@ -118,10 +118,16 @@ class TestInterleavedClientsOverHTTP:
 
                 slices = [range(k, len(queries), 8) for k in range(8)]
                 merged = {}
+                # The first batch holds the batch thread until every
+                # client's first query has piled up behind it.
+                releaser = asyncio.ensure_future(
+                    hold.release_when_submitted(server.batcher, len(clients))
+                )
                 for part in await asyncio.gather(
                     *(drive(c, s) for c, s in zip(clients, slices))
                 ):
                     merged.update(part)
+                await releaser
                 metrics = server.metrics()
             finally:
                 for c in clients:
@@ -151,7 +157,7 @@ class TestDeterministicModeUnderConcurrency:
         async def scenario():
             with ServiceState(num_samples=300, seed=42) as state:
                 state.register_graph(toy_graph())
-                batcher = RequestBatcher(state.execute_batch, window_ms=10.0)
+                batcher = RequestBatcher(state.execute_batch)
                 noise = [
                     {"op": "spread", "seeds": [i % 7]} for i in range(20)
                 ]
@@ -173,7 +179,7 @@ class TestDeterministicModeUnderConcurrency:
         async def run_once():
             with ServiceState(num_samples=250, seed=3) as state:
                 state.register_graph(graph)
-                batcher = RequestBatcher(state.execute_batch, window_ms=5.0)
+                batcher = RequestBatcher(state.execute_batch)
                 answers = await asyncio.gather(
                     *(batcher.submit(dict(q)) for q in queries)
                 )

@@ -242,29 +242,28 @@ class TestSamplesOverride:
 
 
 class TestBatcherShedding:
-    def test_pending_bound_sheds_with_retry_hint(self):
+    def test_pending_bound_sheds_with_retry_hint(self, hold):
         async def scenario():
-            release = asyncio.Event()
-
             def execute(requests):
                 return [{"i": r["i"]} for r in requests]
 
-            batcher = RequestBatcher(
-                execute, window_ms=5000.0, max_pending=2
-            )
+            batcher = RequestBatcher(hold.wrap(execute), max_pending=2)
             try:
+                held = asyncio.ensure_future(batcher.submit({"i": -1}))
+                await hold.holding()
                 first = asyncio.ensure_future(batcher.submit({"i": 0}))
                 second = asyncio.ensure_future(batcher.submit({"i": 1}))
-                await asyncio.sleep(0)  # both enqueue behind the long window
+                await asyncio.sleep(0)  # both enqueue behind the held batch
                 with pytest.raises(ServiceOverloadError) as excinfo:
                     await batcher.submit({"i": 2})
                 assert excinfo.value.retry_after_ms > 0
                 assert batcher.stats.shed_requests == 1
-                await batcher.flush()
+                hold.release()
+                assert (await held)["i"] == -1
                 assert (await first)["i"] == 0
                 assert (await second)["i"] == 1
             finally:
-                release.set()
+                hold.release()
                 await batcher.aclose()
 
         asyncio.run(scenario())
@@ -325,18 +324,21 @@ class TestServerResilience:
 
         asyncio.run(with_server(scenario))
 
-    def test_max_inflight_sheds_429(self):
+    def test_max_inflight_sheds_429(self, hold):
         async def scenario(server, client):
             clients = [ServiceClient("127.0.0.1", server.port) for _ in range(6)]
             try:
-                results = await asyncio.gather(
-                    *(
-                        c.request(
-                            "POST", "/query", {"op": "spread", "seeds": [i]}
-                        )
-                        for i, c in enumerate(clients)
+                requests = [
+                    asyncio.ensure_future(
+                        c.request("POST", "/query", {"op": "spread", "seeds": [i]})
                     )
-                )
+                    for i, c in enumerate(clients)
+                ]
+                # The one admitted query holds the batch thread, so the
+                # first reply is a shed one.
+                await asyncio.wait(requests, return_when=asyncio.FIRST_COMPLETED)
+                hold.release()
+                results = await asyncio.gather(*requests)
             finally:
                 for c in clients:
                     await c.aclose()
@@ -348,9 +350,9 @@ class TestServerResilience:
             assert all(a["retry_after_ms"] > 0 for a in shed)
             return server.metrics()
 
-        metrics = asyncio.run(
-            with_server(scenario, window_ms=100.0, max_inflight=1)
-        )
+        state = make_state()
+        state.execute_batch = hold.wrap(state.execute_batch)
+        metrics = asyncio.run(with_server(scenario, state=state, max_inflight=1))
         assert metrics["server"]["shed_requests"] >= 1
 
     def test_healthz_reports_queue_and_pool_state(self):
