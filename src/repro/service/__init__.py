@@ -21,13 +21,11 @@ without dragging the whole serving stack (and a circular import) in.
 
 from __future__ import annotations
 
-from repro.service.cache import CacheStats, LRUCache, answer_key, freeze, mask_digest
+from repro.service.cache import CacheStats, LRUCache, mask_digest
 
 __all__ = [
     "CacheStats",
     "LRUCache",
-    "answer_key",
-    "freeze",
     "mask_digest",
     "ServiceState",
     "RequestBatcher",

@@ -38,14 +38,13 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.service.batcher import RequestBatcher
 from repro.service.resilience import (
-    arm_deadline,
     error_answer,
     error_status,
     is_error_answer,
     resolve_deadline_ms,
     resolve_max_inflight,
 )
-from repro.service.state import ServiceState
+from repro.service.state import Query, ServiceState
 from repro.utils.exceptions import (
     DeadlineExceeded,
     ReproError,
@@ -131,13 +130,12 @@ class SeedingServer:
         self-serving load generator).
     max_batch:
         Batch-size cap forwarded to :class:`RequestBatcher`.
-    max_pending:
-        Pending-queue bound forwarded to :class:`RequestBatcher`
-        (``None`` honours ``REPRO_SERVICE_MAX_PENDING``).
     max_inflight:
         Bound on concurrently admitted ``/query`` requests (``None``
         honours ``REPRO_SERVICE_MAX_INFLIGHT``); excess load is answered
-        with a structured 429 instead of being queued.
+        with a structured 429 instead of being queued.  Every admitted
+        query counts until it is answered, so this also bounds the
+        batcher's queue.
     deadline_ms:
         Default per-query deadline (``None`` honours
         ``REPRO_SERVICE_DEADLINE_MS``); a query's own ``deadline_ms``
@@ -151,18 +149,13 @@ class SeedingServer:
         host: str = "127.0.0.1",
         port: int = 8321,
         max_batch: Optional[int] = None,
-        max_pending: Optional[int] = None,
         max_inflight: Optional[int] = None,
         deadline_ms: Optional[float] = None,
     ) -> None:
         self._state = state
         self._host = host
         self._port = int(port)
-        self._batcher = RequestBatcher(
-            state.execute_batch,
-            max_batch=max_batch,
-            max_pending=max_pending,
-        )
+        self._batcher = RequestBatcher(state.execute_batch, max_batch=max_batch)
         self._max_inflight = resolve_max_inflight(max_inflight)
         self._deadline_ms = resolve_deadline_ms(deadline_ms)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -372,14 +365,12 @@ class SeedingServer:
     def _note_success(self) -> None:
         self._last_success = time.monotonic()
 
-    def _deadline_response(
-        self, request: Mapping[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _deadline_response(self, query: Query) -> Tuple[int, Dict[str, Any]]:
         """Answer an expired query: a degraded cached answer, else a 504."""
         self._deadline_expired += 1
         try:
-            degraded = self._state.try_degraded(request)
-        except (ValidationError, ReproError):
+            degraded = self._state.try_degraded(query)
+        except ValidationError:  # the state closed under the query
             degraded = None
         if degraded is not None:
             self._degraded_served += 1
@@ -411,42 +402,36 @@ class SeedingServer:
             )
         self._inflight += 1
         try:
-            return await self._answer_admitted(request)
+            return await self._answer_payload(request)
         finally:
             self._inflight -= 1
 
-    async def _answer_admitted(
-        self, request: Dict[str, Any]
+    async def _answer_payload(
+        self, payload: Dict[str, Any]
     ) -> Tuple[int, Dict[str, Any]]:
         try:
-            deadline = arm_deadline(request, self._deadline_ms)
-        except (ValidationError, TypeError) as exc:
-            return 400, {"error": str(exc), "code": "invalid"}
-        try:
-            cached = self._state.try_cached(request)
+            query = self._state.admit(payload, self._deadline_ms)
         except ValidationError as exc:
             return 400, error_answer(exc)
+        cached = self._state.try_cached(query)
         if cached is not None:
             self._cache_fast_hits += 1
             self._note_success()
             return 200, cached
         try:
-            if deadline is None:
-                answer = await self._batcher.submit(request)
+            if query.deadline is None:
+                answer = await self._batcher.submit(query)
             else:
-                remaining = deadline - time.monotonic()
+                remaining = query.deadline - time.monotonic()
                 if remaining <= 0:
-                    return self._deadline_response(request)
+                    return self._deadline_response(query)
                 answer = await asyncio.wait_for(
-                    self._batcher.submit(request), timeout=remaining
+                    self._batcher.submit(query), timeout=remaining
                 )
         except asyncio.TimeoutError:
             # The batch underneath keeps computing (its eventual answer
             # warms the cache); this caller gets degraded-or-504 now.
-            return self._deadline_response(request)
-        except ServiceOverloadError as exc:
-            self._shed_requests += 1
-            return 429, error_answer(exc)
+            return self._deadline_response(query)
         except (ValidationError, ReproError) as exc:
             status = 503 if self._batcher.closed else 400
             return status, {"error": str(exc)}

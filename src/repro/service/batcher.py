@@ -31,10 +31,9 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.service.resilience import resolve_max_pending
-from repro.utils.exceptions import ServiceOverloadError, ValidationError
+from repro.utils.exceptions import ValidationError
 
 
 @dataclass
@@ -48,7 +47,6 @@ class BatchStats:
     drained_requests: int = 0  #: requests still pending when shutdown began
     failed_batches: int = 0
     batch_size_sum: int = 0
-    shed_requests: int = 0  #: submissions rejected by the pending-queue bound
     last_batch_ms: float = 0.0  #: wall-clock of the most recent batch
 
     @property
@@ -74,7 +72,6 @@ class BatchStats:
             "mean_batch_size": self.mean_batch_size,
             "drained_requests": self.drained_requests,
             "failed_batches": self.failed_batches,
-            "shed_requests": self.shed_requests,
             "last_batch_ms": self.last_batch_ms,
         }
 
@@ -85,35 +82,30 @@ class RequestBatcher:
     Parameters
     ----------
     execute:
-        Synchronous batch executor mapping a list of request payloads to
-        the equal-length list of answers
+        Synchronous batch executor mapping a list of submitted queries —
+        the very objects :meth:`submit` received, in order — to the
+        equal-length list of answers
         (:meth:`repro.service.state.ServiceState.execute_batch`).  It runs
         on the batcher's own batch thread so the loop keeps accepting
         (and piling up) requests while a batch computes.
     max_batch:
         Optional hard batch-size cap; a larger pile-up runs as
         consecutive batches.
-    max_pending:
-        Admission-control bound on the pending queue (``None`` honours
-        ``REPRO_SERVICE_MAX_PENDING``, defaulting to unbounded).  A
-        submission arriving at a full queue is shed immediately with a
-        :class:`~repro.utils.exceptions.ServiceOverloadError` carrying a
-        ``retry_after_ms`` estimate, instead of queueing unboundedly
-        behind a slow batch.
+
+    The batcher bounds nothing itself: the server admits at most
+    ``max_inflight`` queries before any reaches :meth:`submit`.
     """
 
     def __init__(
         self,
-        execute: Callable[[Sequence[Mapping[str, Any]]], List[Dict[str, Any]]],
+        execute: Callable[[Sequence[Any]], List[Dict[str, Any]]],
         max_batch: Optional[int] = None,
-        max_pending: Optional[int] = None,
     ) -> None:
         if max_batch is not None and int(max_batch) < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
         self._execute = execute
         self._max_batch = None if max_batch is None else int(max_batch)
-        self._max_pending = resolve_max_pending(max_pending)
-        self._pending: List[Tuple[Mapping[str, Any], asyncio.Future]] = []
+        self._pending: List[Tuple[Any, asyncio.Future]] = []
         self._drainer: Optional[asyncio.Task] = None
         self._thread = ThreadPoolExecutor(1, thread_name_prefix="repro-batch")
         self._closed = False
@@ -133,22 +125,10 @@ class RequestBatcher:
         """When shed load should retry: the last batch's cost, at least 1 ms."""
         return max(self.stats.last_batch_ms, 1.0)
 
-    async def submit(self, request: Mapping[str, Any]) -> Dict[str, Any]:
-        """Enqueue one request and await its (possibly batched) answer.
-
-        Raises :class:`ServiceOverloadError` without enqueueing when the
-        pending queue is at its ``max_pending`` bound — shedding at the
-        door keeps the tail latency of admitted requests bounded.
-        """
+    async def submit(self, request: Any) -> Dict[str, Any]:
+        """Enqueue one query and await its (possibly batched) answer."""
         if self._closed:
             raise ValidationError("the request batcher is closed (service shutdown)")
-        if self._max_pending is not None and len(self._pending) >= self._max_pending:
-            self.stats.shed_requests += 1
-            raise ServiceOverloadError(
-                f"request shed: {len(self._pending)} queries already pending "
-                f"(max_pending={self._max_pending})",
-                retry_after_ms=self.retry_after_ms(),
-            )
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append((request, future))
@@ -170,7 +150,7 @@ class RequestBatcher:
 
     @staticmethod
     def _resolve(
-        batch: List[Tuple[Mapping[str, Any], asyncio.Future]],
+        batch: List[Tuple[Any, asyncio.Future]],
         answers: Optional[List[Dict[str, Any]]],
         error: Optional[BaseException],
     ) -> None:
@@ -182,7 +162,7 @@ class RequestBatcher:
             else:
                 future.set_result(answers[index])
 
-    async def _run(self, batch: List[Tuple[Mapping[str, Any], asyncio.Future]]) -> None:
+    async def _run(self, batch: List[Tuple[Any, asyncio.Future]]) -> None:
         """Execute one batch on the batch thread and fan its answers out."""
         requests = [request for request, _ in batch]
         loop = asyncio.get_running_loop()

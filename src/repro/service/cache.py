@@ -15,8 +15,8 @@ The same class replaces two older ad-hoc caches in
   (capacity 1 reproduces its hit semantics bit-for-bit), and
 * the previously unbounded possible-world memo of ``ExactSpreadOracle``.
 
-Helpers :func:`freeze` and :func:`mask_digest` build hashable, compact
-cache keys out of query payloads and residual activity masks.
+:func:`mask_digest` gives a residual activity mask the short, stable
+name that cache keys carry.
 """
 
 from __future__ import annotations
@@ -106,14 +106,20 @@ class LRUCache:
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self.keys())
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Counted lookup: a hit refreshes recency, a miss returns ``default``."""
+    def get(self, key: Hashable, default: Any = None, count: bool = True) -> Any:
+        """Lookup: a hit refreshes recency, a miss returns ``default``.
+
+        ``count=False`` leaves the hit/miss counters alone, for a lookup
+        whose query was already counted by an earlier one.
+        """
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
-                self.stats.misses += 1
+                if count:
+                    self.stats.misses += 1
                 return default
-            self.stats.hits += 1
+            if count:
+                self.stats.hits += 1
             self._entries.move_to_end(key)
             return value
 
@@ -171,50 +177,3 @@ def mask_digest(active_mask: Optional[np.ndarray]) -> str:
     if bool(mask.all()):
         return "full"
     return hashlib.blake2b(mask.tobytes(), digest_size=8).hexdigest()
-
-
-def freeze(value: Any) -> Hashable:
-    """Recursively convert a JSON-ish payload into a hashable cache key.
-
-    Dicts become sorted ``(key, value)`` tuples, lists/tuples/sets become
-    tuples (sets sorted for order independence), NumPy scalars and arrays
-    collapse to Python scalars / tuples.  Raises
-    :class:`~repro.utils.exceptions.ValidationError` for types that have
-    no stable hashable form instead of silently mis-caching.
-    """
-    if isinstance(value, dict):
-        return tuple(sorted((str(k), freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(freeze(v) for v in value)
-    if isinstance(value, (set, frozenset)):
-        return tuple(sorted(freeze(v) for v in value))
-    if isinstance(value, np.ndarray):
-        return tuple(value.tolist())
-    if isinstance(value, np.generic):
-        return value.item()
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return value
-    raise ValidationError(
-        f"cannot build a cache key from a value of type {type(value).__name__!r}"
-    )
-
-
-def answer_key(
-    graph_version: str,
-    active_mask: Optional[np.ndarray],
-    parameters: Any,
-    query: Any,
-) -> Hashable:
-    """The service's canonical answer-cache key.
-
-    ``(graph_version, residual-mask digest, frozen parameters, frozen
-    query)`` — two queries share an entry exactly when they ask the same
-    question of the same residual state of the same registered graph under
-    the same engine parameters.
-    """
-    return (
-        str(graph_version),
-        mask_digest(active_mask),
-        freeze(parameters),
-        freeze(query),
-    )

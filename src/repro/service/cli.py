@@ -156,13 +156,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "REPRO_SERVICE_DEADLINE_MS, else none)",
     )
     parser.add_argument(
-        "--max-pending",
-        type=int,
-        default=None,
-        help="shed load beyond this many queued queries (default "
-        "REPRO_SERVICE_MAX_PENDING, else unbounded)",
-    )
-    parser.add_argument(
         "--max-inflight",
         type=int,
         default=None,
@@ -216,7 +209,6 @@ def run_serve(argv: Optional[Sequence[str]] = None) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_pending=args.max_pending,
         max_inflight=args.max_inflight,
         deadline_ms=args.deadline_ms,
     )

@@ -56,10 +56,12 @@ PathLike = Union[str, Path]
 STATE_DIR_ENV_VAR = "REPRO_SERVICE_STATE_DIR"
 
 #: Journal format version (bump on incompatible layout changes).  Format 2
-#: marks journals written on the keyed RR stream: collections regenerate
+#: marked journals written on the keyed RR stream: collections regenerate
 #: from that stream, so answers cached under the earlier stream (format 1)
-#: would disagree with them.
-JOURNAL_FORMAT = 2
+#: would disagree with them.  Format 3 keys answers by the typed fields of
+#: an admitted query (``removed`` sorted, defaults filled in), so no query
+#: could look up a format-2 key again.
+JOURNAL_FORMAT = 3
 
 MANIFEST_NAME = "manifest.json"
 GRAPHS_NAME = "graphs.jsonl"
@@ -120,11 +122,11 @@ def _read_jsonl(path: Path) -> List[Dict[str, Any]]:
 
 
 def _tuplize(value: Any) -> Any:
-    """Undo JSON's tuple→list coercion on frozen cache-key components.
+    """Undo JSON's tuple→list coercion on answer-cache keys.
 
-    :func:`repro.service.cache.freeze` emits only scalars and (nested)
-    tuples, and JSON round-trips scalars exactly (shortest-repr floats),
-    so list→tuple recursion reconstructs keys bit-for-bit.
+    A :class:`~repro.service.state.Query` key holds only scalars and
+    (nested) tuples, and JSON round-trips scalars exactly (shortest-repr
+    floats), so list→tuple recursion reconstructs keys bit-for-bit.
     """
     if isinstance(value, list):
         return tuple(_tuplize(item) for item in value)
@@ -388,20 +390,24 @@ def restore_state(
 def _rebuild_collection(state: "ServiceState", record: Dict[str, Any]) -> None:
     """Regenerate one journaled warm collection (identical bytes)."""
     try:
-        entry = state.entry(record["version"])
+        query = state.admit(
+            {
+                "version": record["version"],
+                "removed": record.get("removed"),
+                "samples": record["samples"],
+            }
+        )
     except ValidationError:
         return  # the graph line was lost to a torn write; skip its warmth
-    removed = [int(v) for v in record.get("removed") or ()]
-    view, _mask, digest = state._residual_view(entry, removed)
-    if digest != str(record["digest"]):
+    if query.digest != str(record["digest"]):
         # The digest algorithm changed (or the journal was edited): the
         # rebuilt collection would live under a different key — skip.
         return
-    samples = int(record["samples"])
-    num = None if samples == state._num_samples else samples
-    if removed:
-        state._removed_by_digest[(entry.version, digest)] = tuple(sorted(set(removed)))
-    state.collection_for(entry, view, digest, num_samples=num)
+    if query.removed:
+        state._removed_by_digest[(query.entry.version, query.digest)] = query.removed
+    state.collection_for(
+        query.entry, query.view, query.digest, num_samples=query.samples
+    )
 
 
 # Imported lazily for type checkers only; runtime imports stay local to

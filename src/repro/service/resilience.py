@@ -16,13 +16,11 @@ serving-tier analogue of the PR-6 supervision ladder).  This module owns
 the two directions of that convention — :func:`error_answer` builds the
 dict from a typed exception, :func:`raise_error_answer` restores the
 typed exception for in-process callers — plus the HTTP status mapping
-(:func:`error_status`) and the resolution of the three resilience knobs:
+(:func:`error_status`) and the resolution of the two resilience knobs:
 
 ``REPRO_SERVICE_DEADLINE_MS``
     Default per-query deadline (a query's own ``deadline_ms`` field
     wins; unset means no deadline).
-``REPRO_SERVICE_MAX_PENDING``
-    Bound on the batcher's pending queue before it sheds load.
 ``REPRO_SERVICE_MAX_INFLIGHT``
     Bound on concurrently admitted ``/query`` requests in the server.
 
@@ -31,7 +29,6 @@ See ``docs/robustness.md``, "Service resilience".
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Mapping, Optional
 
 from repro.utils.env import read_env_float, read_env_int
@@ -47,17 +44,8 @@ from repro.utils.exceptions import (
 #: Default per-query deadline in milliseconds (unset = no deadline).
 DEADLINE_MS_ENV_VAR = "REPRO_SERVICE_DEADLINE_MS"
 
-#: Bound on the batcher's pending queue (unset = unbounded).
-MAX_PENDING_ENV_VAR = "REPRO_SERVICE_MAX_PENDING"
-
 #: Bound on concurrently admitted /query requests (unset = unbounded).
 MAX_INFLIGHT_ENV_VAR = "REPRO_SERVICE_MAX_INFLIGHT"
-
-#: Request key carrying the absolute monotonic deadline through the
-#: batcher into the state.  Underscored on purpose: ``_query_of`` only
-#: picks named query fields, so the deadline can never reach a cache key
-#: or an answer payload.
-DEADLINE_KEY = "_deadline"
 
 #: Machine-readable error codes and the HTTP status each maps to.
 ERROR_STATUS = {
@@ -77,25 +65,11 @@ def resolve_deadline_ms(deadline_ms: Optional[float] = None) -> Optional[float]:
         if deadline_ms is None:
             return None
     deadline_ms = float(deadline_ms)
-    if deadline_ms <= 0:
+    if not deadline_ms > 0:  # NaN too: it would never expire
         raise ValidationError(
             f"deadline_ms must be > 0 milliseconds, got {deadline_ms}"
         )
     return deadline_ms
-
-
-def resolve_max_pending(max_pending: Optional[int] = None) -> Optional[int]:
-    """Pending-queue bound: explicit value wins, then env, else unbounded."""
-    if max_pending is None:
-        max_pending = read_env_int(
-            MAX_PENDING_ENV_VAR, hint="e.g. 256 queued requests"
-        )
-        if max_pending is None:
-            return None
-    max_pending = int(max_pending)
-    if max_pending < 1:
-        raise ValidationError(f"max_pending must be >= 1, got {max_pending}")
-    return max_pending
 
 
 def resolve_max_inflight(max_inflight: Optional[int] = None) -> Optional[int]:
@@ -110,57 +84,6 @@ def resolve_max_inflight(max_inflight: Optional[int] = None) -> Optional[int]:
     if max_inflight < 1:
         raise ValidationError(f"max_inflight must be >= 1, got {max_inflight}")
     return max_inflight
-
-
-# --------------------------------------------------------------------- #
-# deadlines
-# --------------------------------------------------------------------- #
-
-
-def arm_deadline(
-    request: Dict[str, Any], default_deadline_ms: Optional[float] = None
-) -> Optional[float]:
-    """Stamp the absolute deadline onto ``request``; return it (or ``None``).
-
-    The query's own ``deadline_ms`` field wins over the configured
-    default.  The stamp lives under :data:`DEADLINE_KEY`, invisible to
-    cache keys and answers; a request without any deadline is left
-    untouched.
-    """
-    deadline_ms = request.get("deadline_ms")
-    if deadline_ms is not None:
-        deadline_ms = float(deadline_ms)
-        if deadline_ms <= 0:
-            raise ValidationError(
-                f"deadline_ms must be > 0 milliseconds, got {deadline_ms}"
-            )
-    else:
-        deadline_ms = default_deadline_ms
-    if deadline_ms is None:
-        return None
-    deadline = time.monotonic() + deadline_ms / 1000.0
-    request[DEADLINE_KEY] = deadline
-    return deadline
-
-
-def deadline_of(request: Mapping[str, Any]) -> Optional[float]:
-    """The absolute monotonic deadline stamped on ``request``, if any."""
-    value = request.get(DEADLINE_KEY)
-    return None if value is None else float(value)
-
-
-def time_left(request: Mapping[str, Any]) -> Optional[float]:
-    """Seconds until ``request``'s deadline (negative = expired; ``None`` = no deadline)."""
-    deadline = deadline_of(request)
-    if deadline is None:
-        return None
-    return deadline - time.monotonic()
-
-
-def expired(request: Mapping[str, Any]) -> bool:
-    """Whether ``request`` carries a deadline that has already passed."""
-    left = time_left(request)
-    return left is not None and left <= 0
 
 
 # --------------------------------------------------------------------- #

@@ -16,8 +16,12 @@ rebuild per run:
   ``sample_reuse`` cache of :class:`~repro.core.oracle.RISSpreadOracle`
   to many residual states held concurrently;
 * a bounded LRU of **answers** keyed on ``(version, residual-mask
-  digest, frozen parameters, query key)`` with hit/miss/eviction counters
-  (:mod:`repro.service.cache`).
+  digest, frozen parameters, typed query fields)`` with
+  hit/miss/eviction counters (:mod:`repro.service.cache`).
+
+Every request enters through :meth:`ServiceState.admit`, which reads each
+field of its payload once into a :class:`Query`; the cache, the batch and
+the deadline all read that query.
 
 Determinism contract
 --------------------
@@ -38,10 +42,12 @@ racing an in-flight batch.
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,13 +59,8 @@ from repro.parallel.faults import FaultPlan, FaultRule
 from repro.parallel.pool import SamplingPool
 from repro.sampling.coverage import CoverageCounter
 from repro.sampling.flat_collection import FlatRRCollection
-from repro.service.cache import LRUCache, answer_key, mask_digest
-from repro.service.resilience import (
-    error_answer,
-    expired,
-    is_error_answer,
-    raise_error_answer,
-)
+from repro.service.cache import LRUCache, mask_digest
+from repro.service.resilience import error_answer, is_error_answer, raise_error_answer
 from repro.utils.env import read_env_int
 from repro.utils.exceptions import (
     DeadlineExceeded,
@@ -79,6 +80,38 @@ DEFAULT_COLLECTIONS = 8
 
 #: Query operations the state answers (the service's query grammar).
 OPERATIONS = ("spread", "marginal", "mc_spread", "topk")
+
+
+@dataclass(frozen=True, eq=False)
+class Query:
+    """One admitted request: every field checked and converted once.
+
+    Only :meth:`ServiceState.admit` builds one.  Node ids are ints in
+    ``[0, n)``, ``removed`` is sorted without repeats, absent counts hold
+    their defaults, and ``deadline`` is an absolute :func:`time.monotonic`
+    time (``None``: no deadline).  The query also carries what its fields
+    determine: the graph entry, the residual view, its mask digest and
+    the answer-cache key.
+    """
+
+    op: str
+    entry: GraphEntry
+    seeds: Tuple[int, ...]
+    node: Optional[int]
+    conditioning: Tuple[int, ...]
+    segment: Optional[Tuple[int, ...]]
+    removed: Tuple[int, ...]
+    k: int
+    budget: Optional[float]
+    simulations: int
+    samples: Optional[int]
+    deadline: Optional[float]
+    view: ResidualGraph
+    digest: str
+    #: ``(version, digest, parameters, op, seeds, node, conditioning, k,
+    #: budget, segment, simulations, samples)`` — ``samples`` last, so
+    #: ``key[:-1] + (None,)`` is the same question at the default θ.
+    key: Tuple[Any, ...]
 
 
 def _digest_entropy(digest: str) -> int:
@@ -271,16 +304,17 @@ class ServiceState:
         if self._closed:
             raise ValidationError("ServiceState is closed")
 
+    @staticmethod
     def _residual_view(
-        self, entry: GraphEntry, removed: Sequence[int]
-    ) -> Tuple[ResidualGraph, Optional[np.ndarray], str]:
-        """Build the residual view a query addresses and its digest."""
+        entry: GraphEntry, removed: Tuple[int, ...]
+    ) -> Tuple[ResidualGraph, str]:
+        """The residual view without the (checked) ``removed`` ids, and its digest."""
         graph = entry.graph
         if not removed:
-            return ResidualGraph(graph), None, "full"
+            return ResidualGraph(graph), "full"
         mask = np.ones(graph.n, dtype=bool)
-        mask[_removed_ids(removed, graph.n)] = False
-        return ResidualGraph(graph, active_mask=mask), mask, mask_digest(mask)
+        mask[list(removed)] = False
+        return ResidualGraph(graph, active_mask=mask), mask_digest(mask)
 
     def _stream(self, entry: GraphEntry, digest: str, *extra: int) -> np.random.Generator:
         """Derive the deterministic RNG stream of one (graph, state) pair."""
@@ -337,46 +371,86 @@ class ServiceState:
         """The frozen-parameter component of every answer-cache key."""
         return (self._seed, self._num_samples, self._mc_simulations)
 
-    def try_cached(self, request: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
-        """Answer ``request`` from the cache, or ``None`` on a miss.
+    def admit(
+        self, payload: Mapping[str, Any], default_deadline_ms: Optional[float] = None
+    ) -> Query:
+        """Check and convert every field of a request payload, once.
 
-        The fast path the API server takes before it submits to the
-        batcher; counts one hit or miss against the answer cache.
+        The one reader of the query grammar (``docs/service.md``): a field
+        that does not parse raises :class:`ValidationError` naming it, so a
+        bad request is refused before any cache lookup.  ``deadline_ms``,
+        else ``default_deadline_ms``, is armed now as an absolute deadline.
         """
-        self._require_open()
-        _, entry = self._admit(request)
-        _, mask, digest = self._residual_view(entry, request.get("removed") or ())
-        key = answer_key(entry.version, mask, self._parameters(), _query_of(request))
-        cached = self._answers.get(key)
-        if cached is None:
-            return None
-        return dict(cached, cached=True)
-
-    def _admit(self, request: Mapping[str, Any]) -> Tuple[str, GraphEntry]:
-        """The request's op and graph entry, once its op and fields check.
-
-        Both entry points — the cache fast path and the batch — call this
-        first, so a request that names a node outside ``[0, n)``, or whose
-        ``k``, ``simulations``, ``budget`` or ``samples`` does not parse,
-        is refused before any lookup, even one an older journal answered.
-        """
-        op = str(request.get("op", "spread"))
+        op = str(payload.get("op", "spread"))
         if op not in OPERATIONS:
             raise ValidationError(
                 f"unknown op {op!r}; available: {', '.join(OPERATIONS)}"
             )
-        entry = self.entry(request.get("version"))
-        _check_node_ids(request, op, entry.graph.n)
-        _removed_ids(request.get("removed") or (), entry.graph.n)
-        _count_field(request, "samples")
-        if op == "topk":
-            _count_field(request, "k", 1)
-            _budget_field(request)
-        elif op == "mc_spread":
-            _count_field(request, "simulations", self._mc_simulations)
-        return op, entry
+        entry = self.entry(payload.get("version"))
+        n = entry.graph.n
+        node = payload.get("node")
+        if node is not None:
+            node = _node_id("node", node, n)
+        elif op == "marginal":
+            raise ValidationError("node: op 'marginal' needs a node id")
+        seeds = _node_ids("seeds", payload.get("seeds"), n)
+        conditioning = _node_ids("conditioning", payload.get("conditioning"), n)
+        segment = payload.get("segment")
+        if segment is not None:
+            segment = _node_ids("segment", segment, n)
+        removed = tuple(sorted(set(_node_ids("removed", payload.get("removed"), n))))
+        k = _positive_count("k", payload.get("k"), 1)
+        budget = payload.get("budget")
+        if budget is not None:
+            budget = _number("budget", budget)
+        # Any falsy ``simulations`` (0 included) keeps meaning the default.
+        simulations = _positive_count(
+            "simulations", payload.get("simulations") or None, self._mc_simulations
+        )
+        samples = _positive_count("samples", payload.get("samples"), None)
+        deadline_ms = payload.get("deadline_ms")
+        if deadline_ms is None:
+            deadline_ms = default_deadline_ms
+        else:
+            deadline_ms = _number("deadline_ms", deadline_ms)
+            if deadline_ms <= 0:
+                raise ValidationError(
+                    f"deadline_ms must be > 0 milliseconds, got {deadline_ms}"
+                )
+        deadline = (
+            None if deadline_ms is None else time.monotonic() + deadline_ms / 1000.0
+        )
+        view, digest = self._residual_view(entry, removed)
+        key = (
+            entry.version, digest, self._parameters(), op, seeds, node,
+            conditioning, k, budget, segment, simulations, samples,
+        )
+        return Query(
+            op=op, entry=entry, seeds=seeds, node=node, conditioning=conditioning,
+            segment=segment, removed=removed, k=k, budget=budget,
+            simulations=simulations, samples=samples, deadline=deadline,
+            view=view, digest=digest, key=key,
+        )
 
-    def try_degraded(self, request: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
+    def _as_query(self, request: Union[Mapping[str, Any], Query]) -> Query:
+        """``request`` as a :class:`Query`, admitting a plain payload here."""
+        return request if isinstance(request, Query) else self.admit(request)
+
+    def try_cached(
+        self, request: Union[Mapping[str, Any], Query]
+    ) -> Optional[Dict[str, Any]]:
+        """Answer ``request`` from the cache, or ``None`` on a miss.
+
+        The fast path the API server takes before it submits to the
+        batcher: the query's one counted hit or miss.
+        """
+        self._require_open()
+        cached = self._answers.get(self._as_query(request).key)
+        return None if cached is None else dict(cached, cached=True)
+
+    def try_degraded(
+        self, request: Union[Mapping[str, Any], Query]
+    ) -> Optional[Dict[str, Any]]:
         """A cached answer served *degraded*, or ``None`` when there is none.
 
         Under deadline pressure the service prefers a correct-but-older
@@ -389,18 +463,13 @@ class ServiceState:
         in-flight batch benignly: worst case is a miss).
         """
         self._require_open()
-        entry = self.entry(request.get("version"))
-        _, mask, _ = self._residual_view(entry, request.get("removed") or ())
-        return self._degraded_lookup(entry, mask, _query_of(request))
+        return self._degraded_lookup(self._as_query(request))
 
-    def _degraded_lookup(
-        self, entry: GraphEntry, mask: Optional[np.ndarray], query: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        candidates = [query]
-        if "samples" in query:
-            candidates.append({k: v for k, v in query.items() if k != "samples"})
-        for candidate in candidates:
-            key = answer_key(entry.version, mask, self._parameters(), candidate)
+    def _degraded_lookup(self, query: Query) -> Optional[Dict[str, Any]]:
+        keys = [query.key]
+        if query.samples is not None:
+            keys.append(query.key[:-1] + (None,))
+        for key in keys:
             cached = self._answers.peek(key)
             if cached is not None:
                 self._degraded_answers += 1
@@ -425,13 +494,16 @@ class ServiceState:
         return None  # pragma: no cover - parser rejects other kinds
 
     def execute_batch(
-        self, requests: Sequence[Mapping[str, Any]]
+        self, requests: Sequence[Union[Mapping[str, Any], Query]]
     ) -> List[Dict[str, Any]]:
-        """Answer a coalesced batch of query payloads.
+        """Answer a coalesced batch of queries.
 
-        Requests are grouped by ``(version, residual digest, operation
-        family)``; each group shares one warm collection and — for
-        coverage-style queries — one fused
+        Each request is a plain payload, admitted here, or a :class:`Query`
+        the caller admitted — the server's, whose counted cache lookup was
+        its :meth:`try_cached`, so the batch's re-check does not count it
+        again.  Queries are grouped by ``(version, residual digest,
+        operation family, θ)``; each group shares one warm collection and —
+        for coverage-style queries — one fused
         :meth:`~repro.sampling.flat_collection.FlatRRCollection.batch_coverage`
         call, and for ``mc_spread`` one bulk coin-flip pass whose
         realizations every query in the group replays.  Answers are
@@ -446,13 +518,11 @@ class ServiceState:
             return self._execute_batch_locked(requests)
 
     def _execute_batch_locked(
-        self, requests: Sequence[Mapping[str, Any]]
+        self, requests: Sequence[Union[Mapping[str, Any], Query]]
     ) -> List[Dict[str, Any]]:
         results: List[Optional[Dict[str, Any]]] = [None] * len(requests)
+        queries: List[Optional[Query]] = [None] * len(requests)
         groups: Dict[Tuple[str, str, str, int], List[int]] = {}
-        contexts: List[Optional[Tuple[GraphEntry, ResidualGraph, str, Any]]] = [
-            None
-        ] * len(requests)
         for position, request in enumerate(requests):
             rule = self._faults.take("service")
             if rule is not None:
@@ -461,35 +531,29 @@ class ServiceState:
                     results[position] = shed
                     continue
             try:
-                op, entry = self._admit(request)
-                view, mask, digest = self._residual_view(
-                    entry, request.get("removed") or ()
-                )
-                samples = _count_field(request, "samples")
-                key = answer_key(
-                    entry.version, mask, self._parameters(), _query_of(request)
-                )
-            except (ValidationError, ReproError) as exc:
+                query = self._as_query(request)
+            except ReproError as exc:
                 # A bad request is answered in place — its batchmates
                 # never see it (the serving tier's poison isolation).
                 results[position] = error_answer(exc)
                 continue
-            if digest != "full":
-                self._removed_by_digest[(entry.version, digest)] = tuple(
-                    sorted({int(v) for v in request.get("removed") or ()})
+            queries[position] = query
+            if query.removed:
+                self._removed_by_digest[(query.entry.version, query.digest)] = (
+                    query.removed
                 )
-            cached = self._answers.get(key)
-            contexts[position] = (entry, view, digest, key)
+            # A Query admitted by the caller was counted by its try_cached.
+            cached = self._answers.get(query.key, count=query is not request)
             if cached is not None:
                 results[position] = dict(cached, cached=True)
                 continue
-            if expired(request):
+            if query.deadline is not None and query.deadline <= time.monotonic():
                 # The deadline budget was eaten before this batch ran
                 # (queueing, an earlier slow batch, an injected delay).
                 # Prefer a degraded cached answer; otherwise a structured
                 # 504 — either way the rest of the batch is untouched.
                 self._deadline_expired += 1
-                degraded = self._degraded_lookup(entry, mask, _query_of(request))
+                degraded = self._degraded_lookup(query)
                 if degraded is not None:
                     results[position] = degraded
                 else:
@@ -500,41 +564,36 @@ class ServiceState:
                         )
                     )
                 continue
-            family = "mc" if op == "mc_spread" else "ris"
-            effective = self._num_samples if samples is None else samples
+            family = "mc" if query.op == "mc_spread" else "ris"
+            theta = self._num_samples if query.samples is None else query.samples
             groups.setdefault(
-                (entry.version, digest, family, effective), []
+                (query.entry.version, query.digest, family, theta), []
             ).append(position)
-        for (version, digest, family, samples), positions in groups.items():
-            entry, view, _, _ = contexts[positions[0]]
-            group_requests = [requests[p] for p in positions]
+        for (_, _, family, theta), positions in groups.items():
+            members = [queries[p] for p in positions]
             try:
                 if family == "mc":
-                    answers = self._answer_mc_group(
-                        entry, view, digest, group_requests
-                    )
+                    answers = self._answer_mc_group(members)
                 else:
-                    answers = self._answer_ris_group(
-                        entry, view, digest, group_requests, num_samples=samples
-                    )
-            except (ValidationError, ReproError) as exc:
+                    answers = self._answer_ris_group(members, theta)
+            except ReproError as exc:
                 # Group-level failure (generation died beyond recovery):
                 # every member gets the structured error, nobody hangs.
                 answers = [error_answer(exc) for _ in positions]
-            for position, answer in zip(positions, answers):
+            for query, position, answer in zip(members, positions, answers):
                 if is_error_answer(answer):
                     results[position] = answer
                     continue
                 answer["cached"] = False
                 cache_value = dict(answer, cached=None)
-                self._answers.put(contexts[position][3], cache_value)
+                self._answers.put(query.key, cache_value)
                 if self._journal is not None:
-                    self._journal.record_answer(contexts[position][3], cache_value)
+                    self._journal.record_answer(query.key, cache_value)
                 results[position] = answer
-            entry.queries += len(positions)
+            members[0].entry.queries += len(positions)
         return [dict(r) for r in results]  # type: ignore[arg-type]
 
-    def query(self, request: Mapping[str, Any]) -> Dict[str, Any]:
+    def query(self, request: Union[Mapping[str, Any], Query]) -> Dict[str, Any]:
         """Answer one request (the unbatched reference path).
 
         Structured error answers are converted back into their typed
@@ -550,72 +609,60 @@ class ServiceState:
     # ------------------------------------------------------------------ #
 
     def _answer_ris_group(
-        self,
-        entry: GraphEntry,
-        view: ResidualGraph,
-        digest: str,
-        requests: Sequence[Mapping[str, Any]],
-        num_samples: Optional[int] = None,
+        self, queries: Sequence[Query], num_samples: int
     ) -> List[Dict[str, Any]]:
-        collection = self.collection_for(entry, view, digest, num_samples=num_samples)
-        spread_positions = [
-            i for i, r in enumerate(requests) if str(r.get("op", "spread")) == "spread"
-        ]
+        first = queries[0]
+        collection = self.collection_for(
+            first.entry, first.view, first.digest, num_samples=num_samples
+        )
+        version = first.entry.version
+        spread_positions = [i for i, q in enumerate(queries) if q.op == "spread"]
         spreads = {}
         if spread_positions:
-            seed_sets = [
-                [int(v) for v in requests[i].get("seeds") or []]
-                for i in spread_positions
-            ]
-            estimates = collection.estimate_spreads(seed_sets)
+            estimates = collection.estimate_spreads(
+                [queries[i].seeds for i in spread_positions]
+            )
             spreads = dict(zip(spread_positions, estimates))
         answers: List[Dict[str, Any]] = []
-        for i, request in enumerate(requests):
-            op = str(request.get("op", "spread"))
+        for i, query in enumerate(queries):
             try:
-                if op == "spread":
-                    seeds = [int(v) for v in request.get("seeds") or []]
+                if query.op == "spread":
                     answers.append(
-                        {"op": op, "version": entry.version, "seeds": seeds,
-                         "spread": float(spreads[i])}
+                        {"op": "spread", "version": version,
+                         "seeds": list(query.seeds), "spread": float(spreads[i])}
                     )
-                elif op == "marginal":
-                    node = int(request.get("node", -1))
-                    conditioning = [int(v) for v in request.get("conditioning") or []]
-                    value = collection.estimate_marginal_spread(node, conditioning)
+                elif query.op == "marginal":
+                    value = collection.estimate_marginal_spread(
+                        query.node, list(query.conditioning)
+                    )
                     answers.append(
-                        {"op": op, "version": entry.version, "node": node,
-                         "conditioning": conditioning, "marginal_spread": float(value)}
+                        {"op": "marginal", "version": version, "node": query.node,
+                         "conditioning": list(query.conditioning),
+                         "marginal_spread": float(value)}
                     )
                 else:  # topk
-                    answers.append(self._answer_topk(entry, collection, request))
-            except (ValidationError, ReproError) as exc:
+                    answers.append(self._answer_topk(collection, query))
+            except ReproError as exc:
                 answers.append(error_answer(exc))
         return answers
 
     def _answer_topk(
-        self,
-        entry: GraphEntry,
-        collection: FlatRRCollection,
-        request: Mapping[str, Any],
+        self, collection: FlatRRCollection, query: Query
     ) -> Dict[str, Any]:
         """Budgeted, segment-restricted greedy max-coverage seed selection."""
-        k = _count_field(request, "k", 1)
-        budget = _budget_field(request)
-        segment = request.get("segment")
-        if segment is None:
+        if query.segment is None:
             candidates = collection.nodes_appearing().astype(np.int64)
         else:
-            candidates = np.asarray([int(v) for v in segment], dtype=np.int64)
+            candidates = np.asarray(query.segment, dtype=np.int64)
         counter = CoverageCounter(collection)
         costs = np.asarray(
-            [entry.costs.get(int(v), 1.0) for v in candidates], dtype=np.float64
+            [query.entry.costs.get(int(v), 1.0) for v in candidates], dtype=np.float64
         )
         picked = np.zeros(candidates.shape[0], dtype=bool)
         chosen: List[int] = []
         total_cost = 0.0
-        remaining = np.inf if budget is None else budget
-        for _ in range(k):
+        remaining = np.inf if query.budget is None else query.budget
+        for _ in range(query.k):
             if candidates.size == 0:
                 break
             gains = counter.marginal_counts[candidates].astype(np.int64)
@@ -634,20 +681,14 @@ class ServiceState:
         spread = counter.coverage() * collection.num_active_nodes / sets
         return {
             "op": "topk",
-            "version": entry.version,
+            "version": query.entry.version,
             "seeds": chosen,
             "spread": float(spread),
             "cost": total_cost,
-            "budget": budget,
+            "budget": query.budget,
         }
 
-    def _answer_mc_group(
-        self,
-        entry: GraphEntry,
-        view: ResidualGraph,
-        digest: str,
-        requests: Sequence[Mapping[str, Any]],
-    ) -> List[Dict[str, Any]]:
+    def _answer_mc_group(self, queries: Sequence[Query]) -> List[Dict[str, Any]]:
         """Answer ``mc_spread`` queries from one shared realization stream.
 
         The stream is derived from ``(seed, graph, digest, simulations)``
@@ -656,30 +697,28 @@ class ServiceState:
         answer it would get alone (the coin flips are simply amortised
         over however many queries share the batch).
         """
+        first = queries[0]
         by_sims: Dict[int, List[int]] = {}
-        answers: List[Optional[Dict[str, Any]]] = [None] * len(requests)
-        for i, request in enumerate(requests):
-            sims = _count_field(request, "simulations", self._mc_simulations)
-            by_sims.setdefault(sims, []).append(i)
-        probs = entry.graph.out_csr()[2]
+        answers: List[Optional[Dict[str, Any]]] = [None] * len(queries)
+        for i, query in enumerate(queries):
+            by_sims.setdefault(query.simulations, []).append(i)
+        probs = first.entry.graph.out_csr()[2]
         for sims, positions in by_sims.items():
-            seed_sets = [
-                [int(v) for v in requests[i].get("seeds") or []] for i in positions
-            ]
-            rng = self._stream(entry, digest, sims)
+            seed_sets = [list(queries[i].seeds) for i in positions]
+            rng = self._stream(first.entry, first.digest, sims)
             totals = np.zeros(len(positions), dtype=np.int64)
             for live in sample_live_chunks(rng, probs, sims):
                 for j, seeds in enumerate(seed_sets):
                     if seeds:
                         totals[j] += int(
                             replay_live_edges(
-                                view, seeds, live, backend=self._backend
+                                first.view, seeds, live, backend=self._backend
                             ).sum()
                         )
             for j, i in enumerate(positions):
                 answers[i] = {
                     "op": "mc_spread",
-                    "version": entry.version,
+                    "version": first.entry.version,
                     "seeds": seed_sets[j],
                     "spread": float(totals[j] / sims),
                     "simulations": sims,
@@ -824,96 +863,69 @@ class ServiceState:
         self.close()
 
 
-#: Request fields that list node ids (``marginal`` also names one in ``node``).
-_NODE_LIST_FIELDS = ("seeds", "conditioning", "segment")
+# ---------------------------------------------------------------------- #
+# field parsers of ServiceState.admit
+# ---------------------------------------------------------------------- #
 
 
-def _check_node_ids(request: Mapping[str, Any], op: str, n: int) -> None:
-    """Refuse a request that names a node id outside ``[0, n)``.
+def _integer(value: Any) -> Optional[int]:
+    """``value`` as an int when it denotes one exactly (``2``, ``2.0``, ``"2"``).
 
-    Checked where a request enters the batch, so a bad id gets its own
-    ``invalid`` answer: the estimators would otherwise drop it silently,
-    and ``mc_spread`` replay would fail the request's whole group.
+    ``None`` otherwise: booleans, fractions, non-finite floats and other
+    types denote no integer.
     """
-    named = [(name, request.get(name) or ()) for name in _NODE_LIST_FIELDS]
-    if op == "marginal":
-        named.append(("node", (request.get("node", -1),)))
-    for name, ids in named:
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    if isinstance(value, str):
         try:
-            bad = [v for v in ids if not 0 <= int(v) < n]
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(
-                f"{name}: expected integer node ids, got {request.get(name)!r}"
-            ) from None
-        if bad:
-            raise ValidationError(f"{name}: node id {bad[0]!r} is outside [0, {n})")
-
-
-def _removed_ids(removed: Iterable[Any], n: int) -> np.ndarray:
-    """A request's ``removed`` node ids as an int64 array, each in ``[0, n)``."""
+            return int(value)
+        except ValueError:
+            return None
     try:
-        ids = np.asarray([int(v) for v in removed], dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"removed node ids must be integers, got {removed!r}"
-        ) from None
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ValidationError(
-            f"removed node ids must lie in [0, {n}), got "
-            f"{int(ids.min())}..{int(ids.max())}"
-        )
-    return ids
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
-def _count_field(
-    request: Mapping[str, Any], name: str, default: Optional[int] = None
-) -> Optional[int]:
-    """``request[name]`` as an integer ``>= 1`` (``default`` when absent or null).
+def _node_id(name: str, value: Any, n: int) -> int:
+    """One node id of field ``name``, an integer in ``[0, n)``."""
+    node = _integer(value)
+    if node is None:
+        raise ValidationError(f"{name}: expected an integer node id, got {value!r}")
+    if not 0 <= node < n:
+        raise ValidationError(f"{name}: node id {node} is outside [0, {n})")
+    return node
 
-    ``simulations`` keeps its older spelling of "default": any falsy
-    value, ``0`` included.
-    """
-    value = request.get(name)
-    if value is None or (name == "simulations" and not value):
+
+def _node_ids(name: str, value: Any, n: int) -> Tuple[int, ...]:
+    """A node-list field as a tuple of ids in ``[0, n)`` (``()`` when absent)."""
+    if value is None:
+        return ()
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name}: expected a list of node ids, got {value!r}")
+    return tuple(_node_id(name, v, n) for v in value)
+
+
+def _positive_count(name: str, value: Any, default: Optional[int]) -> Optional[int]:
+    """A count field as an integer ``>= 1`` (``default`` when absent)."""
+    if value is None:
         return default
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name}: expected an integer, got {value!r}") from None
+    count = _integer(value)
+    if count is None:
+        raise ValidationError(f"{name}: expected an integer, got {value!r}")
     if count < 1:
         raise ValidationError(f"{name} must be >= 1, got {count}")
     return count
 
 
-def _budget_field(request: Mapping[str, Any]) -> Optional[float]:
-    """A ``topk`` query's cost budget (``None`` when absent: no budget)."""
-    budget = request.get("budget")
-    if budget is None:
-        return None
+def _number(name: str, value: Any) -> float:
+    """A numeric field as a float; booleans, NaN and non-numbers are refused."""
     try:
-        return float(budget)
-    except (TypeError, ValueError):
-        raise ValidationError(f"budget: expected a number, got {budget!r}") from None
-
-
-#: Fields whose empty spelling means the same as leaving them out, so the
-#: cache key must alias them (``segment`` is *not* here: an empty segment
-#: means "no candidates", which differs from "all nodes").
-_EMPTY_IS_ABSENT = frozenset({"seeds", "conditioning", "removed"})
-
-
-def _query_of(request: Mapping[str, Any]) -> Dict[str, Any]:
-    """The key-relevant slice of a request payload (drops transport fields)."""
-    relevant = {}
-    for field_name in (
-        "op", "seeds", "node", "conditioning", "k", "budget", "segment",
-        "simulations", "removed", "samples",
-    ):
-        value = request.get(field_name)
-        if value is None:
-            continue
-        if field_name in _EMPTY_IS_ABSENT and len(value) == 0:
-            continue
-        relevant[field_name] = value
-    relevant.setdefault("op", "spread")
-    return relevant
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if math.isnan(number):
+        raise ValidationError(f"{name}: expected a number, got {value!r}")
+    return number

@@ -59,11 +59,10 @@ class DeadlineExceeded(ReproError, TimeoutError):
 class ServiceOverloadError(ReproError, RuntimeError):
     """The service shed a request instead of queueing it unboundedly.
 
-    Raised by the admission-control layer (:mod:`repro.service.batcher`
-    bounded pending queue, :class:`repro.service.api.SeedingServer`
-    inflight budget).  Carries ``retry_after_ms`` — the server's estimate
-    of when capacity frees up — which the HTTP layer serialises into the
-    structured ``429`` answer.
+    Raised by the admission-control layer (the
+    :class:`repro.service.api.SeedingServer` inflight budget).  Carries
+    ``retry_after_ms`` — the server's estimate of when capacity frees up —
+    which the HTTP layer serialises into the structured ``429`` answer.
     """
 
     def __init__(self, message: str, retry_after_ms: float = 0.0) -> None:

@@ -19,7 +19,6 @@ import pytest
 from repro.graphs.toy import toy_costs, toy_graph
 from repro.service.api import SeedingServer
 from repro.service.loadgen import ServiceClient
-from repro.service import state as state_module
 from repro.service.state import ServiceState
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -124,16 +123,20 @@ class TestRoundTrips:
 
     def test_metrics_endpoint_shape(self):
         async def scenario(server, client):
-            await client.request("POST", "/query", {"op": "spread", "seeds": [1]})
+            for seeds in ([1], [1], [2]):
+                await client.request("POST", "/query", {"op": "spread", "seeds": seeds})
             status, metrics = await client.request("GET", "/metrics")
             assert status == 200
             return metrics
 
         metrics = asyncio.run(with_server(scenario))
-        assert "answer_cache" in metrics["state"]
-        assert "hit_rate" in metrics["state"]["answer_cache"]
-        assert metrics["batcher"]["requests"] == 1
-        assert metrics["server"]["requests_served"] >= 1
+        answer_cache = metrics["state"]["answer_cache"]
+        # One hit or miss per query: the batch's re-check of a cold query
+        # does not count it a second time.
+        assert (answer_cache["hits"], answer_cache["misses"]) == (1, 2)
+        assert answer_cache["hit_rate"] == pytest.approx(1 / 3)
+        assert metrics["batcher"]["requests"] == 2
+        assert metrics["server"]["requests_served"] >= 3
 
 
 class TestErrorSurface:
@@ -182,6 +185,11 @@ class TestErrorSurface:
             ({"op": "mc_spread", "seeds": [1], "simulations": "x"}, "simulations"),
             ({"op": "spread", "seeds": [1], "samples": "x"}, "samples"),
             ({"op": "spread", "seeds": [1], "removed": [None]}, "removed"),
+            ({"op": "spread", "seeds": "12"}, "seeds"),
+            ({"op": "topk", "k": 2.7}, "k"),
+            ({"op": "spread", "seeds": [1], "deadline_ms": "x"}, "deadline_ms"),
+            ({"op": "spread", "seeds": [1], "deadline_ms": [5]}, "deadline_ms"),
+            ({"op": "spread", "seeds": [1], "deadline_ms": float("nan")}, "deadline_ms"),
         ],
     )
     def test_bad_field_is_400_and_spares_its_batchmates(self, bad, field):
@@ -208,22 +216,23 @@ class TestErrorSurface:
         assert bad_answer["error"].startswith(field)
         assert (good_status, good_answer) == asyncio.run(with_server(alone))
 
-    def test_cached_answer_for_an_out_of_range_node_is_not_served(self, monkeypatch):
-        # An answer cached without the id check (as an older server's
-        # journal restores it) must not reach the cache fast path.
+    def test_refused_query_never_reaches_the_cache(self):
+        # A query that fails admission is answered before any cache
+        # lookup, whatever the cache holds.
         bad = {"op": "spread", "seeds": [0, 999]}
 
         async def scenario(server, client):
-            with monkeypatch.context() as unchecked:
-                unchecked.setattr(state_module, "_check_node_ids", lambda *args: None)
-                assert "spread" in server.state.execute_batch([bad])[0]
-            assert len(server.state.answer_cache) == 1
-            return await client.request("POST", "/query", bad), server.metrics()
+            await client.request("POST", "/query", {"op": "spread", "seeds": [0]})
+            lookups = server.state.answer_cache.stats.queries
+            reply = await client.request("POST", "/query", bad)
+            assert server.state.answer_cache.stats.queries == lookups
+            return reply, server.metrics()
 
         (status, answer), metrics = asyncio.run(with_server(scenario))
         assert status == 400
         assert answer == {"error": "seeds: node id 999 is outside [0, 7)", "code": "invalid"}
         assert metrics["server"]["cache_fast_hits"] == 0
+        assert metrics["batcher"]["requests"] == 1
 
     def test_unknown_path_is_404_and_get_query_is_405(self):
         async def scenario(server, client):
@@ -380,3 +389,4 @@ class TestSigtermSubprocess:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()

@@ -1,4 +1,4 @@
-"""Unit tests of the bounded LRU answer cache and its key helpers."""
+"""Unit tests of the bounded LRU answer cache and its mask digest."""
 
 import sys
 import threading
@@ -8,7 +8,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.service.cache import CacheStats, LRUCache, answer_key, freeze, mask_digest
+from repro.service.cache import CacheStats, LRUCache, mask_digest
 from repro.utils.exceptions import ValidationError
 
 
@@ -70,6 +70,16 @@ class TestLRUCache:
         assert cache.stats.queries == 0
         cache.put("c", 3)  # "a" stayed LRU despite the peek
         assert "a" not in cache
+
+    def test_uncounted_get_still_refreshes(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a", count=False) == 1
+        assert cache.get("z", count=False) is None
+        assert cache.stats.queries == 0
+        cache.put("c", 3)  # the uncounted hit made "b" the LRU entry
+        assert "a" in cache and "b" not in cache
 
     def test_pop_and_clear(self):
         cache = LRUCache(4)
@@ -181,30 +191,3 @@ class TestKeyHelpers:
         b = np.array([True, True, False])
         assert mask_digest(a) != mask_digest(b)
         assert mask_digest(a) == mask_digest(a.copy())
-
-    def test_freeze_is_order_stable_for_dicts_and_sets(self):
-        assert freeze({"a": 1, "b": [2, 3]}) == freeze({"b": [2, 3], "a": 1})
-        assert freeze({3, 1, 2}) == freeze({1, 2, 3})
-        assert hash(freeze({"a": {"nested": [1, {2}]}})) is not None
-
-    def test_freeze_handles_numpy(self):
-        assert freeze(np.int64(4)) == 4
-        assert freeze(np.array([1, 2])) == (1, 2)
-
-    def test_freeze_lists_stay_ordered(self):
-        assert freeze([1, 2]) != freeze([2, 1])
-
-    def test_freeze_rejects_unhashable_types(self):
-        with pytest.raises(ValidationError):
-            freeze(object())
-
-    def test_answer_key_components(self):
-        mask = np.array([True, False])
-        key1 = answer_key("g0", mask, {"samples": 10}, {"op": "spread", "seeds": [1]})
-        key2 = answer_key("g0", mask, {"samples": 10}, {"op": "spread", "seeds": [1]})
-        key3 = answer_key("g1", mask, {"samples": 10}, {"op": "spread", "seeds": [1]})
-        key4 = answer_key("g0", None, {"samples": 10}, {"op": "spread", "seeds": [1]})
-        assert key1 == key2
-        assert key1 != key3
-        assert key1 != key4
-        assert hash(key1) is not None

@@ -149,6 +149,20 @@ class TestJournalRoundTrip:
         with pytest.raises(ValidationError, match="delete the state dir to cold-start"):
             ServiceState.restore(tmp_path)
 
+    def test_journal_keyed_by_raw_payloads_is_refused(self, tmp_path):
+        # Format 2 keyed each answer by its payload as sent (``removed`` in
+        # any order, ids in any spelling); no admitted query could look
+        # such a key up, so the state dir must cold-start.
+        with make_state() as state:
+            state.enable_journal(tmp_path)
+            state.execute_batch(QUERIES[:2])
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match="delete the state dir to cold-start"):
+            ServiceState.restore(tmp_path)
+
     def test_resolve_state_dir_env(self, monkeypatch, tmp_path):
         assert resolve_state_dir() is None
         monkeypatch.setenv("REPRO_SERVICE_STATE_DIR", str(tmp_path))
@@ -234,6 +248,7 @@ class TestSigkillWarmRestart:
         finally:
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
+            proc.stdout.close()
 
         proc, port = self._boot(tmp_path)
         try:
@@ -246,4 +261,7 @@ class TestSigkillWarmRestart:
             assert warm_hits == len(QUERIES)
         finally:
             proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=30) == 0
+            try:
+                assert proc.wait(timeout=30) == 0
+            finally:
+                proc.stdout.close()

@@ -2,36 +2,32 @@
 
 Covers the three layers separately and end to end:
 
-* :mod:`repro.service.resilience` — knob resolution, deadline stamping,
-  the structured-error-answer convention and its typed inverse;
-* :class:`ServiceState` — expired queries answered in place (poison
-  isolation), degraded cache fallbacks, per-query θ overrides;
-* :class:`SeedingServer` / :class:`RequestBatcher` — 429 shedding at the
-  pending-queue and inflight bounds, 504 deadline responses, degraded
-  200s, and the enriched ``/healthz`` verdict.
+* :mod:`repro.service.resilience` — knob resolution, the
+  structured-error-answer convention and its typed inverse;
+* :class:`ServiceState` — deadlines armed at admission, expired queries
+  answered in place (poison isolation), degraded cache fallbacks,
+  per-query θ overrides;
+* :class:`SeedingServer` — 429 shedding at the inflight bound, 504
+  deadline responses, degraded 200s, and the enriched ``/healthz``
+  verdict.
 """
 
 import asyncio
+import dataclasses
 import time
 
 import pytest
 
 from repro.graphs.toy import toy_costs, toy_graph
 from repro.service.api import SeedingServer
-from repro.service.batcher import RequestBatcher
 from repro.service.loadgen import ServiceClient
 from repro.service.resilience import (
-    DEADLINE_KEY,
-    arm_deadline,
     error_answer,
     error_status,
-    expired,
     is_error_answer,
     raise_error_answer,
     resolve_deadline_ms,
     resolve_max_inflight,
-    resolve_max_pending,
-    time_left,
 )
 from repro.service.state import ServiceState
 from repro.utils.exceptions import (
@@ -52,28 +48,24 @@ def make_state(**kwargs):
     return state
 
 
-def stamp_expired(request):
-    """A request whose deadline passed before execution."""
-    request = dict(request)
-    request[DEADLINE_KEY] = time.monotonic() - 0.01
-    return request
+def stamp_expired(state, request):
+    """``request`` admitted with a deadline that passed before execution."""
+    return dataclasses.replace(
+        state.admit(request), deadline=time.monotonic() - 0.01
+    )
 
 
 class TestKnobs:
     def test_explicit_values_win_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_DEADLINE_MS", "100")
-        monkeypatch.setenv("REPRO_SERVICE_MAX_PENDING", "5")
         monkeypatch.setenv("REPRO_SERVICE_MAX_INFLIGHT", "6")
         assert resolve_deadline_ms(250.0) == 250.0
-        assert resolve_max_pending(9) == 9
         assert resolve_max_inflight(10) == 10
         assert resolve_deadline_ms() == 100.0
-        assert resolve_max_pending() == 5
         assert resolve_max_inflight() == 6
 
     def test_unset_means_unbounded(self):
         assert resolve_deadline_ms() is None
-        assert resolve_max_pending() is None
         assert resolve_max_inflight() is None
 
     @pytest.mark.parametrize("value", [0, -1])
@@ -81,32 +73,43 @@ class TestKnobs:
         with pytest.raises(ValidationError):
             resolve_deadline_ms(value)
         with pytest.raises(ValidationError):
-            resolve_max_pending(value)
-        with pytest.raises(ValidationError):
             resolve_max_inflight(value)
+
+    def test_nan_deadline_rejected(self, monkeypatch):
+        # A NaN deadline would never expire: NaN <= 0 is false.
+        with pytest.raises(ValidationError):
+            resolve_deadline_ms(float("nan"))
+        monkeypatch.setenv("REPRO_SERVICE_DEADLINE_MS", "nan")
+        with pytest.raises(ValidationError):
+            resolve_deadline_ms()
 
 
 class TestDeadlineStamping:
+    """``admit`` arms the deadline once, as an absolute monotonic time."""
+
     def test_query_field_wins_over_default(self):
-        request = {"op": "spread", "deadline_ms": 50.0}
-        deadline = arm_deadline(request, default_deadline_ms=5000.0)
-        left = time_left(request)
-        assert deadline is not None and 0 < left <= 0.05
+        with make_state() as state:
+            query = state.admit(
+                {"op": "spread", "deadline_ms": 50.0}, default_deadline_ms=5000.0
+            )
+        left = query.deadline - time.monotonic()
+        assert 0 < left <= 0.05
 
     def test_default_applies_when_query_is_silent(self):
-        request = {"op": "spread"}
-        assert arm_deadline(request, default_deadline_ms=1000.0) is not None
-        assert not expired(request)
+        with make_state() as state:
+            query = state.admit({"op": "spread"}, default_deadline_ms=1000.0)
+        assert query.deadline > time.monotonic()
 
     def test_no_deadline_leaves_request_untouched(self):
         request = {"op": "spread"}
-        assert arm_deadline(request) is None
-        assert DEADLINE_KEY not in request
-        assert time_left(request) is None
+        with make_state() as state:
+            assert state.admit(request).deadline is None
+        assert request == {"op": "spread"}
 
     def test_bad_deadline_rejected(self):
-        with pytest.raises(ValidationError, match="deadline_ms"):
-            arm_deadline({"op": "spread", "deadline_ms": 0})
+        with make_state() as state:
+            with pytest.raises(ValidationError, match="^deadline_ms"):
+                state.admit({"op": "spread", "deadline_ms": 0})
 
 
 class TestErrorAnswers:
@@ -148,7 +151,7 @@ class TestStateDeadlines:
         with make_state() as state:
             batch = [
                 {"op": "spread", "seeds": [1]},
-                stamp_expired({"op": "spread", "seeds": [2]}),
+                stamp_expired(state, {"op": "spread", "seeds": [2]}),
                 {"op": "topk", "k": 2},
             ]
             answers = state.execute_batch(batch)
@@ -164,7 +167,7 @@ class TestStateDeadlines:
         with make_state() as state:
             warm = state.query({"op": "spread", "seeds": [1]})
             answer = state.execute_batch(
-                [stamp_expired({"op": "spread", "seeds": [1]})]
+                [stamp_expired(state, {"op": "spread", "seeds": [1]})]
             )[0]
             assert answer["cached"] is True
             assert "degraded" not in answer
@@ -173,7 +176,7 @@ class TestStateDeadlines:
     def test_query_restores_the_typed_raise(self):
         with make_state() as state:
             with pytest.raises(DeadlineExceeded):
-                state.query(stamp_expired({"op": "spread", "seeds": [1]}))
+                state.query(stamp_expired(state, {"op": "spread", "seeds": [1]}))
 
     def test_batchmates_survive_a_poison_request(self):
         with make_state() as state:
@@ -191,7 +194,7 @@ class TestStateDeadlines:
 
     def test_error_answers_are_never_cached(self):
         with make_state() as state:
-            state.execute_batch([stamp_expired({"op": "spread", "seeds": [3]})])
+            state.execute_batch([stamp_expired(state, {"op": "spread", "seeds": [3]})])
             answer = state.query({"op": "spread", "seeds": [3]})
             assert answer["cached"] is False
             assert answer["spread"] > 0
@@ -228,7 +231,7 @@ class TestSamplesOverride:
         with make_state() as state:
             warm = state.query({"op": "spread", "seeds": [4]})
             answer = state.execute_batch(
-                [stamp_expired({"op": "spread", "seeds": [4], "samples": 5000})]
+                [stamp_expired(state, {"op": "spread", "seeds": [4], "samples": 5000})]
             )[0]
             assert answer["degraded"] is True
             assert answer["spread"] == warm["spread"]
@@ -239,34 +242,6 @@ class TestSamplesOverride:
                 [{"op": "spread", "seeds": [1], "samples": 0}]
             )[0]
             assert answer["code"] == "invalid"
-
-
-class TestBatcherShedding:
-    def test_pending_bound_sheds_with_retry_hint(self, hold):
-        async def scenario():
-            def execute(requests):
-                return [{"i": r["i"]} for r in requests]
-
-            batcher = RequestBatcher(hold.wrap(execute), max_pending=2)
-            try:
-                held = asyncio.ensure_future(batcher.submit({"i": -1}))
-                await hold.holding()
-                first = asyncio.ensure_future(batcher.submit({"i": 0}))
-                second = asyncio.ensure_future(batcher.submit({"i": 1}))
-                await asyncio.sleep(0)  # both enqueue behind the held batch
-                with pytest.raises(ServiceOverloadError) as excinfo:
-                    await batcher.submit({"i": 2})
-                assert excinfo.value.retry_after_ms > 0
-                assert batcher.stats.shed_requests == 1
-                hold.release()
-                assert (await held)["i"] == -1
-                assert (await first)["i"] == 0
-                assert (await second)["i"] == 1
-            finally:
-                hold.release()
-                await batcher.aclose()
-
-        asyncio.run(scenario())
 
 
 async def with_server(scenario, *, state=None, **kwargs):

@@ -95,14 +95,13 @@ class TestAnswers:
         assert len(state.collection_cache) == 2
         # The answer equals an estimate on the residual state's own
         # collection (5 active nodes out of 7), not a rescaled full one.
-        entry = state.entry()
-        view, _, digest = state._residual_view(entry, [5, 6])
-        collection = state.collection_for(entry, view, digest)
+        query = state.admit({"op": "spread", "seeds": [1], "removed": [5, 6]})
+        collection = state.collection_for(query.entry, query.view, query.digest)
         assert collection.num_active_nodes == 5
         assert residual["spread"] == pytest.approx(collection.estimate_spread([1]))
 
     def test_removed_out_of_range_rejected(self, state):
-        with pytest.raises(ValidationError, match="removed node ids"):
+        with pytest.raises(ValidationError, match=r"^removed: node id 99 is outside"):
             state.query({"op": "spread", "seeds": [0], "removed": [99]})
 
     def test_unknown_op_rejected(self, state):
@@ -251,9 +250,9 @@ class TestBadNodeIds:
 
 
 class TestBadFields:
-    """A ``k``, ``simulations``, ``budget``, ``samples`` or ``removed`` that
-    does not parse gets its own ``invalid`` answer, and its batchmates get
-    the answers they get alone."""
+    """A ``k``, ``simulations``, ``budget``, ``samples``, ``deadline_ms`` or
+    node list that does not parse gets its own ``invalid`` answer, and its
+    batchmates get the answers they get alone."""
 
     GOOD = (
         {"op": "spread", "seeds": [1]},
@@ -271,6 +270,24 @@ class TestBadFields:
         ({"op": "spread", "seeds": [1], "removed": [None]}, "removed"),
         ({"op": "spread", "seeds": [1], "removed": [float("inf")]}, "removed"),
         ({"op": "marginal", "node": 2, "removed": ["x"]}, "removed"),
+        # A string or object is no node list, even when its characters or
+        # keys would parse as ids.
+        ({"op": "spread", "seeds": "12"}, "seeds"),
+        ({"op": "spread", "seeds": {"1": 2}}, "seeds"),
+        ({"op": "spread", "seeds": [1], "removed": "35"}, "removed"),
+        ({"op": "marginal", "node": 2, "conditioning": "01"}, "conditioning"),
+        ({"op": "topk", "k": 2, "segment": "0123"}, "segment"),
+        ({"op": "spread", "seeds": [True]}, "seeds"),
+        # Counts must be whole numbers, not truncated ones.
+        ({"op": "topk", "k": 2.7}, "k"),
+        ({"op": "topk", "k": True}, "k"),
+        ({"op": "mc_spread", "seeds": [1], "simulations": 2.5}, "simulations"),
+        ({"op": "spread", "seeds": [1], "samples": 300.5}, "samples"),
+        ({"op": "topk", "k": 2, "budget": float("nan")}, "budget"),
+        ({"op": "spread", "seeds": [1], "deadline_ms": "x"}, "deadline_ms"),
+        ({"op": "spread", "seeds": [1], "deadline_ms": [5]}, "deadline_ms"),
+        ({"op": "spread", "seeds": [1], "deadline_ms": float("nan")}, "deadline_ms"),
+        ({"op": "spread", "seeds": [1], "deadline_ms": 0}, "deadline_ms"),
     ]
 
     @staticmethod
@@ -378,6 +395,50 @@ class TestMetricsAndLifecycle:
         assert hit is not None and hit["cached"] is True
         # Equivalent residual spellings share the entry.
         assert state.try_cached(dict(request, removed=[])) is not None
+
+
+class TestAdmission:
+    """``admit`` reads each field once into a typed :class:`Query`."""
+
+    def test_fields_are_typed_and_canonical(self, state):
+        query = state.admit(
+            {"op": "marginal", "node": "3", "conditioning": [1.0, 2],
+             "removed": [6, 5, 6], "samples": "350"}
+        )
+        assert query.op == "marginal" and query.node == 3
+        assert query.conditioning == (1, 2)
+        assert query.removed == (5, 6)
+        assert query.samples == 350
+        assert (query.k, query.budget, query.segment) == (1, None, None)
+        assert query.simulations == 200  # the state's default
+        assert query.deadline is None
+        assert query.entry is state.entry()
+        assert query.view.num_active == 5 and query.digest != "full"
+
+    def test_equivalent_spellings_share_one_cache_entry(self, state):
+        answer = state.query({"op": "spread", "seeds": [1], "removed": [6, 5]})
+        for spelling in (
+            {"seeds": [1], "removed": [5, 6]},
+            {"seeds": [1.0], "removed": [5, 6, 5]},
+            {"op": "spread", "seeds": ["1"], "removed": ["6", 5]},
+        ):
+            hit = state.try_cached(spelling)
+            assert hit is not None and hit["spread"] == answer["spread"]
+        # Another residual state, θ or graph version asks another question.
+        assert state.try_cached({"seeds": [1], "removed": [5]}) is None
+        assert state.try_cached({"seeds": [1], "removed": [5, 6], "samples": 9}) is None
+        state.register_graph(toy_graph(), version="v2")
+        assert state.try_cached(
+            {"seeds": [1], "removed": [5, 6], "version": "v2"}
+        ) is None
+
+    def test_default_counts_share_the_entry_of_explicit_ones(self, state):
+        state.query({"op": "topk", "k": 2})
+        assert state.try_cached({"op": "topk", "k": "2"}) is not None
+        state.query({"op": "mc_spread", "seeds": [1]})
+        assert state.try_cached(
+            {"op": "mc_spread", "seeds": [1], "simulations": 200}
+        ) is not None
 
 
 class TestFusedBatchCoverage:
